@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,28 +62,17 @@ class ConfigError(ValueError):
     """Bad config file contents (unknown key, wrong type, invalid value)."""
 
 
-@dataclass
-class RunConfig:
-    """Flat key-value run configuration; unknown keys are rejected."""
+# ArchConfig fields that are not config keys: the component count comes from
+# the data and the batch-norm constants are fixed
+_ARCH_FIELDS = [f for f in fields(ArchConfig)
+                if f.name not in ("n_components", "bn_momentum", "bn_epsilon")]
+_TRAIN_FIELDS = list(fields(TrainConfig))
 
-    # architecture
-    embed_dim: int = 16
-    adjacency_rank: int = 5
-    attention_dim: int = 16
-    hidden_dim: int = 64
-    feature_dim: int = 8
-    dropout: float = 0.0
-    # training
-    epochs: int = 100
-    batch_size: int = 256
-    sigma: float = 0.01
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
-    eval_every: int = 1
-    precision_k: int = 50
+
+@dataclass
+class _RunOptions:
+    """The run-only keys of RunConfig, plus its methods."""
+
     # data handling
     train_fraction: float = 0.8
     min_sum: float = 0.95
@@ -92,8 +81,6 @@ class RunConfig:
     band_high: float | None = None
     # baseline
     k_neighbors: int = 5
-    # global
-    seed: int = 0
 
     @classmethod
     def load(cls, path, overrides: dict | None = None) -> "RunConfig":
@@ -141,35 +128,29 @@ class RunConfig:
             raise ConfigError("band_low must be < band_high")
 
     def arch_config(self, n_components: int) -> ArchConfig:
-        return ArchConfig(
-            n_components=n_components,
-            embed_dim=self.embed_dim,
-            adjacency_rank=self.adjacency_rank,
-            attention_dim=self.attention_dim,
-            hidden_dim=self.hidden_dim,
-            feature_dim=self.feature_dim,
-            dropout=self.dropout,
-        )
+        return ArchConfig(n_components=n_components,
+                          **{f.name: getattr(self, f.name) for f in _ARCH_FIELDS})
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            sigma=self.sigma,
-            seed=self.seed,
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            adam_eps=self.adam_eps,
-            weight_decay=self.weight_decay,
-            eval_every=self.eval_every,
-            precision_k=self.precision_k,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in _TRAIN_FIELDS})
 
     def fingerprint(self) -> str:
         payload = json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
                              sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, field(default=f.default)) for f in _ARCH_FIELDS + _TRAIN_FIELDS],
+    bases=(_RunOptions,),
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Flat key-value run configuration; unknown keys are rejected. The "
+                   "architecture and training keys, with their defaults, are the fields "
+                   "of ArchConfig and TrainConfig (seed included).",
+    },
+)
 
 
 @contextmanager
@@ -220,9 +201,10 @@ def cmd_clean(args) -> int:
     with atomic_path(args.output) as tmp:
         write_dataset(tmp, schema, kept)
     log.info(
-        "clean: read=%d kept=%d dropped_by_sum=%d dropped_missing_tg=%d dropped_negative=%d",
+        "clean: read=%d kept=%d dropped_by_sum=%d dropped_missing_tg=%d dropped_negative=%d "
+        "dropped_non_finite=%d",
         counts.read, counts.kept, counts.dropped_sum,
-        counts.dropped_missing_tg, counts.dropped_negative,
+        counts.dropped_missing_tg, counts.dropped_negative, counts.dropped_non_finite,
     )
     return EXIT_OK
 

@@ -113,13 +113,6 @@ class AugmentationConfig:
 
 
 @dataclass
-class Triplet:
-    anchor: LabeledSample
-    positive: LabeledSample
-    negative: LabeledSample
-
-
-@dataclass
 class GridConfig:
     """Lattice definition for candidate enumeration.
 
@@ -212,7 +205,11 @@ def write_dataset(path, schema: ComponentSchema, samples: list[RawSample]) -> No
 
 
 def load_candidates(path, schema: ComponentSchema) -> np.ndarray:
-    """Parse a candidate table (component columns only, no Tg) into an (m, n) array."""
+    """Parse a candidate table (component columns only, no Tg) into an (m, n) array.
+
+    Raises DataFormatError naming the first data row (1-based) with a wrong
+    column count or a non-numeric or non-finite cell.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -233,7 +230,11 @@ def load_candidates(path, schema: ComponentSchema) -> np.ndarray:
                 rows.append([float(cell) for cell in row])
             except ValueError as exc:
                 raise DataFormatError(f"{path}: row {row_index}: non-numeric cell") from exc
-    return np.array(rows, dtype=np.float64).reshape(len(rows), schema.n)
+    candidates = np.array(rows, dtype=np.float64).reshape(len(rows), schema.n)
+    non_finite = np.flatnonzero(~np.isfinite(candidates).all(axis=1))
+    if non_finite.size:
+        raise DataFormatError(f"{path}: row {non_finite[0] + 1}: non-finite cell")
+    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +248,24 @@ class CleanCounts:
     dropped_sum: int = 0
     dropped_missing_tg: int = 0
     dropped_negative: int = 0
+    dropped_non_finite: int = 0
 
 
 def clean_with_counts(raw: list[RawSample], min_sum: float, max_sum: float):
-    """Sum-band filter: keep rows with a Tg label, non-negative fractions and
-    total mass fraction inside [min_sum, max_sum]. Order preserved."""
+    """Sum-band filter: keep rows with finite values, a Tg label, non-negative
+    fractions and total mass fraction inside [min_sum, max_sum]. Order preserved."""
     if min_sum > max_sum:
         raise ValueError(f"min_sum {min_sum} exceeds max_sum {max_sum}")
     counts = CleanCounts(read=len(raw))
     kept: list[RawSample] = []
     for sample in raw:
+        total = float(sample.fractions.sum())  # non-finite iff a cell is nan/inf (or it overflows)
+        if not math.isfinite(total) or (sample.tg is not None and not math.isfinite(sample.tg)):
+            counts.dropped_non_finite += 1
+            continue
         if np.any(sample.fractions < 0):
             counts.dropped_negative += 1
             continue
-        total = float(sample.fractions.sum())
         if not min_sum <= total <= max_sum:
             counts.dropped_sum += 1
             continue
@@ -270,11 +275,6 @@ def clean_with_counts(raw: list[RawSample], min_sum: float, max_sum: float):
         kept.append(sample)
     counts.kept = len(kept)
     return kept, counts
-
-
-def clean(raw: list[RawSample], min_sum: float, max_sum: float) -> list[RawSample]:
-    kept, _ = clean_with_counts(raw, min_sum, max_sum)
-    return kept
 
 
 def transform_labels(cleaned: list[RawSample], band: TgBand) -> list[LabeledSample]:
@@ -389,14 +389,6 @@ class TripletIndexSampler:
         positive = int(same[r])
         negative = int(other[rng.integers(0, other.size)])
         return positive, negative
-
-
-def sample_triplet(train: list[LabeledSample], anchor_index: int, rng: RandomSource) -> Triplet:
-    """Draw one (anchor, positive, negative) triplet based on the band labels."""
-    labels = np.array([s.y for s in train])
-    sampler = TripletIndexSampler(labels)
-    pos_i, neg_i = sampler.draw(anchor_index, rng)
-    return Triplet(anchor=train[anchor_index], positive=train[pos_i], negative=train[neg_i])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .numeric_core import (
     BatchNormState,
     NumericsWarning,
     RandomSource,
-    batchnorm,
+    batchnorm_eval,
     batchnorm_train_cached,
     softmax_rows,
 )
@@ -55,8 +55,11 @@ class ArchConfig:
     bn_epsilon: float = 1e-5
 
     def __post_init__(self):
-        for name in ("n_components", "embed_dim", "adjacency_rank",
-                     "attention_dim", "hidden_dim", "feature_dim"):
+        if self.n_components < 2:
+            # graph convolution averages over the n - 1 other components
+            raise ValueError(f"n_components must be >= 2, got {self.n_components}")
+        for name in ("embed_dim", "adjacency_rank", "attention_dim",
+                     "hidden_dim", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -74,6 +77,44 @@ class ArchConfig:
         return self.n_components * self.attention_dim
 
 
+@dataclass(frozen=True)
+class TensorSpec:
+    """One trainable tensor: its name, its shape as ArchConfig attribute
+    names, its init rule and whether decoupled weight decay applies."""
+
+    name: str
+    dims: tuple[str, ...]
+    init: str    # "fan_in": N(0, 1/sqrt(dims[0])); "zeros"; "ones"
+    decay: bool
+
+    def shape(self, cfg: ArchConfig) -> tuple[int, ...]:
+        return tuple(getattr(cfg, dim) for dim in self.dims)
+
+    def initial(self, cfg: ArchConfig, rng: RandomSource) -> np.ndarray:
+        shape = self.shape(cfg)
+        if self.init == "fan_in":
+            return rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
+        return np.full(shape, 1.0 if self.init == "ones" else 0.0)
+
+
+# Every trainable tensor, once. The order is the init draw order, the
+# optimizer order and the checkpoint layout. Weight matrices get decoupled
+# weight decay; biases and the batch-norm scale and shift do not.
+TENSORS = (
+    TensorSpec("embeddings", ("n_components", "embed_dim"), "fan_in", True),
+    TensorSpec("interaction_factors", ("n_components", "adjacency_rank"), "fan_in", True),
+    TensorSpec("w_query", ("embed_dim", "attention_dim"), "fan_in", True),
+    TensorSpec("w_key", ("embed_dim", "attention_dim"), "fan_in", True),
+    TensorSpec("w_value", ("embed_dim", "attention_dim"), "fan_in", True),
+    TensorSpec("w_hidden", ("flat_dim", "hidden_dim"), "fan_in", True),
+    TensorSpec("b_hidden", ("hidden_dim",), "zeros", False),
+    TensorSpec("w_out", ("hidden_dim", "feature_dim"), "fan_in", True),
+    TensorSpec("b_out", ("feature_dim",), "zeros", False),
+    TensorSpec("bn_gamma", ("hidden_dim",), "ones", False),
+    TensorSpec("bn_beta", ("hidden_dim",), "zeros", False),
+)
+
+
 @dataclass
 class ModelParams:
     """All trainable tensors plus batch-norm state."""
@@ -87,72 +128,49 @@ class ModelParams:
     b_hidden: np.ndarray            # (h,)
     w_out: np.ndarray               # (h, k)
     b_out: np.ndarray               # (k,)
-    bn: BatchNormState
+    bn: BatchNormState              # carries bn_gamma and bn_beta
+
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray], running_mean: np.ndarray,
+                     running_var: np.ndarray, momentum: float, epsilon: float) -> "ModelParams":
+        """Assemble params from a TENSORS-keyed dict plus batch-norm running state."""
+        tensors = dict(tensors)
+        bn = BatchNormState(gamma=tensors.pop("bn_gamma"), beta=tensors.pop("bn_beta"),
+                            running_mean=running_mean, running_var=running_var,
+                            momentum=momentum, epsilon=epsilon)
+        return cls(bn=bn, **tensors)
+
+    @property
+    def bn_gamma(self) -> np.ndarray:
+        return self.bn.gamma
+
+    @property
+    def bn_beta(self) -> np.ndarray:
+        return self.bn.beta
 
     def trainable(self) -> dict[str, np.ndarray]:
-        """Name -> tensor for every parameter the optimizer updates."""
-        return {
-            "embeddings": self.embeddings,
-            "interaction_factors": self.interaction_factors,
-            "w_query": self.w_query,
-            "w_key": self.w_key,
-            "w_value": self.w_value,
-            "w_hidden": self.w_hidden,
-            "b_hidden": self.b_hidden,
-            "w_out": self.w_out,
-            "b_out": self.b_out,
-            "bn_gamma": self.bn.gamma,
-            "bn_beta": self.bn.beta,
-        }
+        """Name -> tensor for every parameter the optimizer updates, in TENSORS order."""
+        return {spec.name: getattr(self, spec.name) for spec in TENSORS}
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            embeddings=self.embeddings.copy(),
-            interaction_factors=self.interaction_factors.copy(),
-            w_query=self.w_query.copy(),
-            w_key=self.w_key.copy(),
-            w_value=self.w_value.copy(),
-            w_hidden=self.w_hidden.copy(),
-            b_hidden=self.b_hidden.copy(),
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-            bn=self.bn.copy(),
+        return ModelParams.from_tensors(
+            {name: tensor.copy() for name, tensor in self.trainable().items()},
+            self.bn.running_mean.copy(), self.bn.running_var.copy(),
+            self.bn.momentum, self.bn.epsilon,
         )
-
-
-# weight matrices get decoupled weight decay; biases and batch-norm do not
-WEIGHT_DECAY_TENSORS = frozenset({
-    "embeddings", "interaction_factors", "w_query", "w_key", "w_value",
-    "w_hidden", "w_out",
-})
 
 
 def init_params(cfg: ArchConfig, seed: int) -> ModelParams:
     """Weights ~ N(0, 1/sqrt(fan_in)) with fan_in = input dimension (rows);
     biases zero; batch norm at identity with neutral running statistics."""
     rng = RandomSource(seed)
-
-    def draw(rows: int, cols: int) -> np.ndarray:
-        return rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols))
-
-    n, d = cfg.n_components, cfg.embed_dim
-    dk, h, k = cfg.attention_dim, cfg.hidden_dim, cfg.feature_dim
-    return ModelParams(
-        embeddings=draw(n, d),
-        interaction_factors=draw(n, cfg.adjacency_rank),
-        w_query=draw(d, dk),
-        w_key=draw(d, dk),
-        w_value=draw(d, dk),
-        w_hidden=draw(cfg.flat_dim, h),
-        b_hidden=np.zeros(h),
-        w_out=draw(h, k),
-        b_out=np.zeros(k),
-        bn=BatchNormState.initial(h, momentum=cfg.bn_momentum, epsilon=cfg.bn_epsilon),
-    )
+    tensors = {spec.name: spec.initial(cfg, rng) for spec in TENSORS}
+    return ModelParams.from_tensors(tensors, np.zeros(cfg.hidden_dim), np.ones(cfg.hidden_dim),
+                                    cfg.bn_momentum, cfg.bn_epsilon)
 
 
 # ---------------------------------------------------------------------------
-# layers
+# forward pass
 
 
 def embed_proportions(x: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -163,116 +181,6 @@ def embed_proportions(x: np.ndarray, params: ModelParams) -> np.ndarray:
     if x.shape[-1] != n:
         raise ValueError(f"composition has {x.shape[-1]} entries, model expects {n}")
     return x[..., :, None] * params.embeddings
-
-
-def _unit_factors(params: ModelParams):
-    """Row-normalized interaction factors plus their original norms."""
-    v = params.interaction_factors
-    norms = np.linalg.norm(v, axis=1)
-    if np.any(norms <= 1e-12):
-        raise ValueError("interaction_factors contains a zero row; cannot normalize")
-    vhat = v / norms[:, None]
-    return vhat, norms
-
-
-def adjacency(params: ModelParams) -> np.ndarray:
-    """Symmetric component-interaction matrix with unit diagonal.
-
-    Rows of the stored factors are L2-normalized first, so the Gram matrix has
-    ones on the diagonal and entries in [-1, 1] by Cauchy-Schwarz.
-    """
-    vhat, _ = _unit_factors(params)
-    return vhat @ vhat.T
-
-
-def graph_convolve(hmat: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """Residual message passing: each row keeps itself plus the interaction-
-    weighted mean of the other rows. Accepts (n, d) or batched (B, n, d)."""
-    hmat = np.asarray(hmat, dtype=np.float64)
-    adj = np.asarray(adj, dtype=np.float64)
-    n = adj.shape[0]
-    if adj.shape != (n, n):
-        raise ValueError(f"adjacency must be square, got {adj.shape}")
-    if n < 2:
-        raise ValueError("graph convolution needs at least 2 components")
-    if hmat.shape[-2] != n:
-        raise ValueError(f"row count {hmat.shape[-2]} does not match adjacency size {n}")
-    masked = adj - np.diag(np.diag(adj))  # self message excluded by definition
-    return hmat + np.matmul(masked, hmat) / (n - 1)
-
-
-def _attention_cached(z: np.ndarray, params: ModelParams):
-    dk = params.w_query.shape[1]
-    q = z @ params.w_query
-    k = z @ params.w_key
-    v = z @ params.w_value
-    scores = np.matmul(q, np.swapaxes(k, -1, -2)) / np.sqrt(dk)
-    alpha = softmax_rows(scores)
-    attended = np.matmul(alpha, v)
-    return attended, q, k, v, alpha
-
-
-def self_attention(z: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Scaled dot-product attention across components; returns the attended
-    (n, dk) rows (batched input gives (B, n, dk))."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] != params.w_query.shape[0]:
-        raise ValueError(
-            f"attention input width {z.shape[-1]} does not match "
-            f"w_query rows {params.w_query.shape[0]}"
-        )
-    attended, *_ = _attention_cached(z, params)
-    return attended
-
-
-def _normalize_rows_guarded(out: np.ndarray):
-    """Unit-normalize rows; rows with norm <= 1e-12 pass through with a warning."""
-    norms = np.linalg.norm(out, axis=-1)
-    guarded = norms <= 1e-12
-    if np.any(guarded):
-        warnings.warn("feature vector with near-zero norm left unnormalized",
-                      NumericsWarning, stacklevel=3)
-    divisor = np.where(guarded, 1.0, norms)
-    return out / divisor[..., None], norms, divisor
-
-
-def project(u: np.ndarray, params: ModelParams, mode: str = "eval") -> np.ndarray:
-    """Projection head for one attended (n, dk) block: flatten row-major,
-    linear, batch norm, ReLU, linear, L2 normalize. Train mode is only valid
-    inside a batch context and is rejected here."""
-    u = np.asarray(u, dtype=np.float64)
-    if mode == "train":
-        raise ValueError("train-mode projection needs a batch of >= 2 samples; "
-                         "use forward_batch")
-    if mode != "eval":
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    flat = u.reshape(-1)
-    if flat.shape[0] != params.w_hidden.shape[0]:
-        raise ValueError(f"flattened width {flat.shape[0]} does not match "
-                         f"w_hidden rows {params.w_hidden.shape[0]}")
-    pre = flat @ params.w_hidden + params.b_hidden
-    activated = np.maximum(batchnorm(pre, params.bn, "eval"), 0.0)
-    out = activated @ params.w_out + params.b_out
-    feature, _, _ = _normalize_rows_guarded(out[None, :])
-    return feature[0]
-
-
-@dataclass
-class ForwardTrace:
-    """Per-sample intermediates of one forward pass."""
-
-    modulated: np.ndarray   # (n, d)
-    adjacency: np.ndarray   # (n, n)
-    mixed: np.ndarray       # (n, d)
-    query: np.ndarray       # (n, dk)
-    key: np.ndarray         # (n, dk)
-    value: np.ndarray       # (n, dk)
-    attention: np.ndarray   # (n, n), rows sum to 1
-    attended: np.ndarray    # (n, dk)
-    flat: np.ndarray        # (n * dk,)
-    pre_bn: np.ndarray      # (h,)
-    post_relu: np.ndarray   # (h,)
-    feature: np.ndarray     # (k,), unit norm
 
 
 @dataclass
@@ -304,22 +212,6 @@ class BatchTrace:
     features: np.ndarray        # (B, k)
     mode: str
 
-    def sample(self, i: int) -> ForwardTrace:
-        return ForwardTrace(
-            modulated=self.modulated[i],
-            adjacency=self.adjacency,
-            mixed=self.mixed[i],
-            query=self.query[i],
-            key=self.key[i],
-            value=self.value[i],
-            attention=self.attention[i],
-            attended=self.attended[i],
-            flat=self.flat[i],
-            pre_bn=self.pre_bn[i],
-            post_relu=self.post_relu[i],
-            feature=self.features[i],
-        )
-
 
 def forward_batch(
     x: np.ndarray,
@@ -346,18 +238,32 @@ def forward_batch(
     b = x.shape[0]
     n = params.embeddings.shape[0]
     modulated = embed_proportions(x, params)
-    vhat, factor_norms = _unit_factors(params)
+
+    # interaction graph: Gram matrix of row-normalized factors, so the
+    # diagonal is 1 and entries lie in [-1, 1]; the self message is excluded
+    factor_norms = np.linalg.norm(params.interaction_factors, axis=1)
+    if np.any(factor_norms <= 1e-12):
+        raise ValueError("interaction_factors contains a zero row; cannot normalize")
+    vhat = params.interaction_factors / factor_norms[:, None]
     adj = vhat @ vhat.T
     masked = adj - np.diag(np.diag(adj))
     mixed = modulated + np.matmul(masked, modulated) / (n - 1)
-    attended, q, k, v, alpha = _attention_cached(mixed, params)
+
+    # scaled dot-product self-attention across components
+    dk = params.w_query.shape[1]
+    q = mixed @ params.w_query
+    k = mixed @ params.w_key
+    v = mixed @ params.w_value
+    alpha = softmax_rows(np.matmul(q, np.swapaxes(k, -1, -2)) / np.sqrt(dk))
+    attended = np.matmul(alpha, v)
+
+    # projection head
     flat = attended.reshape(b, -1)
     pre = flat @ params.w_hidden + params.b_hidden
-
     if mode == "train":
         bn_out, x_hat, inv_std = batchnorm_train_cached(pre, params.bn, update_running)
     else:
-        bn_out = batchnorm(pre, params.bn, "eval")
+        bn_out = batchnorm_eval(pre, params.bn)
         x_hat, inv_std = None, None
 
     post = np.maximum(bn_out, 0.0)
@@ -368,8 +274,15 @@ def forward_batch(
         mask = (rng.uniform(size=post.shape) >= dropout) / (1.0 - dropout)
         post = post * mask
 
+    # L2 normalization; rows with norm <= 1e-12 pass through unnormalized
     head_out = post @ params.w_out + params.b_out
-    features, norms, divisor = _normalize_rows_guarded(head_out)
+    norms = np.linalg.norm(head_out, axis=-1)
+    guarded = norms <= 1e-12
+    if np.any(guarded):
+        warnings.warn("feature vector with near-zero norm left unnormalized",
+                      NumericsWarning, stacklevel=2)
+    divisor = np.where(guarded, 1.0, norms)
+    features = head_out / divisor[..., None]
 
     trace = BatchTrace(
         inputs=x, modulated=modulated, unit_factors=vhat, factor_norms=factor_norms,
@@ -381,22 +294,6 @@ def forward_batch(
         features=features, mode=mode,
     )
     return features, trace
-
-
-def forward(x: np.ndarray, params: ModelParams, mode: str = "eval"):
-    """Single-composition forward pass returning (feature, trace).
-
-    Train mode is rejected: batch statistics need >= 2 samples, so training
-    goes through forward_batch.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a single composition vector, got shape {x.shape}")
-    if mode == "train":
-        raise ValueError("train-mode forward needs a batch of >= 2 samples; "
-                         "use forward_batch")
-    features, trace = forward_batch(x[None, :], params, mode=mode)
-    return features[0], trace.sample(0)
 
 
 def eval_features(x: np.ndarray, params: ModelParams, chunk: int = 4096) -> np.ndarray:
@@ -415,12 +312,6 @@ def eval_features(x: np.ndarray, params: ModelParams, chunk: int = 4096) -> np.n
 # ---------------------------------------------------------------------------
 # checkpoint persistence
 
-_CHECKPOINT_TENSORS = (
-    "embeddings", "interaction_factors", "w_query", "w_key", "w_value",
-    "w_hidden", "b_hidden", "w_out", "b_out",
-)
-
-
 @dataclass
 class Checkpoint:
     params: ModelParams
@@ -428,22 +319,6 @@ class Checkpoint:
     stats: NormalizationStats
     band: TgBand
     center: np.ndarray | None = None
-
-
-def _tensor_shapes(cfg: ArchConfig) -> dict[str, tuple[int, ...]]:
-    n, d = cfg.n_components, cfg.embed_dim
-    dk, h, k = cfg.attention_dim, cfg.hidden_dim, cfg.feature_dim
-    return {
-        "embeddings": (n, d),
-        "interaction_factors": (n, cfg.adjacency_rank),
-        "w_query": (d, dk),
-        "w_key": (d, dk),
-        "w_value": (d, dk),
-        "w_hidden": (cfg.flat_dim, h),
-        "b_hidden": (h,),
-        "w_out": (h, k),
-        "b_out": (k,),
-    }
 
 
 def save_checkpoint(
@@ -456,9 +331,10 @@ def save_checkpoint(
 ) -> None:
     """Write the versioned binary checkpoint (bit-exact round trip).
 
-    Layout: magic, arch header, all tensors in declared order as little-endian
-    float64, normalization stats, Tg band, optional class center, then a
-    SHA-256 checksum of everything before it.
+    Layout: magic, arch header, the TENSORS in table order as little-endian
+    float64, the batch-norm running mean and variance, normalization stats,
+    Tg band, optional class center, then a SHA-256 checksum of everything
+    before it.
     """
     def le_bytes(a: np.ndarray) -> bytes:
         a = np.ascontiguousarray(a, dtype=np.float64)
@@ -471,11 +347,8 @@ def save_checkpoint(
     blob += struct.pack("<6q", cfg.n_components, cfg.embed_dim, cfg.adjacency_rank,
                         cfg.attention_dim, cfg.hidden_dim, cfg.feature_dim)
     blob += struct.pack("<3d", cfg.dropout, params.bn.momentum, params.bn.epsilon)
-    for name in _CHECKPOINT_TENSORS:
-        blob += le_bytes(getattr(params, name))
-    for bn_field in (params.bn.gamma, params.bn.beta,
-                     params.bn.running_mean, params.bn.running_var):
-        blob += le_bytes(bn_field)
+    for tensor in (*params.trainable().values(), params.bn.running_mean, params.bn.running_var):
+        blob += le_bytes(tensor)
     blob += le_bytes(stats.mean)
     blob += le_bytes(stats.std)
     blob += struct.pack("<2d", band.low, band.high)
@@ -528,22 +401,14 @@ def load_checkpoint(path) -> Checkpoint:
     cfg = ArchConfig(n_components=n, embed_dim=d, adjacency_rank=rank,
                      attention_dim=dk, hidden_dim=h, feature_dim=k,
                      dropout=dropout, bn_momentum=momentum, bn_epsilon=epsilon)
-    shapes = _tensor_shapes(cfg)
-    tensors = {name: read_array(shapes[name]) for name in _CHECKPOINT_TENSORS}
-    bn = BatchNormState(
-        gamma=read_array((h,)),
-        beta=read_array((h,)),
-        running_mean=read_array((h,)),
-        running_var=read_array((h,)),
-        momentum=momentum,
-        epsilon=epsilon,
-    )
+    tensors = {spec.name: read_array(spec.shape(cfg)) for spec in TENSORS}
+    params = ModelParams.from_tensors(tensors, read_array((h,)), read_array((h,)),
+                                      momentum, epsilon)
     stats = NormalizationStats(mean=read_array((n,)), std=read_array((n,)))
     low, high = unpack("<2d")
     (has_center,) = unpack("<B")
     center = read_array((k,)) if has_center else None
     if offset != len(payload):
         raise CheckpointCorruptError(f"{path}: {len(payload) - offset} unexpected trailing bytes")
-    params = ModelParams(bn=bn, **tensors)
     return Checkpoint(params=params, arch=cfg, stats=stats,
                       band=TgBand(low, high), center=center)

@@ -8,7 +8,6 @@ depending on library-specific normal samplers.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,15 +15,9 @@ import numpy as np
 __all__ = [
     "NumericsWarning",
     "RandomSource",
-    "gaussian",
-    "matmul",
-    "inner_product",
-    "softmax",
     "softmax_rows",
-    "relu",
-    "l2_normalize",
     "BatchNormState",
-    "batchnorm",
+    "batchnorm_eval",
     "batchnorm_train_cached",
     "grad_check",
 ]
@@ -75,62 +68,11 @@ class RandomSource:
         return self._gen.permutation(n)
 
 
-def gaussian(rng: RandomSource, mean: float, std: float) -> float:
-    """One draw from N(mean, std^2); std=0 returns mean exactly."""
-    if std == 0.0:
-        return float(mean)
-    return float(rng.normal(mean, std))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def inner_product(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if u.shape != v.shape:
-        raise ValueError(f"inner_product length mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return float(np.dot(u, v))
-
-
-def softmax(row: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a single vector (max-subtracted)."""
-    row = np.asarray(row, dtype=np.float64).reshape(-1)
-    if row.size == 0:
-        raise ValueError("softmax of an empty vector")
-    if not np.all(np.isfinite(row)):
-        raise ValueError("softmax requires finite entries")
-    e = np.exp(row - row.max())
-    return e / e.sum()
-
-
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax over the last axis (any leading batch shape)."""
     scores = np.asarray(scores, dtype=np.float64)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """v / ||v||; near-zero norm returns the input unchanged with a warning."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm <= 1e-12:
-        warnings.warn("l2_normalize: vector norm <= 1e-12, returned unnormalized",
-                      NumericsWarning, stacklevel=2)
-        return v.copy()
-    return v / norm
 
 
 @dataclass
@@ -198,19 +140,14 @@ def batchnorm_train_cached(x: np.ndarray, state: BatchNormState, update_running:
     return out, x_hat, inv_std
 
 
-def batchnorm(x: np.ndarray, state: BatchNormState, mode: str) -> np.ndarray:
-    """Batch normalization; ``train`` updates running stats, ``eval`` is pure.
+def batchnorm_eval(x: np.ndarray, state: BatchNormState) -> np.ndarray:
+    """Eval-mode batch norm by the running statistics; never mutates the state.
 
-    Eval mode accepts a single vector or a batch and never mutates the state.
+    Accepts a single vector or a batch.
     """
-    if mode == "train":
-        out, _, _ = batchnorm_train_cached(x, state)
-        return out
-    if mode == "eval":
-        x = np.asarray(x, dtype=np.float64)
-        inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
-        return state.gamma * (x - state.running_mean) * inv_std + state.beta
-    raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    x = np.asarray(x, dtype=np.float64)
+    inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
+    return state.gamma * (x - state.running_mean) * inv_std + state.beta
 
 
 def grad_check(f, params: dict, analytic_grads: dict, h: float = 1e-5) -> float:

@@ -26,37 +26,28 @@ from .data_pipeline import (
     normalize,
 )
 from .deepglassnet import (
+    TENSORS,
     ArchConfig,
     BatchTrace,
     ModelParams,
-    WEIGHT_DECAY_TENSORS,
     forward_batch,
     init_params,
 )
-from .numeric_core import RandomSource, inner_product
+from .numeric_core import RandomSource
 
 
 class NumericFailure(RuntimeError):
     """Training hit a non-finite loss or gradient."""
 
 
-def contrastive_loss(f: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> float:
-    """softplus(s_neg - s_pos) with s_* the inner-product similarities.
-
-    Equals -log(exp(s_pos) / (exp(s_pos) + exp(s_neg))) but is evaluated in
-    log-sum-exp form, so it stays finite for any similarity values. Minimum 0.
-    """
-    for name, vec in (("anchor", f), ("positive", fp), ("negative", fn)):
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"non-finite {name} feature")
-    s_pos = inner_product(f, fp)
-    s_neg = inner_product(f, fn)
-    return float(np.logaddexp(0.0, s_neg - s_pos))
-
-
 def triplet_losses(features: np.ndarray) -> np.ndarray:
     """Per-triplet losses for a stacked (3T, k) feature batch laid out as
-    [anchors | positives | negatives]."""
+    [anchors | positives | negatives].
+
+    Each loss is softplus(s_neg - s_pos) with s_* the inner-product
+    similarities: -log(exp(s_pos) / (exp(s_pos) + exp(s_neg))) evaluated in
+    log-sum-exp form, so it stays finite for any finite similarities. Minimum 0.
+    """
     b = features.shape[0]
     if b % 3 != 0:
         raise ValueError(f"feature batch of {b} rows is not a stack of triplets")
@@ -65,38 +56,6 @@ def triplet_losses(features: np.ndarray) -> np.ndarray:
     s_pos = np.sum(fa * fp, axis=1)
     s_neg = np.sum(fa * fn, axis=1)
     return np.logaddexp(0.0, s_neg - s_pos)
-
-
-@dataclass
-class Gradients:
-    """d(batch-mean loss)/d(tensor), same shapes as the model tensors."""
-
-    embeddings: np.ndarray
-    interaction_factors: np.ndarray
-    w_query: np.ndarray
-    w_key: np.ndarray
-    w_value: np.ndarray
-    w_hidden: np.ndarray
-    b_hidden: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-    bn_gamma: np.ndarray
-    bn_beta: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {
-            "embeddings": self.embeddings,
-            "interaction_factors": self.interaction_factors,
-            "w_query": self.w_query,
-            "w_key": self.w_key,
-            "w_value": self.w_value,
-            "w_hidden": self.w_hidden,
-            "b_hidden": self.b_hidden,
-            "w_out": self.w_out,
-            "b_out": self.b_out,
-            "bn_gamma": self.bn_gamma,
-            "bn_beta": self.bn_beta,
-        }
 
 
 def _ensure_finite(arr: np.ndarray, layer: str) -> None:
@@ -114,8 +73,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(trace: BatchTrace, params: ModelParams) -> Gradients:
-    """Exact gradients of the batch-mean triplet loss for every tensor.
+def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
+    """Exact gradients of the batch-mean triplet loss for every tensor, keyed
+    by TENSORS name with the tensors' shapes.
 
     The trace must come from a train-mode forward_batch over a batch laid out
     as [anchors | positives | negatives]; batch-norm statistics couple all
@@ -148,9 +108,11 @@ def backward(trace: BatchTrace, params: ModelParams) -> Gradients:
     if np.any(guarded):
         d_head[guarded] = d_features[guarded]
 
+    grads: dict[str, np.ndarray] = {}
+
     # projection head second layer
-    d_w_out = trace.post_relu.T @ d_head
-    d_b_out = d_head.sum(axis=0)
+    grads["w_out"] = trace.post_relu.T @ d_head
+    grads["b_out"] = d_head.sum(axis=0)
     d_post = d_head @ params.w_out.T
     if trace.dropout_mask is not None:
         d_post = d_post * trace.dropout_mask
@@ -159,8 +121,8 @@ def backward(trace: BatchTrace, params: ModelParams) -> Gradients:
 
     # batch norm over batch statistics
     x_hat, inv_std = trace.bn_x_hat, trace.bn_inv_std
-    d_gamma = np.sum(d_bn_out * x_hat, axis=0)
-    d_beta = d_bn_out.sum(axis=0)
+    grads["bn_gamma"] = np.sum(d_bn_out * x_hat, axis=0)
+    grads["bn_beta"] = d_bn_out.sum(axis=0)
     d_x_hat = d_bn_out * params.bn.gamma
     d_pre = inv_std * (
         d_x_hat
@@ -170,8 +132,8 @@ def backward(trace: BatchTrace, params: ModelParams) -> Gradients:
     _ensure_finite(d_pre, "batch norm")
 
     # projection head first layer
-    d_w_hidden = trace.flat.T @ d_pre
-    d_b_hidden = d_pre.sum(axis=0)
+    grads["w_hidden"] = trace.flat.T @ d_pre
+    grads["b_hidden"] = d_pre.sum(axis=0)
     d_flat = d_pre @ params.w_hidden.T
     d_attended = d_flat.reshape(trace.attended.shape)
 
@@ -189,9 +151,9 @@ def backward(trace: BatchTrace, params: ModelParams) -> Gradients:
         + np.matmul(d_key, params.w_key.T)
         + np.matmul(d_value, params.w_value.T)
     )
-    d_w_query = np.einsum("bnd,bnm->dm", trace.mixed, d_query)
-    d_w_key = np.einsum("bnd,bnm->dm", trace.mixed, d_key)
-    d_w_value = np.einsum("bnd,bnm->dm", trace.mixed, d_value)
+    grads["w_query"] = np.einsum("bnd,bnm->dm", trace.mixed, d_query)
+    grads["w_key"] = np.einsum("bnd,bnm->dm", trace.mixed, d_key)
+    grads["w_value"] = np.einsum("bnd,bnm->dm", trace.mixed, d_value)
     _ensure_finite(d_mixed, "self attention")
 
     # graph convolution (shared adjacency accumulates over the batch)
@@ -204,26 +166,13 @@ def backward(trace: BatchTrace, params: ModelParams) -> Gradients:
     vhat = trace.unit_factors
     d_vhat = (d_masked + d_masked.T) @ vhat
     vdots = np.sum(vhat * d_vhat, axis=1)
-    d_factors = (d_vhat - vdots[:, None] * vhat) / trace.factor_norms[:, None]
-    _ensure_finite(d_factors, "graph convolution")
+    grads["interaction_factors"] = (d_vhat - vdots[:, None] * vhat) / trace.factor_norms[:, None]
+    _ensure_finite(grads["interaction_factors"], "graph convolution")
 
     # proportion-modulated embedding
-    d_embeddings = np.einsum("bn,bnd->nd", trace.inputs, d_modulated)
-    _ensure_finite(d_embeddings, "embedding")
-
-    return Gradients(
-        embeddings=d_embeddings,
-        interaction_factors=d_factors,
-        w_query=d_w_query,
-        w_key=d_w_key,
-        w_value=d_w_value,
-        w_hidden=d_w_hidden,
-        b_hidden=d_b_hidden,
-        w_out=d_w_out,
-        b_out=d_b_out,
-        bn_gamma=d_gamma,
-        bn_beta=d_beta,
-    )
+    grads["embeddings"] = np.einsum("bn,bnd->nd", trace.inputs, d_modulated)
+    _ensure_finite(grads["embeddings"], "embedding")
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +202,15 @@ class AdamState:
         )
 
 
-def adam_step(params: ModelParams, grads: Gradients, state: AdamState):
+def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState):
     """Bias-corrected Adam update in place; decoupled weight decay touches
-    weight matrices only (not biases, not batch-norm scale/shift)."""
+    the TENSORS flagged for it (weight matrices, not biases or batch norm)."""
     state.t += 1
-    grad_dict = grads.as_dict()
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for name, theta in params.trainable().items():
-        g = grad_dict[name]
+    tensors = params.trainable()
+    for spec in TENSORS:
+        name, theta, g = spec.name, tensors[spec.name], grads[spec.name]
         if g.shape != theta.shape:
             raise ValueError(f"gradient shape mismatch for {name!r}")
         state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
@@ -269,7 +218,7 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState):
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
         update = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        if state.weight_decay > 0.0 and name in WEIGHT_DECAY_TENSORS:
+        if state.weight_decay > 0.0 and spec.decay:
             update = update + state.lr * state.weight_decay * theta
         theta -= update
     return params, state

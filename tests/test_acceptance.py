@@ -23,7 +23,6 @@ from glasscreen.data_pipeline import (
 )
 from glasscreen.deepglassnet import (
     ArchConfig,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -37,7 +36,7 @@ from glasscreen.synthetic import (
     generate_raw_samples,
     noise_free_tg,
 )
-from glasscreen.training import TrainConfig, backward, contrastive_loss, train, triplet_losses
+from glasscreen.training import TrainConfig, backward, train, triplet_losses
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -65,7 +64,7 @@ def test_a1_gradient_correctness():
         feats, _ = forward_batch(batch, params, mode="train", update_running=False)
         return float(triplet_losses(feats).mean())
 
-    err = grad_check(loss_fn, params.trainable(), grads.as_dict(), h=1e-5)
+    err = grad_check(loss_fn, params.trainable(), grads, h=1e-5)
     elapsed = time.monotonic() - started
     _report("A1", err < 1e-4 and elapsed < 10.0,
             f"max relative gradient error {err:.3e} (tol 1e-4), {elapsed:.2f}s (limit 10s)")
@@ -203,19 +202,19 @@ def test_a4_structural_invariants():
     for param_seed in range(5):
         params = init_params(arch, seed=param_seed)
         rng = RandomSource(1000 + param_seed)
-        for _ in range(200):
-            x = rng.normal(0.0, 1.0, size=6)
-            feature, trace = forward(x, params)
-            a = trace.adjacency
-            worst["symmetry"] = max(worst["symmetry"], float(np.max(np.abs(a - a.T))))
-            worst["diagonal"] = max(worst["diagonal"], float(np.max(np.abs(np.diag(a) - 1.0))))
-            worst["attention"] = max(worst["attention"],
-                                     float(np.max(np.abs(trace.attention.sum(axis=1) - 1.0))))
-            worst["norm"] = max(worst["norm"], abs(float(np.linalg.norm(feature)) - 1.0))
-            passes += 1
+        x = np.stack([rng.normal(0.0, 1.0, size=6) for _ in range(200)])
+        features, trace = forward_batch(x, params)
+        a = trace.adjacency
+        worst["symmetry"] = max(worst["symmetry"], float(np.max(np.abs(a - a.T))))
+        worst["diagonal"] = max(worst["diagonal"], float(np.max(np.abs(np.diag(a) - 1.0))))
+        worst["attention"] = max(worst["attention"],
+                                 float(np.max(np.abs(trace.attention.sum(axis=-1) - 1.0))))
+        worst["norm"] = max(worst["norm"],
+                            float(np.max(np.abs(np.linalg.norm(features, axis=1) - 1.0))))
+        passes += features.shape[0]
     ok = passes == 1000 and all(v < 1e-12 for v in worst.values())
     _report("A4", ok,
-            f"{passes} forward passes; worst errors: symmetry {worst['symmetry']:.2e}, "
+            f"{passes} forward rows; worst errors: symmetry {worst['symmetry']:.2e}, "
             f"diagonal {worst['diagonal']:.2e}, attention {worst['attention']:.2e}, "
             f"norm {worst['norm']:.2e} (all < 1e-12)")
 
@@ -227,8 +226,9 @@ def test_a4_structural_invariants():
 def test_a5_loss_anchor_values():
     f = np.array([1.0, 0.0])
     orthogonal = np.array([0.0, 1.0])
-    equal_case = contrastive_loss(f, orthogonal, orthogonal)
-    separated_case = contrastive_loss(f, f, -f)
+    # two triplets stacked as [anchors | positives | negatives]
+    equal_case, separated_case = triplet_losses(
+        np.stack([f, f, orthogonal, f, orthogonal, -f]))
     err_equal = abs(equal_case - math.log(2.0))
     err_sep = abs(separated_case - math.log(1.0 + math.exp(-2.0)))
     _report("A5", err_equal < 1e-12 and err_sep < 1e-12,

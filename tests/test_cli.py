@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from glasscreen.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from glasscreen.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, ConfigError, RunConfig, main
 from glasscreen.data_pipeline import (
     ComponentSchema,
     NormalizationStats,
@@ -73,6 +73,7 @@ class TestClean:
             RawSample(fractions=np.array([0.5, 0.5, 0.04]), tg=550.0),  # kept
             RawSample(fractions=np.array([0.8, 0.8, 0.2]), tg=520.0),   # bad sum
             RawSample(fractions=np.array([0.4, 0.3, 0.3]), tg=None),    # missing Tg
+            RawSample(fractions=np.array([0.4, 0.3, 0.3]), tg=np.nan),  # non-finite Tg
         ]
         src = tmp_path / "raw.csv"
         write_dataset(src, SCHEMA, rows)
@@ -80,10 +81,11 @@ class TestClean:
         with caplog.at_level(logging.INFO, logger="glasscreen"):
             code = main(["clean", "--input", str(src), "--output", str(out)])
         assert code == EXIT_OK
-        assert "read=5" in caplog.text
+        assert "read=6" in caplog.text
         assert "kept=2" in caplog.text
         assert "dropped_by_sum=2" in caplog.text
         assert "dropped_missing_tg=1" in caplog.text
+        assert "dropped_non_finite=1" in caplog.text
         assert len(out.read_text().splitlines()) == 3  # header + 2 rows
 
     def test_reclean_is_idempotent(self, tmp_path):
@@ -232,6 +234,18 @@ class TestScreen:
                      "--top-k", "1", "--out", str(tmp_path / "ranked.csv")])
         assert code == EXIT_DATA
 
+    def test_non_finite_candidate_is_data_error(self, workdir, caplog):
+        tmp_path, data, config = workdir
+        out = run_train(tmp_path, data, config)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("A,B,C\n0.5,0.3,0.2\n0.5,nan,0.5\n", encoding="utf-8")
+        ranked = tmp_path / "ranked.csv"
+        code = main(["screen", "--checkpoint", str(out), "--candidates", str(bad),
+                     "--top-k", "1", "--out", str(ranked)])
+        assert code == EXIT_DATA
+        assert "row 2" in caplog.text
+        assert not ranked.exists()
+
     def test_checkpoint_without_center_is_data_error(self, workdir):
         tmp_path, data, config = workdir
         arch = ArchConfig(n_components=3, embed_dim=4, adjacency_rank=2,
@@ -273,6 +287,19 @@ class TestEnumerate:
         assert code == EXIT_OK
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert all(float(r[0]) >= 0.5 for r in rows)
+
+
+class TestRunConfig:
+    def test_fingerprint_is_stable(self):
+        assert RunConfig().fingerprint() == "4955dee71514a9b8"
+        assert RunConfig(epochs=10, seed=42).fingerprint() == "f4e46a4d851da927"
+
+    @pytest.mark.parametrize("key", ["n_components", "bn_momentum", "bn_epsilon"])
+    def test_fixed_arch_fields_are_not_keys(self, tmp_path, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: 3}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.load(path)
 
 
 class TestUsage:

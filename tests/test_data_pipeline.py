@@ -15,14 +15,13 @@ from glasscreen.data_pipeline import (
     LabeledSample,
     RawSample,
     TgBand,
+    TripletIndexSampler,
     augment,
-    clean,
     clean_with_counts,
     enumerate_candidates,
     fit_normalization,
     load_dataset,
     normalize,
-    sample_triplet,
     schema_from_csv,
     split,
     transform_labels,
@@ -89,33 +88,50 @@ class TestLoadDataset:
             load_dataset(tmp_path / "absent.csv", SCHEMA3)
 
 
+def kept_rows(raw, min_sum, max_sum):
+    return clean_with_counts(raw, min_sum, max_sum)[0]
+
+
 class TestClean:
     def sample(self, total, tg=450.0):
         return RawSample(fractions=np.array([total / 2, total / 2]), tg=tg)
 
     def test_in_band_kept(self):
-        assert clean([self.sample(0.97)], 0.95, 1.05) != []
+        assert kept_rows([self.sample(0.97)], 0.95, 1.05) != []
 
     def test_below_threshold_removed(self):
-        assert clean([self.sample(0.90)], 0.95, 1.05) == []
+        assert kept_rows([self.sample(0.90)], 0.95, 1.05) == []
 
     def test_missing_tg_removed(self):
-        assert clean([self.sample(1.00, tg=None)], 0.95, 1.05) == []
+        assert kept_rows([self.sample(1.00, tg=None)], 0.95, 1.05) == []
 
     def test_negative_fraction_removed(self):
         bad = RawSample(fractions=np.array([1.2, -0.2]), tg=400.0)
         kept, counts = clean_with_counts([bad], 0.95, 1.05)
         assert kept == [] and counts.dropped_negative == 1
 
+    def test_non_finite_rows_removed_and_counted(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "A,B,C,Tg\n"
+                         "0.5,0.3,0.2,nan\n"
+                         "0.5,0.3,0.2,inf\n"
+                         "nan,0.5,0.5,500\n"
+                         "0.5,0.3,0.2,-inf\n"
+                         "0.5,0.3,0.2,520\n"
+                         "0.5,0.3,0.2,\n")
+        kept, counts = clean_with_counts(load_dataset(path, SCHEMA3), 0.95, 1.05)
+        assert [s.tg for s in kept] == [520.0]
+        assert counts.dropped_non_finite == 4
+        assert (counts.dropped_sum, counts.dropped_missing_tg, counts.dropped_negative) == (0, 1, 0)
+
     def test_order_preserved_and_idempotent(self):
         rows = [self.sample(0.97), self.sample(0.90), self.sample(1.04), self.sample(1.2)]
-        once = clean(rows, 0.95, 1.05)
+        once = kept_rows(rows, 0.95, 1.05)
         assert once == [rows[0], rows[2]]
-        assert clean(once, 0.95, 1.05) == once
+        assert kept_rows(once, 0.95, 1.05) == once
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            clean([], 1.05, 0.95)
+            kept_rows([], 1.05, 0.95)
 
 
 class TestTransformLabels:
@@ -254,33 +270,40 @@ class TestAugment:
             AugmentationConfig(sigma=-0.1)
 
 
+def draw_triplet(train, anchor_index, rng):
+    """(anchor, positive, negative) samples for one anchor."""
+    sampler = TripletIndexSampler(np.array([s.y for s in train]))
+    pos_i, neg_i = sampler.draw(anchor_index, rng)
+    return train[anchor_index], train[pos_i], train[neg_i]
+
+
 class TestSampleTriplet:
     def test_forced_choices(self):
         train = [labeled([1, 0], 1, 550.0), labeled([0, 1], 1, 560.0), labeled([0.5, 0.5], 0, 700.0)]
-        triplet = sample_triplet(train, 0, RandomSource(0))
-        assert triplet.anchor is train[0]
-        assert triplet.positive is train[1]
-        assert triplet.negative is train[2]
+        anchor, positive, negative = draw_triplet(train, 0, RandomSource(0))
+        assert anchor is train[0]
+        assert positive is train[1]
+        assert negative is train[2]
 
     def test_single_member_class_always_chosen(self):
         train = [labeled([1, 0], 0, 700.0), labeled([0, 1], 0, 710.0), labeled([0.5, 0.5], 1, 550.0)]
         for seed in range(5):
-            t = sample_triplet(train, 0, RandomSource(seed))
-            assert t.positive is train[1]
-            assert t.negative is train[2]
+            _, positive, negative = draw_triplet(train, 0, RandomSource(seed))
+            assert positive is train[1]
+            assert negative is train[2]
 
     def test_all_one_class_errors(self):
         train = [labeled([1, 0], 1, 550.0), labeled([0, 1], 1, 560.0)]
         with pytest.raises(EmptyClassError, match="widen"):
-            sample_triplet(train, 0, RandomSource(0))
+            draw_triplet(train, 0, RandomSource(0))
 
     def test_positive_never_anchor(self):
         train = [labeled([1, 0], 1, 500.0 + i) for i in range(4)] + [labeled([0, 1], 0, 900.0)]
         rng = RandomSource(3)
         for _ in range(200):
-            t = sample_triplet(train, 2, rng)
-            assert t.positive is not train[2]
-            assert t.positive.y == 1 and t.negative.y == 0
+            _, positive, negative = draw_triplet(train, 2, rng)
+            assert positive is not train[2]
+            assert positive.y == 1 and negative.y == 0
 
 
 def brute_force_grid(n, ticks, max_nonzero, lo=None, hi=None):

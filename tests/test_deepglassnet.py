@@ -1,25 +1,23 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from glasscreen.data_pipeline import NormalizationStats, TgBand
 from glasscreen.deepglassnet import (
+    CHECKPOINT_MAGIC,
     ArchConfig,
     CheckpointCorruptError,
     CheckpointVersionError,
     ModelParams,
-    adjacency,
     embed_proportions,
     eval_features,
-    forward,
     forward_batch,
-    graph_convolve,
     init_params,
     load_checkpoint,
-    project,
     save_checkpoint,
-    self_attention,
 )
 from glasscreen.numeric_core import RandomSource
 
@@ -30,6 +28,12 @@ TINY = ArchConfig(n_components=4, embed_dim=3, adjacency_rank=2,
 @pytest.fixture
 def tiny_params():
     return init_params(TINY, seed=3)
+
+
+def trace_of(x, params):
+    """Eval-mode forward trace of a single composition or a batch."""
+    x = np.asarray(x, dtype=float)
+    return forward_batch(x.reshape(-1, x.shape[-1]), params)[1]
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
@@ -93,21 +97,22 @@ class TestAdjacency:
             ArchConfig(n_components=2, embed_dim=2, adjacency_rank=2,
                        attention_dim=2, hidden_dim=3, feature_dim=2), seed=0)
         params.interaction_factors = np.array([[2.0, 0.0], [5.0, 0.0]])
-        assert np.allclose(adjacency(params), [[1.0, 1.0], [1.0, 1.0]], atol=1e-14)
+        assert np.allclose(trace_of([0.5, 0.5], params).adjacency,
+                           [[1.0, 1.0], [1.0, 1.0]], atol=1e-14)
 
     def test_orthogonal_factors(self):
         params = init_params(
             ArchConfig(n_components=2, embed_dim=2, adjacency_rank=2,
                        attention_dim=2, hidden_dim=3, feature_dim=2), seed=0)
         params.interaction_factors = np.array([[3.0, 0.0], [0.0, 0.25]])
-        a = adjacency(params)
+        a = trace_of([0.5, 0.5], params).adjacency
         assert abs(a[0, 1]) < 1e-14 and abs(a[1, 0]) < 1e-14
 
     def test_random_symmetry_and_diagonal(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             params = self.with_factors(rng.normal(size=(4, 2)))
-            a = adjacency(params)
+            a = trace_of(np.full(4, 0.25), params).adjacency
             assert np.max(np.abs(a - a.T)) < 1e-14
             assert np.max(np.abs(np.diag(a) - 1.0)) < 1e-12
             assert np.all(np.abs(a) <= 1.0 + 1e-12)
@@ -115,7 +120,7 @@ class TestAdjacency:
     def test_zero_row_rejected(self):
         params = self.with_factors([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
         with pytest.raises(ValueError, match="zero row"):
-            adjacency(params)
+            trace_of(np.full(4, 0.25), params)
 
 
 def convolve_oracle(h, a):
@@ -131,30 +136,39 @@ def convolve_oracle(h, a):
 
 
 class TestGraphConvolve:
+    def arch(self, n, d, rank):
+        return ArchConfig(n_components=n, embed_dim=d, adjacency_rank=rank,
+                          attention_dim=2, hidden_dim=3, feature_dim=2)
+
     def test_identity_adjacency_passes_through(self):
-        h = np.arange(8.0).reshape(4, 2)
-        assert np.array_equal(graph_convolve(h, np.eye(4)), h)
+        params = init_params(self.arch(4, 2, 4), seed=0)
+        params.interaction_factors = np.eye(4)  # orthogonal factors: identity adjacency
+        trace = trace_of(np.arange(8.0).reshape(2, 4), params)
+        assert np.array_equal(trace.adjacency, np.eye(4))
+        assert np.array_equal(trace.mixed, trace.modulated)
 
     def test_two_components_full_coupling(self):
-        h = np.array([[1.0, 2.0], [10.0, 20.0]])
-        a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        z = graph_convolve(h, a)
-        assert np.array_equal(z[0], h[0] + h[1])
-        assert np.array_equal(z[1], h[1] + h[0])
+        params = init_params(self.arch(2, 2, 2), seed=0)
+        params.interaction_factors = np.array([[1.0, 0.0], [1.0, 0.0]])
+        params.embeddings = np.array([[1.0, 2.0], [10.0, 20.0]])
+        z = trace_of([1.0, 1.0], params).mixed[0]
+        assert np.array_equal(z[0], params.embeddings[0] + params.embeddings[1])
+        assert np.array_equal(z[1], params.embeddings[1] + params.embeddings[0])
 
+    @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            n, d = rng.integers(2, 9), rng.integers(1, 7)
-            h = rng.normal(size=(n, d))
-            v = rng.normal(size=(n, 3))
-            vhat = v / np.linalg.norm(v, axis=1, keepdims=True)
-            a = vhat @ vhat.T
-            assert np.max(np.abs(graph_convolve(h, a) - convolve_oracle(h, a))) < 1e-12
+            n, d = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+            params = init_params(self.arch(n, d, 2), seed=int(rng.integers(100)))
+            params.interaction_factors = rng.normal(size=(n, 2))
+            trace = trace_of(rng.normal(size=(2, n)), params)
+            for h, z in zip(trace.modulated, trace.mixed):
+                assert np.max(np.abs(z - convolve_oracle(h, trace.adjacency))) < 1e-12
 
     def test_single_component_rejected(self):
-        with pytest.raises(ValueError):
-            graph_convolve(np.ones((1, 2)), np.ones((1, 1)))
+        with pytest.raises(ValueError, match="n_components"):
+            ArchConfig(n_components=1)
 
 
 def attention_oracle(z, wq, wk, wv):
@@ -180,23 +194,25 @@ def attention_oracle(z, wq, wk, wv):
 class TestSelfAttention:
     @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_identical_rows_give_uniform_attention(self, tiny_params):
-        z = np.tile(np.array([0.3, -0.7, 1.1]), (4, 1))
-        x = np.full(4, 0.25)
-        _, trace = forward(np.zeros(4), tiny_params)  # zero input => identical rows
+        trace = trace_of(np.zeros(4), tiny_params)  # zero input => identical rows
         assert np.allclose(trace.attention, 0.25, atol=1e-12)
-        u = self_attention(z, tiny_params)
+        tiny_params.embeddings = np.tile(np.array([0.3, -0.7, 1.1]), (4, 1))
+        tiny_params.interaction_factors = np.ones((4, 2))
+        trace = trace_of(np.full(4, 0.25), tiny_params)
+        assert np.max(np.abs(trace.mixed[0] - trace.mixed[0, 0])) == 0.0
+        u = trace.attended[0]
         assert np.max(np.abs(u - u[0])) < 1e-12
 
+    @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_zero_value_matrix(self, tiny_params):
         tiny_params.w_value = np.zeros_like(tiny_params.w_value)
-        z = np.random.default_rng(0).normal(size=(4, 3))
-        assert np.all(self_attention(z, tiny_params) == 0.0)
+        x = np.random.default_rng(0).normal(size=(3, 4))
+        assert np.all(trace_of(x, tiny_params).attended == 0.0)
 
     def test_matches_loop_oracle(self, tiny_params):
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            z = rng.normal(size=(4, 3))
-            got = self_attention(z, tiny_params)
+        trace = trace_of(rng.normal(size=(10, 4)), tiny_params)
+        for z, got in zip(trace.mixed, trace.attended):
             want = attention_oracle(z, tiny_params.w_query,
                                     tiny_params.w_key, tiny_params.w_value)
             assert np.max(np.abs(got - want)) < 1e-12
@@ -206,14 +222,18 @@ class TestProject:
     def test_output_is_unit_norm(self, tiny_params):
         rng = np.random.default_rng(8)
         tiny_params.b_out += 0.3  # keep away from the zero-norm guard
-        for _ in range(5):
-            f = project(rng.normal(size=(4, 3)), tiny_params)
+        features, _ = forward_batch(rng.normal(size=(5, 4)), tiny_params)
+        for f in features:
             assert abs(np.linalg.norm(f) - 1.0) < 1e-12
 
     def test_eval_is_pure(self, tiny_params):
-        u = np.random.default_rng(9).normal(size=(4, 3))
+        x = np.random.default_rng(9).normal(size=(4, 4))
         tiny_params.b_out += 0.3
-        assert np.array_equal(project(u, tiny_params), project(u, tiny_params))
+        before = tiny_params.copy()
+        first, _ = forward_batch(x, tiny_params)
+        second, _ = forward_batch(x, tiny_params)
+        assert np.array_equal(first, second)
+        assert params_equal(tiny_params, before)
 
     def test_layer_collapse_with_neutral_stats(self):
         cfg = ArchConfig(n_components=3, embed_dim=2, adjacency_rank=2,
@@ -223,31 +243,32 @@ class TestProject:
         params.w_out = np.eye(4)
         params.b_out = np.zeros(4)
         params.b_hidden = np.full(4, 0.1)
-        u = np.random.default_rng(10).normal(size=(3, 2))
-        hidden = np.maximum(u.reshape(-1) @ params.w_hidden + params.b_hidden, 0.0)
+        x = np.random.default_rng(10).normal(size=(1, 3))
+        features, trace = forward_batch(x, params)
+        hidden = np.maximum(trace.flat[0] @ params.w_hidden + params.b_hidden, 0.0)
         expected = hidden / np.linalg.norm(hidden)
-        assert np.max(np.abs(project(u, params) - expected)) < 1e-9
+        assert np.max(np.abs(features[0] - expected)) < 1e-9
 
     def test_train_mode_rejected(self, tiny_params):
+        before = tiny_params.copy()
         with pytest.raises(ValueError, match="batch"):
-            project(np.ones((4, 3)), tiny_params, mode="train")
+            forward_batch(np.ones((1, 4)), tiny_params, mode="train")
+        assert params_equal(tiny_params, before)  # running stats untouched
 
 
 class TestForward:
     def test_trace_invariants_random(self, tiny_params):
         rng = RandomSource(12)
         tiny_params.b_out += 0.2
-        for _ in range(50):
-            x = rng.normal(0, 1, size=4)
-            f, trace = forward(x, tiny_params)
-            assert np.max(np.abs(trace.adjacency - trace.adjacency.T)) < 1e-12
-            assert np.max(np.abs(np.diag(trace.adjacency) - 1.0)) < 1e-12
-            assert np.max(np.abs(trace.attention.sum(axis=1) - 1.0)) < 1e-12
-            assert abs(np.linalg.norm(f) - 1.0) < 1e-12
+        features, trace = forward_batch(rng.normal(0, 1, size=(50, 4)), tiny_params)
+        assert np.max(np.abs(trace.adjacency - trace.adjacency.T)) < 1e-12
+        assert np.max(np.abs(np.diag(trace.adjacency) - 1.0)) < 1e-12
+        assert np.max(np.abs(trace.attention.sum(axis=-1) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.linalg.norm(features, axis=1) - 1.0)) < 1e-12
 
     @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_zero_input_propagation(self, tiny_params):
-        _, trace = forward(np.zeros(4), tiny_params)
+        trace = trace_of(np.zeros(4), tiny_params)
         assert np.all(trace.modulated == 0.0)
         assert np.all(trace.mixed == 0.0)
         assert np.allclose(trace.attention, 0.25, atol=1e-12)
@@ -259,13 +280,14 @@ class TestForward:
         tiny_params.b_out += 0.2
         x = np.array([0.4, 0.2, 0.2, 0.2])
         swapped = x[[0, 2, 1, 3]]
-        f1, _ = forward(x, tiny_params)
-        f2, _ = forward(swapped, tiny_params)
-        assert np.max(np.abs(f1 - f2)) < 1e-12
+        features, _ = forward_batch(np.stack([x, swapped]), tiny_params)
+        assert np.max(np.abs(features[0] - features[1])) < 1e-12
 
     def test_train_mode_needs_batch(self, tiny_params):
         with pytest.raises(ValueError, match="batch"):
-            forward(np.ones(4), tiny_params, mode="train")
+            forward_batch(np.ones((1, 4)), tiny_params, mode="train")
+        with pytest.raises(ValueError, match="batch"):
+            forward_batch(np.ones(4), tiny_params)
 
     def test_batch_eval_matches_single(self, tiny_params):
         rng = RandomSource(13)
@@ -273,8 +295,8 @@ class TestForward:
         x = rng.normal(0, 1, size=(6, 4))
         batch_features, _ = forward_batch(x, tiny_params, mode="eval")
         for i in range(6):
-            single, _ = forward(x[i], tiny_params)
-            assert np.max(np.abs(batch_features[i] - single)) < 1e-12
+            single, _ = forward_batch(x[i:i + 1], tiny_params, mode="eval")
+            assert np.max(np.abs(batch_features[i] - single[0])) < 1e-12
 
     def test_eval_features_chunking(self, tiny_params):
         rng = RandomSource(14)
@@ -371,3 +393,27 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path)
+
+    def test_layout_is_tensors_table_order(self, tmp_path):
+        params, stats, band = self.build()
+        center = np.array([0.125, -0.5])
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, TINY, stats, band, path, center=center)
+
+        def f8(a):
+            return np.asarray(a, dtype=float).astype("<f8").tobytes()
+
+        expected = bytearray(CHECKPOINT_MAGIC)
+        expected += struct.pack("<6q", 4, 3, 2, 3, 5, 2)
+        expected += struct.pack("<3d", 0.0, 0.1, 1e-5)
+        for name in ("embeddings", "interaction_factors", "w_query", "w_key", "w_value",
+                     "w_hidden", "b_hidden", "w_out", "b_out"):
+            expected += f8(getattr(params, name))
+        for vector in (params.bn.gamma, params.bn.beta,
+                       params.bn.running_mean, params.bn.running_var):
+            expected += f8(vector)
+        expected += f8(stats.mean) + f8(stats.std)
+        expected += struct.pack("<2d", 500.0, 600.0)
+        expected += struct.pack("<B", 1) + f8(center)
+        expected += hashlib.sha256(bytes(expected)).digest()
+        assert path.read_bytes() == bytes(expected)

@@ -5,130 +5,113 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from glasscreen.deepglassnet import ArchConfig, forward_batch, init_params
 from glasscreen.numeric_core import (
     BatchNormState,
     NumericsWarning,
     RandomSource,
-    batchnorm,
-    gaussian,
+    batchnorm_eval,
+    batchnorm_train_cached,
     grad_check,
-    inner_product,
-    l2_normalize,
-    matmul,
-    relu,
-    softmax,
+    softmax_rows,
 )
-
-
-def naive_matmul(a, b):
-    """Triple-loop oracle, independent of the library path."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_arithmetic(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        assert np.array_equal(out, np.array([[3.0], [7.0]]))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(0)
-        a, b, c = (rng.normal(size=(5, 5)) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left - right)) < 1e-10
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            rows, inner, cols = rng.integers(1, 21, size=3)
-            a = rng.normal(size=(rows, inner))
-            b = rng.normal(size=(inner, cols))
-            assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
+from glasscreen.training import triplet_losses
 
 
 class TestInnerProduct:
+    """The inner-product similarity, checked through triplet_losses (its only
+    user): a triplet whose negative is zero has loss softplus(-s_pos)."""
+
+    def loss(self, u, v):
+        return float(triplet_losses(np.stack([u, v, np.zeros_like(u)]))[0])
+
     def test_zero_vector(self):
-        assert inner_product(np.array([1.0, 2.0]), np.zeros(2)) == 0.0
+        assert self.loss(np.array([1.0, 2.0]), np.zeros(2)) == math.log(2.0)
 
     def test_basis(self):
         e1 = np.array([1.0, 0.0, 0.0])
-        assert inner_product(e1, e1) == 1.0
+        assert self.loss(e1, e1) == np.logaddexp(0.0, -1.0)
 
     def test_hand_arithmetic(self):
-        assert inner_product(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])) == 32.0
+        loss = self.loss(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
+        assert loss == np.logaddexp(0.0, -32.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            inner_product(np.ones(2), np.ones(3))
+        with pytest.raises(ValueError, match="triplets"):
+            triplet_losses(np.ones((4, 2)))
 
 
 class TestSoftmax:
     def test_uniform(self):
-        out = softmax(np.full(7, 3.25))
+        out = softmax_rows(np.full(7, 3.25))
         assert np.allclose(out, 1.0 / 7, atol=1e-15)
 
     def test_closed_form(self):
-        out = softmax(np.array([0.0, math.log(3.0)]))
+        out = softmax_rows(np.array([0.0, math.log(3.0)]))
         assert np.allclose(out, [0.25, 0.75], atol=1e-14)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12),
            st.floats(-100, 100))
     def test_shift_invariance(self, values, shift):
         row = np.array(values)
-        assert np.max(np.abs(softmax(row + shift) - softmax(row))) < 1e-12
+        assert np.max(np.abs(softmax_rows(row + shift) - softmax_rows(row))) < 1e-12
 
     @given(st.lists(st.floats(-300, 300), min_size=1, max_size=12))
     def test_sums_to_one_and_nonnegative(self, values):
-        out = softmax(np.array(values))
+        out = softmax_rows(np.array(values))
         assert abs(out.sum() - 1.0) < 1e-12
         assert np.all(out >= 0.0)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            softmax(np.array([0.0, np.inf]))
+
+def head_params(feature_dim=2):
+    """Params for probing the projection head: with gamma 0 the batch norm
+    outputs beta exactly, whatever the input."""
+    params = init_params(ArchConfig(n_components=2, embed_dim=2, adjacency_rank=2,
+                                    attention_dim=2, hidden_dim=3,
+                                    feature_dim=feature_dim), seed=0)
+    params.bn.gamma[:] = 0.0
+    params.b_out[:] = 1.0  # away from the zero-norm guard
+    return params
 
 
 class TestRelu:
     @pytest.mark.parametrize("value,expected", [(-1.0, 0.0), (2.0, 2.0), (0.0, 0.0)])
     def test_pointwise(self, value, expected):
-        assert relu(np.array([value]))[0] == expected
+        params = head_params()
+        params.bn.beta[:] = value
+        _, trace = forward_batch(np.zeros((1, 2)), params)
+        assert np.all(trace.post_relu == expected)
 
 
 class TestL2Normalize:
+    """The feature normalization at the end of forward_batch: with the batch
+    norm's gamma and beta zero the hidden layer is zero, so the head output
+    equals b_out."""
+
+    def features(self, b_out):
+        params = head_params(len(b_out))
+        params.b_out = np.array(b_out, dtype=float)
+        features, _ = forward_batch(np.zeros((1, 2)), params)
+        return features[0]
+
     def test_three_four_five(self):
-        assert np.allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
+        assert np.allclose(self.features([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
 
     def test_idempotent_on_unit_vector(self):
         v = np.array([0.6, 0.8])
-        assert np.max(np.abs(l2_normalize(v) - v)) < 1e-12
+        assert np.max(np.abs(self.features(v) - v)) < 1e-12
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8))
     def test_unit_norm_property(self, values):
         v = np.array(values)
         if np.linalg.norm(v) <= 1e-12:
             return
-        assert abs(np.linalg.norm(l2_normalize(v)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(self.features(v)) - 1.0) < 1e-12
 
     def test_zero_guard_warns(self):
-        v = np.zeros(3)
         with pytest.warns(NumericsWarning):
-            out = l2_normalize(v)
-        assert np.array_equal(out, v)
+            out = self.features([0.0, 0.0, 0.0])
+        assert np.array_equal(out, np.zeros(3))
 
 
 class TestBatchNorm:
@@ -137,7 +120,7 @@ class TestBatchNorm:
         x = rng.normal(2.0, 3.0, size=(64, 5))
         # tiny epsilon so the whitening check is tight
         state = BatchNormState.initial(5, epsilon=1e-12)
-        out = batchnorm(x, state, "train")
+        out, _, _ = batchnorm_train_cached(x, state)
         assert np.max(np.abs(out.mean(axis=0))) < 1e-9
         assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-9
 
@@ -145,7 +128,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(3)
         x = rng.normal(5.0, 2.0, size=(128, 4))
         state = BatchNormState.initial(4, momentum=0.1)
-        batchnorm(x, state, "train")
+        batchnorm_train_cached(x, state)
         expected_mean = 0.9 * 0.0 + 0.1 * x.mean(axis=0)
         expected_var = 0.9 * 1.0 + 0.1 * x.var(axis=0)
         assert np.allclose(state.running_mean, expected_mean)
@@ -154,7 +137,7 @@ class TestBatchNorm:
     def test_eval_neutral_stats_is_identity(self):
         state = BatchNormState.initial(3, epsilon=1e-12)
         x = np.array([[1.0, -2.0, 0.5], [0.0, 4.0, -1.0]])
-        out = batchnorm(x, state, "eval")
+        out = batchnorm_eval(x, state)
         assert np.max(np.abs(out - x)) < 1e-9
 
     def test_eval_is_pure(self):
@@ -165,8 +148,8 @@ class TestBatchNorm:
         )
         x = rng.normal(size=(10, 6))
         before = state.copy()
-        first = batchnorm(x, state, "eval")
-        second = batchnorm(x, state, "eval")
+        first = batchnorm_eval(x, state)
+        second = batchnorm_eval(x, state)
         assert np.array_equal(first, second)
         assert np.array_equal(state.running_mean, before.running_mean)
         assert np.array_equal(state.running_var, before.running_var)
@@ -174,19 +157,21 @@ class TestBatchNorm:
     def test_train_rejects_single_row(self):
         state = BatchNormState.initial(3)
         with pytest.raises(ValueError, match=">= 2"):
-            batchnorm(np.ones((1, 3)), state, "train")
+            batchnorm_train_cached(np.ones((1, 3)), state)
 
 
 class TestGaussian:
     def test_zero_std_is_degenerate(self):
         rng = RandomSource(0)
-        assert gaussian(rng, 2.5, 0.0) == 2.5
+        assert rng.normal(2.5, 0.0) == 2.5
+        assert np.all(rng.normal(2.5, 0.0, size=5) == 2.5)
 
     def test_same_seed_same_sequence(self):
         rng1, rng2 = RandomSource(9), RandomSource(9)
-        seq1 = [gaussian(rng1, 0.0, 1.0) for _ in range(100)]
-        seq2 = [gaussian(rng2, 0.0, 1.0) for _ in range(100)]
+        seq1 = [rng1.normal(0.0, 1.0) for _ in range(100)]
+        seq2 = [rng2.normal(0.0, 1.0) for _ in range(100)]
         assert seq1 == seq2
+        assert np.array_equal(rng1.normal(0.0, 1.0, size=7), rng2.normal(0.0, 1.0, size=7))
 
     def test_moments_monte_carlo(self):
         draws = RandomSource(123).normal(0.0, 1.0, size=1_000_000)

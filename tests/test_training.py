@@ -14,7 +14,6 @@ from glasscreen.training import (
     TrainConfig,
     adam_step,
     backward,
-    contrastive_loss,
     train,
     triplet_losses,
 )
@@ -32,42 +31,53 @@ def random_unit(rng, k=4):
     return unit(rng.normal(size=k))
 
 
+def triplet_loss(f, fp, fn):
+    """One triplet's loss through the batched triplet_losses."""
+    return float(triplet_losses(np.stack([f, fp, fn]))[0])
+
+
 class TestContrastiveLoss:
     def test_equal_similarities_give_ln2(self):
         f = np.array([1.0, 0.0])
         fp = np.array([0.0, 1.0])
         fn = np.array([0.0, 1.0])
-        assert abs(contrastive_loss(f, fp, fn) - math.log(2.0)) < 1e-12
+        assert abs(triplet_loss(f, fp, fn) - math.log(2.0)) < 1e-12
 
     def test_perfect_separation_closed_form(self):
         f = np.array([1.0, 0.0])
-        assert abs(contrastive_loss(f, f, -f) - math.log(1.0 + math.exp(-2.0))) < 1e-12
+        assert abs(triplet_loss(f, f, -f) - math.log(1.0 + math.exp(-2.0))) < 1e-12
 
     def test_swap_sum_bounded_below_by_two_ln2(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             f, fp, fn = (random_unit(rng) for _ in range(3))
-            total = contrastive_loss(f, fp, fn) + contrastive_loss(f, fn, fp)
+            total = triplet_loss(f, fp, fn) + triplet_loss(f, fn, fp)
             assert total >= 2.0 * math.log(2.0) - 1e-12
 
     def test_nonnegative_and_bounded_for_unit_inputs(self):
         rng = np.random.default_rng(1)
         bound = math.log(1.0 + math.exp(2.0))
         for _ in range(200):
-            loss = contrastive_loss(*(random_unit(rng) for _ in range(3)))
+            loss = triplet_loss(*(random_unit(rng) for _ in range(3)))
             assert 0.0 <= loss <= bound + 1e-12
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejects_non_finite(self):
-        f = np.array([1.0, np.nan])
-        with pytest.raises(ValueError):
-            contrastive_loss(f, f, f)
+        params = init_params(TINY, seed=0)
+        batch = np.ones((3, 4))
+        batch[0, 0] = np.nan
+        _, trace = forward_batch(batch, params, mode="train", update_running=False)
+        with pytest.raises(NumericFailure, match="contrastive loss"):
+            backward(trace, params)
 
     def test_triplet_losses_matches_scalar_form(self):
         rng = np.random.default_rng(2)
         feats = np.stack([random_unit(rng) for _ in range(9)])
         batch = triplet_losses(feats)
         for i in range(3):
-            scalar = contrastive_loss(feats[i], feats[3 + i], feats[6 + i])
+            s_pos = float(np.dot(feats[i], feats[3 + i]))
+            s_neg = float(np.dot(feats[i], feats[6 + i]))
+            scalar = -math.log(math.exp(s_pos) / (math.exp(s_pos) + math.exp(s_neg)))
             assert abs(batch[i] - scalar) < 1e-15
 
 
@@ -93,7 +103,7 @@ class TestBackward:
             feats, _ = forward_batch(batch, params, mode="train", update_running=False)
             return float(triplet_losses(feats).mean())
 
-        err = grad_check(loss_fn, params.trainable(), grads.as_dict(), h=1e-5)
+        err = grad_check(loss_fn, params.trainable(), grads, h=1e-5)
         assert err < 1e-4
 
     def test_gradients_match_finite_differences_with_dropout(self):
@@ -122,7 +132,7 @@ class TestBackward:
             feats, _ = run()
             return float(triplet_losses(feats).mean())
 
-        err = grad_check(loss_fn, params.trainable(), grads.as_dict(), h=1e-5)
+        err = grad_check(loss_fn, params.trainable(), grads, h=1e-5)
         assert err < 1e-4
 
     def test_identical_positive_negative_gives_zero_gradients(self):
@@ -133,7 +143,7 @@ class TestBackward:
         batch = np.concatenate([anchor, shared, shared])
         _, trace = forward_batch(batch, params, mode="train", update_running=False)
         grads = backward(trace, params)
-        for name, g in grads.as_dict().items():
+        for name, g in grads.items():
             assert np.max(np.abs(g)) < 1e-12, name
 
     def test_output_bias_gradient_shape(self):
@@ -141,8 +151,8 @@ class TestBackward:
         batch = RandomSource(5).normal(0, 1, size=(6, 4))
         _, trace = forward_batch(batch, params, mode="train", update_running=False)
         grads = backward(trace, params)
-        assert grads.b_out.shape == (TINY.feature_dim,)
-        assert grads.b_hidden.shape == (TINY.hidden_dim,)
+        assert grads["b_out"].shape == (TINY.feature_dim,)
+        assert grads["b_hidden"].shape == (TINY.hidden_dim,)
 
     def test_rejects_eval_trace(self):
         params = _healthy_tiny_params()
@@ -161,12 +171,7 @@ class TestBackward:
 
 class TestAdam:
     def constant_grads(self, params, value):
-        from glasscreen.training import Gradients
-        return Gradients(**{name: np.full_like(t, value)
-                            for name, t in params.trainable().items()
-                            if name not in ("bn_gamma", "bn_beta")},
-                         bn_gamma=np.full_like(params.bn.gamma, value),
-                         bn_beta=np.full_like(params.bn.beta, value))
+        return {name: np.full_like(t, value) for name, t in params.trainable().items()}
 
     def test_first_step_is_signed_lr(self):
         params = init_params(TINY, seed=0)
