@@ -51,9 +51,9 @@ def main():
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     history.write_csv(out_dir / "history.csv")
-    evaluation.write_scores_csv(dgn.scores, out_dir / "scores.csv")
+    evaluation.write_scores_csv(dgn, out_dir / "scores.csv")
     evaluation.write_roc_csv(dgn.roc, out_dir / "roc.csv")
-    evaluation.write_scores_csv(knn.scores, out_dir / "baseline_knn_scores.csv")
+    evaluation.write_scores_csv(knn, out_dir / "baseline_knn_scores.csv")
     evaluation.write_roc_csv(knn.roc, out_dir / "baseline_knn_roc.csv")
     save_checkpoint(params, arch, stats, band, out_dir / "model.ckpt",
                     center=center.vector)

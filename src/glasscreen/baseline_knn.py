@@ -8,7 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_pipeline import LabeledSample, NormalizationStats, normalize
-from .evaluation import Report, ScoreRecord, auc, precision_at_k, roc_points
+from .evaluation import Report, make_report
+
+# query rows per distance matrix, bounding memory at chunk x training size
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -20,46 +23,36 @@ class KnnConfig:
             raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
 
 
-def _batch_scores(
-    train_normed: np.ndarray,
-    train_labels: np.ndarray,
-    queries_normed: np.ndarray,
-    k: int,
-    chunk: int = 256,
+def knn_scores(
+    train: list[LabeledSample],
+    stats: NormalizationStats,
+    queries: np.ndarray,
+    cfg: KnnConfig,
 ) -> np.ndarray:
-    """Target fraction among the k nearest training rows per query row.
+    """Fraction of the k nearest (Euclidean, normalized space) training
+    samples that are targets, for each row of the (m, n) raw-fraction
+    ``queries``. Always a multiple of 1/k in [0, 1].
 
     Distance ties are broken by training index (stable sort), so scores are
     deterministic for a fixed training order.
     """
-    train_sq = np.sum(train_normed ** 2, axis=1)
-    scores = np.empty(queries_normed.shape[0])
-    for start in range(0, queries_normed.shape[0], chunk):
-        q = queries_normed[start:start + chunk]
-        d2 = np.sum(q ** 2, axis=1)[:, None] + train_sq[None, :] - 2.0 * (q @ train_normed.T)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        scores[start:start + q.shape[0]] = train_labels[nearest].mean(axis=1)
-    return scores
-
-
-def knn_score(
-    train: list[LabeledSample],
-    stats: NormalizationStats,
-    query: np.ndarray,
-    cfg: KnnConfig,
-) -> float:
-    """Fraction of the k nearest (Euclidean, normalized space) training
-    samples that are targets. Always a multiple of 1/k in [0, 1]."""
     if not train:
-        raise ValueError("knn_score needs a non-empty training set")
+        raise ValueError("knn_scores needs a non-empty training set")
     if cfg.k_neighbors > len(train):
         raise ValueError(
             f"k_neighbors={cfg.k_neighbors} exceeds training size {len(train)}"
         )
     x = normalize(np.stack([s.fractions for s in train]), stats)
     labels = np.array([s.y for s in train], dtype=np.float64)
-    q = normalize(np.asarray(query, dtype=np.float64), stats)
-    return float(_batch_scores(x, labels, q[None, :], cfg.k_neighbors)[0])
+    q_all = normalize(queries, stats)
+    train_sq = np.sum(x ** 2, axis=1)
+    scores = np.empty(q_all.shape[0])
+    for start in range(0, q_all.shape[0], _CHUNK):
+        q = q_all[start:start + _CHUNK]
+        d2 = np.sum(q ** 2, axis=1)[:, None] + train_sq[None, :] - 2.0 * (q @ x.T)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :cfg.k_neighbors]
+        scores[start:start + q.shape[0]] = labels[nearest].mean(axis=1)
+    return scores
 
 
 def knn_evaluate(
@@ -69,26 +62,7 @@ def knn_evaluate(
     cfg: KnnConfig,
     k_rank: int,
 ) -> Report:
-    """Score every validation sample with knn_score semantics and build the
-    same Report structure the encoder evaluation produces."""
-    if not train:
-        raise ValueError("knn_evaluate needs a non-empty training set")
-    if cfg.k_neighbors > len(train):
-        raise ValueError(
-            f"k_neighbors={cfg.k_neighbors} exceeds training size {len(train)}"
-        )
-    x = normalize(np.stack([s.fractions for s in train]), stats)
-    labels = np.array([s.y for s in train], dtype=np.float64)
-    queries = normalize(np.stack([s.fractions for s in val]), stats)
-    sims = _batch_scores(x, labels, queries, cfg.k_neighbors)
-    records = [
-        ScoreRecord(index=i, score=float(sims[i]), label=s.y, tg=s.tg)
-        for i, s in enumerate(val)
-    ]
-    return Report(
-        auc=auc(records),
-        roc=roc_points(records),
-        precision_at_k=precision_at_k(records, k_rank),
-        k=k_rank,
-        scores=records,
-    )
+    """Score every validation sample with knn_scores and build the same
+    Report the encoder evaluation produces."""
+    queries = np.stack([s.fractions for s in val])
+    return make_report(knn_scores(train, stats, queries, cfg), val, k_rank)

@@ -288,7 +288,7 @@ def cmd_eval(args) -> int:
 def _write_report(report_dir: Path, prefix: str, report, band: TgBand, fingerprint: str):
     report_dir.mkdir(parents=True, exist_ok=True)
     with atomic_path(report_dir / f"{prefix}scores.csv") as tmp:
-        evaluation.write_scores_csv(report.scores, tmp)
+        evaluation.write_scores_csv(report, tmp)
     with atomic_path(report_dir / f"{prefix}roc.csv") as tmp:
         evaluation.write_roc_csv(report.roc, tmp)
     with atomic_path(report_dir / f"{prefix}summary.json") as tmp:
@@ -296,7 +296,7 @@ def _write_report(report_dir: Path, prefix: str, report, band: TgBand, fingerpri
 
 
 def cmd_screen(args) -> int:
-    RunConfig.load(args.config, {"seed": args.seed})  # validate-only (no randomness here)
+    run = RunConfig.load(args.config, {"seed": args.seed})
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.center is None:
         raise DataFormatError(
@@ -313,6 +313,16 @@ def cmd_screen(args) -> int:
         )
     schema = ComponentSchema(tuple(header))
     candidates = load_candidates(args.candidates, schema)
+    # the composition rule clean applies to training rows
+    totals = candidates.sum(axis=1)
+    off_simplex = np.flatnonzero((candidates < 0).any(axis=1)
+                                 | ~((run.min_sum <= totals) & (totals <= run.max_sum)))
+    if off_simplex.size:
+        row = off_simplex[0]
+        raise DataFormatError(
+            f"{args.candidates}: row {row + 1}: fractions must be non-negative and sum "
+            f"to [{run.min_sum}, {run.max_sum}], got sum {float(totals[row])!r}"
+        )
     if not 1 <= args.top_k <= candidates.shape[0]:
         raise DataFormatError(
             f"top_k={args.top_k} out of range for {candidates.shape[0]} candidates"

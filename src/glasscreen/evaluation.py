@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,20 +22,17 @@ class ClassCenter:
 
 
 @dataclass
-class ScoreRecord:
-    index: int
-    score: float
-    label: int
-    tg: float | None = None
-
-
-@dataclass
 class Report:
+    """Ranking metrics plus the per-sample scores, labels and Tg they came
+    from, all in validation-sample order."""
+
     auc: float
     roc: list[tuple[float, float]]
     precision_at_k: float
     k: int
-    scores: list[ScoreRecord]
+    scores: np.ndarray
+    labels: np.ndarray
+    tg: np.ndarray
 
 
 def class_center(
@@ -65,62 +61,69 @@ def score(
     params: ModelParams,
     stats: NormalizationStats,
     center: ClassCenter,
-) -> list[ScoreRecord]:
-    """Inner-product similarity of each sample's feature with the center,
-    in input order, without augmentation."""
+) -> np.ndarray:
+    """Inner-product similarity of each sample's feature with the center, as
+    an (m,) array in input order, without augmentation."""
     if not samples:
-        return []
+        return np.zeros(0)
     x = normalize(np.stack([s.fractions for s in samples]), stats)
-    features = eval_features(x, params)
-    sims = features @ center.vector
-    return [
-        ScoreRecord(index=i, score=float(sims[i]), label=s.y, tg=s.tg)
-        for i, s in enumerate(samples)
-    ]
+    return eval_features(x, params) @ center.vector
 
 
-def auc(records: list[ScoreRecord]) -> float:
+def _check_both_classes(labels: np.ndarray, what: str) -> np.ndarray:
+    is_target = labels == 1
+    if is_target.all() or not is_target.any():
+        raise EmptyClassError(f"{what} needs at least one sample of each class")
+    return is_target
+
+
+def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of (target, non-target) pairs with strictly greater target
     score. Ties count zero. Computed by sorted counting in O(m log m); equals
     the quadratic pair count exactly.
     """
-    target_scores = [r.score for r in records if r.label == 1]
-    other_scores = sorted(r.score for r in records if r.label != 1)
-    if not target_scores or not other_scores:
-        raise EmptyClassError("AUC needs at least one sample of each class")
-    wins = sum(bisect_left(other_scores, s) for s in target_scores)
-    return wins / (len(target_scores) * len(other_scores))
+    is_target = _check_both_classes(labels, "AUC")
+    others = np.sort(scores[~is_target])
+    wins = int(np.searchsorted(others, scores[is_target], side="left").sum())
+    return wins / (int(is_target.sum()) * others.size)
 
 
-def roc_points(records: list[ScoreRecord]) -> list[tuple[float, float]]:
+def roc_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, float]]:
     """ROC staircase swept over distinct scores descending, from (0,0) to (1,1)."""
-    m1 = sum(1 for r in records if r.label == 1)
-    m0 = len(records) - m1
-    if m1 == 0 or m0 == 0:
-        raise EmptyClassError("ROC needs at least one sample of each class")
-    ordered = sorted(records, key=lambda r: -r.score)
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(ordered):
-        threshold = ordered[i].score
-        while i < len(ordered) and ordered[i].score == threshold:
-            if ordered[i].label == 1:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append((fp / m0, tp / m1))
-    return points
+    is_target = _check_both_classes(labels, "ROC")
+    m1 = int(is_target.sum())
+    m0 = scores.size - m1
+    order = np.argsort(-scores, kind="stable")
+    ordered = scores[order]
+    # last position of each run of equal scores
+    ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+    tp = np.cumsum(is_target[order])[ends]
+    fp = ends + 1 - tp
+    return [(0.0, 0.0)] + [(f / m0, t / m1) for f, t in zip(fp.tolist(), tp.tolist())]
 
 
-def precision_at_k(records: list[ScoreRecord], k: int) -> float:
+def precision_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Target fraction among the k highest scores (ties broken by ascending
     sample index for determinism)."""
-    if not 1 <= k <= len(records):
-        raise ValueError(f"k={k} out of range for {len(records)} records")
-    ordered = sorted(records, key=lambda r: (-r.score, r.index))
-    return sum(r.label for r in ordered[:k]) / k
+    if not 1 <= k <= scores.size:
+        raise ValueError(f"k={k} out of range for {scores.size} scores")
+    top = np.lexsort((np.arange(scores.size), -scores))[:k]
+    return int(labels[top].sum()) / k
+
+
+def make_report(scores: np.ndarray, samples: list[LabeledSample], k: int) -> Report:
+    """Ranking metrics of ``scores`` (one per sample, in sample order) against
+    the samples' labels; the one place scores become a Report."""
+    labels = np.array([s.y for s in samples], dtype=np.int64)
+    return Report(
+        auc=auc(scores, labels),
+        roc=roc_points(scores, labels),
+        precision_at_k=precision_at_k(scores, labels, k),
+        k=k,
+        scores=scores,
+        labels=labels,
+        tg=np.array([s.tg for s in samples], dtype=np.float64),
+    )
 
 
 def evaluate(
@@ -133,26 +136,19 @@ def evaluate(
     """Score the validation samples and assemble the full report."""
     if not val:
         raise ValueError("evaluate needs a non-empty validation set")
-    records = score(val, params, stats, center)
-    return Report(
-        auc=auc(records),
-        roc=roc_points(records),
-        precision_at_k=precision_at_k(records, k),
-        k=k,
-        scores=records,
-    )
+    return make_report(score(val, params, stats, center), val, k)
 
 
 # ---------------------------------------------------------------------------
 # report files
 
 
-def write_scores_csv(records: list[ScoreRecord], path) -> None:
+def write_scores_csv(report: Report, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index,score,label,tg\n")
-        for r in records:
-            tg_cell = "" if r.tg is None else repr(float(r.tg))
-            fh.write(f"{r.index},{r.score!r},{r.label},{tg_cell}\n")
+        for i, (s, y, tg) in enumerate(zip(report.scores.tolist(), report.labels.tolist(),
+                                           report.tg.tolist())):
+            fh.write(f"{i},{s!r},{y},{tg!r}\n")
 
 
 def write_roc_csv(points: list[tuple[float, float]], path) -> None:

@@ -28,7 +28,7 @@ from glasscreen.deepglassnet import (
     load_checkpoint,
     save_checkpoint,
 )
-from glasscreen.evaluation import ScoreRecord, auc
+from glasscreen.evaluation import auc
 from glasscreen.numeric_core import RandomSource, grad_check
 from glasscreen.synthetic import (
     SCHEMA,
@@ -74,9 +74,9 @@ def test_a1_gradient_correctness():
 # A2: AUC oracle equivalence
 
 
-def _auc_bruteforce(records):
-    pos = [r.score for r in records if r.label == 1]
-    neg = [r.score for r in records if r.label != 1]
+def _auc_bruteforce(scores, labels):
+    pos = [float(s) for s, y in zip(scores, labels) if y == 1]
+    neg = [float(s) for s, y in zip(scores, labels) if y != 1]
     wins = sum(1 for sp in pos for sn in neg if sp > sn)
     return wins / (len(pos) * len(neg))
 
@@ -92,9 +92,7 @@ def test_a2_auc_equals_bruteforce_exactly():
         labels = rng.integers(0, 2, size=200)
         if labels.sum() in (0, 200):
             labels[0] = 1 - labels[0]
-        records = [ScoreRecord(index=i, score=float(scores[i]), label=int(labels[i]))
-                   for i in range(200)]
-        if auc(records) != _auc_bruteforce(records):
+        if auc(scores, labels) != _auc_bruteforce(scores, labels):
             mismatches += 1
     elapsed = time.monotonic() - started
     _report("A2", mismatches == 0 and elapsed < 5.0,
@@ -147,8 +145,8 @@ def test_screen_ranks_known_target_first(synthetic_run, tmp_path):
                     ckpt_path, center=run["center"].vector)
 
     targets = [s for s in run["train_part"] if s.y == 1]
-    records = evaluation.score(targets, run["params"], run["stats"], run["center"])
-    strongest = targets[max(records, key=lambda r: r.score).index]
+    scores = evaluation.score(targets, run["params"], run["stats"], run["center"])
+    strongest = targets[int(np.argmax(scores))]
 
     rng = RandomSource(505)
     off_band = []

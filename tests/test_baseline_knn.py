@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glasscreen.baseline_knn import KnnConfig, knn_evaluate, knn_score
+from glasscreen.baseline_knn import KnnConfig, knn_evaluate, knn_scores
 from glasscreen.data_pipeline import LabeledSample, fit_normalization
 from glasscreen.evaluation import Report
 from glasscreen.numeric_core import RandomSource
@@ -19,12 +19,12 @@ class TestKnnScore:
     def test_exact_match_single_target(self):
         train = [line_point(0.3, 1)]
         stats = fit_normalization(train + [line_point(0.9, 0)])
-        assert knn_score(train, stats, np.array([0.3, 0.7]), KnnConfig(1)) == 1.0
+        assert knn_scores(train, stats, np.array([[0.3, 0.7]]), KnnConfig(1))[0] == 1.0
 
     def test_k_equals_train_size_gives_base_rate(self):
         train = [line_point(0.1, 1), line_point(0.5, 0), line_point(0.9, 0)]
         stats = fit_normalization(train)
-        got = knn_score(train, stats, np.array([0.2, 0.8]), KnnConfig(3))
+        got = knn_scores(train, stats, np.array([[0.2, 0.8]]), KnnConfig(3))[0]
         assert got == pytest.approx(1 / 3)
 
     def test_hand_instance_two_neighbors(self):
@@ -32,7 +32,7 @@ class TestKnnScore:
         # query at t = 0.4 has neighbors {0.5, 0.0} for k = 2
         train = [line_point(0.0, 1), line_point(0.5, 0), line_point(1.0, 1)]
         stats = fit_normalization(train)
-        got = knn_score(train, stats, np.array([0.4, 0.6]), KnnConfig(2))
+        got = knn_scores(train, stats, np.array([[0.4, 0.6]]), KnnConfig(2))[0]
         assert got == 0.5
 
     def test_scores_are_multiples_of_inverse_k(self):
@@ -41,20 +41,20 @@ class TestKnnScore:
                  for _ in range(20)]
         stats = fit_normalization(train)
         for _ in range(10):
-            s = knn_score(train, stats, np.array([rng.uniform(), rng.uniform()]),
-                          KnnConfig(4))
+            s = knn_scores(train, stats, np.array([[rng.uniform(), rng.uniform()]]),
+                           KnnConfig(4))[0]
             assert s in {0.0, 0.25, 0.5, 0.75, 1.0}
 
     def test_k_larger_than_train_rejected(self):
         train = [line_point(0.5, 1)]
         stats = fit_normalization(train + [line_point(0.1, 0)])
         with pytest.raises(ValueError):
-            knn_score(train, stats, np.array([0.5, 0.5]), KnnConfig(2))
+            knn_scores(train, stats, np.array([[0.5, 0.5]]), KnnConfig(2))
 
     def test_empty_train_rejected(self):
         stats = fit_normalization([line_point(0.5, 1), line_point(0.1, 0)])
         with pytest.raises(ValueError):
-            knn_score([], stats, np.array([0.5, 0.5]), KnnConfig(1))
+            knn_scores([], stats, np.array([[0.5, 0.5]]), KnnConfig(1))
 
     def test_config_validates(self):
         with pytest.raises(ValueError):
@@ -79,7 +79,7 @@ class TestKnnEvaluate:
         assert isinstance(report, Report)
         assert 0.0 <= report.auc <= 1.0
         assert report.roc[0] == (0.0, 0.0) and report.roc[-1] == (1.0, 1.0)
-        assert len(report.scores) == len(val)
+        assert report.scores.shape == (len(val),)
         assert report.k == 5
 
     def test_deterministic(self):
@@ -87,15 +87,15 @@ class TestKnnEvaluate:
         stats = fit_normalization(train)
         r1 = knn_evaluate(train, val, stats, KnnConfig(5), k_rank=5)
         r2 = knn_evaluate(train, val, stats, KnnConfig(5), k_rank=5)
-        assert [s.score for s in r1.scores] == [s.score for s in r2.scores]
+        assert r1.scores.tolist() == r2.scores.tolist()
         assert r1.auc == r2.auc
 
     def test_matches_scalar_scoring(self):
         train, val = make_sets()
         stats = fit_normalization(train)
         report = knn_evaluate(train, val, stats, KnnConfig(3), k_rank=5)
-        for record, sample in zip(report.scores, val):
-            assert record.score == knn_score(train, stats, sample.fractions, KnnConfig(3))
+        for got, sample in zip(report.scores, val):
+            assert got == knn_scores(train, stats, sample.fractions[None], KnnConfig(3))[0]
 
     def test_train_order_permutation_without_ties(self):
         train, val = make_sets(seed=2)
@@ -103,4 +103,4 @@ class TestKnnEvaluate:
         before = knn_evaluate(train, val, stats, KnnConfig(5), k_rank=5)
         shuffled = list(reversed(train))
         after = knn_evaluate(shuffled, val, stats, KnnConfig(5), k_rank=5)
-        assert [s.score for s in before.scores] == [s.score for s in after.scores]
+        assert before.scores.tolist() == after.scores.tolist()

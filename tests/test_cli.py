@@ -1,5 +1,6 @@
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ class TestTrain:
         out = run_train(tmp_path, data, config)
         assert out.exists()
         history = (str(out) + ".history.csv")
-        lines = open(history).read().splitlines()
+        lines = Path(history).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "epoch,mean_loss,val_auc,val_precision_at_k"
         assert len(lines) == 1 + SMALL_CONFIG["epochs"]  # one row per epoch
 
@@ -245,6 +246,23 @@ class TestScreen:
         assert code == EXIT_DATA
         assert "row 2" in caplog.text
         assert not ranked.exists()
+
+    @pytest.mark.parametrize("bad_row", ["-3.0,2.0,2.0", "0.2,0.1,0.1", "0.6,0.3,0.2"])
+    def test_off_simplex_candidate_is_data_error(self, workdir, caplog, bad_row):
+        tmp_path, data, config = workdir
+        out = run_train(tmp_path, data, config)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"A,B,C\n0.5,0.3,0.2\n{bad_row}\n0.2,0.2,0.2\n", encoding="utf-8")
+        ranked = tmp_path / "ranked.csv"
+        args = ["screen", "--checkpoint", str(out), "--candidates", str(bad),
+                "--top-k", "1", "--out", str(ranked)]
+        assert main(args) == EXIT_DATA
+        assert "row 2" in caplog.text  # the first offending row, not row 3
+        assert not ranked.exists()
+        # the bounds are the config's min_sum/max_sum, the ones clean applies
+        loose = write_config(tmp_path / "loose.json", min_sum=0.0, max_sum=2.0)
+        expected = EXIT_DATA if bad_row.startswith("-") else EXIT_OK  # negatives never pass
+        assert main(args + ["--config", str(loose)]) == expected
 
     def test_checkpoint_without_center_is_data_error(self, workdir):
         tmp_path, data, config = workdir

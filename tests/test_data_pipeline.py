@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glasscreen.data_pipeline import (
@@ -355,6 +355,24 @@ class TestEnumerateCandidates:
         assert got.shape[0] == len(oracle)
         got_set = {tuple(np.round(row / step).astype(int)) for row in got}
         assert got_set == set(oracle)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_order_matches_sorted_brute_force(self, data):
+        n = data.draw(st.integers(2, 4), label="n")
+        m = data.draw(st.integers(1, 6), label="ticks")
+        max_nonzero = data.draw(st.integers(1, n), label="max_nonzero")
+        tick_bounds = data.draw(st.none() | st.lists(
+            st.tuples(st.integers(0, m), st.integers(0, m)).map(sorted),
+            min_size=n, max_size=n), label="tick_bounds")
+        grid = GridConfig(step=1.0 / m, max_nonzero=max_nonzero,
+                          bounds=None if tick_bounds is None
+                          else [(lo / m, hi / m) for lo, hi in tick_bounds])
+        got = enumerate_candidates(ComponentSchema(tuple(f"C{i}" for i in range(n))), grid)
+        lo, hi = (None, None) if tick_bounds is None else map(list, zip(*tick_bounds))
+        oracle = sorted(brute_force_grid(n, m, max_nonzero, lo, hi), reverse=True)
+        expected = np.array(oracle, dtype=np.int64).reshape(len(oracle), n) * grid.step
+        assert np.array_equal(got, expected)  # same rows in descending lexicographic order
 
     def test_bounds_respected(self):
         grid = GridConfig(step=0.25, max_nonzero=3,

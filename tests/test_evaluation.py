@@ -11,7 +11,6 @@ from glasscreen.deepglassnet import ArchConfig, init_params
 from glasscreen.evaluation import (
     ClassCenter,
     Report,
-    ScoreRecord,
     auc,
     class_center,
     evaluate,
@@ -23,17 +22,16 @@ from glasscreen.numeric_core import NumericsWarning, RandomSource
 
 
 def records_from(pos_scores, neg_scores):
-    records = [ScoreRecord(index=i, score=s, label=1) for i, s in enumerate(pos_scores)]
-    offset = len(records)
-    records += [ScoreRecord(index=offset + i, score=s, label=0)
-                for i, s in enumerate(neg_scores)]
-    return records
+    """(scores, labels) arrays: the targets first, then the non-targets."""
+    scores = np.array(list(pos_scores) + list(neg_scores), dtype=np.float64)
+    labels = np.array([1] * len(pos_scores) + [0] * len(neg_scores))
+    return scores, labels
 
 
-def auc_bruteforce(records):
+def auc_bruteforce(scores, labels):
     """Quadratic pair-count oracle (strict inequality, ties count zero)."""
-    pos = [r.score for r in records if r.label == 1]
-    neg = [r.score for r in records if r.label != 1]
+    pos = [float(s) for s, y in zip(scores, labels) if y == 1]
+    neg = [float(s) for s, y in zip(scores, labels) if y != 1]
     wins = sum(1 for sp in pos for sn in neg if sp > sn)
     return wins / (len(pos) * len(neg))
 
@@ -47,15 +45,14 @@ def trapezoid_area(points):
 
 class TestAuc:
     def test_hand_enumeration(self):
-        records = records_from([0.9, 0.4], [0.5, 0.1])
-        assert auc(records) == 0.75
+        assert auc(*records_from([0.9, 0.4], [0.5, 0.1])) == 0.75
 
     def test_perfect_separation(self):
-        assert auc(records_from([0.9, 0.8], [0.2, 0.1])) == 1.0
+        assert auc(*records_from([0.9, 0.8], [0.2, 0.1])) == 1.0
 
     def test_all_ties_score_zero(self):
         # strict-inequality convention: equal scores earn nothing
-        assert auc(records_from([0.5, 0.5], [0.5, 0.5])) == 0.0
+        assert auc(*records_from([0.5, 0.5], [0.5, 0.5])) == 0.0
 
     def test_matches_bruteforce_with_ties(self):
         rng = np.random.default_rng(0)
@@ -65,9 +62,7 @@ class TestAuc:
             labels = rng.integers(0, 2, size=m)
             if labels.sum() in (0, m):
                 labels[0] = 1 - labels[0]
-            records = [ScoreRecord(index=i, score=float(scores[i]), label=int(labels[i]))
-                       for i in range(m)]
-            assert auc(records) == auc_bruteforce(records)
+            assert auc(scores, labels) == auc_bruteforce(scores, labels)
 
     @pytest.mark.parametrize("transform", [
         lambda s: 2.0 * s + 5.0,
@@ -76,29 +71,28 @@ class TestAuc:
     ])
     def test_invariant_under_increasing_transforms(self, transform):
         rng = np.random.default_rng(1)
-        records = records_from(rng.normal(size=40), rng.normal(size=60))
-        mapped = [ScoreRecord(index=r.index, score=transform(r.score), label=r.label)
-                  for r in records]
-        assert auc(mapped) == auc(records)
+        scores, labels = records_from(rng.normal(size=40), rng.normal(size=60))
+        mapped = np.array([transform(float(s)) for s in scores])
+        assert auc(mapped, labels) == auc(scores, labels)
 
     def test_single_class_rejected(self):
         with pytest.raises(EmptyClassError):
-            auc(records_from([0.5], []))
+            auc(*records_from([0.5], []))
 
 
 class TestRocPoints:
     def test_endpoints(self):
-        points = roc_points(records_from([0.9, 0.4], [0.5, 0.1]))
+        points = roc_points(*records_from([0.9, 0.4], [0.5, 0.1]))
         assert points[0] == (0.0, 0.0)
         assert points[-1] == (1.0, 1.0)
 
     def test_perfect_separation_passes_ideal_corner(self):
-        points = roc_points(records_from([0.9, 0.8], [0.2, 0.1]))
+        points = roc_points(*records_from([0.9, 0.8], [0.2, 0.1]))
         assert (0.0, 1.0) in points
 
     def test_monotone_staircase(self):
         rng = np.random.default_rng(2)
-        points = roc_points(records_from(rng.normal(size=50), rng.normal(size=70)))
+        points = roc_points(*records_from(rng.normal(size=50), rng.normal(size=70)))
         fprs = [p[0] for p in points]
         tprs = [p[1] for p in points]
         assert fprs == sorted(fprs)
@@ -107,54 +101,49 @@ class TestRocPoints:
     def test_random_labels_give_half_area(self):
         rng = np.random.default_rng(3)
         m = 10_000
-        records = [ScoreRecord(index=i, score=float(rng.normal()),
-                               label=int(rng.integers(0, 2))) for i in range(m)]
-        assert abs(trapezoid_area(roc_points(records)) - 0.5) < 0.05
+        scores = np.empty(m)
+        labels = np.empty(m, dtype=np.int64)
+        for i in range(m):  # same interleaved draw order as one record at a time
+            scores[i] = rng.normal()
+            labels[i] = rng.integers(0, 2)
+        assert abs(trapezoid_area(roc_points(scores, labels)) - 0.5) < 0.05
 
     def test_area_equals_auc_when_tie_free(self):
         rng = np.random.default_rng(4)
         scores = rng.permutation(np.linspace(-3, 3, 120))  # all distinct
         labels = rng.integers(0, 2, size=120)
         labels[0], labels[1] = 0, 1
-        records = [ScoreRecord(index=i, score=float(scores[i]), label=int(labels[i]))
-                   for i in range(120)]
-        assert abs(trapezoid_area(roc_points(records)) - auc(records)) < 1e-12
+        assert abs(trapezoid_area(roc_points(scores, labels)) - auc(scores, labels)) < 1e-12
 
 
 class TestPrecisionAtK:
     def test_all_targets_on_top(self):
-        assert precision_at_k(records_from([0.9, 0.8], [0.2, 0.1]), 2) == 1.0
+        assert precision_at_k(*records_from([0.9, 0.8], [0.2, 0.1]), 2) == 1.0
 
     def test_k_equals_count_gives_base_rate(self):
-        records = records_from([0.9, 0.8, 0.7], [0.2, 0.1])
-        assert precision_at_k(records, 5) == 3 / 5
+        assert precision_at_k(*records_from([0.9, 0.8, 0.7], [0.2, 0.1]), 5) == 3 / 5
 
     def test_hand_case(self):
-        assert precision_at_k(records_from([0.9], [0.5, 0.1]), 1) == 1.0
+        assert precision_at_k(*records_from([0.9], [0.5, 0.1]), 1) == 1.0
 
     def test_tie_break_by_index(self):
-        records = [
-            ScoreRecord(index=0, score=0.5, label=1),
-            ScoreRecord(index=1, score=0.5, label=0),
-            ScoreRecord(index=2, score=0.5, label=1),
-        ]
-        assert precision_at_k(records, 1) == 1.0  # index 0 wins the tie
-        assert precision_at_k(records, 2) == 0.5
+        scores, labels = np.array([0.5, 0.5, 0.5]), np.array([1, 0, 1])
+        assert precision_at_k(scores, labels, 1) == 1.0  # index 0 wins the tie
+        assert precision_at_k(scores, labels, 2) == 0.5
 
     def test_k_out_of_range(self):
-        records = records_from([0.9], [0.1])
+        scores, labels = records_from([0.9], [0.1])
         with pytest.raises(ValueError):
-            precision_at_k(records, 0)
+            precision_at_k(scores, labels, 0)
         with pytest.raises(ValueError):
-            precision_at_k(records, 3)
+            precision_at_k(scores, labels, 3)
 
     @given(st.integers(1, 10))
     def test_invariant_under_increasing_transform(self, k):
         rng = np.random.default_rng(5)
-        records = records_from(rng.normal(size=8), rng.normal(size=8))
-        mapped = [ScoreRecord(index=r.index, score=3.0 * r.score + 1.0, label=r.label)
-                  for r in records]
-        assert precision_at_k(mapped, k) == precision_at_k(records, k)
+        scores, labels = records_from(rng.normal(size=8), rng.normal(size=8))
+        mapped = np.array([3.0 * float(s) + 1.0 for s in scores])
+        assert precision_at_k(mapped, labels, k) == precision_at_k(scores, labels, k)
 
 
 def make_dataset(n_samples=30, n=3, seed=0):
@@ -181,8 +170,8 @@ class TestClassCenterAndScore:
     def test_single_target_center_is_its_feature(self):
         target = [s for s in self.samples if s.y == 1][0]
         center = class_center([target], self.params, self.stats)
-        records = score([target], self.params, self.stats, center)
-        assert abs(records[0].score - 1.0) < 1e-12  # <f, f> = 1 for unit f
+        scores = score([target], self.params, self.stats, center)
+        assert abs(scores[0] - 1.0) < 1e-12  # <f, f> = 1 for unit f
 
     def test_center_norm_at_most_one(self):
         targets = [s for s in self.samples if s.y == 1]
@@ -200,22 +189,26 @@ class TestClassCenterAndScore:
 
     def test_zero_center_scores_zero(self):
         center = ClassCenter(vector=np.zeros(ARCH.feature_dim))
-        records = score(self.samples, self.params, self.stats, center)
-        assert all(r.score == 0.0 for r in records)
+        scores = score(self.samples, self.params, self.stats, center)
+        assert np.all(scores == 0.0)
 
     def test_scores_bounded_by_center_norm(self):
         targets = [s for s in self.samples if s.y == 1]
         center = class_center(targets, self.params, self.stats)
         bound = np.linalg.norm(center.vector) + 1e-12
-        records = score(self.samples, self.params, self.stats, center)
-        assert all(abs(r.score) <= bound for r in records)
+        scores = score(self.samples, self.params, self.stats, center)
+        assert np.all(np.abs(scores) <= bound)
 
     def test_order_preserved(self):
         targets = [s for s in self.samples if s.y == 1]
         center = class_center(targets, self.params, self.stats)
-        records = score(self.samples, self.params, self.stats, center)
-        assert [r.index for r in records] == list(range(len(self.samples)))
-        assert [r.tg for r in records] == [s.tg for s in self.samples]
+        scores = score(self.samples, self.params, self.stats, center)
+        one_by_one = [score([s], self.params, self.stats, center)[0] for s in self.samples]
+        assert scores.shape == (len(self.samples),)
+        np.testing.assert_allclose(scores, one_by_one, rtol=0.0, atol=1e-12)
+        report = evaluate(self.samples, self.params, self.stats, center, k=5)
+        assert report.labels.tolist() == [s.y for s in self.samples]
+        assert report.tg.tolist() == [s.tg for s in self.samples]
 
     def test_empty_target_list_rejected(self):
         with pytest.raises(EmptyClassError):
@@ -233,10 +226,12 @@ class TestEvaluate:
 
     def test_matches_individual_operations(self):
         report = evaluate(self.samples, self.params, self.stats, self.center, k=5)
-        records = score(self.samples, self.params, self.stats, self.center)
-        assert report.auc == auc(records)
-        assert report.roc == roc_points(records)
-        assert report.precision_at_k == precision_at_k(records, 5)
+        scores = score(self.samples, self.params, self.stats, self.center)
+        labels = np.array([s.y for s in self.samples])
+        assert np.array_equal(report.scores, scores)
+        assert report.auc == auc(scores, labels)
+        assert report.roc == roc_points(scores, labels)
+        assert report.precision_at_k == precision_at_k(scores, labels, 5)
         assert report.k == 5
 
     def test_roc_endpoints(self):
@@ -248,8 +243,17 @@ class TestEvaluate:
         r1 = evaluate(self.samples, self.params, self.stats, self.center, k=5)
         r2 = evaluate(self.samples, self.params, self.stats, self.center, k=5)
         assert r1.auc == r2.auc
-        assert [s.score for s in r1.scores] == [s.score for s in r2.scores]
+        assert r1.scores.tolist() == r2.scores.tolist()
 
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
             evaluate([], self.params, self.stats, self.center, k=1)
+
+    def test_scores_csv_rows(self, tmp_path):
+        report = evaluate(self.samples, self.params, self.stats, self.center, k=5)
+        path = tmp_path / "scores.csv"
+        evaluation.write_scores_csv(report, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "index,score,label,tg"
+        assert lines[1:] == [f"{i},{float(report.scores[i])!r},{s.y},{s.tg!r}"
+                             for i, s in enumerate(self.samples)]
