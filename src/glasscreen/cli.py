@@ -106,6 +106,7 @@ class _RunOptions:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
         cfg.validate()
+        log.debug("run config %s: fingerprint %s", path or "(defaults)", cfg.fingerprint())
         return cfg
 
     def validate(self) -> None:
@@ -221,6 +222,13 @@ def _load_labeled(data_path, band: TgBand, run: RunConfig):
     return schema, labeled
 
 
+def _split(labeled, run: RunConfig):
+    train_part, val_part = split(labeled, run.train_fraction, run.seed)
+    log.debug("split seed %d, train_fraction %g: %d train / %d validation rows",
+              run.seed, run.train_fraction, len(train_part), len(val_part))
+    return train_part, val_part
+
+
 def cmd_train(args) -> int:
     run = RunConfig.load(args.config, {"seed": args.seed})
     if args.band is not None:
@@ -231,9 +239,12 @@ def cmd_train(args) -> int:
         raise ConfigError("no Tg band given (use --band LOW:HIGH or band_low/band_high)")
 
     schema, labeled = _load_labeled(args.data, band, run)
-    train_part, val_part = split(labeled, run.train_fraction, run.seed)
+    train_part, val_part = _split(labeled, run)
     arch = run.arch_config(n_components=schema.n)
     params, stats, history = train(train_part, val_part, arch, run.train_config())
+    for r in history.records:
+        log.debug("epoch %d: mean loss %.6f, val AUC %.4f, val P@%d %.4f",
+                  r.epoch, r.mean_loss, r.val_auc, run.precision_k, r.val_precision_at_k)
 
     targets = [s for s in train_part if s.y == 1]
     center = evaluation.class_center(targets, params, stats)
@@ -262,7 +273,7 @@ def cmd_eval(args) -> int:
             f"expects {ckpt.arch.n_components}"
         )
     _, labeled = _load_labeled(args.data, ckpt.band, run)
-    train_part, val_part = split(labeled, run.train_fraction, run.seed)
+    train_part, val_part = _split(labeled, run)
 
     targets = [s for s in train_part if s.y == 1]
     center = evaluation.class_center(targets, ckpt.params, ckpt.stats)
@@ -323,6 +334,8 @@ def cmd_screen(args) -> int:
             f"{args.candidates}: row {row + 1}: fractions must be non-negative and sum "
             f"to [{run.min_sum}, {run.max_sum}], got sum {float(totals[row])!r}"
         )
+    log.debug("screen: %d candidates within the sum bounds [%g, %g]",
+              candidates.shape[0], run.min_sum, run.max_sum)
     if not 1 <= args.top_k <= candidates.shape[0]:
         raise DataFormatError(
             f"top_k={args.top_k} out of range for {candidates.shape[0]} candidates"
@@ -441,11 +454,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    # basicConfig only acts on the first call in a process; the level is set
+    # on the package logger every time so each call honours its own --verbose
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -351,44 +351,52 @@ def augment(x: np.ndarray, cfg: AugmentationConfig, rng: RandomSource) -> np.nda
 
 
 class TripletIndexSampler:
-    """Index-level triplet draws over a fixed label vector.
+    """Index-level triplet draws over a fixed 0/1 label vector.
 
     Positive is uniform over the anchor's class excluding the anchor itself;
-    negative is uniform over the other class. Positive is drawn before the
-    negative (fixed order, part of the determinism contract).
+    negative is uniform over the other class. A batch of anchors takes one
+    ``RandomSource.integers`` array draw whose bounds alternate positive then
+    negative per anchor, in anchor order: the same stream as drawing each
+    anchor's positive and then its negative one call at a time. That order is
+    part of the determinism contract.
     """
 
     def __init__(self, labels: np.ndarray):
         labels = np.asarray(labels)
         self.labels = labels
-        self.class_indices = {
-            1: np.flatnonzero(labels == 1),
-            0: np.flatnonzero(labels == 0),
-        }
-        if self.class_indices[1].size == 0 or self.class_indices[0].size == 0:
+        members = [np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)]
+        if members[0].size == 0 or members[1].size == 0:
             raise EmptyClassError(
                 "both label classes are required for triplet sampling; "
                 "widen the Tg band to include more samples"
             )
+        # class c's members, ascending, are _members[_start[c]:_start[c] + _size[c]];
+        # _position[i] is sample i's rank within its class
+        self._members = np.concatenate(members)
+        self._size = np.array([members[0].size, members[1].size])
+        self._start = np.array([0, members[0].size])
         self._position = np.empty(labels.size, dtype=np.int64)
-        for cls, idx in self.class_indices.items():
+        for idx in members:
             self._position[idx] = np.arange(idx.size)
 
-    def draw(self, anchor_index: int, rng: RandomSource) -> tuple[int, int]:
-        anchor_class = int(self.labels[anchor_index])
-        same = self.class_indices[anchor_class]
-        other = self.class_indices[1 - anchor_class]
-        if same.size < 2:
+    def draw(self, anchors: np.ndarray, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+        """(positives, negatives) index arrays, one entry per anchor index."""
+        anchors = np.asarray(anchors, dtype=np.int64)
+        same = self.labels[anchors].astype(np.int64)
+        other = 1 - same
+        if np.any(self._size[same] < 2):
             raise EmptyClassError(
                 "anchor's class has no other member to use as a positive; "
                 "widen the Tg band to include more samples"
             )
-        r = rng.integers(0, same.size - 1)
-        if r >= self._position[anchor_index]:
-            r += 1
-        positive = int(same[r])
-        negative = int(other[rng.integers(0, other.size)])
-        return positive, negative
+        highs = np.empty(2 * anchors.size, dtype=np.int64)
+        highs[0::2] = self._size[same] - 1
+        highs[1::2] = self._size[other]
+        r = rng.integers(0, highs)
+        pos_r = r[0::2]
+        pos_r += pos_r >= self._position[anchors]  # skip the anchor itself
+        return (self._members[self._start[same] + pos_r],
+                self._members[self._start[other] + r[1::2]])
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,6 @@ class BatchTrace:
     """Batched forward intermediates plus the caches backward needs."""
 
     inputs: np.ndarray          # (B, n)
-    modulated: np.ndarray       # (B, n, d)
     unit_factors: np.ndarray    # (n, rank)
     factor_norms: np.ndarray    # (n,)
     adjacency: np.ndarray       # (n, n)
@@ -285,7 +284,7 @@ def forward_batch(
     features = head_out / divisor[..., None]
 
     trace = BatchTrace(
-        inputs=x, modulated=modulated, unit_factors=vhat, factor_norms=factor_norms,
+        inputs=x, unit_factors=vhat, factor_norms=factor_norms,
         adjacency=adj, masked_adjacency=masked, mixed=mixed,
         query=q, key=k, value=v, attention=alpha, attended=attended,
         flat=flat, pre_bn=pre, bn_x_hat=x_hat, bn_inv_std=inv_std,

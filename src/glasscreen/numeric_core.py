@@ -60,9 +60,16 @@ class RandomSource:
                             radius * np.sin(2.0 * np.pi * u2)])[:m]
         return (mean + std * z).reshape(shape)
 
-    def integers(self, low: int, high: int) -> int:
-        """One integer uniform on [low, high)."""
-        return int(self._gen.integers(low, high))
+    def integers(self, low: int, high: np.ndarray) -> np.ndarray:
+        """An int64 array shaped like ``high``, uniform on [low, high) per element.
+
+        The draws are made one per element in C order and consume the stream
+        exactly as one scalar ``integers(low, h)`` call per element in that
+        order would, leaving the generator in the same state. Callers that
+        batch their draws rely on this, so it is part of the reproducibility
+        contract.
+        """
+        return self._gen.integers(low, np.asarray(high, dtype=np.int64))
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

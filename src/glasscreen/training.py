@@ -137,7 +137,12 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
     d_flat = d_pre @ params.w_hidden.T
     d_attended = d_flat.reshape(trace.attended.shape)
 
-    # attention
+    # attention. With the rows of all B samples stacked, each weight gradient
+    # is one (d, B*n) x (B*n, dk) GEMM and d_mixed sums three (B*n, dk) x
+    # (dk, d) GEMMs. The three d_* blocks stay separate arrays: a shared
+    # (B, n, 3*dk) buffer feeding one GEMM was no faster end to end, and as
+    # the largest temporary of a step it fragmented the glibc heap and raised
+    # the train benchmark's peak RSS.
     alpha, value = trace.attention, trace.value
     dk = params.w_query.shape[1]
     d_alpha = np.matmul(d_attended, np.swapaxes(value, -1, -2))
@@ -146,20 +151,26 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
     d_scores /= np.sqrt(dk)
     d_query = np.matmul(d_scores, trace.key)
     d_key = np.matmul(np.swapaxes(d_scores, -1, -2), trace.query)
-    d_mixed = (
-        np.matmul(d_query, params.w_query.T)
-        + np.matmul(d_key, params.w_key.T)
-        + np.matmul(d_value, params.w_value.T)
-    )
-    grads["w_query"] = np.einsum("bnd,bnm->dm", trace.mixed, d_query)
-    grads["w_key"] = np.einsum("bnd,bnm->dm", trace.mixed, d_key)
-    grads["w_value"] = np.einsum("bnd,bnm->dm", trace.mixed, d_value)
+    mixed_rows = trace.mixed.reshape(-1, trace.mixed.shape[-1])
+    d_mixed_rows = np.zeros_like(mixed_rows)
+    for name, weight, d_proj in (("w_query", params.w_query, d_query),
+                                 ("w_key", params.w_key, d_key),
+                                 ("w_value", params.w_value, d_value)):
+        d_proj_rows = d_proj.reshape(-1, dk)
+        grads[name] = mixed_rows.T @ d_proj_rows
+        d_mixed_rows += d_proj_rows @ weight.T
+    d_mixed = d_mixed_rows.reshape(trace.mixed.shape)
     _ensure_finite(d_mixed, "self attention")
 
-    # graph convolution (shared adjacency accumulates over the batch)
+    # graph convolution (shared adjacency accumulates over the batch). The
+    # trace keeps no (B, n, d) modulated embedding: since
+    # modulated[b, m] = inputs[b, m] * embeddings[m], the contraction
+    # sum_b,d d_mixed[b, n, d] * modulated[b, m, d] factors through the
+    # (B, n, n) product d_mixed @ embeddings^T, weighted by inputs[b, m].
     masked = trace.masked_adjacency
     d_modulated = d_mixed + np.matmul(masked.T, d_mixed) / (n - 1)
-    d_masked = np.einsum("bnd,bmd->nm", d_mixed, trace.modulated) / (n - 1)
+    d_mixed_embedded = (d_mixed_rows @ params.embeddings.T).reshape(b, n, n)
+    d_masked = np.einsum("bnm,bm->nm", d_mixed_embedded, trace.inputs) / (n - 1)
     np.fill_diagonal(d_masked, 0.0)  # diagonal is excluded from the message sum
 
     # adjacency = vhat vhat^T through factor row-normalization
@@ -324,10 +335,7 @@ def train(
         loss_total = 0.0
         for start in range(0, n_anchors, cfg.batch_size):
             anchor_idx = order[start:start + cfg.batch_size]
-            pos_idx = np.empty(anchor_idx.size, dtype=np.int64)
-            neg_idx = np.empty(anchor_idx.size, dtype=np.int64)
-            for j, a in enumerate(anchor_idx):
-                pos_idx[j], neg_idx[j] = sampler.draw(int(a), rng)
+            pos_idx, neg_idx = sampler.draw(anchor_idx, rng)
             stacked = np.concatenate([x_raw[anchor_idx], x_raw[pos_idx], x_raw[neg_idx]])
             perturbed = augment(stacked, aug_cfg, rng)
             batch = normalize(perturbed, stats)

@@ -320,6 +320,39 @@ class TestRunConfig:
             RunConfig.load(path)
 
 
+class TestVerbose:
+    @staticmethod
+    def debug_lines(caplog):
+        return [r.getMessage() for r in caplog.records
+                if r.name == "glasscreen" and r.levelno == logging.DEBUG]
+
+    def test_flag_applies_on_every_call(self, workdir, caplog):
+        tmp_path, data, config = workdir
+        argv = ["train", "--data", str(data), "--config", str(config),
+                "--band", "500:600", "--out", str(tmp_path / "model.ckpt")]
+        assert main(argv) == EXIT_OK
+        assert self.debug_lines(caplog) == []
+        assert any("training done" in r.getMessage() for r in caplog.records)
+
+        caplog.clear()
+        assert main(["--verbose", *argv]) == EXIT_OK
+        lines = self.debug_lines(caplog)
+        fingerprint = RunConfig.load(config).fingerprint()
+        assert any(fingerprint in line for line in lines)
+        assert any("train /" in line and "validation rows" in line for line in lines)
+        assert [line.split(":")[0] for line in lines if line.startswith("epoch")] == \
+            ["epoch 1", "epoch 2"]
+
+        caplog.clear()
+        candidates = tmp_path / "candidates.csv"
+        candidates.write_text("A,B,C\n" + "0.2,0.3,0.5\n" * 7, encoding="utf-8")
+        assert main(["screen", "--verbose", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--candidates", str(candidates), "--out", str(tmp_path / "picks.csv")]) \
+            == EXIT_OK
+        assert any("7 candidates within the sum bounds" in line
+                   for line in self.debug_lines(caplog))
+
+
 class TestUsage:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glasscreen.data_pipeline import (
@@ -270,17 +270,34 @@ class TestAugment:
             AugmentationConfig(sigma=-0.1)
 
 
-def draw_triplet(train, anchor_index, rng):
-    """(anchor, positive, negative) samples for one anchor."""
+def draw_triplets(train, anchors, rng):
+    """[(anchor, positive, negative)] samples, one triplet per anchor index."""
     sampler = TripletIndexSampler(np.array([s.y for s in train]))
-    pos_i, neg_i = sampler.draw(anchor_index, rng)
-    return train[anchor_index], train[pos_i], train[neg_i]
+    positives, negatives = sampler.draw(np.array(anchors), rng)
+    return [(train[a], train[p], train[n]) for a, p, n in zip(anchors, positives, negatives)]
+
+
+def scalar_draws(labels, anchors, seed):
+    """Reference triplet draw: one scalar PCG64 call for the positive, then
+    one for the negative, per anchor in anchor order. Returns the positives,
+    the negatives and the generator afterwards."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    positives, negatives = [], []
+    for a in anchors:
+        same = np.flatnonzero(labels == labels[a])
+        other = np.flatnonzero(labels != labels[a])
+        r = int(gen.integers(0, same.size - 1))
+        if r >= int(np.flatnonzero(same == a)[0]):
+            r += 1
+        positives.append(int(same[r]))
+        negatives.append(int(other[int(gen.integers(0, other.size))]))
+    return positives, negatives, gen
 
 
 class TestSampleTriplet:
     def test_forced_choices(self):
         train = [labeled([1, 0], 1, 550.0), labeled([0, 1], 1, 560.0), labeled([0.5, 0.5], 0, 700.0)]
-        anchor, positive, negative = draw_triplet(train, 0, RandomSource(0))
+        [(anchor, positive, negative)] = draw_triplets(train, [0], RandomSource(0))
         assert anchor is train[0]
         assert positive is train[1]
         assert negative is train[2]
@@ -288,22 +305,42 @@ class TestSampleTriplet:
     def test_single_member_class_always_chosen(self):
         train = [labeled([1, 0], 0, 700.0), labeled([0, 1], 0, 710.0), labeled([0.5, 0.5], 1, 550.0)]
         for seed in range(5):
-            _, positive, negative = draw_triplet(train, 0, RandomSource(seed))
+            [(_, positive, negative)] = draw_triplets(train, [0], RandomSource(seed))
             assert positive is train[1]
             assert negative is train[2]
 
     def test_all_one_class_errors(self):
         train = [labeled([1, 0], 1, 550.0), labeled([0, 1], 1, 560.0)]
         with pytest.raises(EmptyClassError, match="widen"):
-            draw_triplet(train, 0, RandomSource(0))
+            draw_triplets(train, [0], RandomSource(0))
 
     def test_positive_never_anchor(self):
         train = [labeled([1, 0], 1, 500.0 + i) for i in range(4)] + [labeled([0, 1], 0, 900.0)]
-        rng = RandomSource(3)
-        for _ in range(200):
-            _, positive, negative = draw_triplet(train, 2, rng)
+        for _, positive, negative in draw_triplets(train, [2] * 200, RandomSource(3)):
             assert positive is not train[2]
             assert positive.y == 1 and negative.y == 0
+
+    def test_anchor_class_without_positive_errors(self):
+        train = [labeled([1, 0], 1, 550.0), labeled([0, 1], 1, 560.0), labeled([0.5, 0.5], 0, 700.0)]
+        with pytest.raises(EmptyClassError, match="widen"):
+            draw_triplets(train, [0, 2], RandomSource(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=3, max_size=40), st.data(),
+           st.integers(0, 2**32 - 1))
+    def test_batched_draw_matches_scalar_stream(self, label_list, data, seed):
+        labels = np.array(label_list)
+        counts = np.bincount(labels, minlength=2)
+        assume(counts.min() >= 1 and counts.max() >= 2)
+        # anchors from classes with a positive to draw
+        eligible = [i for i, y in enumerate(label_list) if counts[y] >= 2]
+        anchors = data.draw(st.lists(st.sampled_from(eligible), max_size=60), label="anchors")
+        rng = RandomSource(seed)
+        positives, negatives = TripletIndexSampler(labels).draw(np.array(anchors, dtype=np.int64), rng)
+        ref_pos, ref_neg, ref_gen = scalar_draws(labels, anchors, seed)
+        assert positives.tolist() == ref_pos
+        assert negatives.tolist() == ref_neg
+        assert rng.uniform() == ref_gen.random()
 
 
 def brute_force_grid(n, ticks, max_nonzero, lo=None, hi=None):

@@ -145,7 +145,7 @@ class TestGraphConvolve:
         params.interaction_factors = np.eye(4)  # orthogonal factors: identity adjacency
         trace = trace_of(np.arange(8.0).reshape(2, 4), params)
         assert np.array_equal(trace.adjacency, np.eye(4))
-        assert np.array_equal(trace.mixed, trace.modulated)
+        assert np.array_equal(trace.mixed, embed_proportions(trace.inputs, params))
 
     def test_two_components_full_coupling(self):
         params = init_params(self.arch(2, 2, 2), seed=0)
@@ -163,7 +163,7 @@ class TestGraphConvolve:
             params = init_params(self.arch(n, d, 2), seed=int(rng.integers(100)))
             params.interaction_factors = rng.normal(size=(n, 2))
             trace = trace_of(rng.normal(size=(2, n)), params)
-            for h, z in zip(trace.modulated, trace.mixed):
+            for h, z in zip(embed_proportions(trace.inputs, params), trace.mixed):
                 assert np.max(np.abs(z - convolve_oracle(h, trace.adjacency))) < 1e-12
 
     def test_single_component_rejected(self):
@@ -269,7 +269,7 @@ class TestForward:
     @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_zero_input_propagation(self, tiny_params):
         trace = trace_of(np.zeros(4), tiny_params)
-        assert np.all(trace.modulated == 0.0)
+        assert np.all(embed_proportions(trace.inputs, tiny_params) == 0.0)
         assert np.all(trace.mixed == 0.0)
         assert np.allclose(trace.attention, 0.25, atol=1e-12)
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glasscreen.data_pipeline import LabeledSample
-from glasscreen.deepglassnet import ArchConfig, forward_batch, init_params
+from glasscreen.deepglassnet import ArchConfig, embed_proportions, forward_batch, init_params
 from glasscreen.numeric_core import RandomSource, grad_check
 from glasscreen.training import (
     AdamState,
@@ -90,6 +90,64 @@ def _healthy_tiny_params(seed=3):
     return params
 
 
+def einsum_backward(trace, params):
+    """Reference gradients: backward as it was written with one einsum per
+    weight gradient, three batched matmuls into d_mixed and the (B, n, d)
+    adjacency contraction. backward must agree with it to rounding."""
+    features = trace.features
+    t = features.shape[0] // 3
+    n = trace.adjacency.shape[0]
+    fa, fp, fn = features[:t], features[t:2 * t], features[2 * t:]
+    gate = 1.0 / (1.0 + np.exp(np.sum(fa * fp, axis=1) - np.sum(fa * fn, axis=1))) / t
+    d_features = np.concatenate([gate[:, None] * (fn - fp), -gate[:, None] * fa,
+                                 gate[:, None] * fa])
+    dots = np.sum(features * d_features, axis=1)
+    d_head = (d_features - dots[:, None] * features) / trace.out_divisor[:, None]
+    guarded = trace.out_norms <= 1e-12
+    d_head[guarded] = d_features[guarded]
+
+    grads = {"w_out": trace.post_relu.T @ d_head, "b_out": d_head.sum(axis=0)}
+    d_post = d_head @ params.w_out.T
+    if trace.dropout_mask is not None:
+        d_post = d_post * trace.dropout_mask
+    d_bn_out = d_post * (trace.bn_out > 0.0)
+    x_hat, inv_std = trace.bn_x_hat, trace.bn_inv_std
+    grads["bn_gamma"] = np.sum(d_bn_out * x_hat, axis=0)
+    grads["bn_beta"] = d_bn_out.sum(axis=0)
+    d_x_hat = d_bn_out * params.bn.gamma
+    d_pre = inv_std * (d_x_hat - d_x_hat.mean(axis=0)
+                       - x_hat * np.mean(d_x_hat * x_hat, axis=0))
+    grads["w_hidden"] = trace.flat.T @ d_pre
+    grads["b_hidden"] = d_pre.sum(axis=0)
+    d_attended = (d_pre @ params.w_hidden.T).reshape(trace.attended.shape)
+
+    alpha, value = trace.attention, trace.value
+    dk = params.w_query.shape[1]
+    d_alpha = np.matmul(d_attended, np.swapaxes(value, -1, -2))
+    d_value = np.matmul(np.swapaxes(alpha, -1, -2), d_attended)
+    d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=-1, keepdims=True))
+    d_scores /= np.sqrt(dk)
+    d_query = np.matmul(d_scores, trace.key)
+    d_key = np.matmul(np.swapaxes(d_scores, -1, -2), trace.query)
+    d_mixed = (np.matmul(d_query, params.w_query.T) + np.matmul(d_key, params.w_key.T)
+               + np.matmul(d_value, params.w_value.T))
+    grads["w_query"] = np.einsum("bnd,bnm->dm", trace.mixed, d_query)
+    grads["w_key"] = np.einsum("bnd,bnm->dm", trace.mixed, d_key)
+    grads["w_value"] = np.einsum("bnd,bnm->dm", trace.mixed, d_value)
+
+    masked = trace.masked_adjacency
+    d_modulated = d_mixed + np.matmul(masked.T, d_mixed) / (n - 1)
+    modulated = embed_proportions(trace.inputs, params)
+    d_masked = np.einsum("bnd,bmd->nm", d_mixed, modulated) / (n - 1)
+    np.fill_diagonal(d_masked, 0.0)
+    vhat = trace.unit_factors
+    d_vhat = (d_masked + d_masked.T) @ vhat
+    vdots = np.sum(vhat * d_vhat, axis=1)
+    grads["interaction_factors"] = (d_vhat - vdots[:, None] * vhat) / trace.factor_norms[:, None]
+    grads["embeddings"] = np.einsum("bn,bnd->nd", trace.inputs, d_modulated)
+    return grads
+
+
 class TestBackward:
     def test_gradients_match_finite_differences(self):
         params = _healthy_tiny_params()
@@ -145,6 +203,23 @@ class TestBackward:
         grads = backward(trace, params)
         for name, g in grads.items():
             assert np.max(np.abs(g)) < 1e-12, name
+
+    @pytest.mark.parametrize("arch, rows", [(ArchConfig(n_components=8), 768), (TINY, 9)],
+                             ids=["default-768", "tiny-9"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_einsum_reference(self, arch, rows, seed):
+        params = init_params(arch, seed=seed)
+        batch = RandomSource(100 + seed).normal(0.0, 1.0, size=(rows, arch.n_components))
+        _, trace = forward_batch(batch, params, mode="train", update_running=False)
+        grads = backward(trace, params)
+        reference = einsum_backward(trace, params)
+        assert grads.keys() == reference.keys()
+        # relative to the largest gradient entry: b_hidden's gradient is zero
+        # up to rounding (batch norm removes the bias), so it has no own scale
+        scale = max(np.max(np.abs(g)) for g in reference.values())
+        for name, expected in reference.items():
+            assert grads[name].shape == expected.shape, name
+            assert np.max(np.abs(grads[name] - expected)) <= 1e-12 * scale, name
 
     def test_output_bias_gradient_shape(self):
         params = _healthy_tiny_params()
