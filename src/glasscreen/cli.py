@@ -39,6 +39,7 @@ from .data_pipeline import (
     schema_from_csv,
     split,
     transform_labels,
+    write_candidates,
     write_dataset,
 )
 from .deepglassnet import (
@@ -368,13 +369,11 @@ def cmd_enumerate(args) -> int:
             if name not in index:
                 raise ConfigError(f"--bound names unknown component {name!r}")
             bounds[index[name]] = (float(lo), float(hi))
-    grid = GridConfig(step=args.step, max_nonzero=args.max_nonzero or schema.n,
-                      bounds=bounds, cap=args.cap)
+    max_nonzero = schema.n if args.max_nonzero is None else args.max_nonzero
+    grid = GridConfig(step=args.step, max_nonzero=max_nonzero, bounds=bounds, cap=args.cap)
     candidates = enumerate_candidates(schema, grid)
-    with atomic_write(args.out) as fh:
-        fh.write(",".join(schema.names) + "\n")
-        for row in candidates:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    with atomic_path(args.out) as tmp:
+        write_candidates(tmp, schema, candidates)
     log.info("enumerate: wrote %d candidates to %s", candidates.shape[0], args.out)
     return EXIT_OK
 
@@ -438,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--components", required=True, help="comma-separated component names")
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--max-nonzero", type=int, default=None, dest="max_nonzero")
+    p.add_argument("--max-nonzero", type=int, default=None, dest="max_nonzero",
+                   help=">= 1; default: every component")
     p.add_argument("--bound", action="append", nargs=3, metavar=("NAME", "LO", "HI"),
                    help="per-component fraction bounds (repeatable)")
     p.add_argument("--cap", type=int, default=10_000_000)

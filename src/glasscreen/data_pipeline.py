@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,11 +206,13 @@ def write_dataset(path, schema: ComponentSchema, samples: list[RawSample]) -> No
 
 
 def load_candidates(path, schema: ComponentSchema) -> np.ndarray:
-    """Parse a candidate table (component columns only, no Tg) into an (m, n) array.
+    """Parse a candidate table (component columns only, no Tg) into a
+    C-contiguous (m, n) float64 array.
 
     Raises DataFormatError naming the first data row (1-based) with a wrong
     column count or a non-numeric or non-finite cell.
     """
+    values = array("d")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -220,21 +223,39 @@ def load_candidates(path, schema: ComponentSchema) -> np.ndarray:
                 f"{path}: candidate header has {len(header)} columns, "
                 f"checkpoint schema has {schema.n} components"
             )
-        rows = []
         for row_index, row in enumerate(reader, start=1):
             if len(row) != schema.n:
                 raise DataFormatError(
                     f"{path}: row {row_index}: expected {schema.n} columns, got {len(row)}"
                 )
             try:
-                rows.append([float(cell) for cell in row])
+                values.extend(map(float, row))
             except ValueError as exc:
                 raise DataFormatError(f"{path}: row {row_index}: non-numeric cell") from exc
-    candidates = np.array(rows, dtype=np.float64).reshape(len(rows), schema.n)
+    candidates = np.frombuffer(values, dtype=np.float64).reshape(-1, schema.n)
     non_finite = np.flatnonzero(~np.isfinite(candidates).all(axis=1))
     if non_finite.size:
         raise DataFormatError(f"{path}: row {non_finite[0] + 1}: non-finite cell")
     return candidates
+
+
+# rows joined per write in write_candidates, which bounds its temporary strings
+_WRITE_CHUNK_ROWS = 4096
+
+
+def write_candidates(path, schema: ComponentSchema, candidates: np.ndarray) -> None:
+    """Write a candidate table: the component header, then each cell as
+    ``repr(float(value))``. Each distinct value (by bit pattern, so -0.0 and
+    0.0 stay apart) is formatted once."""
+    candidates = np.ascontiguousarray(candidates, dtype=np.float64)
+    bits, inverse = np.unique(candidates.view(np.int64), return_inverse=True)
+    cells = np.array([repr(float(v)) for v in bits.view(np.float64)], dtype=object)
+    inverse = inverse.reshape(candidates.shape)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(schema.names) + "\n")
+        for start in range(0, candidates.shape[0], _WRITE_CHUNK_ROWS):
+            rows = cells[inverse[start:start + _WRITE_CHUNK_ROWS]].tolist()
+            fh.write("".join([",".join(row) + "\n" for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +427,8 @@ class TripletIndexSampler:
 def enumerate_candidates(schema: ComponentSchema, grid: GridConfig) -> np.ndarray:
     """All step-lattice compositions summing to 1, in descending lexicographic
     order, with at most ``max_nonzero`` strictly positive entries and optional
-    per-component bounds. Aborts with CandidateCapError past ``grid.cap``.
+    per-component bounds. Raises CandidateCapError when there are more than
+    ``grid.cap`` of them, before more than ``grid.cap`` rows are built.
     """
     n = schema.n
     if grid.max_nonzero > n:
@@ -426,35 +448,58 @@ def enumerate_candidates(schema: ComponentSchema, grid: GridConfig) -> np.ndarra
         lo_ticks = [0] * n
         hi_ticks = [m] * n
 
-    # suffix sums of per-position tick limits, for feasibility pruning
-    suffix_hi = [0] * (n + 1)
-    suffix_lo = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_hi[i] = suffix_hi[i + 1] + hi_ticks[i]
-        suffix_lo[i] = suffix_lo[i + 1] + lo_ticks[i]
+    if any(lo > hi for lo, hi in zip(lo_ticks, hi_ticks)):
+        return np.zeros((0, n), dtype=np.float64)
 
-    out: list[np.ndarray] = []
-    ticks = np.zeros(n, dtype=np.int64)
+    k = grid.max_nonzero
+    # Positions i..n-1 with at most a nonzero entries can sum to exactly r
+    # ticks iff suffix_lo[i] <= r <= reach[i, a + 1]; column 0 (a = -1) is -1,
+    # so nothing fits. Positions with a positive lower bound are nonzero in
+    # every completion and give at most their upper bound; the others are
+    # filled largest upper bound first. Every integer in between is reachable.
+    suffix_lo = np.zeros(n + 1, dtype=np.int64)
+    reach = np.full((n + 1, k + 2), -1, dtype=np.int64)
+    for i in range(n + 1):
+        forced = [hi for lo, hi in zip(lo_ticks[i:], hi_ticks[i:]) if lo > 0]
+        free = sorted((hi for lo, hi in zip(lo_ticks[i:], hi_ticks[i:]) if lo == 0),
+                      reverse=True)
+        suffix_lo[i] = sum(lo_ticks[i:])
+        for a in range(len(forced), k + 1):
+            reach[i, a + 1] = sum(forced) + sum(free[:a - len(forced)])
 
-    def recurse(pos: int, remaining: int, nonzero: int):
-        if pos == n:
-            if remaining == 0:
-                if len(out) >= grid.cap:
-                    raise CandidateCapError(
-                        f"enumeration exceeds the cap of {grid.cap} candidates; "
-                        "use a coarser step or a smaller max_nonzero"
-                    )
-                out.append(ticks * grid.step)
-            return
-        hi = min(hi_ticks[pos], remaining - suffix_lo[pos + 1])
-        lo = max(lo_ticks[pos], remaining - suffix_hi[pos + 1])
-        for t in range(hi, lo - 1, -1):  # descending => descending lexicographic output
-            used = nonzero + (1 if t > 0 else 0)
-            if used > grid.max_nonzero:
-                continue
-            ticks[pos] = t
-            recurse(pos + 1, remaining - t, used)
-        ticks[pos] = 0
+    # Breadth-first over positions. Each live prefix carries its remaining
+    # ticks and nonzero count and can still be completed, so the live count
+    # never falls: it is a lower bound on the lattice size, checked against
+    # the cap before a level's children are allocated. A prefix's children
+    # are its feasible ticks from high to low, which keeps the rows in
+    # descending lexicographic order.
+    remaining = np.full(int(suffix_lo[0] <= m <= reach[0, k + 1]), m, dtype=np.int64)
+    used = np.zeros(remaining.size, dtype=np.int64)
+    levels: list[tuple[np.ndarray, np.ndarray]] = []  # (tick, parent index) per position
+    for pos in range(n):
+        after = reach[pos + 1]
+        hi = np.minimum(hi_ticks[pos], remaining - suffix_lo[pos + 1])
+        lowest = np.maximum(max(lo_ticks[pos], 1), remaining - after[k - used])
+        n_positive = np.maximum(hi - lowest + 1, 0)
+        zero_ok = (remaining <= after[k - used + 1]) & (lo_ticks[pos] == 0)
+        counts = n_positive + zero_ok
+        total = int(counts.sum())
+        if total > grid.cap:
+            raise CandidateCapError(
+                f"enumeration exceeds the cap of {grid.cap} candidates; "
+                "use a coarser step or a smaller max_nonzero"
+            )
+        parent = np.repeat(np.arange(remaining.size), counts)
+        offset = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        tick = np.where(offset < n_positive[parent], hi[parent] - offset, 0)
+        remaining = remaining[parent] - tick
+        used = used[parent] + (tick > 0)
+        levels.append((tick, parent))
 
-    recurse(0, m, 0)
-    return np.array(out, dtype=np.float64).reshape(len(out), n)
+    ticks = np.empty((remaining.size, n), dtype=np.int64)
+    row = np.arange(remaining.size)
+    for pos in range(n - 1, -1, -1):
+        tick, parent = levels[pos]
+        ticks[:, pos] = tick[row]
+        row = parent[row]
+    return ticks * grid.step

@@ -1,16 +1,21 @@
 import json
 import logging
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glasscreen.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, ConfigError, RunConfig, main
 from glasscreen.data_pipeline import (
     ComponentSchema,
+    GridConfig,
     NormalizationStats,
     RawSample,
     TgBand,
+    enumerate_candidates,
     write_dataset,
 )
 from glasscreen.deepglassnet import ArchConfig, init_params, load_checkpoint, save_checkpoint
@@ -305,6 +310,41 @@ class TestEnumerate:
         assert code == EXIT_OK
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert all(float(r[0]) >= 0.5 for r in rows)
+
+    @pytest.mark.parametrize("max_nonzero", ["0", "-1"])
+    def test_max_nonzero_below_one_is_data_error(self, tmp_path, max_nonzero):
+        out = tmp_path / "grid.csv"
+        code = main(["enumerate", "--components", "A,B,C", "--step", "0.5",
+                     "--max-nonzero", max_nonzero, "--out", str(out)])
+        assert code == EXIT_DATA
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_output_matches_per_cell_repr_writer(self, data):
+        n = data.draw(st.integers(2, 5), label="n")
+        m = data.draw(st.integers(1, 12), label="ticks")
+        max_nonzero = data.draw(st.integers(1, n), label="max_nonzero")
+        tick_bounds = data.draw(st.lists(
+            st.none() | st.tuples(st.integers(0, m), st.integers(0, m)).map(sorted),
+            min_size=n, max_size=n), label="tick_bounds")
+        names = [f"C{i}" for i in range(n)]
+        argv = ["enumerate", "--components", ",".join(names), "--step", repr(1.0 / m),
+                "--max-nonzero", str(max_nonzero)]
+        bounds = [(0.0, 1.0)] * n
+        for i, ticks in enumerate(tick_bounds):
+            if ticks is not None:
+                bounds[i] = (ticks[0] / m, ticks[1] / m)
+                argv += ["--bound", names[i], repr(bounds[i][0]), repr(bounds[i][1])]
+        rows = enumerate_candidates(ComponentSchema(tuple(names)),
+                                    GridConfig(step=1.0 / m, max_nonzero=max_nonzero,
+                                               bounds=bounds))
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "grid.csv"
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            assert out.read_bytes() == (",".join(names) + "\n" + expected).encode()
 
 
 class TestRunConfig:

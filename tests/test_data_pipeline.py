@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from glasscreen.data_pipeline import (
     clean_with_counts,
     enumerate_candidates,
     fit_normalization,
+    load_candidates,
     load_dataset,
     normalize,
     schema_from_csv,
     split,
     transform_labels,
+    write_candidates,
 )
 from glasscreen.numeric_core import RandomSource
 
@@ -86,6 +89,84 @@ class TestLoadDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "absent.csv", SCHEMA3)
+
+
+def reference_candidate_text(schema, rows):
+    """The candidate table written one ``repr`` per cell."""
+    lines = [",".join(schema.names)] + [",".join(repr(float(v)) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadCandidates:
+    @pytest.mark.parametrize("text,row", [
+        ("A,B,C\n0.5,0.3,0.2\n0.5,0.5\n0.2,0.2\n", 2),
+        ("A,B,C\n0.5,0.3,0.2\n0.1,0.1,0.8\n0.5,0.3,0.2,0.0\n", 3),
+    ])
+    def test_wrong_column_count_names_first_bad_row(self, tmp_path, text, row):
+        p = write_csv(tmp_path / "c.csv", text)
+        with pytest.raises(DataFormatError, match=f"row {row}: expected 3 columns"):
+            load_candidates(p, SCHEMA3)
+
+    def test_non_numeric_cell_names_first_bad_row(self, tmp_path):
+        p = write_csv(tmp_path / "c.csv", "A,B,C\n0.5,0.3,0.2\n0.5,oops,0.2\nx,0.3,0.2\n")
+        with pytest.raises(DataFormatError, match="row 2: non-numeric cell"):
+            load_candidates(p, SCHEMA3)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_names_first_bad_row(self, tmp_path, cell):
+        p = write_csv(tmp_path / "c.csv",
+                      f"A,B,C\n0.5,0.3,0.2\n0.5,0.3,0.2\n0.5,{cell},0.2\n{cell},0.3,0.2\n")
+        with pytest.raises(DataFormatError, match="row 3: non-finite cell"):
+            load_candidates(p, SCHEMA3)
+
+    def test_header_only_gives_empty_table(self, tmp_path):
+        got = load_candidates(write_csv(tmp_path / "c.csv", "A,B,C\n"), SCHEMA3)
+        assert got.shape == (0, 3)
+        assert got.dtype == np.float64
+
+    def test_header_mismatch_and_empty_file(self, tmp_path):
+        with pytest.raises(DataFormatError, match="3 components"):
+            load_candidates(write_csv(tmp_path / "c.csv", "A,B\n0.5,0.5\n"), SCHEMA3)
+        with pytest.raises(DataFormatError, match="empty file"):
+            load_candidates(write_csv(tmp_path / "e.csv", ""), SCHEMA3)
+
+    def test_quoted_cells_parse_as_numbers(self, tmp_path):
+        p = write_csv(tmp_path / "c.csv", 'A,B,C\n"0.5","0.25",0.25\n0.1," 0.2",0.7\n')
+        assert np.array_equal(load_candidates(p, SCHEMA3), [[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
+
+    def test_result_is_c_contiguous_float64(self, tmp_path):
+        rows = np.array([[0.5, 0.3, 0.2], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.0, 1.0]])
+        p = write_csv(tmp_path / "c.csv", reference_candidate_text(SCHEMA3, rows))
+        got = load_candidates(p, SCHEMA3)
+        assert got.flags["C_CONTIGUOUS"]
+        assert got.dtype == np.float64
+        assert got.tobytes() == rows.tobytes()
+
+
+class TestWriteCandidates:
+    def test_matches_per_cell_repr(self, tmp_path):
+        rows = np.array([
+            [0.0, -0.0, 1.0],
+            [-0.0, 1 / 3, 2 / 3],
+            [1 / 7, 6 / 7, 5e-324],
+            [0.1 + 0.2, 1e-300, 0.7],
+        ])
+        write_candidates(tmp_path / "c.csv", SCHEMA3, rows)
+        assert (tmp_path / "c.csv").read_text(encoding="utf-8") == \
+            reference_candidate_text(SCHEMA3, rows)
+
+    def test_many_chunks_round_trip(self, tmp_path):
+        rng = np.random.default_rng(0)
+        grid_values = rng.integers(0, 21, size=(9_000, 3)) * 0.05
+        rows = np.where(rng.random((9_000, 3)) < 0.1, rng.random((9_000, 3)), grid_values)
+        path = tmp_path / "c.csv"
+        write_candidates(path, SCHEMA3, rows)
+        assert path.read_text(encoding="utf-8") == reference_candidate_text(SCHEMA3, rows)
+        assert load_candidates(path, SCHEMA3).tobytes() == rows.tobytes()
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        write_candidates(tmp_path / "c.csv", SCHEMA3, np.zeros((0, 3)))
+        assert (tmp_path / "c.csv").read_text(encoding="utf-8") == "A,B,C\n"
 
 
 def kept_rows(raw, min_sum, max_sum):
@@ -430,6 +511,52 @@ class TestEnumerateCandidates:
         schema = ComponentSchema(tuple(f"C{i}" for i in range(5)))
         with pytest.raises(CandidateCapError, match="coarser"):
             enumerate_candidates(schema, GridConfig(step=0.2, max_nonzero=5, cap=10))
+
+    @pytest.mark.parametrize("n,step,max_nonzero,bounds", [
+        (5, 0.2, 5, None),
+        (6, 0.05, 2, [(0.0, 0.6), (0.1, 1.0)] + [(0.0, 1.0)] * 4),
+        (4, 0.1, 2, [(0.0, 0.3)] * 3 + [(0.0, 1.0)]),
+    ])
+    def test_cap_is_exact(self, n, step, max_nonzero, bounds):
+        schema = ComponentSchema(tuple(f"C{i}" for i in range(n)))
+        size = enumerate_candidates(
+            schema, GridConfig(step=step, max_nonzero=max_nonzero, bounds=bounds)).shape[0]
+        at_cap = enumerate_candidates(
+            schema, GridConfig(step=step, max_nonzero=max_nonzero, bounds=bounds, cap=size))
+        assert at_cap.shape[0] == size
+        with pytest.raises(CandidateCapError):
+            enumerate_candidates(schema, GridConfig(step=step, max_nonzero=max_nonzero,
+                                                    bounds=bounds, cap=size - 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_cap_raises_iff_lattice_exceeds_it(self, data):
+        n = data.draw(st.integers(2, 5), label="n")
+        m = data.draw(st.integers(1, 8), label="ticks")
+        max_nonzero = data.draw(st.integers(1, n), label="max_nonzero")
+        tick_bounds = data.draw(st.none() | st.lists(
+            st.tuples(st.integers(0, m), st.integers(0, m)).map(sorted),
+            min_size=n, max_size=n), label="tick_bounds")
+        lo, hi = (None, None) if tick_bounds is None else map(list, zip(*tick_bounds))
+        size = len(brute_force_grid(n, m, max_nonzero, lo, hi))
+        cap = data.draw(st.integers(1, size + 2), label="cap")
+        grid = GridConfig(step=1.0 / m, max_nonzero=max_nonzero, cap=cap,
+                          bounds=None if tick_bounds is None
+                          else [(a / m, b / m) for a, b in tick_bounds])
+        schema = ComponentSchema(tuple(f"C{i}" for i in range(n)))
+        if size > cap:
+            with pytest.raises(CandidateCapError):
+                enumerate_candidates(schema, grid)
+        else:
+            assert enumerate_candidates(schema, grid).shape[0] == size
+
+    def test_cap_checked_before_lattice_is_built(self):
+        # C(1007, 7) ~ 1.9e17 rows: the cap must fire long before they exist
+        schema = ComponentSchema(tuple(f"C{i}" for i in range(8)))
+        start = time.perf_counter()
+        with pytest.raises(CandidateCapError):
+            enumerate_candidates(schema, GridConfig(step=0.001, max_nonzero=8))
+        assert time.perf_counter() - start < 1.0
 
     def test_step_must_divide_one(self):
         with pytest.raises(ValueError, match="divide"):
