@@ -3,7 +3,9 @@
 Four stages: proportion-modulated component embeddings, residual message
 passing over a low-rank learned interaction graph, scaled dot-product
 self-attention, and a batch-normalized two-layer projection head whose output
-is L2-normalized. All tensors are float64.
+is L2-normalized. The first two stages and the Q/K/V projections are linear,
+so forward_batch computes them as one product per projection. All tensors are
+float64.
 """
 
 from __future__ import annotations
@@ -173,16 +175,6 @@ def init_params(cfg: ArchConfig, seed: int) -> ModelParams:
 # forward pass
 
 
-def embed_proportions(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Row i of the result is x_i times component i's embedding. Accepts a
-    single composition (n,) or a batch (B, n)."""
-    x = np.asarray(x, dtype=np.float64)
-    n = params.embeddings.shape[0]
-    if x.shape[-1] != n:
-        raise ValueError(f"composition has {x.shape[-1]} entries, model expects {n}")
-    return x[..., :, None] * params.embeddings
-
-
 @dataclass
 class BatchTrace:
     """Batched forward intermediates plus the caches backward needs."""
@@ -191,21 +183,19 @@ class BatchTrace:
     unit_factors: np.ndarray    # (n, rank)
     factor_norms: np.ndarray    # (n,)
     adjacency: np.ndarray       # (n, n)
-    masked_adjacency: np.ndarray  # (n, n), zero diagonal
-    mixed: np.ndarray           # (B, n, d)
+    mixing: np.ndarray          # (B, n, n) G_b = (I + masked / (n - 1)) * x_b[None, :]
+    projected: tuple[np.ndarray, np.ndarray, np.ndarray]  # E @ W_q, E @ W_k, E @ W_v, each (n, dk)
     query: np.ndarray           # (B, n, dk)
     key: np.ndarray             # (B, n, dk)
     value: np.ndarray           # (B, n, dk)
     attention: np.ndarray       # (B, n, n)
     attended: np.ndarray        # (B, n, dk)
     flat: np.ndarray            # (B, n*dk)
-    pre_bn: np.ndarray          # (B, h)
     bn_x_hat: np.ndarray | None  # train-mode cache
     bn_inv_std: np.ndarray | None
     bn_out: np.ndarray          # (B, h)
     post_relu: np.ndarray       # (B, h)
     dropout_mask: np.ndarray | None
-    head_out: np.ndarray        # (B, k) pre-normalization
     out_norms: np.ndarray       # (B,)
     out_divisor: np.ndarray     # (B,) 1.0 where the zero-norm guard fired
     features: np.ndarray        # (B, k)
@@ -229,14 +219,15 @@ def forward_batch(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a (B, n) batch, got shape {x.shape}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "train" and x.shape[0] < 2:
-        raise ValueError("train-mode forward needs a batch of >= 2 samples")
-
     b = x.shape[0]
     n = params.embeddings.shape[0]
-    modulated = embed_proportions(x, params)
+    if x.shape[1] != n:
+        # a (B, 1) batch would otherwise broadcast silently through G
+        raise ValueError(f"composition has {x.shape[1]} entries, model expects {n}")
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "train" and b < 2:
+        raise ValueError("train-mode forward needs a batch of >= 2 samples")
 
     # interaction graph: Gram matrix of row-normalized factors, so the
     # diagonal is 1 and entries lie in [-1, 1]; the self message is excluded
@@ -246,23 +237,30 @@ def forward_batch(
     vhat = params.interaction_factors / factor_norms[:, None]
     adj = vhat @ vhat.T
     masked = adj - np.diag(np.diag(adj))
-    mixed = modulated + np.matmul(masked, modulated) / (n - 1)
+
+    # proportion-modulated embeddings diag(x_b) E, one round of residual
+    # message passing and the Q/K/V projections are all linear, so each
+    # projection is one row product G_b (E W) with G_b = A * x_b[None, :]
+    # and A = I + masked / (n - 1)
+    mixing = (np.eye(n) + masked / (n - 1)) * x[:, None, :]
+    mixing_rows = mixing.reshape(b * n, n)
+    projected = tuple(params.embeddings @ w
+                      for w in (params.w_query, params.w_key, params.w_value))
+    q, k, v = ((mixing_rows @ p).reshape(b, n, -1) for p in projected)
 
     # scaled dot-product self-attention across components
     dk = params.w_query.shape[1]
-    q = mixed @ params.w_query
-    k = mixed @ params.w_key
-    v = mixed @ params.w_value
     alpha = softmax_rows(np.matmul(q, np.swapaxes(k, -1, -2)) / np.sqrt(dk))
     attended = np.matmul(alpha, v)
 
-    # projection head
+    # projection head. Train-mode batch norm subtracts the batch mean, which
+    # removes b_hidden exactly; it only shifts the running mean.
     flat = attended.reshape(b, -1)
-    pre = flat @ params.w_hidden + params.b_hidden
     if mode == "train":
-        bn_out, x_hat, inv_std = batchnorm_train_cached(pre, params.bn, update_running)
+        bn_out, x_hat, inv_std = batchnorm_train_cached(
+            flat @ params.w_hidden, params.bn, update_running, bias=params.b_hidden)
     else:
-        bn_out = batchnorm_eval(pre, params.bn)
+        bn_out = batchnorm_eval(flat @ params.w_hidden + params.b_hidden, params.bn)
         x_hat, inv_std = None, None
 
     post = np.maximum(bn_out, 0.0)
@@ -284,27 +282,34 @@ def forward_batch(
     features = head_out / divisor[..., None]
 
     trace = BatchTrace(
-        inputs=x, unit_factors=vhat, factor_norms=factor_norms,
-        adjacency=adj, masked_adjacency=masked, mixed=mixed,
-        query=q, key=k, value=v, attention=alpha, attended=attended,
-        flat=flat, pre_bn=pre, bn_x_hat=x_hat, bn_inv_std=inv_std,
-        bn_out=bn_out, post_relu=post, dropout_mask=mask,
-        head_out=head_out, out_norms=norms, out_divisor=divisor,
+        inputs=x, unit_factors=vhat, factor_norms=factor_norms, adjacency=adj,
+        mixing=mixing, projected=projected, query=q, key=k, value=v,
+        attention=alpha, attended=attended, flat=flat,
+        bn_x_hat=x_hat, bn_inv_std=inv_std, bn_out=bn_out, post_relu=post,
+        dropout_mask=mask, out_norms=norms, out_divisor=divisor,
         features=features, mode=mode,
     )
     return features, trace
 
 
 def eval_features(x: np.ndarray, params: ModelParams, chunk: int = 4096) -> np.ndarray:
-    """Eval-mode features for a (B, n) batch, computed in bounded-size chunks."""
+    """Eval-mode features for a (B, n) batch, computed in bounded-size chunks.
+
+    A one-row remainder is folded into the chunk before it: numpy runs a
+    one-row matmul through another BLAS kernel, whose last bits differ, so
+    this keeps every row's bytes independent of ``chunk``.
+    """
+    if chunk < 2:
+        raise ValueError(f"chunk must be >= 2, got {chunk}")
     x = np.asarray(x, dtype=np.float64)
-    outputs = []
-    for start in range(0, x.shape[0], chunk):
-        f, _ = forward_batch(x[start:start + chunk], params, mode="eval")
-        outputs.append(f)
-    k = params.w_out.shape[1]
+    rows = x.shape[0]
+    starts = list(range(0, rows, chunk))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    ends = starts[1:] + [rows]
+    outputs = [forward_batch(x[s:e], params, mode="eval")[0] for s, e in zip(starts, ends)]
     if not outputs:
-        return np.zeros((0, k))
+        return np.zeros((0, params.w_out.shape[1]))
     return np.concatenate(outputs, axis=0)
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "BatchNormState",
     "batchnorm_eval",
     "batchnorm_train_cached",
-    "grad_check",
 ]
 
 
@@ -103,34 +102,16 @@ class BatchNormState:
         if np.any(self.running_var < 0):
             raise ValueError("running_var entries must be >= 0")
 
-    @classmethod
-    def initial(cls, width: int, momentum: float = 0.1, epsilon: float = 1e-5) -> "BatchNormState":
-        return cls(
-            gamma=np.ones(width),
-            beta=np.zeros(width),
-            running_mean=np.zeros(width),
-            running_var=np.ones(width),
-            momentum=momentum,
-            epsilon=epsilon,
-        )
 
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(
-            gamma=self.gamma.copy(),
-            beta=self.beta.copy(),
-            running_mean=self.running_mean.copy(),
-            running_var=self.running_var.copy(),
-            momentum=self.momentum,
-            epsilon=self.epsilon,
-        )
-
-
-def batchnorm_train_cached(x: np.ndarray, state: BatchNormState, update_running: bool = True):
-    """Train-mode batch norm returning backward cache (x_hat, inv_std).
+def batchnorm_train_cached(x: np.ndarray, state: BatchNormState, update_running: bool = True,
+                           bias: np.ndarray | float = 0.0):
+    """Train-mode batch norm of ``x + bias`` returning backward cache (x_hat, inv_std).
 
     Normalizes by population batch statistics and, unless ``update_running``
     is false, folds them into the running statistics with the configured
-    momentum (new batch weighted by momentum).
+    momentum (new batch weighted by momentum). Subtracting the batch mean
+    removes a per-feature ``bias`` exactly, so it is left out of the output
+    and only enters the running mean.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -142,7 +123,7 @@ def batchnorm_train_cached(x: np.ndarray, state: BatchNormState, update_running:
     out = state.gamma * x_hat + state.beta
     if update_running:
         m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mean
+        state.running_mean = (1.0 - m) * state.running_mean + m * (mean + bias)
         state.running_var = (1.0 - m) * state.running_var + m * var
     return out, x_hat, inv_std
 
@@ -159,6 +140,8 @@ def batchnorm_eval(x: np.ndarray, state: BatchNormState) -> np.ndarray:
 
 def grad_check(f, params: dict, analytic_grads: dict, h: float = 1e-5) -> float:
     """Max relative error between analytic gradients and central differences.
+
+    The test suite's finite-difference check; the package itself never calls it.
 
     ``f`` is called as ``f(params)`` and must be a deterministic scalar
     function of the arrays in ``params``. The arrays are perturbed in place,

@@ -10,7 +10,6 @@ test suite.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,18 +130,13 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
     )
     _ensure_finite(d_pre, "batch norm")
 
-    # projection head first layer
+    # projection head first layer; train-mode batch norm removes b_hidden
+    # exactly, so its gradient is exactly zero
     grads["w_hidden"] = trace.flat.T @ d_pre
-    grads["b_hidden"] = d_pre.sum(axis=0)
-    d_flat = d_pre @ params.w_hidden.T
-    d_attended = d_flat.reshape(trace.attended.shape)
+    grads["b_hidden"] = np.zeros_like(params.b_hidden)
+    d_attended = (d_pre @ params.w_hidden.T).reshape(trace.attended.shape)
 
-    # attention. With the rows of all B samples stacked, each weight gradient
-    # is one (d, B*n) x (B*n, dk) GEMM and d_mixed sums three (B*n, dk) x
-    # (dk, d) GEMMs. The three d_* blocks stay separate arrays: a shared
-    # (B, n, 3*dk) buffer feeding one GEMM was no faster end to end, and as
-    # the largest temporary of a step it fragmented the glibc heap and raised
-    # the train benchmark's peak RSS.
+    # attention
     alpha, value = trace.attention, trace.value
     dk = params.w_query.shape[1]
     d_alpha = np.matmul(d_attended, np.swapaxes(value, -1, -2))
@@ -151,26 +145,33 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
     d_scores /= np.sqrt(dk)
     d_query = np.matmul(d_scores, trace.key)
     d_key = np.matmul(np.swapaxes(d_scores, -1, -2), trace.query)
-    mixed_rows = trace.mixed.reshape(-1, trace.mixed.shape[-1])
-    d_mixed_rows = np.zeros_like(mixed_rows)
-    for name, weight, d_proj in (("w_query", params.w_query, d_query),
-                                 ("w_key", params.w_key, d_key),
-                                 ("w_value", params.w_value, d_value)):
-        d_proj_rows = d_proj.reshape(-1, dk)
-        grads[name] = mixed_rows.T @ d_proj_rows
-        d_mixed_rows += d_proj_rows @ weight.T
-    d_mixed = d_mixed_rows.reshape(trace.mixed.shape)
-    _ensure_finite(d_mixed, "self attention")
 
-    # graph convolution (shared adjacency accumulates over the batch). The
-    # trace keeps no (B, n, d) modulated embedding: since
-    # modulated[b, m] = inputs[b, m] * embeddings[m], the contraction
-    # sum_b,d d_mixed[b, n, d] * modulated[b, m, d] factors through the
-    # (B, n, n) product d_mixed @ embeddings^T, weighted by inputs[b, m].
-    masked = trace.masked_adjacency
-    d_modulated = d_mixed + np.matmul(masked.T, d_mixed) / (n - 1)
-    d_mixed_embedded = (d_mixed_rows @ params.embeddings.T).reshape(b, n, n)
-    d_masked = np.einsum("bnm,bm->nm", d_mixed_embedded, trace.inputs) / (n - 1)
+    # linear front end: each projection is G_b (E W) with G_b = A * x_b[None, :]
+    # and A = I + masked / (n - 1). With the rows of all B samples stacked,
+    # d(E W) = G_rows^T d_proj_rows is one (n, B*n) x (B*n, dk) GEMM, and
+    # d_mixing = sum over projections of d_proj (E W)^T is the gradient of G.
+    # The three d_* blocks stay separate arrays: a shared (B, n, 3*dk) buffer
+    # was no faster end to end and, as the largest temporary of a step,
+    # fragmented the glibc heap and raised the train benchmark's peak RSS.
+    mixing_rows = trace.mixing.reshape(b * n, n)
+    d_mixing_rows = np.zeros_like(mixing_rows)
+    d_embeddings = np.zeros_like(params.embeddings)
+    for name, weight, projected, d_proj in (
+            ("w_query", params.w_query, trace.projected[0], d_query),
+            ("w_key", params.w_key, trace.projected[1], d_key),
+            ("w_value", params.w_value, trace.projected[2], d_value)):
+        d_proj_rows = d_proj.reshape(b * n, dk)
+        d_projected = mixing_rows.T @ d_proj_rows
+        grads[name] = params.embeddings.T @ d_projected
+        d_embeddings += d_projected @ weight.T
+        d_mixing_rows += d_proj_rows @ projected.T
+    _ensure_finite(d_mixing_rows, "self attention")
+    grads["embeddings"] = d_embeddings
+    _ensure_finite(d_embeddings, "embedding")
+
+    # graph convolution: G_b[i, m] = A[i, m] * inputs[b, m], and the shared
+    # adjacency accumulates over the batch
+    d_masked = np.einsum("bnm,bm->nm", d_mixing_rows.reshape(b, n, n), trace.inputs) / (n - 1)
     np.fill_diagonal(d_masked, 0.0)  # diagonal is excluded from the message sum
 
     # adjacency = vhat vhat^T through factor row-normalization
@@ -179,10 +180,6 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
     vdots = np.sum(vhat * d_vhat, axis=1)
     grads["interaction_factors"] = (d_vhat - vdots[:, None] * vhat) / trace.factor_norms[:, None]
     _ensure_finite(grads["interaction_factors"], "graph convolution")
-
-    # proportion-modulated embedding
-    grads["embeddings"] = np.einsum("bn,bnd->nd", trace.inputs, d_modulated)
-    _ensure_finite(grads["embeddings"], "embedding")
     return grads
 
 
@@ -274,7 +271,6 @@ class EpochRecord:
     mean_loss: float
     val_auc: float
     val_precision_at_k: float
-    timestamp: float
 
 
 @dataclass
@@ -361,7 +357,7 @@ def train(
                 best_params = params.copy()
         history.records.append(EpochRecord(
             epoch=epoch, mean_loss=mean_loss, val_auc=last_auc,
-            val_precision_at_k=last_precision, timestamp=time.time(),
+            val_precision_at_k=last_precision,
         ))
 
     return best_params, stats, history

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glasscreen.data_pipeline import NormalizationStats, TgBand
 from glasscreen.deepglassnet import (
@@ -12,7 +14,6 @@ from glasscreen.deepglassnet import (
     CheckpointCorruptError,
     CheckpointVersionError,
     ModelParams,
-    embed_proportions,
     eval_features,
     forward_batch,
     init_params,
@@ -34,6 +35,20 @@ def trace_of(x, params):
     """Eval-mode forward trace of a single composition or a batch."""
     x = np.asarray(x, dtype=float)
     return forward_batch(x.reshape(-1, x.shape[-1]), params)[1]
+
+
+def unfused_front_end(x, params):
+    """Q/K/V as the encoder first computed them, stage by stage: modulated
+    embeddings diag(x_b) E, residual message passing over the masked
+    adjacency, then three (B, n, d) x (d, dk) projections. forward_batch's
+    one-product front end must agree with it to rounding."""
+    n = params.embeddings.shape[0]
+    vhat = params.interaction_factors / np.linalg.norm(params.interaction_factors, axis=1)[:, None]
+    adj = vhat @ vhat.T
+    masked = adj - np.diag(np.diag(adj))
+    modulated = x[:, :, None] * params.embeddings
+    mixed = modulated + np.matmul(masked, modulated) / (n - 1)
+    return mixed @ params.w_query, mixed @ params.w_key, mixed @ params.w_value
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
@@ -66,24 +81,32 @@ class TestInit:
         assert tiny_params.interaction_factors.size == TINY.n_components * TINY.adjacency_rank
 
 
+@pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
 class TestEmbedProportions:
+    """Stage 1 lives in the mixing matrix G_b = A * x_b[None, :]: column m of
+    G_b scales component m's row of E @ W."""
+
     def test_zero_fraction_zero_row(self, tiny_params):
         x = np.array([0.0, 0.5, 0.2, 0.3])
-        assert np.all(embed_proportions(x, tiny_params)[0] == 0.0)
+        assert np.all(trace_of(x, tiny_params).mixing[0][:, 0] == 0.0)
 
     def test_unit_fraction_copies_row(self, tiny_params):
         x = np.array([0.0, 1.0, 0.0, 0.0])
-        out = embed_proportions(x, tiny_params)
-        assert np.array_equal(out[1], tiny_params.embeddings[1])
+        trace = trace_of(x, tiny_params)
+        assert np.array_equal(trace.query[0, 1], (tiny_params.embeddings @ tiny_params.w_query)[1])
 
     def test_linearity(self, tiny_params):
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        assert np.array_equal(embed_proportions(2 * x, tiny_params),
-                              2 * embed_proportions(x, tiny_params))
+        single, double = trace_of(x, tiny_params), trace_of(2 * x, tiny_params)
+        assert np.array_equal(double.mixing, 2 * single.mixing)
+        for name in ("query", "key", "value"):
+            assert np.array_equal(getattr(double, name), 2 * getattr(single, name)), name
 
     def test_dimension_mismatch(self, tiny_params):
-        with pytest.raises(ValueError):
-            embed_proportions(np.ones(5), tiny_params)
+        with pytest.raises(ValueError, match="entries"):
+            trace_of(np.ones(5), tiny_params)
+        with pytest.raises(ValueError, match="entries"):
+            trace_of(np.ones((3, 1)), tiny_params)  # would broadcast through G
 
 
 class TestAdjacency:
@@ -145,13 +168,16 @@ class TestGraphConvolve:
         params.interaction_factors = np.eye(4)  # orthogonal factors: identity adjacency
         trace = trace_of(np.arange(8.0).reshape(2, 4), params)
         assert np.array_equal(trace.adjacency, np.eye(4))
-        assert np.array_equal(trace.mixed, embed_proportions(trace.inputs, params))
+        assert np.array_equal(trace.mixing, trace.inputs[:, None, :] * np.eye(4))
+        assert np.array_equal(trace.query,
+                              trace.inputs[:, :, None] * (params.embeddings @ params.w_query))
 
     def test_two_components_full_coupling(self):
         params = init_params(self.arch(2, 2, 2), seed=0)
         params.interaction_factors = np.array([[1.0, 0.0], [1.0, 0.0]])
         params.embeddings = np.array([[1.0, 2.0], [10.0, 20.0]])
-        z = trace_of([1.0, 1.0], params).mixed[0]
+        params.w_query = np.eye(2)  # the query rows are then the mixed embeddings
+        z = trace_of([1.0, 1.0], params).query[0]
         assert np.array_equal(z[0], params.embeddings[0] + params.embeddings[1])
         assert np.array_equal(z[1], params.embeddings[1] + params.embeddings[0])
 
@@ -163,8 +189,9 @@ class TestGraphConvolve:
             params = init_params(self.arch(n, d, 2), seed=int(rng.integers(100)))
             params.interaction_factors = rng.normal(size=(n, 2))
             trace = trace_of(rng.normal(size=(2, n)), params)
-            for h, z in zip(embed_proportions(trace.inputs, params), trace.mixed):
-                assert np.max(np.abs(z - convolve_oracle(h, trace.adjacency))) < 1e-12
+            for x, q in zip(trace.inputs, trace.query):
+                z = convolve_oracle(x[:, None] * params.embeddings, trace.adjacency)
+                assert np.max(np.abs(q - z @ params.w_query)) < 1e-12
 
     def test_single_component_rejected(self):
         with pytest.raises(ValueError, match="n_components"):
@@ -199,7 +226,12 @@ class TestSelfAttention:
         tiny_params.embeddings = np.tile(np.array([0.3, -0.7, 1.1]), (4, 1))
         tiny_params.interaction_factors = np.ones((4, 2))
         trace = trace_of(np.full(4, 0.25), tiny_params)
-        assert np.max(np.abs(trace.mixed[0] - trace.mixed[0, 0])) == 0.0
+        # identical embeddings give identical rows of E @ W, and symmetric
+        # coupling makes every row of G a permutation of the first
+        for projected in trace.projected:
+            assert np.max(np.abs(projected - projected[0])) == 0.0
+        rows = np.sort(trace.mixing[0], axis=1)
+        assert np.max(np.abs(rows - rows[0])) == 0.0
         u = trace.attended[0]
         assert np.max(np.abs(u - u[0])) < 1e-12
 
@@ -212,7 +244,8 @@ class TestSelfAttention:
     def test_matches_loop_oracle(self, tiny_params):
         rng = np.random.default_rng(7)
         trace = trace_of(rng.normal(size=(10, 4)), tiny_params)
-        for z, got in zip(trace.mixed, trace.attended):
+        for x, got in zip(trace.inputs, trace.attended):
+            z = convolve_oracle(x[:, None] * tiny_params.embeddings, trace.adjacency)
             want = attention_oracle(z, tiny_params.w_query,
                                     tiny_params.w_key, tiny_params.w_value)
             assert np.max(np.abs(got - want)) < 1e-12
@@ -269,8 +302,9 @@ class TestForward:
     @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_zero_input_propagation(self, tiny_params):
         trace = trace_of(np.zeros(4), tiny_params)
-        assert np.all(embed_proportions(trace.inputs, tiny_params) == 0.0)
-        assert np.all(trace.mixed == 0.0)
+        assert np.all(trace.mixing == 0.0)
+        for name in ("query", "key", "value"):
+            assert np.all(getattr(trace, name) == 0.0), name
         assert np.allclose(trace.attention, 0.25, atol=1e-12)
 
     def test_swap_of_identical_components_is_noop(self, tiny_params):
@@ -304,6 +338,62 @@ class TestForward:
         x = rng.normal(0, 1, size=(10, 4))
         assert np.array_equal(eval_features(x, tiny_params, chunk=3),
                               eval_features(x, tiny_params, chunk=100))
+
+    def test_eval_features_one_row_remainder(self):
+        # at chunk 4,096, 4,097 rows leave a one-row remainder; a one-row
+        # matmul rounds differently from the same row inside a chunk
+        params = init_params(ArchConfig(n_components=8), seed=0)
+        x = RandomSource(15).normal(0, 1, size=(4097, 8))
+        assert np.array_equal(eval_features(x, params, chunk=4096),
+                              eval_features(x, params, chunk=8192))
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.integers(0, 40), chunk=st.integers(2, 45), seed=st.integers(0, 2**32 - 1))
+    def test_eval_features_bytes_do_not_depend_on_chunk(self, rows, chunk, seed):
+        params = init_params(TINY, seed=3)
+        params.b_out += 0.2
+        x = RandomSource(seed).normal(0, 1, size=(rows, 4))
+        assert np.array_equal(eval_features(x, params, chunk=chunk),
+                              eval_features(x, params, chunk=max(rows, 2)))
+
+    def test_eval_features_rejects_chunk_below_two(self, tiny_params):
+        with pytest.raises(ValueError, match="chunk"):
+            eval_features(np.ones((3, 4)), tiny_params, chunk=1)
+
+    @pytest.mark.parametrize("arch, rows", [(ArchConfig(n_components=8), 768), (TINY, 9)],
+                             ids=["default-768", "tiny-9"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_front_end_matches_unfused(self, arch, rows, seed):
+        params = init_params(arch, seed=seed)
+        x = RandomSource(100 + seed).normal(0.0, 1.0, size=(rows, arch.n_components))
+        trace = trace_of(x, params)
+        for name, expected in zip(("query", "key", "value"), unfused_front_end(x, params)):
+            got = getattr(trace, name)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name
+
+    def test_train_mode_ignores_hidden_bias(self):
+        # batch statistics remove b_hidden exactly, so it must not reach the
+        # train-mode features even in the last bit
+        params = init_params(TINY, seed=3)
+        params.b_hidden += 0.3
+        params.b_out += 0.5
+        shifted = params.copy()
+        shifted.b_hidden += 1e-5
+        for seed in range(10):
+            x = RandomSource(seed).normal(0.0, 1.0, size=(9, 4))
+            base, _ = forward_batch(x, params, mode="train", update_running=False)
+            moved, _ = forward_batch(x, shifted, mode="train", update_running=False)
+            assert np.array_equal(base, moved), seed
+
+    def test_hidden_bias_enters_running_mean(self):
+        params = init_params(TINY, seed=3)
+        params.b_hidden += 0.3
+        params.b_out += 0.5
+        x = RandomSource(0).normal(0.0, 1.0, size=(9, 4))
+        _, trace = forward_batch(x, params, mode="train")
+        pre = trace.flat @ params.w_hidden + params.b_hidden
+        assert np.allclose(params.bn.running_mean, 0.1 * pre.mean(axis=0), rtol=0, atol=1e-12)
+        assert np.allclose(params.bn.running_var, 0.9 + 0.1 * pre.var(axis=0), rtol=0, atol=1e-12)
 
 
 class TestDropout:

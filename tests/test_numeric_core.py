@@ -114,12 +114,19 @@ class TestL2Normalize:
         assert np.array_equal(out, np.zeros(3))
 
 
+def neutral_state(width, momentum=0.1, epsilon=1e-5):
+    """Batch norm at identity with neutral running statistics."""
+    return BatchNormState(gamma=np.ones(width), beta=np.zeros(width),
+                          running_mean=np.zeros(width), running_var=np.ones(width),
+                          momentum=momentum, epsilon=epsilon)
+
+
 class TestBatchNorm:
     def test_train_mode_whitens(self):
         rng = np.random.default_rng(2)
         x = rng.normal(2.0, 3.0, size=(64, 5))
         # tiny epsilon so the whitening check is tight
-        state = BatchNormState.initial(5, epsilon=1e-12)
+        state = neutral_state(5, epsilon=1e-12)
         out, _, _ = batchnorm_train_cached(x, state)
         assert np.max(np.abs(out.mean(axis=0))) < 1e-9
         assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-9
@@ -127,7 +134,7 @@ class TestBatchNorm:
     def test_train_updates_running_stats(self):
         rng = np.random.default_rng(3)
         x = rng.normal(5.0, 2.0, size=(128, 4))
-        state = BatchNormState.initial(4, momentum=0.1)
+        state = neutral_state(4, momentum=0.1)
         batchnorm_train_cached(x, state)
         expected_mean = 0.9 * 0.0 + 0.1 * x.mean(axis=0)
         expected_var = 0.9 * 1.0 + 0.1 * x.var(axis=0)
@@ -135,7 +142,7 @@ class TestBatchNorm:
         assert np.allclose(state.running_var, expected_var)
 
     def test_eval_neutral_stats_is_identity(self):
-        state = BatchNormState.initial(3, epsilon=1e-12)
+        state = neutral_state(3, epsilon=1e-12)
         x = np.array([[1.0, -2.0, 0.5], [0.0, 4.0, -1.0]])
         out = batchnorm_eval(x, state)
         assert np.max(np.abs(out - x)) < 1e-9
@@ -147,15 +154,27 @@ class TestBatchNorm:
             running_mean=rng.normal(size=6), running_var=rng.random(6) + 0.5,
         )
         x = rng.normal(size=(10, 6))
-        before = state.copy()
+        before_mean, before_var = state.running_mean.copy(), state.running_var.copy()
         first = batchnorm_eval(x, state)
         second = batchnorm_eval(x, state)
         assert np.array_equal(first, second)
-        assert np.array_equal(state.running_mean, before.running_mean)
-        assert np.array_equal(state.running_var, before.running_var)
+        assert np.array_equal(state.running_mean, before_mean)
+        assert np.array_equal(state.running_var, before_var)
+
+    def test_bias_only_shifts_running_mean(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(5.0, 2.0, size=(32, 4))
+        bias = rng.normal(size=4)
+        plain, biased = neutral_state(4), neutral_state(4)
+        out, x_hat, inv_std = batchnorm_train_cached(x, plain)
+        out_b, x_hat_b, inv_std_b = batchnorm_train_cached(x, biased, bias=bias)
+        assert np.array_equal(out, out_b)
+        assert np.array_equal(x_hat, x_hat_b) and np.array_equal(inv_std, inv_std_b)
+        assert np.array_equal(plain.running_var, biased.running_var)
+        assert np.allclose(biased.running_mean, 0.1 * (x + bias).mean(axis=0), rtol=0, atol=1e-12)
 
     def test_train_rejects_single_row(self):
-        state = BatchNormState.initial(3)
+        state = neutral_state(3)
         with pytest.raises(ValueError, match=">= 2"):
             batchnorm_train_cached(np.ones((1, 3)), state)
 

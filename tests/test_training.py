@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glasscreen.data_pipeline import LabeledSample
-from glasscreen.deepglassnet import ArchConfig, embed_proportions, forward_batch, init_params
+from glasscreen.deepglassnet import ArchConfig, forward_batch, init_params
 from glasscreen.numeric_core import RandomSource, grad_check
 from glasscreen.training import (
     AdamState,
@@ -91,7 +91,8 @@ def _healthy_tiny_params(seed=3):
 
 
 def einsum_backward(trace, params):
-    """Reference gradients: backward as it was written with one einsum per
+    """Reference gradients through the unfused front end: the (B, n, d)
+    modulated and mixed embeddings rebuilt stage by stage, one einsum per
     weight gradient, three batched matmuls into d_mixed and the (B, n, d)
     adjacency contraction. backward must agree with it to rounding."""
     features = trace.features
@@ -131,13 +132,15 @@ def einsum_backward(trace, params):
     d_key = np.matmul(np.swapaxes(d_scores, -1, -2), trace.query)
     d_mixed = (np.matmul(d_query, params.w_query.T) + np.matmul(d_key, params.w_key.T)
                + np.matmul(d_value, params.w_value.T))
-    grads["w_query"] = np.einsum("bnd,bnm->dm", trace.mixed, d_query)
-    grads["w_key"] = np.einsum("bnd,bnm->dm", trace.mixed, d_key)
-    grads["w_value"] = np.einsum("bnd,bnm->dm", trace.mixed, d_value)
+    adj = trace.adjacency
+    masked = adj - np.diag(np.diag(adj))
+    modulated = trace.inputs[:, :, None] * params.embeddings
+    mixed = modulated + np.matmul(masked, modulated) / (n - 1)
+    grads["w_query"] = np.einsum("bnd,bnm->dm", mixed, d_query)
+    grads["w_key"] = np.einsum("bnd,bnm->dm", mixed, d_key)
+    grads["w_value"] = np.einsum("bnd,bnm->dm", mixed, d_value)
 
-    masked = trace.masked_adjacency
     d_modulated = d_mixed + np.matmul(masked.T, d_mixed) / (n - 1)
-    modulated = embed_proportions(trace.inputs, params)
     d_masked = np.einsum("bnd,bmd->nm", d_mixed, modulated) / (n - 1)
     np.fill_diagonal(d_masked, 0.0)
     vhat = trace.unit_factors
