@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -314,17 +313,7 @@ def cmd_screen(args) -> int:
         raise DataFormatError(
             f"{args.checkpoint} carries no class center; retrain to enable screening"
         )
-    with open(args.candidates, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if not header:
-        raise DataFormatError(f"{args.candidates}: empty file, expected a header row")
-    if len(header) != ckpt.arch.n_components:
-        raise DataFormatError(
-            f"{args.candidates} has {len(header)} component columns but the "
-            f"checkpoint expects {ckpt.arch.n_components}"
-        )
-    schema = ComponentSchema(tuple(header))
-    candidates = load_candidates(args.candidates, schema)
+    candidates, schema = load_candidates(args.candidates, ckpt.arch.n_components)
     # the composition rule clean applies to training rows
     totals = candidates.sum(axis=1)
     off_simplex = np.flatnonzero((candidates < 0).any(axis=1)

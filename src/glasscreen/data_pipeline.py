@@ -205,34 +205,77 @@ def write_dataset(path, schema: ComponentSchema, samples: list[RawSample]) -> No
             writer.writerow([repr(float(v)) for v in sample.fractions] + [tg_cell])
 
 
-def load_candidates(path, schema: ComponentSchema) -> np.ndarray:
-    """Parse a candidate table (component columns only, no Tg) into a
-    C-contiguous (m, n) float64 array.
+def load_candidates(path, n_components: int) -> tuple[np.ndarray, ComponentSchema]:
+    """Parse a candidate table: a header of ``n_components`` component names,
+    then one row of fractions per candidate (no Tg column).
 
-    Raises DataFormatError naming the first data row (1-based) with a wrong
-    column count or a non-numeric or non-finite cell.
+    Returns the C-contiguous (m, n) float64 array and the schema the header
+    names. Raises DataFormatError for an empty file or a header with another
+    column count, and names the first data row (1-based) with a wrong column
+    count or a non-numeric or non-finite cell.
     """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+        if not header:
+            raise DataFormatError(f"{path}: empty file, expected a header row")
+        if len(header) != n_components:
+            raise DataFormatError(
+                f"{path} has {len(header)} component columns but the checkpoint "
+                f"expects {n_components} components"
+            )
+        schema = ComponentSchema(tuple(header))
+        try:
+            body = fh.read()
+        except UnicodeDecodeError:
+            body = ""  # the row-wise parse raises it, after any bad row before it
+    candidates = _parse_candidates_fast(path, body, n_components)
+    if candidates is None:
+        candidates = _parse_candidates_rowwise(path, n_components)
+    return candidates, schema
+
+
+def _parse_candidates_fast(path, body: str, n_components: int) -> np.ndarray | None:
+    """The data rows by numpy's C parser, or None wherever its result could
+    differ from ``_parse_candidates_rowwise``'s.
+
+    ``body`` is the text after the header. numpy skips blank lines, which the
+    row-wise parse rejects, so a result must have one row per line of
+    ``body``; it strips the control characters U+001C..U+001F around a number,
+    which ``float`` rejects; and a file with no data line is left to the
+    row-wise parse, where numpy would warn.
+    """
+    if not body.lstrip("\r\n") or any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    # lines as universal newlines split them, at \n, \r and \r\n, as loadtxt reads
+    lines = body.count("\n") + body.count("\r") - body.count("\r\n")
+    lines += not body.endswith(("\n", "\r"))
+    try:
+        candidates = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                                quotechar='"', encoding="utf-8")
+    except ValueError:
+        return None
+    if candidates.shape != (lines, n_components) or not np.isfinite(candidates).all():
+        return None
+    return candidates
+
+
+def _parse_candidates_rowwise(path, n_components: int) -> np.ndarray:
+    """The data rows by ``csv`` and one ``float`` per cell; the reference parse
+    and the one that names a bad row."""
     values = array("d")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file, expected a header row")
-        if list(header) != list(schema.names):
-            raise DataFormatError(
-                f"{path}: candidate header has {len(header)} columns, "
-                f"checkpoint schema has {schema.n} components"
-            )
+        next(reader)
         for row_index, row in enumerate(reader, start=1):
-            if len(row) != schema.n:
+            if len(row) != n_components:
                 raise DataFormatError(
-                    f"{path}: row {row_index}: expected {schema.n} columns, got {len(row)}"
+                    f"{path}: row {row_index}: expected {n_components} columns, got {len(row)}"
                 )
             try:
                 values.extend(map(float, row))
             except ValueError as exc:
                 raise DataFormatError(f"{path}: row {row_index}: non-numeric cell") from exc
-    candidates = np.frombuffer(values, dtype=np.float64).reshape(-1, schema.n)
+    candidates = np.frombuffer(values, dtype=np.float64).reshape(-1, n_components)
     non_finite = np.flatnonzero(~np.isfinite(candidates).all(axis=1))
     if non_finite.size:
         raise DataFormatError(f"{path}: row {non_finite[0] + 1}: non-finite cell")

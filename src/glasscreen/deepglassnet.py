@@ -292,7 +292,7 @@ def forward_batch(
     return features, trace
 
 
-def eval_features(x: np.ndarray, params: ModelParams, chunk: int = 4096) -> np.ndarray:
+def eval_features(x: np.ndarray, params: ModelParams, chunk: int = 2048) -> np.ndarray:
     """Eval-mode features for a (B, n) batch, computed in bounded-size chunks.
 
     A one-row remainder is folded into the chunk before it: numpy runs a

@@ -77,8 +77,16 @@ class RandomSource:
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax over the last axis (any leading batch shape)."""
     scores = np.asarray(scores, dtype=np.float64)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # a running maximum over the columns: numpy reduces a short last axis
+    # slowly, and a maximum is exact in any order (the sum below is not, so
+    # it stays one reduction)
+    peak = scores[..., 0].copy()
+    for j in range(1, scores.shape[-1]):
+        np.maximum(peak, scores[..., j], out=peak)
+    e = scores - peak[..., None]
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 @dataclass
@@ -133,9 +141,14 @@ def batchnorm_eval(x: np.ndarray, state: BatchNormState) -> np.ndarray:
 
     Accepts a single vector or a batch.
     """
-    x = np.asarray(x, dtype=np.float64)
     inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
-    return state.gamma * (x - state.running_mean) * inv_std + state.beta
+    # in place on a fresh array, in the order of
+    # gamma * (x - running_mean) * inv_std + beta, so the bits are the same
+    out = np.asarray(x, dtype=np.float64) - state.running_mean
+    out *= state.gamma
+    out *= inv_std
+    out += state.beta
+    return out
 
 
 def grad_check(f, params: dict, analytic_grads: dict, h: float = 1e-5) -> float:

@@ -1,11 +1,17 @@
+import csv
 import itertools
+import re
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from glasscreen import data_pipeline
 from glasscreen.data_pipeline import (
     AugmentationConfig,
     CandidateCapError,
@@ -105,42 +111,169 @@ class TestLoadCandidates:
     def test_wrong_column_count_names_first_bad_row(self, tmp_path, text, row):
         p = write_csv(tmp_path / "c.csv", text)
         with pytest.raises(DataFormatError, match=f"row {row}: expected 3 columns"):
-            load_candidates(p, SCHEMA3)
+            load_candidates(p, 3)
 
     def test_non_numeric_cell_names_first_bad_row(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", "A,B,C\n0.5,0.3,0.2\n0.5,oops,0.2\nx,0.3,0.2\n")
         with pytest.raises(DataFormatError, match="row 2: non-numeric cell"):
-            load_candidates(p, SCHEMA3)
+            load_candidates(p, 3)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_cell_names_first_bad_row(self, tmp_path, cell):
         p = write_csv(tmp_path / "c.csv",
                       f"A,B,C\n0.5,0.3,0.2\n0.5,0.3,0.2\n0.5,{cell},0.2\n{cell},0.3,0.2\n")
         with pytest.raises(DataFormatError, match="row 3: non-finite cell"):
-            load_candidates(p, SCHEMA3)
+            load_candidates(p, 3)
 
     def test_header_only_gives_empty_table(self, tmp_path):
-        got = load_candidates(write_csv(tmp_path / "c.csv", "A,B,C\n"), SCHEMA3)
-        assert got.shape == (0, 3)
-        assert got.dtype == np.float64
+        for text in ("A,B,C\n", "A,B,C\r\n", "A,B,C"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy's loadtxt warns on a table without data
+                got, schema = load_candidates(write_csv(tmp_path / "c.csv", text), 3)
+            assert got.shape == (0, 3)
+            assert got.dtype == np.float64
+            assert schema == SCHEMA3
 
     def test_header_mismatch_and_empty_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="3 components"):
-            load_candidates(write_csv(tmp_path / "c.csv", "A,B\n0.5,0.5\n"), SCHEMA3)
+            load_candidates(write_csv(tmp_path / "c.csv", "A,B\n0.5,0.5\n"), 3)
         with pytest.raises(DataFormatError, match="empty file"):
-            load_candidates(write_csv(tmp_path / "e.csv", ""), SCHEMA3)
+            load_candidates(write_csv(tmp_path / "e.csv", ""), 3)
 
     def test_quoted_cells_parse_as_numbers(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", 'A,B,C\n"0.5","0.25",0.25\n0.1," 0.2",0.7\n')
-        assert np.array_equal(load_candidates(p, SCHEMA3), [[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
+        assert np.array_equal(load_candidates(p, 3)[0], [[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
 
     def test_result_is_c_contiguous_float64(self, tmp_path):
         rows = np.array([[0.5, 0.3, 0.2], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.0, 1.0]])
         p = write_csv(tmp_path / "c.csv", reference_candidate_text(SCHEMA3, rows))
-        got = load_candidates(p, SCHEMA3)
+        got, schema = load_candidates(p, 3)
+        assert schema == SCHEMA3
         assert got.flags["C_CONTIGUOUS"]
         assert got.dtype == np.float64
         assert got.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("body,message", [
+        ("0.5,0.3,0.2\n\n0.1,0.1,0.8\n", "row 2: expected 3 columns, got 0"),
+        ("\n0.5,0.3,0.2\n", "row 1: expected 3 columns, got 0"),
+        ("0.5,0.3,0.2\n\n", "row 2: expected 3 columns, got 0"),
+        ("0.5,0.3,0.2\r\n\r\n", "row 2: expected 3 columns, got 0"),
+        ("0.5,0.3,0.2\n  \n", "row 2: expected 3 columns, got 1"),
+        ("0.5,0.3,0.2\r0.1,0.1,0.8\n\n0.2,0.2,0.6\n", "row 3: expected 3 columns, got 0"),
+        ("0.5\t0.3\t0.2\n", "row 1: expected 3 columns, got 1"),
+        ("0.5,0.3,0.2\n#0.5,0.3,0.2\n", "row 2: non-numeric cell"),
+        ("0.5,0.3,0.2 # note\n", "row 1: non-numeric cell"),
+        ("0.5,0.3,\x1c0.2\n", "row 1: non-numeric cell"),
+    ])
+    def test_malformed_body_names_first_bad_row(self, tmp_path, body, message):
+        p = write_csv(tmp_path / "c.csv", "A,B,C\n" + body)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: {message}$"):
+            load_candidates(p, 3)
+
+    @pytest.mark.parametrize("body,rows", [
+        ("1_0,0.5,0.25\n", [[10.0, 0.5, 0.25]]),  # float reads underscores; numpy does not
+        ("0.5,0.3,0.2\r0.1,0.1,0.8", [[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]]),
+        ('0.5,0.3,"0.2\n"\n', [[0.5, 0.3, 0.2]]),  # one row over two lines
+    ])
+    def test_tables_the_fast_parse_leaves_to_the_row_parse(self, tmp_path, body, rows):
+        p = write_csv(tmp_path / "c.csv", "A,B,C\n" + body)
+        assert load_candidates(p, 3)[0].tobytes() == np.array(rows).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_well_formed_tables_match_row_parse(self, data):
+        n, text = data.draw(candidate_tables(), label="table")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_csv(Path(tmp) / "c.csv", text)
+            expected = reference_candidates(path, n)
+            got, schema = load_candidates(path, n)
+            with open(path, newline="", encoding="utf-8") as fh:
+                next(csv.reader(fh))
+                body = fh.read()
+            assert data_pipeline._parse_candidates_fast(path, body, n) is not None
+        assert got.tobytes() == expected.tobytes()
+        assert got.shape == expected.shape and got.flags["C_CONTIGUOUS"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_tables_raise_the_row_parse_error(self, data):
+        n, text = data.draw(candidate_tables(), label="table")
+        lines = text.splitlines(keepends=True)
+        row = data.draw(st.integers(1, len(lines) - 1), label="row")
+        line = lines[row].rstrip("\r\n")
+        ending = lines[row][len(line):]
+        cells = line.split(",")
+        mutation = data.draw(st.sampled_from(
+            ["blank", "extra", "missing", "non_numeric", "non_finite", "comment"]), label="mutation")
+        if mutation == "blank":
+            above = lines[row - 1]
+            lines.insert(row, above[len(above.rstrip("\r\n")):])
+        else:
+            col = data.draw(st.integers(0, n - 1), label="column")
+            if mutation == "extra":
+                cells.append("0.5")
+            elif mutation == "missing":
+                del cells[col]
+            elif mutation == "non_numeric":
+                cells[col] = data.draw(st.sampled_from(["abc", "0.5.5", "", "1e", "0x10"]))
+            elif mutation == "non_finite":
+                cells[col] = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"]))
+            else:
+                cells[col] = data.draw(st.sampled_from(["#", "# 0.5", cells[col] + " #"]))
+            lines[row] = ",".join(cells) + ending
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_csv(Path(tmp) / "c.csv", "".join(lines))
+            expected = reference_candidates(path, n)
+            assert isinstance(expected, str)
+            with pytest.raises(DataFormatError) as excinfo:
+                load_candidates(path, n)
+        assert str(excinfo.value) == expected
+
+
+def reference_candidates(path, n):
+    """The data rows by ``csv`` and one ``float`` per cell, or the text of the
+    error for the first bad row (column count and non-numeric cells first,
+    then non-finite ones)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    values = []
+    for index, row in enumerate(rows, start=1):
+        if len(row) != n:
+            return f"{path}: row {index}: expected {n} columns, got {len(row)}"
+        try:
+            values.append([float(cell) for cell in row])
+        except ValueError:
+            return f"{path}: row {index}: non-numeric cell"
+    table = np.array(values, dtype=np.float64).reshape(-1, n)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        return f"{path}: row {bad[0] + 1}: non-finite cell"
+    return table
+
+
+# values that round-trip or stay finite when written in each form
+CELL_FORMATS = (repr, "{:.17g}".format, "{:.20e}".format, "{:.6f}".format)
+CELL_WRAPS = ("{}", '"{}"', " {} ", "{}  ", '" {}"', "\t{}")
+
+
+@st.composite
+def candidate_tables(draw):
+    """(n, text) of a candidate table: component header, then rows of finite
+    values in random forms (repr, fixed, exponent; quoted or space-padded),
+    -0.0 and subnormals included, each line ended by \n, \r\n or \r and the
+    last one possibly by nothing."""
+    n = draw(st.integers(2, 5))
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072009e-308, 1 / 3])
+    cell = st.tuples(value, st.sampled_from(CELL_FORMATS), st.sampled_from(CELL_WRAPS)).map(
+        lambda t: t[2].format(t[1](t[0])))
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=12))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows) + 1,
+                            max_size=len(rows) + 1))
+    if draw(st.booleans()):
+        endings[-1] = ""
+    lines = [",".join(f"C{i}" for i in range(n))] + [",".join(row) for row in rows]
+    return n, "".join(line + end for line, end in zip(lines, endings))
 
 
 class TestWriteCandidates:
@@ -162,7 +295,7 @@ class TestWriteCandidates:
         path = tmp_path / "c.csv"
         write_candidates(path, SCHEMA3, rows)
         assert path.read_text(encoding="utf-8") == reference_candidate_text(SCHEMA3, rows)
-        assert load_candidates(path, SCHEMA3).tobytes() == rows.tobytes()
+        assert load_candidates(path, 3)[0].tobytes() == rows.tobytes()
 
     def test_empty_table_is_header_only(self, tmp_path):
         write_candidates(tmp_path / "c.csv", SCHEMA3, np.zeros((0, 3)))

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from glasscreen.deepglassnet import ArchConfig, forward_batch, init_params
 from glasscreen.numeric_core import (
@@ -61,6 +62,41 @@ class TestSoftmax:
         out = softmax_rows(np.array(values))
         assert abs(out.sum() - 1.0) < 1e-12
         assert np.all(out >= 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_formula(self, data):
+        shape = data.draw(st.one_of(
+            st.tuples(st.integers(1, 4), st.integers(1, 9)).map(lambda t: (t[0], t[1], t[1])),
+            st.tuples(st.integers(1, 12))), label="shape")
+        scores = data.draw(arrays(np.float64, shape, elements=TIED_OR_LARGE), label="scores")
+        if len(shape) == 3 and data.draw(st.booleans(), label="-inf row"):
+            scores[0, 0, :] = -np.inf
+        before = scores.copy()
+        with np.errstate(invalid="ignore"):  # -inf - -inf
+            expected = softmax_formula(scores)
+            got = softmax_rows(scores)
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        finite = ~np.isnan(expected)
+        assert got[finite].tobytes() == expected[finite].tobytes()
+        assert scores.tobytes() == before.tobytes()
+
+    def test_neg_inf_row_is_nan_like_the_formula(self):
+        scores = np.array([[0.0, 1.0], [-np.inf, -np.inf], [-np.inf, 2.0]])
+        with np.errstate(invalid="ignore"):
+            got = softmax_rows(scores)
+        assert np.array_equal(np.isnan(got), [[False, False], [True, True], [False, False]])
+        assert got[2].tolist() == [0.0, 1.0]
+
+
+# values of either sign up to 700 (exp(700) is finite) and a few repeated
+# ones, so rows have ties, a repeated maximum and exp underflowing to 0
+TIED_OR_LARGE = st.sampled_from([0.0, -0.0, 1.5, -700.0, 700.0]) | st.floats(-700, 700)
+
+
+def softmax_formula(scores):
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def head_params(feature_dim=2):
@@ -160,6 +196,22 @@ class TestBatchNorm:
         assert np.array_equal(first, second)
         assert np.array_equal(state.running_mean, before_mean)
         assert np.array_equal(state.running_var, before_var)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_eval_bitwise_equal_to_formula(self, data):
+        h = data.draw(st.integers(1, 8), label="h")
+        shape = data.draw(st.sampled_from([(h,), (data.draw(st.integers(1, 6)), h)]), label="shape")
+        x = data.draw(arrays(np.float64, shape, elements=TIED_OR_LARGE), label="x")
+        vector = arrays(np.float64, (h,), elements=TIED_OR_LARGE)
+        state = BatchNormState(
+            gamma=data.draw(vector), beta=data.draw(vector), running_mean=data.draw(vector),
+            running_var=data.draw(arrays(np.float64, (h,), elements=st.floats(0, 700))))
+        before = x.copy()
+        inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
+        expected = state.gamma * (x - state.running_mean) * inv_std + state.beta
+        assert batchnorm_eval(x, state).tobytes() == expected.tobytes()
+        assert x.tobytes() == before.tobytes()
 
     def test_bias_only_shifts_running_mean(self):
         rng = np.random.default_rng(5)
