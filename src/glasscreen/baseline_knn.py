@@ -34,7 +34,9 @@ def knn_scores(
     ``queries``. Always a multiple of 1/k in [0, 1].
 
     Distance ties are broken by training index (stable sort), so scores are
-    deterministic for a fixed training order.
+    deterministic for a fixed training order. Each row's k-th distance comes
+    from a partial selection, and only a row where that distance is tied (or
+    nan) is sorted in full, so the neighbours are those of a full sort.
     """
     if not train:
         raise ValueError("knn_scores needs a non-empty training set")
@@ -42,16 +44,29 @@ def knn_scores(
         raise ValueError(
             f"k_neighbors={cfg.k_neighbors} exceeds training size {len(train)}"
         )
-    x = normalize(np.stack([s.fractions for s in train]), stats)
+    x = normalize(np.array([s.fractions for s in train]), stats)
     labels = np.array([s.y for s in train], dtype=np.float64)
     q_all = normalize(queries, stats)
+    k = cfg.k_neighbors
     train_sq = np.sum(x ** 2, axis=1)
     scores = np.empty(q_all.shape[0])
     for start in range(0, q_all.shape[0], _CHUNK):
         q = q_all[start:start + _CHUNK]
-        d2 = np.sum(q ** 2, axis=1)[:, None] + train_sq[None, :] - 2.0 * (q @ x.T)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :cfg.k_neighbors]
-        scores[start:start + q.shape[0]] = labels[nearest].mean(axis=1)
+        # |q|^2 + |x|^2 - 2 q.x, in that order, with the temporaries reused
+        cross = q @ x.T
+        cross *= 2.0
+        d2 = np.sum(q ** 2, axis=1)[:, None] + train_sq[None, :]
+        d2 -= cross
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        take = d2 <= kth
+        # more than k are taken where the k-th distance is tied, fewer where
+        # it is nan (sorted last); those rows take the stable sort's first k
+        resort = (np.count_nonzero(take, axis=1) > k) | np.isnan(kth[:, 0])
+        for row in np.flatnonzero(resort):
+            take[row] = False
+            take[row, np.argsort(d2[row], kind="stable")[:k]] = True
+        # the k labels' sum is exact, so this is their mean bit for bit
+        scores[start:start + q.shape[0]] = (take @ labels) / k
     return scores
 
 
@@ -64,5 +79,7 @@ def knn_evaluate(
 ) -> Report:
     """Score every validation sample with knn_scores and build the same
     Report the encoder evaluation produces."""
-    queries = np.stack([s.fractions for s in val])
+    if not val:
+        raise ValueError("knn_evaluate needs a non-empty validation set")
+    queries = np.array([s.fractions for s in val])
     return make_report(knn_scores(train, stats, queries, cfg), val, k_rank)

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -119,6 +120,9 @@ class _RunOptions:
             raise ConfigError(str(exc)) from exc
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0,1), got {self.train_fraction}")
+        if not (math.isfinite(self.min_sum) and math.isfinite(self.max_sum)):
+            raise ConfigError(f"min_sum and max_sum must be finite, got "
+                              f"{self.min_sum} and {self.max_sum}")
         if self.min_sum > self.max_sum:
             raise ConfigError("min_sum exceeds max_sum")
         if self.k_neighbors < 1:
@@ -193,12 +197,11 @@ def _parse_band(text: str) -> TgBand:
 
 
 def cmd_clean(args) -> int:
-    run = RunConfig.load(args.config, {"seed": args.seed})
-    min_sum = args.min_sum if args.min_sum is not None else run.min_sum
-    max_sum = args.max_sum if args.max_sum is not None else run.max_sum
+    run = RunConfig.load(args.config, {"seed": args.seed, "min_sum": args.min_sum,
+                                       "max_sum": args.max_sum})
     schema = schema_from_csv(args.input)
     raw = load_dataset(args.input, schema)
-    kept, counts = clean_with_counts(raw, min_sum, max_sum)
+    kept, counts = clean_with_counts(raw, run.min_sum, run.max_sum)
     with atomic_path(args.output) as tmp:
         write_dataset(tmp, schema, kept)
     log.info(

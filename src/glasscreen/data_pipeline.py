@@ -162,23 +162,41 @@ def load_dataset(path, schema: ComponentSchema) -> list[RawSample]:
     """Parse a composition/Tg table into raw samples, in file order.
 
     Raises DataFormatError naming the offending data row (1-based) for wrong
-    column counts or non-numeric cells.
+    column counts or non-numeric cells. A table whose cells are all finite
+    numbers is read as one array, and each sample's fractions are a row view
+    of it; any other table is read row by row, to the same values.
     """
     expected_header = list(schema.names) + [TG_COLUMN]
-    samples: list[RawSample] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise DataFormatError(f"{path}: empty file, expected a header row")
         if header != expected_header:
             raise DataFormatError(
                 f"{path}: header {header[:4]}... does not match the expected schema"
             )
+        try:
+            body = fh.read()
+        except UnicodeDecodeError:
+            body = ""  # the row-wise parse raises it, after any bad row before it
+    table = _parse_table_fast(path, body, schema.n + 1)
+    if table is None:
+        return _parse_dataset_rowwise(path, schema.n)
+    return [RawSample(fractions=row, tg=tg)
+            for row, tg in zip(table[:, :-1], table[:, -1].tolist())]
+
+
+def _parse_dataset_rowwise(path, n_components: int) -> list[RawSample]:
+    """The data rows by ``csv`` and one ``float`` per cell; the reference parse,
+    the one that reads empty Tg cells and the one that names a bad row."""
+    samples: list[RawSample] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for row_index, row in enumerate(reader, start=1):
-            if len(row) != schema.n + 1:
+            if len(row) != n_components + 1:
                 raise DataFormatError(
-                    f"{path}: row {row_index}: expected {schema.n + 1} columns, got {len(row)}"
+                    f"{path}: row {row_index}: expected {n_components + 1} columns, got {len(row)}"
                 )
             try:
                 fractions = np.array([float(cell) for cell in row[:-1]], dtype=np.float64)
@@ -196,13 +214,26 @@ def load_dataset(path, schema: ComponentSchema) -> list[RawSample]:
     return samples
 
 
+# rows joined per write in write_dataset: each joined string stays under
+# glibc's default 128 KiB mmap threshold, since freeing a larger block raises
+# that threshold and leaves later large arrays on the heap (a 4,000-row table
+# joined into one string raised the peak RSS of a training run after it)
+_DATASET_WRITE_ROWS = 512
+
+
 def write_dataset(path, schema: ComponentSchema, samples: list[RawSample]) -> None:
+    """Write a composition/Tg table: the header, then each cell as
+    ``repr(float(value))`` and a missing Tg as an empty cell, in ``csv``'s
+    default dialect (``\\r\\n`` line ends)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(schema.names) + [TG_COLUMN])
-        for sample in samples:
-            tg_cell = "" if sample.tg is None else repr(float(sample.tg))
-            writer.writerow([repr(float(v)) for v in sample.fractions] + [tg_cell])
+        csv.writer(fh).writerow(list(schema.names) + [TG_COLUMN])
+        for start in range(0, len(samples), _DATASET_WRITE_ROWS):
+            chunk = samples[start:start + _DATASET_WRITE_ROWS]
+            rows = np.array([s.fractions for s in chunk], dtype=np.float64).tolist()
+            fh.write("".join([
+                ",".join(map(repr, row)) + ("," if s.tg is None else f",{float(s.tg)!r}") + "\r\n"
+                for row, s in zip(rows, chunk)
+            ]))
 
 
 def load_candidates(path, n_components: int) -> tuple[np.ndarray, ComponentSchema]:
@@ -228,21 +259,23 @@ def load_candidates(path, n_components: int) -> tuple[np.ndarray, ComponentSchem
             body = fh.read()
         except UnicodeDecodeError:
             body = ""  # the row-wise parse raises it, after any bad row before it
-    candidates = _parse_candidates_fast(path, body, n_components)
+    candidates = _parse_table_fast(path, body, n_components)
     if candidates is None:
         candidates = _parse_candidates_rowwise(path, n_components)
     return candidates, schema
 
 
-def _parse_candidates_fast(path, body: str, n_components: int) -> np.ndarray | None:
-    """The data rows by numpy's C parser, or None wherever its result could
-    differ from ``_parse_candidates_rowwise``'s.
+def _parse_table_fast(path, body: str, n_columns: int) -> np.ndarray | None:
+    """The data rows of a one-line-header table by numpy's C parser, or None
+    wherever its result could differ from the ``csv``/``float`` parse of the
+    row-wise readers (``_parse_candidates_rowwise``, ``_parse_dataset_rowwise``).
 
     ``body`` is the text after the header. numpy skips blank lines, which the
     row-wise parse rejects, so a result must have one row per line of
     ``body``; it strips the control characters U+001C..U+001F around a number,
-    which ``float`` rejects; and a file with no data line is left to the
-    row-wise parse, where numpy would warn.
+    which ``float`` rejects; a file with no data line is left to the row-wise
+    parse, where numpy would warn; and a result with an empty or non-finite
+    cell is dropped, so the row-wise parse reads or names it.
     """
     if not body.lstrip("\r\n") or any(c in body for c in "\x1c\x1d\x1e\x1f"):
         return None
@@ -254,7 +287,7 @@ def _parse_candidates_fast(path, body: str, n_components: int) -> np.ndarray | N
                                 quotechar='"', encoding="utf-8")
     except ValueError:
         return None
-    if candidates.shape != (lines, n_components) or not np.isfinite(candidates).all():
+    if candidates.shape != (lines, n_columns) or not np.isfinite(candidates).all():
         return None
     return candidates
 
@@ -317,26 +350,29 @@ class CleanCounts:
 
 def clean_with_counts(raw: list[RawSample], min_sum: float, max_sum: float):
     """Sum-band filter: keep rows with finite values, a Tg label, non-negative
-    fractions and total mass fraction inside [min_sum, max_sum]. Order preserved."""
+    fractions and total mass fraction inside [min_sum, max_sum]. Order preserved.
+
+    A dropped row is counted under the first rule it breaks, in the order
+    non-finite, negative, sum, missing Tg. The rows must all have one length.
+    """
     if min_sum > max_sum:
         raise ValueError(f"min_sum {min_sum} exceeds max_sum {max_sum}")
     counts = CleanCounts(read=len(raw))
-    kept: list[RawSample] = []
-    for sample in raw:
-        total = float(sample.fractions.sum())  # non-finite iff a cell is nan/inf (or it overflows)
-        if not math.isfinite(total) or (sample.tg is not None and not math.isfinite(sample.tg)):
-            counts.dropped_non_finite += 1
-            continue
-        if np.any(sample.fractions < 0):
-            counts.dropped_negative += 1
-            continue
-        if not min_sum <= total <= max_sum:
-            counts.dropped_sum += 1
-            continue
-        if sample.tg is None:
-            counts.dropped_missing_tg += 1
-            continue
-        kept.append(sample)
+    if not raw:
+        return [], counts
+    x = np.array([s.fractions for s in raw])
+    tg = np.array([s.tg for s in raw], dtype=np.float64)  # None reads as nan
+    missing_tg = np.fromiter([s.tg is None for s in raw], dtype=bool, count=len(raw))
+    totals = x.sum(axis=1)  # non-finite iff a cell is nan/inf (or it overflows)
+    dropped = ~np.isfinite(totals) | (~np.isfinite(tg) & ~missing_tg)
+    counts.dropped_non_finite = int(np.count_nonzero(dropped))
+    for rule, field in (((x < 0).any(axis=1), "dropped_negative"),
+                        (~((min_sum <= totals) & (totals <= max_sum)), "dropped_sum"),
+                        (missing_tg, "dropped_missing_tg")):
+        rule &= ~dropped
+        setattr(counts, field, int(np.count_nonzero(rule)))
+        dropped |= rule
+    kept = [raw[i] for i in np.flatnonzero(~dropped).tolist()]
     counts.kept = len(kept)
     return kept, counts
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from glasscreen import baseline_knn
 from glasscreen.baseline_knn import KnnConfig, knn_evaluate, knn_scores
-from glasscreen.data_pipeline import LabeledSample, fit_normalization
+from glasscreen.data_pipeline import LabeledSample, fit_normalization, normalize
 from glasscreen.evaluation import Report
 from glasscreen.numeric_core import RandomSource
 
@@ -104,3 +107,67 @@ class TestKnnEvaluate:
         shuffled = list(reversed(train))
         after = knn_evaluate(shuffled, val, stats, KnnConfig(5), k_rank=5)
         assert before.scores.tolist() == after.scores.tolist()
+
+    def test_empty_validation_rejected(self):
+        train, _ = make_sets()
+        stats = fit_normalization(train)
+        with pytest.raises(ValueError, match="non-empty validation set"):
+            knn_evaluate(train, [], stats, KnnConfig(5), k_rank=5)
+
+
+def sorted_knn_scores(train, stats, queries, k):
+    """Reference scorer: a full stable argsort of each chunk's distances, the
+    first k columns as the neighbours and the mean of their labels."""
+    x = normalize(np.stack([s.fractions for s in train]), stats)
+    labels = np.array([s.y for s in train], dtype=np.float64)
+    q_all = normalize(queries, stats)
+    train_sq = np.sum(x ** 2, axis=1)
+    scores = np.empty(q_all.shape[0])
+    for start in range(0, q_all.shape[0], baseline_knn._CHUNK):
+        q = q_all[start:start + baseline_knn._CHUNK]
+        d2 = np.sum(q ** 2, axis=1)[:, None] + train_sq[None, :] - 2.0 * (q @ x.T)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        scores[start:start + q.shape[0]] = labels[nearest].mean(axis=1)
+    return scores
+
+
+@st.composite
+def tied_knn_problems(draw):
+    """(train, stats, queries, k): training rows on a coarse grid with exact
+    duplicates, so distances tie; queries that repeat training rows or lie
+    on the grid, tiled past a chunk boundary; k from 1 to the training size."""
+    n = draw(st.integers(2, 4))
+    grid = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    distinct = draw(st.lists(grid, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=20))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(picks), max_size=len(picks)))
+    train = [LabeledSample(fractions=np.array(distinct[i], dtype=np.float64) / 4, y=y, tg=500.0)
+             for i, y in zip(picks, labels)]
+    k = draw(st.integers(1, len(train)))
+    rows = draw(st.lists(st.one_of(st.integers(0, len(train) - 1).map(
+        lambda i: train[i].fractions), grid.map(lambda g: np.array(g, dtype=np.float64) / 4)),
+        min_size=1, max_size=6))
+    size = draw(st.sampled_from([1, baseline_knn._CHUNK, baseline_knn._CHUNK + 1,
+                                 2 * baseline_knn._CHUNK + 3]))
+    queries = np.resize(np.array(rows), (size, n))
+    return train, fit_normalization(train), queries, k
+
+
+class TestKnnSelection:
+    @settings(max_examples=150, deadline=None)
+    @given(tied_knn_problems())
+    def test_matches_full_stable_sort(self, problem):
+        train, stats, queries, k = problem
+        expected = sorted_knn_scores(train, stats, queries, k)
+        got = knn_scores(train, stats, queries, KnnConfig(k))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_nan_query_matches_full_stable_sort(self):
+        train, _ = make_sets(seed=3)
+        stats = fit_normalization(train)
+        queries = np.array([[np.nan, 0.5], [0.2, 0.8], [np.inf, 0.0]])
+        for k in (1, 3, len(train)):
+            with np.errstate(invalid="ignore"):  # inf - inf in the distance
+                expected = sorted_knn_scores(train, stats, queries, k)
+                got = knn_scores(train, stats, queries, KnnConfig(k))
+            assert got.tobytes() == expected.tobytes()

@@ -107,6 +107,34 @@ class TestClean:
                      "--output", str(tmp_path / "out.csv")])
         assert code == EXIT_DATA
 
+    def test_inverted_sum_flags_are_usage_error(self, tmp_path):
+        src = make_table(tmp_path / "raw.csv")
+        out = tmp_path / "out.csv"
+        code = main(["clean", "--input", str(src), "--output", str(out),
+                     "--min-sum", "1.1", "--max-sum", "1.0"])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--min-sum", "nan"), ("--max-sum", "nan"),
+                                            ("--max-sum", "inf")])
+    def test_non_finite_sum_flag_is_usage_error(self, tmp_path, flag, value):
+        src = make_table(tmp_path / "raw.csv")
+        out = tmp_path / "out.csv"
+        code = main(["clean", "--input", str(src), "--output", str(out), flag, value])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["min_sum", "max_sum"])
+    def test_non_finite_sum_in_config_is_usage_error(self, tmp_path, key):
+        src = make_table(tmp_path / "raw.csv")
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"{key}": NaN}}', encoding="utf-8")  # json reads NaN
+        out = tmp_path / "out.csv"
+        code = main(["clean", "--input", str(src), "--output", str(out),
+                     "--config", str(config)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_history(self, workdir):

@@ -1,5 +1,7 @@
 import csv
+import io
 import itertools
+import math
 import re
 import tempfile
 import time
@@ -15,6 +17,7 @@ from glasscreen import data_pipeline
 from glasscreen.data_pipeline import (
     AugmentationConfig,
     CandidateCapError,
+    CleanCounts,
     ComponentSchema,
     DataFormatError,
     EmptyClassError,
@@ -34,6 +37,7 @@ from glasscreen.data_pipeline import (
     split,
     transform_labels,
     write_candidates,
+    write_dataset,
 )
 from glasscreen.numeric_core import RandomSource
 
@@ -95,6 +99,72 @@ class TestLoadDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "absent.csv", SCHEMA3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_tables_match_row_parse(self, data):
+        schema, text, plain = data.draw(dataset_tables(), label="table")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_csv(Path(tmp) / "d.csv", text)
+            assert_loads_like_reference(path, schema)
+            with open(path, newline="", encoding="utf-8") as fh:
+                next(csv.reader(fh))
+                body = fh.read()
+            fast = data_pipeline._parse_table_fast(path, body, schema.n + 1)
+        assert (fast is not None) == plain
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_tables_match_row_parse(self, data):
+        schema, text, _ = data.draw(dataset_tables(), label="table")
+        text = mutate_table(data, text, schema.n + 1, ["blank", "extra", "missing", "non_numeric"])
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_loads_like_reference(write_csv(Path(tmp) / "d.csv", text), schema)
+
+
+def reference_dataset(path, n):
+    """The data rows by ``csv`` and one ``float`` per cell as [(fractions,
+    tg)], an empty Tg cell as None; or the text of the error for the first
+    bad row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    samples = []
+    for index, row in enumerate(rows, start=1):
+        if len(row) != n + 1:
+            return f"{path}: row {index}: expected {n + 1} columns, got {len(row)}"
+        try:
+            fractions = np.array([float(cell) for cell in row[:-1]], dtype=np.float64)
+        except ValueError:
+            return f"{path}: row {index}: non-numeric fraction cell"
+        if not row[-1].strip():
+            samples.append((fractions, None))
+            continue
+        try:
+            samples.append((fractions, float(row[-1])))
+        except ValueError:
+            return f"{path}: row {index}: non-numeric Tg cell"
+    return samples
+
+
+def assert_loads_like_reference(path, schema):
+    """load_dataset gives reference_dataset's rows (equal fraction bytes, the
+    same Tg bytes or None) or raises a DataFormatError with its text."""
+    expected = reference_dataset(path, schema.n)
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError) as excinfo:
+            load_dataset(path, schema)
+        assert str(excinfo.value) == expected
+        return
+    got = load_dataset(path, schema)
+    assert len(got) == len(expected)
+    for sample, (fractions, tg) in zip(got, expected):
+        assert sample.fractions.dtype == np.float64
+        assert sample.fractions.tobytes() == fractions.tobytes()
+        if tg is None:
+            assert sample.tg is None
+        else:
+            assert type(sample.tg) is float
+            assert np.float64(sample.tg).tobytes() == np.float64(tg).tobytes()
 
 
 def reference_candidate_text(schema, rows):
@@ -190,7 +260,7 @@ class TestLoadCandidates:
             with open(path, newline="", encoding="utf-8") as fh:
                 next(csv.reader(fh))
                 body = fh.read()
-            assert data_pipeline._parse_candidates_fast(path, body, n) is not None
+            assert data_pipeline._parse_table_fast(path, body, n) is not None
         assert got.tobytes() == expected.tobytes()
         assert got.shape == expected.shape and got.flags["C_CONTIGUOUS"]
 
@@ -198,31 +268,10 @@ class TestLoadCandidates:
     @given(st.data())
     def test_mutated_tables_raise_the_row_parse_error(self, data):
         n, text = data.draw(candidate_tables(), label="table")
-        lines = text.splitlines(keepends=True)
-        row = data.draw(st.integers(1, len(lines) - 1), label="row")
-        line = lines[row].rstrip("\r\n")
-        ending = lines[row][len(line):]
-        cells = line.split(",")
-        mutation = data.draw(st.sampled_from(
-            ["blank", "extra", "missing", "non_numeric", "non_finite", "comment"]), label="mutation")
-        if mutation == "blank":
-            above = lines[row - 1]
-            lines.insert(row, above[len(above.rstrip("\r\n")):])
-        else:
-            col = data.draw(st.integers(0, n - 1), label="column")
-            if mutation == "extra":
-                cells.append("0.5")
-            elif mutation == "missing":
-                del cells[col]
-            elif mutation == "non_numeric":
-                cells[col] = data.draw(st.sampled_from(["abc", "0.5.5", "", "1e", "0x10"]))
-            elif mutation == "non_finite":
-                cells[col] = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"]))
-            else:
-                cells[col] = data.draw(st.sampled_from(["#", "# 0.5", cells[col] + " #"]))
-            lines[row] = ",".join(cells) + ending
+        text = mutate_table(data, text, n, ["blank", "extra", "missing", "non_numeric",
+                                            "non_finite", "comment"])
         with tempfile.TemporaryDirectory() as tmp:
-            path = write_csv(Path(tmp) / "c.csv", "".join(lines))
+            path = write_csv(Path(tmp) / "c.csv", text)
             expected = reference_candidates(path, n)
             assert isinstance(expected, str)
             with pytest.raises(DataFormatError) as excinfo:
@@ -256,24 +305,83 @@ CELL_FORMATS = (repr, "{:.17g}".format, "{:.20e}".format, "{:.6f}".format)
 CELL_WRAPS = ("{}", '"{}"', " {} ", "{}  ", '" {}"', "\t{}")
 
 
-@st.composite
-def candidate_tables(draw):
-    """(n, text) of a candidate table: component header, then rows of finite
-    values in random forms (repr, fixed, exponent; quoted or space-padded),
-    -0.0 and subnormals included, each line ended by \n, \r\n or \r and the
-    last one possibly by nothing."""
-    n = draw(st.integers(2, 5))
-    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-        [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072009e-308, 1 / 3])
-    cell = st.tuples(value, st.sampled_from(CELL_FORMATS), st.sampled_from(CELL_WRAPS)).map(
-        lambda t: t[2].format(t[1](t[0])))
-    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=12))
+# finite values, -0.0 and subnormals included, in random forms (repr, fixed,
+# exponent; quoted or space-padded)
+FINITE_CELL = st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072009e-308, 1 / 3]),
+    st.sampled_from(CELL_FORMATS), st.sampled_from(CELL_WRAPS),
+).map(lambda t: t[2].format(t[1](t[0])))
+
+
+def table_text(draw, header, rows):
+    """The header and rows joined by commas, each line ended by \n, \r\n or
+    \r and the last one possibly by nothing."""
     endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows) + 1,
                             max_size=len(rows) + 1))
     if draw(st.booleans()):
         endings[-1] = ""
-    lines = [",".join(f"C{i}" for i in range(n))] + [",".join(row) for row in rows]
-    return n, "".join(line + end for line, end in zip(lines, endings))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+@st.composite
+def candidate_tables(draw):
+    """(n, text) of a candidate table: component header, then rows of
+    FINITE_CELLs, in table_text's line forms."""
+    n = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(FINITE_CELL, min_size=n, max_size=n), min_size=1, max_size=12))
+    return n, table_text(draw, [f"C{i}" for i in range(n)], rows)
+
+
+@st.composite
+def dataset_tables(draw):
+    """(schema, text, plain) of a composition/Tg table in table_text's line
+    forms. Cells are FINITE_CELLs, or in some tables also nan/inf cells and
+    empty Tg cells; ``plain`` says that every cell is a finite number."""
+    n = draw(st.integers(2, 5))
+    non_finite = ["nan", "inf", "-inf", "NaN", " -Infinity", "1e999", '"nan"']
+    empty = ["", " ", '""']
+    cell = FINITE_CELL
+    tg = FINITE_CELL
+    if draw(st.booleans()):
+        cell = FINITE_CELL | st.sampled_from(non_finite)
+        tg = cell | st.sampled_from(empty)
+    rows = draw(st.lists(st.tuples(st.lists(cell, min_size=n, max_size=n), tg).map(
+        lambda t: t[0] + [t[1]]), min_size=1, max_size=12))
+    plain = not any(c in non_finite + empty for row in rows for c in row)
+    schema = ComponentSchema(tuple(f"C{i}" for i in range(n)))
+    return schema, table_text(draw, list(schema.names) + ["Tg"], rows), plain
+
+
+def mutate_table(data, text, n_columns, mutations):
+    """``text`` with one data line changed by a mutation drawn from
+    ``mutations``: a blank line inserted above it, or one of its cells
+    appended, deleted or replaced by a non-numeric, non-finite or comment
+    cell."""
+    lines = text.splitlines(keepends=True)
+    row = data.draw(st.integers(1, len(lines) - 1), label="row")
+    line = lines[row].rstrip("\r\n")
+    ending = lines[row][len(line):]
+    cells = line.split(",")
+    mutation = data.draw(st.sampled_from(mutations), label="mutation")
+    if mutation == "blank":
+        above = lines[row - 1]
+        lines.insert(row, above[len(above.rstrip("\r\n")):])
+    else:
+        col = data.draw(st.integers(0, n_columns - 1), label="column")
+        if mutation == "extra":
+            cells.append("0.5")
+        elif mutation == "missing":
+            del cells[col]
+        elif mutation == "non_numeric":
+            cells[col] = data.draw(st.sampled_from(["abc", "0.5.5", "", "1e", "0x10"]))
+        elif mutation == "non_finite":
+            cells[col] = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"]))
+        else:
+            cells[col] = data.draw(st.sampled_from(["#", "# 0.5", cells[col] + " #"]))
+        lines[row] = ",".join(cells) + ending
+    return "".join(lines)
 
 
 class TestWriteCandidates:
@@ -300,6 +408,40 @@ class TestWriteCandidates:
     def test_empty_table_is_header_only(self, tmp_path):
         write_candidates(tmp_path / "c.csv", SCHEMA3, np.zeros((0, 3)))
         assert (tmp_path / "c.csv").read_text(encoding="utf-8") == "A,B,C\n"
+
+
+class TestWriteDataset:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(st.tuples(
+        st.lists(st.floats() | st.sampled_from([-0.0, 5e-324]), min_size=n, max_size=n),
+        st.none() | st.floats() | st.integers(-1000, 1000)), max_size=8)))
+    def test_matches_csv_writer(self, rows):
+        n = len(rows[0][0]) if rows else 3
+        schema = ComponentSchema(tuple(f"C{i}" for i in range(n)))
+        samples = [RawSample(fractions=np.array(f, dtype=np.float64), tg=tg) for f, tg in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            write_dataset(path, schema, samples)
+            assert path.read_bytes() == csv_writer_bytes(schema, samples)
+
+    def test_many_chunks_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(1)
+        samples = [RawSample(fractions=row, tg=None if i % 7 == 0 else 400.0 + i)
+                   for i, row in enumerate(rng.random((1_300, 3)))]
+        write_dataset(tmp_path / "d.csv", SCHEMA3, samples)
+        assert (tmp_path / "d.csv").read_bytes() == csv_writer_bytes(SCHEMA3, samples)
+
+
+def csv_writer_bytes(schema, samples):
+    """The table as ``csv.writer`` writes it, one ``repr`` per cell and an
+    empty cell for a missing Tg."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(list(schema.names) + ["Tg"])
+    for s in samples:
+        writer.writerow([repr(float(v)) for v in s.fractions]
+                        + ["" if s.tg is None else repr(float(s.tg))])
+    return text.getvalue().encode("utf-8")
 
 
 def kept_rows(raw, min_sum, max_sum):
@@ -346,6 +488,64 @@ class TestClean:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             kept_rows([], 1.05, 0.95)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_per_row_filter(self, data):
+        raw, min_sum, max_sum = data.draw(clean_problems(), label="problem")
+        with np.errstate(invalid="ignore"):  # inf + -inf in a row sum
+            kept, counts = clean_with_counts(raw, min_sum, max_sum)
+            expected_kept, expected_counts = reference_clean(raw, min_sum, max_sum)
+        assert counts == expected_counts
+        assert [id(s) for s in kept] == [id(s) for s in expected_kept]
+
+
+def reference_clean(raw, min_sum, max_sum):
+    """The per-row filter: each row's own sum, and the first rule it breaks
+    of non-finite, negative, sum and missing Tg."""
+    counts = CleanCounts(read=len(raw))
+    kept = []
+    for sample in raw:
+        total = float(sample.fractions.sum())
+        if not math.isfinite(total) or (sample.tg is not None and not math.isfinite(sample.tg)):
+            counts.dropped_non_finite += 1
+        elif np.any(sample.fractions < 0):
+            counts.dropped_negative += 1
+        elif not min_sum <= total <= max_sum:
+            counts.dropped_sum += 1
+        elif sample.tg is None:
+            counts.dropped_missing_tg += 1
+        else:
+            kept.append(sample)
+    counts.kept = len(kept)
+    return kept, counts
+
+
+@st.composite
+def clean_problems(draw):
+    """(raw, min_sum, max_sum): rows of 2 to 12 fractions, some negative or
+    non-finite, with finite, non-finite or missing Tg; each bound is a row's
+    own sum, one ulp below or above it, or a value near 1."""
+    n = draw(st.integers(2, 12))
+    fraction = st.floats(0.0, 0.5) | st.sampled_from([0.0, -0.0, 0.1, 1 / 3, 5e-324])
+    bad = st.sampled_from([-0.05, -5e-324, np.nan, np.inf, -np.inf])
+    row = st.lists(fraction, min_size=n, max_size=n) | st.lists(
+        fraction | bad, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=15))
+    tgs = draw(st.lists(st.none() | st.floats(300.0, 900.0) | st.sampled_from(
+        [np.nan, np.inf, -np.inf]), min_size=len(rows), max_size=len(rows)))
+    raw = [RawSample(fractions=np.array(row, dtype=np.float64), tg=tg) for row, tg in zip(rows, tgs)]
+    with np.errstate(invalid="ignore"):
+        totals = [t for t in (float(s.fractions.sum()) for s in raw) if math.isfinite(t)]
+
+    def bound():
+        if not totals or draw(st.booleans()):
+            return draw(st.floats(0.5, 1.5))
+        total = draw(st.sampled_from(totals))
+        return float(np.nextafter(total, draw(st.sampled_from([-np.inf, total, np.inf]))))
+
+    low, high = sorted([bound(), bound()])
+    return raw, low, high
 
 
 class TestTransformLabels:
