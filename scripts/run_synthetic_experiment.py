@@ -30,7 +30,7 @@ def main():
 
     samples, band = benchmark_dataset(args.samples, seed=args.data_seed)
     print(f"dataset: {len(samples)} samples, band [{band.low:.1f}, {band.high:.1f}), "
-          f"target fraction {sum(s.y for s in samples) / len(samples):.3f}")
+          f"target fraction {samples.y.mean():.3f}")
     train_part, val_part = split(samples, 0.8, seed=args.seed)
 
     arch = ArchConfig(n_components=8)
@@ -39,8 +39,7 @@ def main():
     params, stats, history = train(train_part, val_part, arch, cfg)
     print(f"trained {args.epochs} epochs in {time.monotonic() - started:.1f}s")
 
-    targets = [s for s in train_part if s.y == 1]
-    center = evaluation.class_center(targets, params, stats)
+    center = evaluation.class_center(train_part[train_part.y == 1], params, stats)
     dgn = evaluation.evaluate(val_part, params, stats, center, args.precision_k)
     knn = baseline_knn.knn_evaluate(train_part, val_part, stats,
                                     baseline_knn.KnnConfig(5), args.precision_k)

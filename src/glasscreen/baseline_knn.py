@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_pipeline import LabeledSample, NormalizationStats, normalize
+from .data_pipeline import NormalizationStats, Samples, normalize
 from .evaluation import Report, make_report
 
 # query rows per distance matrix, bounding memory at chunk x training size
@@ -24,7 +24,7 @@ class KnnConfig:
 
 
 def knn_scores(
-    train: list[LabeledSample],
+    train: Samples,
     stats: NormalizationStats,
     queries: np.ndarray,
     cfg: KnnConfig,
@@ -38,14 +38,12 @@ def knn_scores(
     from a partial selection, and only a row where that distance is tied (or
     nan) is sorted in full, so the neighbours are those of a full sort.
     """
-    if not train:
-        raise ValueError("knn_scores needs a non-empty training set")
     if cfg.k_neighbors > len(train):
         raise ValueError(
             f"k_neighbors={cfg.k_neighbors} exceeds training size {len(train)}"
         )
-    x = normalize(np.array([s.fractions for s in train]), stats)
-    labels = np.array([s.y for s in train], dtype=np.float64)
+    x = normalize(train.fractions, stats)
+    labels = train.y.astype(np.float64)
     q_all = normalize(queries, stats)
     k = cfg.k_neighbors
     train_sq = np.sum(x ** 2, axis=1)
@@ -71,8 +69,8 @@ def knn_scores(
 
 
 def knn_evaluate(
-    train: list[LabeledSample],
-    val: list[LabeledSample],
+    train: Samples,
+    val: Samples,
     stats: NormalizationStats,
     cfg: KnnConfig,
     k_rank: int,
@@ -81,5 +79,4 @@ def knn_evaluate(
     Report the encoder evaluation produces."""
     if not val:
         raise ValueError("knn_evaluate needs a non-empty validation set")
-    queries = np.array([s.fractions for s in val])
-    return make_report(knn_scores(train, stats, queries, cfg), val, k_rank)
+    return make_report(knn_scores(train, stats, val.fractions, cfg), val, k_rank)

@@ -32,11 +32,11 @@ from .data_pipeline import (
     GridConfig,
     TgBand,
     clean_with_counts,
+    composition_masks,
     enumerate_candidates,
     load_candidates,
     load_dataset,
     normalize,
-    schema_from_csv,
     split,
     transform_labels,
     write_candidates,
@@ -69,6 +69,10 @@ _ARCH_FIELDS = [f for f in fields(ArchConfig)
                 if f.name not in ("n_components", "bn_momentum", "bn_epsilon")]
 _TRAIN_FIELDS = list(fields(TrainConfig))
 
+# the JSON values a config key of each field type accepts: an int key takes an
+# int (not a bool, which Python counts as one), a float key an int or a float
+_VALUE_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
+
 
 @dataclass
 class _RunOptions:
@@ -85,7 +89,7 @@ class _RunOptions:
 
     @classmethod
     def load(cls, path, overrides: dict | None = None) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
+        types = {f.name: f.type for f in fields(cls)}
         values: dict = {}
         if path is not None:
             with open(path, encoding="utf-8") as fh:
@@ -95,17 +99,17 @@ class _RunOptions:
                     raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
             if not isinstance(raw, dict):
                 raise ConfigError(f"{path}: config must be a flat JSON object")
-            unknown = sorted(set(raw) - known)
+            unknown = sorted(set(raw) - types.keys())
             if unknown:
                 raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
             values.update(raw)
         for key, value in (overrides or {}).items():
             if value is not None:
                 values[key] = value
-        try:
-            cfg = cls(**values)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        for key, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[types[key]]):
+                raise ConfigError(f"{key} must be of type {types[key]}, got {value!r}")
+        cfg = cls(**values)
         cfg.validate()
         log.debug("run config %s: fingerprint %s", path or "(defaults)", cfg.fingerprint())
         return cfg
@@ -199,8 +203,7 @@ def _parse_band(text: str) -> TgBand:
 def cmd_clean(args) -> int:
     run = RunConfig.load(args.config, {"seed": args.seed, "min_sum": args.min_sum,
                                        "max_sum": args.max_sum})
-    schema = schema_from_csv(args.input)
-    raw = load_dataset(args.input, schema)
+    raw, schema = load_dataset(args.input)
     kept, counts = clean_with_counts(raw, run.min_sum, run.max_sum)
     with atomic_path(args.output) as tmp:
         write_dataset(tmp, schema, kept)
@@ -213,19 +216,13 @@ def cmd_clean(args) -> int:
     return EXIT_OK
 
 
-def _load_labeled(data_path, band: TgBand, run: RunConfig):
-    schema = schema_from_csv(data_path)
-    raw = load_dataset(data_path, schema)
+def _label_split(raw, band: TgBand, run: RunConfig):
+    """The train and validation parts of a loaded table, cleaned and labelled."""
     cleaned, counts = clean_with_counts(raw, run.min_sum, run.max_sum)
     log.info("loaded %d rows, %d kept after cleaning", counts.read, counts.kept)
     labeled = transform_labels(cleaned, band)
-    n_target = sum(s.y for s in labeled)
     log.info("band [%g, %g): %d targets / %d samples", band.low, band.high,
-             n_target, len(labeled))
-    return schema, labeled
-
-
-def _split(labeled, run: RunConfig):
+             labeled.y.sum(), len(labeled))
     train_part, val_part = split(labeled, run.train_fraction, run.seed)
     log.debug("split seed %d, train_fraction %g: %d train / %d validation rows",
               run.seed, run.train_fraction, len(train_part), len(val_part))
@@ -241,16 +238,15 @@ def cmd_train(args) -> int:
     else:
         raise ConfigError("no Tg band given (use --band LOW:HIGH or band_low/band_high)")
 
-    schema, labeled = _load_labeled(args.data, band, run)
-    train_part, val_part = _split(labeled, run)
+    raw, schema = load_dataset(args.data)
+    train_part, val_part = _label_split(raw, band, run)
     arch = run.arch_config(n_components=schema.n)
     params, stats, history = train(train_part, val_part, arch, run.train_config())
     for r in history.records:
         log.debug("epoch %d: mean loss %.6f, val AUC %.4f, val P@%d %.4f",
                   r.epoch, r.mean_loss, r.val_auc, run.precision_k, r.val_precision_at_k)
 
-    targets = [s for s in train_part if s.y == 1]
-    center = evaluation.class_center(targets, params, stats)
+    center = evaluation.class_center(train_part[train_part.y == 1], params, stats)
 
     with atomic_path(args.out) as tmp:
         save_checkpoint(params, arch, stats, band, tmp, center=center.vector)
@@ -269,17 +265,15 @@ def cmd_eval(args) -> int:
     run = RunConfig.load(args.config, {"seed": args.seed})
     log.info("checkpoint band [%g, %g)", ckpt.band.low, ckpt.band.high)
 
-    schema = schema_from_csv(args.data)
+    raw, schema = load_dataset(args.data)
     if schema.n != ckpt.arch.n_components:
         raise DataFormatError(
             f"{args.data} has {schema.n} components but the checkpoint "
             f"expects {ckpt.arch.n_components}"
         )
-    _, labeled = _load_labeled(args.data, ckpt.band, run)
-    train_part, val_part = _split(labeled, run)
+    train_part, val_part = _label_split(raw, ckpt.band, run)
 
-    targets = [s for s in train_part if s.y == 1]
-    center = evaluation.class_center(targets, ckpt.params, ckpt.stats)
+    center = evaluation.class_center(train_part[train_part.y == 1], ckpt.params, ckpt.stats)
     report = evaluation.evaluate(val_part, ckpt.params, ckpt.stats, center, args.k)
 
     report_dir = Path(args.report_dir)
@@ -318,9 +312,8 @@ def cmd_screen(args) -> int:
         )
     candidates, schema = load_candidates(args.candidates, ckpt.arch.n_components)
     # the composition rule clean applies to training rows
-    totals = candidates.sum(axis=1)
-    off_simplex = np.flatnonzero((candidates < 0).any(axis=1)
-                                 | ~((run.min_sum <= totals) & (totals <= run.max_sum)))
+    totals, negative, off_sum = composition_masks(candidates, run.min_sum, run.max_sum)
+    off_simplex = np.flatnonzero(negative | off_sum)
     if off_simplex.size:
         row = off_simplex[0]
         raise DataFormatError(

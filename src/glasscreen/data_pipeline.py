@@ -4,6 +4,10 @@ normalization, augmentation, triplet sampling and candidate enumeration.
 Input tables are UTF-8 CSV with a header of component names followed by a
 final ``Tg`` column. Fractions are mass fractions on the 0-1 scale; an empty
 Tg cell means the label is missing.
+
+A table travels from load to report as one ``Samples``: a fractions matrix
+plus Tg, has-Tg and (after labelling) band-label columns. Cleaning, labelling
+and splitting are masks and index arrays over it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,21 +57,50 @@ class ComponentSchema:
         return len(self.names)
 
 
-@dataclass
-class RawSample:
-    """One parsed table row: fractions plus an optional Tg label (degC)."""
+# a row as iterating a Samples table yields it; tg and y may be None
+SampleRow = namedtuple("SampleRow", "fractions tg y")
+
+
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """Column table of N compositions, one row per sample.
+
+    ``fractions`` is (N, n) float64 and C-contiguous; ``tg`` is (N,) float64
+    in degC; ``has_tg`` is (N,) bool, False where the Tg cell was empty (``tg``
+    is nan there, while a nan read from the file keeps ``has_tg``: clean counts
+    a missing Tg and a non-finite one apart); ``y`` is the (N,) int64 band
+    label, None before transform_labels. Indexing with a slice, a mask or an
+    index array gives the sub-table.
+    """
 
     fractions: np.ndarray
-    tg: float | None = None
+    tg: np.ndarray
+    has_tg: np.ndarray
+    y: np.ndarray | None = None
 
+    def __post_init__(self):
+        for name, dtype in (("fractions", np.float64), ("tg", np.float64),
+                            ("has_tg", bool), ("y", np.int64)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype))
+        columns = [self.tg, self.has_tg] + ([] if self.y is None else [self.y])
+        if self.fractions.ndim != 2 or any(c.shape != self.fractions.shape[:1] for c in columns):
+            raise ValueError("Samples needs (N, n) fractions and (N,) tg, has_tg and y columns")
 
-@dataclass
-class LabeledSample:
-    """Composition with its band label y (1 = inside the band) and original Tg."""
+    def __len__(self) -> int:
+        return self.fractions.shape[0]
 
-    fractions: np.ndarray
-    y: int
-    tg: float
+    def __getitem__(self, index) -> "Samples":
+        return Samples(self.fractions[index], self.tg[index], self.has_tg[index],
+                       None if self.y is None else self.y[index])
+
+    def __iter__(self):
+        """Read-only rows, for callers written against rows; the package reads columns."""
+        fractions = self.fractions.view()
+        fractions.flags.writeable = False
+        tg = np.where(self.has_tg, self.tg.astype(object), None).tolist()
+        y = [None] * len(self) if self.y is None else self.y.tolist()
+        return map(SampleRow, fractions, tg, y)
 
 
 @dataclass(frozen=True)
@@ -79,9 +113,6 @@ class TgBand:
     def __post_init__(self):
         if not self.low < self.high:
             raise ValueError(f"band requires low < high, got [{self.low}, {self.high})")
-
-    def contains(self, tg: float) -> bool:
-        return self.low <= tg < self.high
 
 
 @dataclass
@@ -147,71 +178,68 @@ class GridConfig:
 # table IO
 
 
-def schema_from_csv(path) -> ComponentSchema:
-    """Read the component schema from a table header (last column must be Tg)."""
+def _read_header(path) -> tuple[list[str], str]:
+    """A table's header row and the text after it; "" for text that is not
+    UTF-8, which the row-wise parse then raises after any bad row before it."""
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
-    if not header:
-        raise DataFormatError(f"{path}: empty file, expected a header row")
-    if header[-1] != TG_COLUMN:
-        raise DataFormatError(f"{path}: last header column must be {TG_COLUMN!r}")
-    return ComponentSchema(tuple(header[:-1]))
+        if not header:
+            raise DataFormatError(f"{path}: empty file, expected a header row")
+        try:
+            return header, fh.read()
+        except UnicodeDecodeError:
+            return header, ""
 
 
-def load_dataset(path, schema: ComponentSchema) -> list[RawSample]:
-    """Parse a composition/Tg table into raw samples, in file order.
+def load_dataset(path) -> tuple[Samples, ComponentSchema]:
+    """Parse a composition/Tg table into an unlabelled Samples table, in file
+    order, and the schema its header names (the last column must be Tg).
 
     Raises DataFormatError naming the offending data row (1-based) for wrong
     column counts or non-numeric cells. A table whose cells are all finite
-    numbers is read as one array, and each sample's fractions are a row view
-    of it; any other table is read row by row, to the same values.
+    numbers is read as one array; any other table is read row by row, to the
+    same values.
     """
-    expected_header = list(schema.names) + [TG_COLUMN]
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file, expected a header row")
-        if header != expected_header:
-            raise DataFormatError(
-                f"{path}: header {header[:4]}... does not match the expected schema"
-            )
-        try:
-            body = fh.read()
-        except UnicodeDecodeError:
-            body = ""  # the row-wise parse raises it, after any bad row before it
+    header, body = _read_header(path)
+    if header[-1] != TG_COLUMN:
+        raise DataFormatError(f"{path}: last header column must be {TG_COLUMN!r}")
+    schema = ComponentSchema(tuple(header[:-1]))
     table = _parse_table_fast(path, body, schema.n + 1)
     if table is None:
-        return _parse_dataset_rowwise(path, schema.n)
-    return [RawSample(fractions=row, tg=tg)
-            for row, tg in zip(table[:, :-1], table[:, -1].tolist())]
+        return _parse_dataset_rowwise(path, schema.n), schema
+    return Samples(table[:, :-1], table[:, -1], np.ones(table.shape[0], dtype=bool)), schema
 
 
-def _parse_dataset_rowwise(path, n_components: int) -> list[RawSample]:
-    """The data rows by ``csv`` and one ``float`` per cell; the reference parse,
-    the one that reads empty Tg cells and the one that names a bad row."""
-    samples: list[RawSample] = []
+def _rows(path, n_columns: int):
+    """(1-based index, cells) of each data row by ``csv``, for the row-wise
+    parses; a row with another column count raises DataFormatError."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row_index, row in enumerate(reader, start=1):
-            if len(row) != n_components + 1:
+            if len(row) != n_columns:
                 raise DataFormatError(
-                    f"{path}: row {row_index}: expected {n_components + 1} columns, got {len(row)}"
-                )
-            try:
-                fractions = np.array([float(cell) for cell in row[:-1]], dtype=np.float64)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: row {row_index}: non-numeric fraction cell") from exc
-            tg_cell = row[-1].strip()
-            if tg_cell == "":
-                tg = None
-            else:
-                try:
-                    tg = float(tg_cell)
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}: row {row_index}: non-numeric Tg cell") from exc
-            samples.append(RawSample(fractions=fractions, tg=tg))
-    return samples
+                    f"{path}: row {row_index}: expected {n_columns} columns, got {len(row)}")
+            yield row_index, row
+
+
+def _parse_dataset_rowwise(path, n_components: int) -> Samples:
+    """The data rows by ``csv`` and one ``float`` per cell; the reference parse,
+    the one that reads empty Tg cells and the one that names a bad row."""
+    fractions, tg, has_tg = array("d"), array("d"), bytearray()
+    for row_index, row in _rows(path, n_components + 1):
+        try:
+            fractions.extend(map(float, row[:-1]))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {row_index}: non-numeric fraction cell") from exc
+        tg_cell = row[-1].strip()
+        has_tg.append(tg_cell != "")
+        try:
+            tg.append(float(tg_cell) if tg_cell else math.nan)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {row_index}: non-numeric Tg cell") from exc
+    return Samples(np.frombuffer(fractions, dtype=np.float64).reshape(-1, n_components),
+                   np.frombuffer(tg, dtype=np.float64), np.frombuffer(has_tg, dtype=bool))
 
 
 # rows joined per write in write_dataset: each joined string stays under
@@ -221,18 +249,19 @@ def _parse_dataset_rowwise(path, n_components: int) -> list[RawSample]:
 _DATASET_WRITE_ROWS = 512
 
 
-def write_dataset(path, schema: ComponentSchema, samples: list[RawSample]) -> None:
+def write_dataset(path, schema: ComponentSchema, samples: Samples) -> None:
     """Write a composition/Tg table: the header, then each cell as
     ``repr(float(value))`` and a missing Tg as an empty cell, in ``csv``'s
     default dialect (``\\r\\n`` line ends)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(schema.names) + [TG_COLUMN])
         for start in range(0, len(samples), _DATASET_WRITE_ROWS):
-            chunk = samples[start:start + _DATASET_WRITE_ROWS]
-            rows = np.array([s.fractions for s in chunk], dtype=np.float64).tolist()
+            chunk = slice(start, start + _DATASET_WRITE_ROWS)
             fh.write("".join([
-                ",".join(map(repr, row)) + ("," if s.tg is None else f",{float(s.tg)!r}") + "\r\n"
-                for row, s in zip(rows, chunk)
+                ",".join(map(repr, row)) + (f",{tg!r}\r\n" if has_tg else ",\r\n")
+                for row, tg, has_tg in zip(samples.fractions[chunk].tolist(),
+                                           samples.tg[chunk].tolist(),
+                                           samples.has_tg[chunk].tolist())
             ]))
 
 
@@ -245,20 +274,11 @@ def load_candidates(path, n_components: int) -> tuple[np.ndarray, ComponentSchem
     column count, and names the first data row (1-based) with a wrong column
     count or a non-numeric or non-finite cell.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if not header:
-            raise DataFormatError(f"{path}: empty file, expected a header row")
-        if len(header) != n_components:
-            raise DataFormatError(
-                f"{path} has {len(header)} component columns but the checkpoint "
-                f"expects {n_components} components"
-            )
-        schema = ComponentSchema(tuple(header))
-        try:
-            body = fh.read()
-        except UnicodeDecodeError:
-            body = ""  # the row-wise parse raises it, after any bad row before it
+    header, body = _read_header(path)
+    if len(header) != n_components:
+        raise DataFormatError(f"{path} has {len(header)} component columns but the "
+                              f"checkpoint expects {n_components} components")
+    schema = ComponentSchema(tuple(header))
     candidates = _parse_table_fast(path, body, n_components)
     if candidates is None:
         candidates = _parse_candidates_rowwise(path, n_components)
@@ -296,18 +316,11 @@ def _parse_candidates_rowwise(path, n_components: int) -> np.ndarray:
     """The data rows by ``csv`` and one ``float`` per cell; the reference parse
     and the one that names a bad row."""
     values = array("d")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row_index, row in enumerate(reader, start=1):
-            if len(row) != n_components:
-                raise DataFormatError(
-                    f"{path}: row {row_index}: expected {n_components} columns, got {len(row)}"
-                )
-            try:
-                values.extend(map(float, row))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: row {row_index}: non-numeric cell") from exc
+    for row_index, row in _rows(path, n_components):
+        try:
+            values.extend(map(float, row))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {row_index}: non-numeric cell") from exc
     candidates = np.frombuffer(values, dtype=np.float64).reshape(-1, n_components)
     non_finite = np.flatnonzero(~np.isfinite(candidates).all(axis=1))
     if non_finite.size:
@@ -348,50 +361,47 @@ class CleanCounts:
     dropped_non_finite: int = 0
 
 
-def clean_with_counts(raw: list[RawSample], min_sum: float, max_sum: float):
+def composition_masks(x: np.ndarray, min_sum: float, max_sum: float):
+    """The composition rule for an (m, n) fractions array: each row's sum, the
+    rows with a negative fraction and the rows whose sum lies outside
+    [min_sum, max_sum] (a nan/inf cell makes the sum non-finite, so outside)."""
+    totals = x.sum(axis=1)
+    return totals, (x < 0).any(axis=1), ~((min_sum <= totals) & (totals <= max_sum))
+
+
+def clean_with_counts(raw: Samples, min_sum: float, max_sum: float):
     """Sum-band filter: keep rows with finite values, a Tg label, non-negative
-    fractions and total mass fraction inside [min_sum, max_sum]. Order preserved.
+    fractions and total mass fraction inside [min_sum, max_sum]. Returns the
+    kept sub-table, in order, and the counts.
 
     A dropped row is counted under the first rule it breaks, in the order
-    non-finite, negative, sum, missing Tg. The rows must all have one length.
+    non-finite, negative, sum, missing Tg.
     """
     if min_sum > max_sum:
         raise ValueError(f"min_sum {min_sum} exceeds max_sum {max_sum}")
-    counts = CleanCounts(read=len(raw))
-    if not raw:
-        return [], counts
-    x = np.array([s.fractions for s in raw])
-    tg = np.array([s.tg for s in raw], dtype=np.float64)  # None reads as nan
-    missing_tg = np.fromiter([s.tg is None for s in raw], dtype=bool, count=len(raw))
-    totals = x.sum(axis=1)  # non-finite iff a cell is nan/inf (or it overflows)
-    dropped = ~np.isfinite(totals) | (~np.isfinite(tg) & ~missing_tg)
-    counts.dropped_non_finite = int(np.count_nonzero(dropped))
-    for rule, field in (((x < 0).any(axis=1), "dropped_negative"),
-                        (~((min_sum <= totals) & (totals <= max_sum)), "dropped_sum"),
-                        (missing_tg, "dropped_missing_tg")):
+    totals, negative, off_sum = composition_masks(raw.fractions, min_sum, max_sum)
+    # a sum is non-finite iff a cell is nan/inf (or it overflows)
+    dropped = ~np.isfinite(totals) | (~np.isfinite(raw.tg) & raw.has_tg)
+    counts = CleanCounts(read=len(raw), dropped_non_finite=int(np.count_nonzero(dropped)))
+    for rule, field in ((negative, "dropped_negative"), (off_sum, "dropped_sum"),
+                        (~raw.has_tg, "dropped_missing_tg")):
         rule &= ~dropped
         setattr(counts, field, int(np.count_nonzero(rule)))
         dropped |= rule
-    kept = [raw[i] for i in np.flatnonzero(~dropped).tolist()]
+    kept = raw[~dropped]
     counts.kept = len(kept)
     return kept, counts
 
 
-def transform_labels(cleaned: list[RawSample], band: TgBand) -> list[LabeledSample]:
+def transform_labels(cleaned: Samples, band: TgBand) -> Samples:
     """y = 1 iff Tg lies in the half-open band [low, high); fractions copied."""
-    out = []
-    for sample in cleaned:
-        if sample.tg is None:
-            raise DataFormatError("transform_labels requires every sample to carry a Tg")
-        out.append(LabeledSample(
-            fractions=sample.fractions.copy(),
-            y=int(band.contains(sample.tg)),
-            tg=float(sample.tg),
-        ))
-    return out
+    if not cleaned.has_tg.all():
+        raise DataFormatError("transform_labels requires every sample to carry a Tg")
+    y = (band.low <= cleaned.tg) & (cleaned.tg < band.high)
+    return replace(cleaned, fractions=cleaned.fractions.copy(), y=y)
 
 
-def split(samples: list, train_fraction: float, seed: int):
+def split(samples: Samples, train_fraction: float, seed: int) -> tuple[Samples, Samples]:
     """Seeded random partition with ceil(N * train_fraction) on the train side."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -401,16 +411,14 @@ def split(samples: list, train_fraction: float, seed: int):
     # 1e-9 slack keeps ceil robust to float noise in N * fraction (e.g. 10 * 0.8)
     n_train = math.ceil(n * train_fraction - 1e-9)
     perm = RandomSource(seed).permutation(n)
-    train = [samples[i] for i in perm[:n_train]]
-    validation = [samples[i] for i in perm[n_train:]]
-    return train, validation
+    return samples[perm[:n_train]], samples[perm[n_train:]]
 
 
 # ---------------------------------------------------------------------------
 # normalization / augmentation
 
 
-def fit_normalization(train: list[LabeledSample]) -> NormalizationStats:
+def fit_normalization(train: Samples) -> NormalizationStats:
     """Per-component mean and population std over the training set only.
 
     Columns with (numerically) zero spread get std 1 so normalization is a
@@ -418,7 +426,7 @@ def fit_normalization(train: list[LabeledSample]) -> NormalizationStats:
     """
     if not train:
         raise ValueError("cannot fit normalization on an empty training set")
-    x = np.stack([s.fractions for s in train])
+    x = train.fractions
     mean = x.mean(axis=0)
     std = x.std(axis=0)  # population (ddof=0)
     std = np.where(std <= 1e-12, 1.0, std)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_pipeline import EmptyClassError, LabeledSample, NormalizationStats, TgBand, normalize
+from .data_pipeline import EmptyClassError, NormalizationStats, Samples, TgBand, normalize
 from .deepglassnet import ModelParams, eval_features
 from .numeric_core import NumericsWarning
 
@@ -36,18 +36,23 @@ class Report:
 
 
 def class_center(
-    targets: list[LabeledSample],
+    targets: Samples | list,
     params: ModelParams,
     stats: NormalizationStats,
 ) -> ClassCenter:
     """Arithmetic mean of eval-mode features of the (non-augmented) targets.
+
+    ``targets`` is a Samples table or, for callers written against rows, a
+    list of rows such as ``[s for s in table if s.y == 1]``; this is the one
+    place a row list is stacked, to the values of the matching sub-table.
 
     The mean of unit vectors can cancel to (near) zero; that case is flagged
     with a warning but still returned.
     """
     if not targets:
         raise EmptyClassError("class center needs at least one target sample")
-    x = normalize(np.stack([s.fractions for s in targets]), stats)
+    x = normalize(targets.fractions if isinstance(targets, Samples)
+                  else np.array([s.fractions for s in targets]), stats)
     features = eval_features(x, params)
     center = features.mean(axis=0)
     if float(np.linalg.norm(center)) <= 1e-12:
@@ -57,16 +62,14 @@ def class_center(
 
 
 def score(
-    samples: list[LabeledSample],
+    samples: Samples,
     params: ModelParams,
     stats: NormalizationStats,
     center: ClassCenter,
 ) -> np.ndarray:
     """Inner-product similarity of each sample's feature with the center, as
     an (m,) array in input order, without augmentation."""
-    if not samples:
-        return np.zeros(0)
-    x = normalize(np.stack([s.fractions for s in samples]), stats)
+    x = normalize(samples.fractions, stats)
     return eval_features(x, params) @ center.vector
 
 
@@ -111,10 +114,10 @@ def precision_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
     return int(labels[top].sum()) / k
 
 
-def make_report(scores: np.ndarray, samples: list[LabeledSample], k: int) -> Report:
+def make_report(scores: np.ndarray, samples: Samples, k: int) -> Report:
     """Ranking metrics of ``scores`` (one per sample, in sample order) against
     the samples' labels; the one place scores become a Report."""
-    labels = np.array([s.y for s in samples], dtype=np.int64)
+    labels = samples.y
     return Report(
         auc=auc(scores, labels),
         roc=roc_points(scores, labels),
@@ -122,12 +125,12 @@ def make_report(scores: np.ndarray, samples: list[LabeledSample], k: int) -> Rep
         k=k,
         scores=scores,
         labels=labels,
-        tg=np.array([s.tg for s in samples], dtype=np.float64),
+        tg=samples.tg,
     )
 
 
 def evaluate(
-    val: list[LabeledSample],
+    val: Samples,
     params: ModelParams,
     stats: NormalizationStats,
     center: ClassCenter,

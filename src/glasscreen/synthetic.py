@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data_pipeline import ComponentSchema, LabeledSample, RawSample, TgBand, transform_labels
+from .data_pipeline import ComponentSchema, Samples, TgBand, transform_labels
 from .numeric_core import RandomSource
 
 COMPONENT_NAMES = ("SiO2", "Al2O3", "B2O3", "Na2O", "K2O", "CaO", "MgO", "ZnO")
@@ -56,7 +56,7 @@ def generate_raw_samples(
     seed: int = DEFAULT_DATA_SEED,
     noise_std: float = DEFAULT_NOISE_STD,
     sum_jitter: float = 0.0,
-) -> list[RawSample]:
+) -> Samples:
     """Benchmark corpus of compositions with noisy Tg labels.
 
     ``sum_jitter`` optionally rescales each row by U(1-j, 1+j) so the corpus
@@ -68,19 +68,19 @@ def generate_raw_samples(
     if sum_jitter > 0.0:
         scale = 1.0 + sum_jitter * (2.0 * rng.uniform(size=n_samples) - 1.0)
         x = x * scale[:, None]
-    return [RawSample(fractions=x[i], tg=float(tg[i])) for i in range(n_samples)]
+    return Samples(x, tg, np.ones(n_samples, dtype=bool))
 
 
-def quantile_band(samples: list[RawSample], lo_q: float = 0.4, hi_q: float = 0.6) -> TgBand:
+def quantile_band(samples: Samples, lo_q: float = 0.4, hi_q: float = 0.6) -> TgBand:
     """Band between two empirical Tg quantiles (defaults cover ~20% of samples)."""
-    tgs = np.array([s.tg for s in samples if s.tg is not None])
+    tgs = samples.tg[samples.has_tg]
     return TgBand(float(np.quantile(tgs, lo_q)), float(np.quantile(tgs, hi_q)))
 
 
 def benchmark_dataset(
     n_samples: int = 4000,
     seed: int = DEFAULT_DATA_SEED,
-) -> tuple[list[LabeledSample], TgBand]:
+) -> tuple[Samples, TgBand]:
     """Labeled benchmark set with the default ~20% band."""
     raw = generate_raw_samples(n_samples=n_samples, seed=seed)
     band = quantile_band(raw)

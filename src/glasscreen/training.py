@@ -17,8 +17,7 @@ import numpy as np
 from . import evaluation
 from .data_pipeline import (
     AugmentationConfig,
-    LabeledSample,
-    NormalizationStats,
+    Samples,
     TripletIndexSampler,
     augment,
     fit_normalization,
@@ -285,8 +284,8 @@ class TrainHistory:
 
 
 def train(
-    train_set: list[LabeledSample],
-    val_set: list[LabeledSample],
+    train_set: Samples,
+    val_set: Samples,
     arch: ArchConfig,
     cfg: TrainConfig,
 ):
@@ -306,10 +305,9 @@ def train(
             f"precision_k={cfg.precision_k} exceeds validation size {len(val_set)}"
         )
 
-    x_raw = np.stack([s.fractions for s in train_set])
-    labels = np.array([s.y for s in train_set])
-    sampler = TripletIndexSampler(labels)  # raises EmptyClassError on one-class data
-    targets = [s for s in train_set if s.y == 1]
+    x_raw = train_set.fractions
+    sampler = TripletIndexSampler(train_set.y)  # raises EmptyClassError on one-class data
+    targets = train_set[train_set.y == 1]
 
     stats = fit_normalization(train_set)
     params = init_params(arch, cfg.seed)

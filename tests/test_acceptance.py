@@ -17,7 +17,6 @@ from glasscreen import baseline_knn, evaluation
 from glasscreen.cli import EXIT_OK, main
 from glasscreen.data_pipeline import (
     ComponentSchema,
-    RawSample,
     split,
     write_dataset,
 )
@@ -37,6 +36,7 @@ from glasscreen.synthetic import (
     noise_free_tg,
 )
 from glasscreen.training import TrainConfig, backward, train, triplet_losses
+from sample_tables import table
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -114,7 +114,7 @@ def synthetic_run():
     params, stats, history = train(train_part, val_part, arch, cfg)
     runtime = time.monotonic() - started
 
-    targets = [s for s in train_part if s.y == 1]
+    targets = train_part[train_part.y == 1]
     center = evaluation.class_center(targets, params, stats)
     dgn = evaluation.evaluate(val_part, params, stats, center, 50)
     knn = baseline_knn.knn_evaluate(train_part, val_part, stats,
@@ -144,9 +144,9 @@ def test_screen_ranks_known_target_first(synthetic_run, tmp_path):
     save_checkpoint(run["params"], run["arch"], run["stats"], run["band"],
                     ckpt_path, center=run["center"].vector)
 
-    targets = [s for s in run["train_part"] if s.y == 1]
+    targets = run["train_part"][run["train_part"].y == 1]
     scores = evaluation.score(targets, run["params"], run["stats"], run["center"])
-    strongest = targets[int(np.argmax(scores))]
+    strongest = targets.fractions[int(np.argmax(scores))]
 
     rng = RandomSource(505)
     off_band = []
@@ -160,7 +160,7 @@ def test_screen_ranks_known_target_first(synthetic_run, tmp_path):
     candidates_path = tmp_path / "candidates.csv"
     with open(candidates_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(SCHEMA.names) + "\n")
-        for x in [strongest.fractions] + off_band:
+        for x in [strongest] + off_band:
             fh.write(",".join(repr(float(v)) for v in x) + "\n")
 
     out_path = tmp_path / "picks.csv"
@@ -169,7 +169,7 @@ def test_screen_ranks_known_target_first(synthetic_run, tmp_path):
                  "--top-k", "1", "--out", str(out_path)])
     assert code == EXIT_OK
     top_row = out_path.read_text().splitlines()[1].split(",")[:-1]
-    assert np.allclose([float(v) for v in top_row], strongest.fractions)
+    assert np.allclose([float(v) for v in top_row], strongest)
 
 
 def test_a8_training_dynamics(synthetic_run):
@@ -246,7 +246,7 @@ def test_a6_determinism(tmp_path):
         "epochs": 3, "batch_size": 32, "precision_k": 10, "seed": 11,
         "embed_dim": 8, "hidden_dim": 16, "attention_dim": 8, "feature_dim": 4,
     }), encoding="utf-8")
-    tgs = sorted(s.tg for s in raw)
+    tgs = sorted(raw.tg.tolist())
     band_arg = f"{tgs[len(tgs) // 3]:.1f}:{tgs[2 * len(tgs) // 3]:.1f}"
 
     checkpoints = []
@@ -282,20 +282,20 @@ def test_a7_clean_predicate_fidelity(tmp_path):
         x = rng.uniform(size=18)
         x = x / x.sum() * (0.85 + 0.3 * rng.uniform())  # sums spread over [0.85, 1.15]
         tg = None if i % 7 == 0 else 300.0 + 500.0 * rng.uniform()
-        rows.append(RawSample(fractions=x, tg=tg))
+        rows.append((x, tg))
     src = tmp_path / "sciglass_like.csv"
-    write_dataset(src, schema, rows)
+    write_dataset(src, schema, table([x for x, _ in rows], [tg for _, tg in rows]))
     out = tmp_path / "cleaned.csv"
     assert main(["clean", "--input", str(src), "--output", str(out)]) == EXIT_OK
 
     kept_rows = out.read_text().splitlines()[1:]
-    expected = [r for r in rows
-                if r.tg is not None and 0.95 <= float(r.fractions.sum()) <= 1.05]
+    expected = [x for x, tg in rows
+                if tg is not None and 0.95 <= float(x.sum()) <= 1.05]
     predicate_exact = len(kept_rows) == len(expected)
     if predicate_exact:
-        for line, row in zip(kept_rows, expected):
+        for line, x in zip(kept_rows, expected):
             cells = line.split(",")
-            if not np.allclose([float(c) for c in cells[:-1]], row.fractions, rtol=0, atol=0):
+            if not np.allclose([float(c) for c in cells[:-1]], x, rtol=0, atol=0):
                 predicate_exact = False
                 break
 

@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 
 from glasscreen import baseline_knn
 from glasscreen.baseline_knn import KnnConfig, knn_evaluate, knn_scores
-from glasscreen.data_pipeline import LabeledSample, fit_normalization, normalize
+from glasscreen.data_pipeline import fit_normalization, normalize
 from glasscreen.evaluation import Report
 from glasscreen.numeric_core import RandomSource
-
-
-def labeled(fracs, y, tg=500.0):
-    return LabeledSample(fractions=np.array(fracs, dtype=float), y=y, tg=tg)
+from sample_tables import concat, labeled
 
 
 def line_point(t, y, tg=500.0):
@@ -20,12 +17,12 @@ def line_point(t, y, tg=500.0):
 
 class TestKnnScore:
     def test_exact_match_single_target(self):
-        train = [line_point(0.3, 1)]
-        stats = fit_normalization(train + [line_point(0.9, 0)])
+        train = line_point(0.3, 1)
+        stats = fit_normalization(concat([train, line_point(0.9, 0)]))
         assert knn_scores(train, stats, np.array([[0.3, 0.7]]), KnnConfig(1))[0] == 1.0
 
     def test_k_equals_train_size_gives_base_rate(self):
-        train = [line_point(0.1, 1), line_point(0.5, 0), line_point(0.9, 0)]
+        train = concat([line_point(0.1, 1), line_point(0.5, 0), line_point(0.9, 0)])
         stats = fit_normalization(train)
         got = knn_scores(train, stats, np.array([[0.2, 0.8]]), KnnConfig(3))[0]
         assert got == pytest.approx(1 / 3)
@@ -33,15 +30,15 @@ class TestKnnScore:
     def test_hand_instance_two_neighbors(self):
         # points on the simplex edge at t = 0.0 (y=1), 0.5 (y=0), 1.0 (y=1);
         # query at t = 0.4 has neighbors {0.5, 0.0} for k = 2
-        train = [line_point(0.0, 1), line_point(0.5, 0), line_point(1.0, 1)]
+        train = concat([line_point(0.0, 1), line_point(0.5, 0), line_point(1.0, 1)])
         stats = fit_normalization(train)
         got = knn_scores(train, stats, np.array([[0.4, 0.6]]), KnnConfig(2))[0]
         assert got == 0.5
 
     def test_scores_are_multiples_of_inverse_k(self):
         rng = RandomSource(0)
-        train = [line_point(float(rng.uniform()), int(rng.uniform() > 0.5))
-                 for _ in range(20)]
+        train = concat(line_point(float(rng.uniform()), int(rng.uniform() > 0.5))
+                       for _ in range(20))
         stats = fit_normalization(train)
         for _ in range(10):
             s = knn_scores(train, stats, np.array([[rng.uniform(), rng.uniform()]]),
@@ -49,15 +46,16 @@ class TestKnnScore:
             assert s in {0.0, 0.25, 0.5, 0.75, 1.0}
 
     def test_k_larger_than_train_rejected(self):
-        train = [line_point(0.5, 1)]
-        stats = fit_normalization(train + [line_point(0.1, 0)])
+        train = line_point(0.5, 1)
+        stats = fit_normalization(concat([train, line_point(0.1, 0)]))
         with pytest.raises(ValueError):
             knn_scores(train, stats, np.array([[0.5, 0.5]]), KnnConfig(2))
 
     def test_empty_train_rejected(self):
-        stats = fit_normalization([line_point(0.5, 1), line_point(0.1, 0)])
+        train = concat([line_point(0.5, 1), line_point(0.1, 0)])
+        stats = fit_normalization(train)
         with pytest.raises(ValueError):
-            knn_scores([], stats, np.array([[0.5, 0.5]]), KnnConfig(1))
+            knn_scores(train[:0], stats, np.array([[0.5, 0.5]]), KnnConfig(1))
 
     def test_config_validates(self):
         with pytest.raises(ValueError):
@@ -69,8 +67,8 @@ def make_sets(seed=1, n_train=40, n_val=20):
     def sample():
         t = float(rng.uniform())
         return line_point(t, int(t > 0.6), tg=400.0 + 300.0 * t)
-    train = [sample() for _ in range(n_train)]
-    val = [sample() for _ in range(n_val)]
+    train = concat(sample() for _ in range(n_train))
+    val = concat(sample() for _ in range(n_val))
     return train, val
 
 
@@ -104,7 +102,7 @@ class TestKnnEvaluate:
         train, val = make_sets(seed=2)
         stats = fit_normalization(train)
         before = knn_evaluate(train, val, stats, KnnConfig(5), k_rank=5)
-        shuffled = list(reversed(train))
+        shuffled = train[::-1]
         after = knn_evaluate(shuffled, val, stats, KnnConfig(5), k_rank=5)
         assert before.scores.tolist() == after.scores.tolist()
 
@@ -112,14 +110,14 @@ class TestKnnEvaluate:
         train, _ = make_sets()
         stats = fit_normalization(train)
         with pytest.raises(ValueError, match="non-empty validation set"):
-            knn_evaluate(train, [], stats, KnnConfig(5), k_rank=5)
+            knn_evaluate(train, train[:0], stats, KnnConfig(5), k_rank=5)
 
 
 def sorted_knn_scores(train, stats, queries, k):
     """Reference scorer: a full stable argsort of each chunk's distances, the
     first k columns as the neighbours and the mean of their labels."""
-    x = normalize(np.stack([s.fractions for s in train]), stats)
-    labels = np.array([s.y for s in train], dtype=np.float64)
+    x = normalize(train.fractions, stats)
+    labels = train.y.astype(np.float64)
     q_all = normalize(queries, stats)
     train_sq = np.sum(x ** 2, axis=1)
     scores = np.empty(q_all.shape[0])
@@ -141,11 +139,11 @@ def tied_knn_problems(draw):
     distinct = draw(st.lists(grid, min_size=1, max_size=8))
     picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=20))
     labels = draw(st.lists(st.integers(0, 1), min_size=len(picks), max_size=len(picks)))
-    train = [LabeledSample(fractions=np.array(distinct[i], dtype=np.float64) / 4, y=y, tg=500.0)
-             for i, y in zip(picks, labels)]
+    train = concat(labeled(np.array(distinct[i], dtype=np.float64) / 4, y)
+                   for i, y in zip(picks, labels))
     k = draw(st.integers(1, len(train)))
     rows = draw(st.lists(st.one_of(st.integers(0, len(train) - 1).map(
-        lambda i: train[i].fractions), grid.map(lambda g: np.array(g, dtype=np.float64) / 4)),
+        lambda i: train.fractions[i]), grid.map(lambda g: np.array(g, dtype=np.float64) / 4)),
         min_size=1, max_size=6))
     size = draw(st.sampled_from([1, baseline_knn._CHUNK, baseline_knn._CHUNK + 1,
                                  2 * baseline_knn._CHUNK + 3]))

@@ -13,13 +13,13 @@ from glasscreen.data_pipeline import (
     ComponentSchema,
     GridConfig,
     NormalizationStats,
-    RawSample,
     TgBand,
     enumerate_candidates,
     write_dataset,
 )
 from glasscreen.deepglassnet import ArchConfig, init_params, load_checkpoint, save_checkpoint
 from glasscreen.numeric_core import RandomSource
+from sample_tables import table
 
 SCHEMA = ComponentSchema(("A", "B", "C"))
 
@@ -39,13 +39,13 @@ SMALL_CONFIG = {
 def make_table(path, n_rows=150, seed=0):
     """Composition/Tg table whose labels straddle the 500:600 band."""
     rng = RandomSource(seed)
-    samples = []
+    fractions, tgs = [], []
     for _ in range(n_rows):
         x = rng.uniform(size=3)
         x = x / x.sum()
-        tg = 380.0 + 420.0 * x[0] + rng.normal(0.0, 15.0)
-        samples.append(RawSample(fractions=x, tg=float(tg)))
-    write_dataset(path, SCHEMA, samples)
+        fractions.append(x)
+        tgs.append(float(380.0 + 420.0 * x[0] + rng.normal(0.0, 15.0)))
+    write_dataset(path, SCHEMA, table(fractions, tgs))
     return path
 
 
@@ -73,14 +73,14 @@ def run_train(tmp_path, data, config, out_name="model.ckpt"):
 
 class TestClean:
     def test_counts_and_content(self, tmp_path, caplog):
-        rows = [
-            RawSample(fractions=np.array([0.5, 0.3, 0.2]), tg=520.0),   # kept
-            RawSample(fractions=np.array([0.2, 0.2, 0.2]), tg=520.0),   # bad sum
-            RawSample(fractions=np.array([0.5, 0.5, 0.04]), tg=550.0),  # kept
-            RawSample(fractions=np.array([0.8, 0.8, 0.2]), tg=520.0),   # bad sum
-            RawSample(fractions=np.array([0.4, 0.3, 0.3]), tg=None),    # missing Tg
-            RawSample(fractions=np.array([0.4, 0.3, 0.3]), tg=np.nan),  # non-finite Tg
-        ]
+        rows = table([
+            [0.5, 0.3, 0.2],   # kept
+            [0.2, 0.2, 0.2],   # bad sum
+            [0.5, 0.5, 0.04],  # kept
+            [0.8, 0.8, 0.2],   # bad sum
+            [0.4, 0.3, 0.3],   # missing Tg
+            [0.4, 0.3, 0.3],   # non-finite Tg
+        ], [520.0, 520.0, 550.0, 520.0, None, np.nan])
         src = tmp_path / "raw.csv"
         write_dataset(src, SCHEMA, rows)
         out = tmp_path / "clean.csv"
@@ -202,7 +202,7 @@ class TestEval:
         _, data, config = workdir
         other = tmp_path / "wide.csv"
         wide_schema = ComponentSchema(("A", "B", "C", "D"))
-        rows = [RawSample(fractions=np.array([0.25, 0.25, 0.25, 0.25]), tg=550.0)]
+        rows = table([[0.25, 0.25, 0.25, 0.25]], [550.0])
         write_dataset(other, wide_schema, rows)
         out = run_train(tmp_path, data, config)
         code = main(["eval", "--checkpoint", str(out), "--data", str(other),
@@ -386,6 +386,33 @@ class TestRunConfig:
         path.write_text(json.dumps({key: 3}), encoding="utf-8")
         with pytest.raises(ConfigError, match=key):
             RunConfig.load(path)
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("clean", "min_sum", "0.9"),  # str for a float key
+        ("clean", "epochs", "5"),     # str for an int key
+        ("train", "epochs", 5.5),     # float for an int key
+        ("train", "epochs", True),    # bool for an int key
+        ("train", "lr", True),        # bool for a float key
+        ("train", "seed", None),      # null outside band_low/band_high
+    ])
+    def test_wrongly_typed_value_is_usage_error(self, workdir, command, key, value):
+        tmp_path, data, _ = workdir
+        config = write_config(tmp_path / "typed.json", **{key: value})
+        out = tmp_path / "out"
+        argv = (["clean", "--input", str(data), "--output", str(out)] if command == "clean"
+                else ["train", "--data", str(data), "--band", "500:600", "--out", str(out)])
+        assert main(argv + ["--config", str(config)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_accepted_values_are_kept(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"epochs": 5}), encoding="utf-8")
+        assert RunConfig.load(path).fingerprint() == RunConfig(epochs=5).fingerprint()
+        path.write_text(json.dumps({"min_sum": 1, "lr": 0.01, "band_low": None,
+                                    "band_high": None}), encoding="utf-8")
+        cfg = RunConfig.load(path)
+        assert (cfg.min_sum, cfg.lr, cfg.band_low) == (1, 0.01, None)
+        assert type(cfg.min_sum) is int
 
 
 class TestVerbose:

@@ -22,8 +22,6 @@ from glasscreen.data_pipeline import (
     DataFormatError,
     EmptyClassError,
     GridConfig,
-    LabeledSample,
-    RawSample,
     TgBand,
     TripletIndexSampler,
     augment,
@@ -33,13 +31,13 @@ from glasscreen.data_pipeline import (
     load_candidates,
     load_dataset,
     normalize,
-    schema_from_csv,
     split,
     transform_labels,
     write_candidates,
     write_dataset,
 )
 from glasscreen.numeric_core import RandomSource
+from sample_tables import assert_same_table, concat, labeled, table
 
 SCHEMA3 = ComponentSchema(("A", "B", "C"))
 
@@ -47,10 +45,6 @@ SCHEMA3 = ComponentSchema(("A", "B", "C"))
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
     return path
-
-
-def labeled(fracs, y, tg):
-    return LabeledSample(fractions=np.array(fracs, dtype=float), y=y, tg=tg)
 
 
 class TestSchema:
@@ -64,41 +58,42 @@ class TestSchema:
 
     def test_schema_from_csv(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "A,B,C,Tg\n0.5,0.3,0.2,400\n")
-        assert schema_from_csv(p).names == ("A", "B", "C")
+        assert load_dataset(p)[1].names == ("A", "B", "C")
 
     def test_schema_requires_tg_column(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "A,B,C\n0.5,0.3,0.2\n")
         with pytest.raises(DataFormatError, match="Tg"):
-            schema_from_csv(p)
+            load_dataset(p)
 
 
 class TestLoadDataset:
     def test_well_formed(self, tmp_path):
         p = write_csv(tmp_path / "d.csv",
                       "A,B,C,Tg\n0.5,0.3,0.2,400\n0.6,0.2,0.2,500\n0.1,0.1,0.8,\n")
-        samples = load_dataset(p, SCHEMA3)
-        assert len(samples) == 3
-        assert samples[0].tg == 400.0
-        assert samples[2].tg is None
-        assert np.array_equal(samples[1].fractions, [0.6, 0.2, 0.2])
+        samples, schema = load_dataset(p)
+        assert schema == SCHEMA3 and len(samples) == 3
+        assert samples.tg[0] == 400.0
+        assert samples.has_tg.tolist() == [True, True, False]
+        assert np.array_equal(samples.fractions[1], [0.6, 0.2, 0.2])
 
     def test_non_numeric_cell_names_row(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "A,B,C,Tg\n0.5,0.3,0.2,400\n0.5,oops,0.2,400\n")
         with pytest.raises(DataFormatError, match="row 2"):
-            load_dataset(p, SCHEMA3)
+            load_dataset(p)
 
     def test_wrong_column_count_names_row(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "A,B,C,Tg\n0.5,0.3,400\n")
         with pytest.raises(DataFormatError, match="row 1"):
-            load_dataset(p, SCHEMA3)
+            load_dataset(p)
 
     def test_header_only_gives_empty_list(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "A,B,C,Tg\n")
-        assert load_dataset(p, SCHEMA3) == []
+        samples, _ = load_dataset(p)
+        assert len(samples) == 0 and samples.fractions.shape == (0, 3)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_dataset(tmp_path / "absent.csv", SCHEMA3)
+            load_dataset(tmp_path / "absent.csv")
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -152,19 +147,18 @@ def assert_loads_like_reference(path, schema):
     expected = reference_dataset(path, schema.n)
     if isinstance(expected, str):
         with pytest.raises(DataFormatError) as excinfo:
-            load_dataset(path, schema)
+            load_dataset(path)
         assert str(excinfo.value) == expected
         return
-    got = load_dataset(path, schema)
-    assert len(got) == len(expected)
-    for sample, (fractions, tg) in zip(got, expected):
-        assert sample.fractions.dtype == np.float64
-        assert sample.fractions.tobytes() == fractions.tobytes()
-        if tg is None:
-            assert sample.tg is None
-        else:
-            assert type(sample.tg) is float
-            assert np.float64(sample.tg).tobytes() == np.float64(tg).tobytes()
+    got, got_schema = load_dataset(path)
+    assert got_schema == schema and len(got) == len(expected)
+    assert got.fractions.dtype == np.float64 and got.fractions.flags.c_contiguous
+    assert got.fractions.tobytes() == b"".join(fractions.tobytes() for fractions, _ in expected)
+    assert got.has_tg.tolist() == [tg is not None for _, tg in expected]
+    assert got.tg[got.has_tg].tobytes() == np.array(
+        [tg for _, tg in expected if tg is not None], dtype=np.float64).tobytes()
+    for row, (_, tg) in zip(got, expected):
+        assert row.tg is None if tg is None else type(row.tg) is float
 
 
 def reference_candidate_text(schema, rows):
@@ -418,7 +412,8 @@ class TestWriteDataset:
     def test_matches_csv_writer(self, rows):
         n = len(rows[0][0]) if rows else 3
         schema = ComponentSchema(tuple(f"C{i}" for i in range(n)))
-        samples = [RawSample(fractions=np.array(f, dtype=np.float64), tg=tg) for f, tg in rows]
+        samples = table(np.array([f for f, _ in rows], dtype=np.float64).reshape(len(rows), n),
+                        [tg for _, tg in rows])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.csv"
             write_dataset(path, schema, samples)
@@ -426,15 +421,15 @@ class TestWriteDataset:
 
     def test_many_chunks_match_csv_writer(self, tmp_path):
         rng = np.random.default_rng(1)
-        samples = [RawSample(fractions=row, tg=None if i % 7 == 0 else 400.0 + i)
-                   for i, row in enumerate(rng.random((1_300, 3)))]
+        samples = table(rng.random((1_300, 3)),
+                        [None if i % 7 == 0 else 400.0 + i for i in range(1_300)])
         write_dataset(tmp_path / "d.csv", SCHEMA3, samples)
         assert (tmp_path / "d.csv").read_bytes() == csv_writer_bytes(SCHEMA3, samples)
 
 
 def csv_writer_bytes(schema, samples):
-    """The table as ``csv.writer`` writes it, one ``repr`` per cell and an
-    empty cell for a missing Tg."""
+    """The table as ``csv.writer`` writes it row by row, one ``repr`` per cell
+    and an empty cell for a missing Tg."""
     text = io.StringIO(newline="")
     writer = csv.writer(text)
     writer.writerow(list(schema.names) + ["Tg"])
@@ -450,21 +445,21 @@ def kept_rows(raw, min_sum, max_sum):
 
 class TestClean:
     def sample(self, total, tg=450.0):
-        return RawSample(fractions=np.array([total / 2, total / 2]), tg=tg)
+        return table([[total / 2, total / 2]], [tg])
 
     def test_in_band_kept(self):
-        assert kept_rows([self.sample(0.97)], 0.95, 1.05) != []
+        assert len(kept_rows(self.sample(0.97), 0.95, 1.05)) == 1
 
     def test_below_threshold_removed(self):
-        assert kept_rows([self.sample(0.90)], 0.95, 1.05) == []
+        assert len(kept_rows(self.sample(0.90), 0.95, 1.05)) == 0
 
     def test_missing_tg_removed(self):
-        assert kept_rows([self.sample(1.00, tg=None)], 0.95, 1.05) == []
+        assert len(kept_rows(self.sample(1.00, tg=None), 0.95, 1.05)) == 0
 
     def test_negative_fraction_removed(self):
-        bad = RawSample(fractions=np.array([1.2, -0.2]), tg=400.0)
-        kept, counts = clean_with_counts([bad], 0.95, 1.05)
-        assert kept == [] and counts.dropped_negative == 1
+        bad = table([[1.2, -0.2]], [400.0])
+        kept, counts = clean_with_counts(bad, 0.95, 1.05)
+        assert len(kept) == 0 and counts.dropped_negative == 1
 
     def test_non_finite_rows_removed_and_counted(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "A,B,C,Tg\n"
@@ -474,20 +469,20 @@ class TestClean:
                          "0.5,0.3,0.2,-inf\n"
                          "0.5,0.3,0.2,520\n"
                          "0.5,0.3,0.2,\n")
-        kept, counts = clean_with_counts(load_dataset(path, SCHEMA3), 0.95, 1.05)
-        assert [s.tg for s in kept] == [520.0]
+        kept, counts = clean_with_counts(load_dataset(path)[0], 0.95, 1.05)
+        assert kept.tg.tolist() == [520.0]
         assert counts.dropped_non_finite == 4
         assert (counts.dropped_sum, counts.dropped_missing_tg, counts.dropped_negative) == (0, 1, 0)
 
     def test_order_preserved_and_idempotent(self):
-        rows = [self.sample(0.97), self.sample(0.90), self.sample(1.04), self.sample(1.2)]
+        rows = table([[t / 2, t / 2] for t in (0.97, 0.90, 1.04, 1.2)], [450.0] * 4)
         once = kept_rows(rows, 0.95, 1.05)
-        assert once == [rows[0], rows[2]]
-        assert kept_rows(once, 0.95, 1.05) == once
+        assert_same_table(once, rows[[0, 2]])
+        assert_same_table(kept_rows(once, 0.95, 1.05), once)
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            kept_rows([], 1.05, 0.95)
+            kept_rows(table(np.zeros((0, 2)), []), 1.05, 0.95)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -495,30 +490,60 @@ class TestClean:
         raw, min_sum, max_sum = data.draw(clean_problems(), label="problem")
         with np.errstate(invalid="ignore"):  # inf + -inf in a row sum
             kept, counts = clean_with_counts(raw, min_sum, max_sum)
-            expected_kept, expected_counts = reference_clean(raw, min_sum, max_sum)
+            expected_kept, expected_counts = reference_clean(
+                [(s.fractions, s.tg) for s in raw], min_sum, max_sum)
         assert counts == expected_counts
-        assert [id(s) for s in kept] == [id(s) for s in expected_kept]
+        assert_same_table(kept, raw[np.array(expected_kept, dtype=np.int64)])
 
 
 def reference_clean(raw, min_sum, max_sum):
-    """The per-row filter: each row's own sum, and the first rule it breaks
-    of non-finite, negative, sum and missing Tg."""
+    """The per-row filter over [(fractions, tg)] rows, a missing Tg as None:
+    each row's own sum, and the first rule it breaks of non-finite, negative,
+    sum and missing Tg. Returns the kept row indices and the counts."""
     counts = CleanCounts(read=len(raw))
     kept = []
-    for sample in raw:
-        total = float(sample.fractions.sum())
-        if not math.isfinite(total) or (sample.tg is not None and not math.isfinite(sample.tg)):
+    for index, (fractions, tg) in enumerate(raw):
+        total = float(fractions.sum())
+        if not math.isfinite(total) or (tg is not None and not math.isfinite(tg)):
             counts.dropped_non_finite += 1
-        elif np.any(sample.fractions < 0):
+        elif np.any(fractions < 0):
             counts.dropped_negative += 1
         elif not min_sum <= total <= max_sum:
             counts.dropped_sum += 1
-        elif sample.tg is None:
+        elif tg is None:
             counts.dropped_missing_tg += 1
         else:
-            kept.append(sample)
+            kept.append(index)
     counts.kept = len(kept)
     return kept, counts
+
+
+def reference_labels(rows, band):
+    """The per-row labelling of [(fractions, tg)] rows: [(fractions copy, y, tg)]."""
+    out = []
+    for fractions, tg in rows:
+        if tg is None:
+            raise DataFormatError("transform_labels requires every sample to carry a Tg")
+        out.append((fractions.copy(), int(band.low <= tg < band.high), float(tg)))
+    return out
+
+
+def reference_split(samples, train_fraction, seed):
+    """The list split: the rows at a seeded permutation's first ceil(N *
+    train_fraction) indices, then the rest."""
+    n = len(samples)
+    if n < 2:
+        raise ValueError(f"need at least 2 samples to split, got {n}")
+    n_train = math.ceil(n * train_fraction - 1e-9)
+    perm = RandomSource(seed).permutation(n)
+    return [samples[i] for i in perm[:n_train]], [samples[i] for i in perm[n_train:]]
+
+
+def reference_stats(train):
+    """Mean and population std of stacked (fractions, y, tg) rows, flat columns 1."""
+    x = np.stack([fractions for fractions, _, _ in train])
+    std = x.std(axis=0)
+    return x.mean(axis=0), np.where(std <= 1e-12, 1.0, std)
 
 
 @st.composite
@@ -534,7 +559,7 @@ def clean_problems(draw):
     rows = draw(st.lists(row, min_size=1, max_size=15))
     tgs = draw(st.lists(st.none() | st.floats(300.0, 900.0) | st.sampled_from(
         [np.nan, np.inf, -np.inf]), min_size=len(rows), max_size=len(rows)))
-    raw = [RawSample(fractions=np.array(row, dtype=np.float64), tg=tg) for row, tg in zip(rows, tgs)]
+    raw = table(rows, tgs)
     with np.errstate(invalid="ignore"):
         totals = [t for t in (float(s.fractions.sum()) for s in raw) if math.isfinite(t)]
 
@@ -548,19 +573,103 @@ def clean_problems(draw):
     return raw, low, high
 
 
+@st.composite
+def pipeline_tables(draw):
+    """(csv text, schema, min_sum, max_sum, band, train_fraction, seed): a
+    clean_problems table as CSV text, each cell ``repr`` of its value and a
+    missing Tg an empty cell; each band edge is a row's Tg or a value in the
+    Tg range, so the half-open rule decides some labels."""
+    raw, min_sum, max_sum = draw(clean_problems())
+    schema = ComponentSchema(tuple(f"C{i}" for i in range(raw.fractions.shape[1])))
+    text = ",".join(schema.names) + ",Tg\n" + "".join(
+        ",".join(map(repr, s.fractions.tolist())) + "," + ("" if s.tg is None else repr(s.tg))
+        + "\n" for s in raw)
+    edges = raw.tg[raw.has_tg & np.isfinite(raw.tg)].tolist()
+    low = draw(st.sampled_from(edges) if edges and draw(st.booleans())
+               else st.floats(300.0, 800.0))
+    above = [t for t in edges if t > low]
+    band = TgBand(low, draw(st.sampled_from(above)) if above and draw(st.booleans())
+                  else low + draw(st.floats(1.0, 400.0)))
+    return (text, schema, min_sum, max_sum, band, draw(st.floats(0.05, 0.95)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestTablePipeline:
+    @settings(max_examples=200, deadline=None)
+    @given(pipeline_tables())
+    def test_matches_row_pipeline(self, problem):
+        """load -> clean -> label -> split -> fit_normalization on the table
+        gives the bytes of the per-row pipeline it replaced."""
+        text, schema, min_sum, max_sum, band, fraction, seed = problem
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_csv(Path(tmp) / "d.csv", text)
+            raw, _ = load_dataset(path)
+            reference_raw = reference_dataset(path, schema.n)
+        with np.errstate(invalid="ignore"):  # inf + -inf in a row sum
+            kept, counts = clean_with_counts(raw, min_sum, max_sum)
+            kept_index, expected_counts = reference_clean(reference_raw, min_sum, max_sum)
+        assert counts == expected_counts
+        labeled_table = transform_labels(kept, band)
+        expected = reference_labels([reference_raw[i] for i in kept_index], band)
+
+        def assert_rows(got, rows):
+            assert got.fractions.tobytes() == b"".join(f.tobytes() for f, _, _ in rows)
+            assert got.y.tobytes() == np.array([y for _, y, _ in rows], dtype=np.int64).tobytes()
+            assert got.tg.tobytes() == np.array([tg for _, _, tg in rows],
+                                                dtype=np.float64).tobytes()
+
+        assert_rows(labeled_table, expected)
+        if len(expected) < 2:
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                split(labeled_table, fraction, seed)
+            return
+        train, val = split(labeled_table, fraction, seed)
+        expected_train, expected_val = reference_split(expected, fraction, seed)
+        assert_rows(train, expected_train)
+        assert_rows(val, expected_val)
+        stats = fit_normalization(train)
+        mean, std = reference_stats(expected_train)
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.std.tobytes() == std.tobytes()
+
+
+class TestSamples:
+    def test_columns_are_checked(self):
+        with pytest.raises(ValueError, match="columns"):
+            table([[0.5, 0.5], [0.2, 0.8]], [500.0])
+        with pytest.raises(ValueError, match="columns"):
+            table([0.5, 0.5], [500.0, 600.0])
+
+    def test_rows_are_read_only(self):
+        t = table([[0.5, 0.5], [0.2, 0.8]], [500.0, None], y=[1, 0])
+        rows = list(t)
+        assert [(r.tg, r.y) for r in rows] == [(500.0, 1), (None, 0)]
+        assert type(rows[0].y) is int
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0].fractions[0] = 1.0
+        assert t.fractions.flags.writeable
+
+    def test_sub_table_indexing(self):
+        t = table([[0.5, 0.5], [0.2, 0.8], [0.1, 0.9]], [500.0, None, 700.0], y=[1, 0, 0])
+        sub = t[np.array([2, 0])]
+        assert sub.fractions.tolist() == [[0.1, 0.9], [0.5, 0.5]]
+        assert sub.has_tg.tolist() == [True, True] and sub.y.tolist() == [0, 1]
+        assert_same_table(t[t.y == 0], t[1:])
+
+
 class TestTransformLabels:
     BAND = TgBand(500.0, 600.0)
 
     @pytest.mark.parametrize("tg,expected", [(550.0, 1), (600.0, 0), (499.999, 0), (500.0, 1)])
     def test_half_open_band(self, tg, expected):
-        sample = RawSample(fractions=np.array([0.5, 0.5]), tg=tg)
-        assert transform_labels([sample], self.BAND)[0].y == expected
+        sample = table([[0.5, 0.5]], [tg])
+        assert transform_labels(sample, self.BAND).y.tolist() == [expected]
 
     def test_fractions_copied_unchanged(self):
-        fr = np.array([0.4, 0.6])
-        out = transform_labels([RawSample(fractions=fr, tg=550.0)], self.BAND)
-        assert np.array_equal(out[0].fractions, fr)
-        assert out[0].fractions is not fr
+        fr = np.array([[0.4, 0.6]])
+        out = transform_labels(table(fr, [550.0]), self.BAND)
+        assert np.array_equal(out.fractions, fr)
+        assert not np.shares_memory(out.fractions, fr)
 
     def test_band_validates(self):
         with pytest.raises(ValueError):
@@ -569,15 +678,14 @@ class TestTransformLabels:
     @given(st.floats(-100, 1200), st.floats(0, 1000), st.floats(1, 500))
     def test_label_matches_band_predicate(self, tg, low, width):
         band = TgBand(low, low + width)
-        sample = RawSample(fractions=np.array([0.5, 0.5]), tg=tg)
-        out = transform_labels([sample], band)[0]
-        assert out.y in (0, 1)
-        assert out.y == int(band.low <= tg < band.high)
+        out = transform_labels(table([[0.5, 0.5]], [tg]), band)
+        assert out.y.dtype == np.int64
+        assert out.y.tolist() == [int(band.low <= tg < band.high)]
 
 
 class TestSplit:
     def make(self, n):
-        return [labeled([1.0, 0.0], 0, float(i)) for i in range(n)]
+        return table(np.tile([1.0, 0.0], (n, 1)), [float(i) for i in range(n)], y=np.zeros(n))
 
     def test_ceiling_on_train_side(self):
         train, val = split(self.make(10), 0.8, seed=0)
@@ -591,8 +699,8 @@ class TestSplit:
         data = self.make(10)
         first = split(data, 0.8, seed=7)
         second = split(data, 0.8, seed=7)
-        assert [s.tg for s in first[0]] == [s.tg for s in second[0]]
-        assert [s.tg for s in first[1]] == [s.tg for s in second[1]]
+        assert first[0].tg.tolist() == second[0].tg.tolist()
+        assert first[1].tg.tolist() == second[1].tg.tolist()
 
     def test_minimal_case(self):
         train, val = split(self.make(2), 0.5, seed=0)
@@ -603,8 +711,8 @@ class TestSplit:
         data = self.make(n)
         train, val = split(data, fraction, seed)
         assert len(train) + len(val) == n
-        assert sorted(s.tg for s in train + val) == [float(i) for i in range(n)]
-        assert not set(id(s) for s in train) & set(id(s) for s in val)
+        assert sorted(train.tg.tolist() + val.tg.tolist()) == [float(i) for i in range(n)]
+        assert not set(train.tg.tolist()) & set(val.tg.tolist())
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
@@ -617,26 +725,27 @@ class TestSplit:
 
 class TestNormalization:
     def test_constant_column_guard(self):
-        data = [labeled([0.3, v], 0, 0.0) for v in (0.0, 1.0)]
+        data = concat(labeled([0.3, v], 0, 0.0) for v in (0.0, 1.0))
         stats = fit_normalization(data)
         assert stats.mean[0] == pytest.approx(0.3)
         assert stats.std[0] == 1.0
         assert stats.mean[1] == 0.5 and stats.std[1] == 0.5  # two-point population std
 
     def test_train_only_fit(self):
-        train = [labeled([0.2, 0.8], 0, 0.0), labeled([0.4, 0.6], 1, 0.0)]
+        train = concat([labeled([0.2, 0.8], 0, 0.0), labeled([0.4, 0.6], 1, 0.0)])
         stats1 = fit_normalization(train)
         stats2 = fit_normalization(train)  # validation set plays no role
         assert np.array_equal(stats1.mean, stats2.mean)
 
     def test_centered_and_unit_points(self):
-        stats = fit_normalization([labeled([0.0, 0.0], 0, 0.0), labeled([1.0, 2.0], 0, 0.0)])
+        stats = fit_normalization(concat([labeled([0.0, 0.0], 0, 0.0),
+                                          labeled([1.0, 2.0], 0, 0.0)]))
         assert np.allclose(normalize(stats.mean, stats), [0.0, 0.0])
         assert np.allclose(normalize(stats.mean + stats.std, stats), [1.0, 1.0])
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
-        data = [labeled(rng.random(4), 0, 0.0) for _ in range(20)]
+        data = concat(labeled(rng.random(4), 0, 0.0) for _ in range(20))
         stats = fit_normalization(data)
         x = rng.random(4)
         back = normalize(x, stats) * stats.std + stats.mean
@@ -644,20 +753,21 @@ class TestNormalization:
 
     def test_self_normalization_is_standard(self):
         rng = np.random.default_rng(1)
-        data = [labeled(rng.random(5), 0, 0.0) for _ in range(50)]
+        data = concat(labeled(rng.random(5), 0, 0.0) for _ in range(50))
         stats = fit_normalization(data)
-        z = normalize(np.stack([s.fractions for s in data]), stats)
+        z = normalize(data.fractions, stats)
         assert np.max(np.abs(z.mean(axis=0))) < 1e-9
         assert np.max(np.abs(z.std(axis=0) - 1.0)) < 1e-9
 
     def test_dimension_mismatch(self):
-        stats = fit_normalization([labeled([0.1, 0.9], 0, 0.0), labeled([0.3, 0.7], 0, 0.0)])
+        stats = fit_normalization(concat([labeled([0.1, 0.9], 0, 0.0),
+                                          labeled([0.3, 0.7], 0, 0.0)]))
         with pytest.raises(ValueError):
             normalize(np.ones(3), stats)
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            fit_normalization([])
+            fit_normalization(table(np.zeros((0, 2)), [], y=[]))
 
 
 class TestAugment:
@@ -685,10 +795,10 @@ class TestAugment:
 
 
 def draw_triplets(train, anchors, rng):
-    """[(anchor, positive, negative)] samples, one triplet per anchor index."""
-    sampler = TripletIndexSampler(np.array([s.y for s in train]))
+    """[(anchor, positive, negative)] row indices, one triplet per anchor index."""
+    sampler = TripletIndexSampler(train.y)
     positives, negatives = sampler.draw(np.array(anchors), rng)
-    return [(train[a], train[p], train[n]) for a, p, n in zip(anchors, positives, negatives)]
+    return list(zip(anchors, positives.tolist(), negatives.tolist()))
 
 
 def scalar_draws(labels, anchors, seed):
@@ -710,32 +820,33 @@ def scalar_draws(labels, anchors, seed):
 
 class TestSampleTriplet:
     def test_forced_choices(self):
-        train = [labeled([1, 0], 1, 550.0), labeled([0, 1], 1, 560.0), labeled([0.5, 0.5], 0, 700.0)]
+        train = concat([labeled([1, 0], 1, 550.0), labeled([0, 1], 1, 560.0),
+                        labeled([0.5, 0.5], 0, 700.0)])
         [(anchor, positive, negative)] = draw_triplets(train, [0], RandomSource(0))
-        assert anchor is train[0]
-        assert positive is train[1]
-        assert negative is train[2]
+        assert (anchor, positive, negative) == (0, 1, 2)
 
     def test_single_member_class_always_chosen(self):
-        train = [labeled([1, 0], 0, 700.0), labeled([0, 1], 0, 710.0), labeled([0.5, 0.5], 1, 550.0)]
+        train = concat([labeled([1, 0], 0, 700.0), labeled([0, 1], 0, 710.0),
+                        labeled([0.5, 0.5], 1, 550.0)])
         for seed in range(5):
             [(_, positive, negative)] = draw_triplets(train, [0], RandomSource(seed))
-            assert positive is train[1]
-            assert negative is train[2]
+            assert (positive, negative) == (1, 2)
 
     def test_all_one_class_errors(self):
-        train = [labeled([1, 0], 1, 550.0), labeled([0, 1], 1, 560.0)]
+        train = concat([labeled([1, 0], 1, 550.0), labeled([0, 1], 1, 560.0)])
         with pytest.raises(EmptyClassError, match="widen"):
             draw_triplets(train, [0], RandomSource(0))
 
     def test_positive_never_anchor(self):
-        train = [labeled([1, 0], 1, 500.0 + i) for i in range(4)] + [labeled([0, 1], 0, 900.0)]
+        train = concat([labeled([1, 0], 1, 500.0 + i) for i in range(4)]
+                       + [labeled([0, 1], 0, 900.0)])
         for _, positive, negative in draw_triplets(train, [2] * 200, RandomSource(3)):
-            assert positive is not train[2]
-            assert positive.y == 1 and negative.y == 0
+            assert positive != 2
+            assert train.y[positive] == 1 and train.y[negative] == 0
 
     def test_anchor_class_without_positive_errors(self):
-        train = [labeled([1, 0], 1, 550.0), labeled([0, 1], 1, 560.0), labeled([0.5, 0.5], 0, 700.0)]
+        train = concat([labeled([1, 0], 1, 550.0), labeled([0, 1], 1, 560.0),
+                        labeled([0.5, 0.5], 0, 700.0)])
         with pytest.raises(EmptyClassError, match="widen"):
             draw_triplets(train, [0, 2], RandomSource(0))
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glasscreen import evaluation
-from glasscreen.data_pipeline import EmptyClassError, LabeledSample, fit_normalization
+from glasscreen.data_pipeline import EmptyClassError, fit_normalization
 from glasscreen.deepglassnet import ArchConfig, init_params
 from glasscreen.evaluation import (
     ClassCenter,
@@ -19,6 +19,7 @@ from glasscreen.evaluation import (
     score,
 )
 from glasscreen.numeric_core import NumericsWarning, RandomSource
+from sample_tables import table
 
 
 def records_from(pos_scores, neg_scores):
@@ -148,12 +149,12 @@ class TestPrecisionAtK:
 
 def make_dataset(n_samples=30, n=3, seed=0):
     rng = RandomSource(seed)
-    samples = []
-    for i in range(n_samples):
+    fractions = []
+    for _ in range(n_samples):
         x = rng.uniform(size=n)
-        x = x / x.sum()
-        samples.append(LabeledSample(fractions=x, y=int(i % 3 == 0), tg=500.0 + i))
-    return samples
+        fractions.append(x / x.sum())
+    return table(fractions, [500.0 + i for i in range(n_samples)],
+                 [int(i % 3 == 0) for i in range(n_samples)])
 
 
 ARCH = ArchConfig(n_components=3, embed_dim=4, adjacency_rank=2,
@@ -168,13 +169,13 @@ class TestClassCenterAndScore:
         self.params.b_out += 0.4  # keep clear of the zero-norm guard
 
     def test_single_target_center_is_its_feature(self):
-        target = [s for s in self.samples if s.y == 1][0]
-        center = class_center([target], self.params, self.stats)
-        scores = score([target], self.params, self.stats, center)
+        target = self.samples[self.samples.y == 1][:1]
+        center = class_center(target, self.params, self.stats)
+        scores = score(target, self.params, self.stats, center)
         assert abs(scores[0] - 1.0) < 1e-12  # <f, f> = 1 for unit f
 
     def test_center_norm_at_most_one(self):
-        targets = [s for s in self.samples if s.y == 1]
+        targets = self.samples[self.samples.y == 1]
         center = class_center(targets, self.params, self.stats)
         assert np.linalg.norm(center.vector) <= 1.0 + 1e-12
 
@@ -193,26 +194,35 @@ class TestClassCenterAndScore:
         assert np.all(scores == 0.0)
 
     def test_scores_bounded_by_center_norm(self):
-        targets = [s for s in self.samples if s.y == 1]
+        targets = self.samples[self.samples.y == 1]
         center = class_center(targets, self.params, self.stats)
         bound = np.linalg.norm(center.vector) + 1e-12
         scores = score(self.samples, self.params, self.stats, center)
         assert np.all(np.abs(scores) <= bound)
 
     def test_order_preserved(self):
-        targets = [s for s in self.samples if s.y == 1]
+        targets = self.samples[self.samples.y == 1]
         center = class_center(targets, self.params, self.stats)
         scores = score(self.samples, self.params, self.stats, center)
-        one_by_one = [score([s], self.params, self.stats, center)[0] for s in self.samples]
+        one_by_one = [score(self.samples[i:i + 1], self.params, self.stats, center)[0]
+                      for i in range(len(self.samples))]
         assert scores.shape == (len(self.samples),)
         np.testing.assert_allclose(scores, one_by_one, rtol=0.0, atol=1e-12)
         report = evaluate(self.samples, self.params, self.stats, center, k=5)
-        assert report.labels.tolist() == [s.y for s in self.samples]
-        assert report.tg.tolist() == [s.tg for s in self.samples]
+        assert report.labels.tolist() == self.samples.y.tolist()
+        assert report.tg.tolist() == self.samples.tg.tolist()
 
     def test_empty_target_list_rejected(self):
         with pytest.raises(EmptyClassError):
+            class_center(self.samples[:0], self.params, self.stats)
+        with pytest.raises(EmptyClassError):
             class_center([], self.params, self.stats)
+
+    def test_row_list_matches_sub_table(self):
+        targets = self.samples[self.samples.y == 1]
+        from_rows = class_center([s for s in self.samples if s.y == 1], self.params, self.stats)
+        assert from_rows.vector.tobytes() == \
+            class_center(targets, self.params, self.stats).vector.tobytes()
 
 
 class TestEvaluate:
@@ -221,13 +231,13 @@ class TestEvaluate:
         self.stats = fit_normalization(self.samples)
         self.params = init_params(ARCH, seed=2)
         self.params.b_out += 0.4
-        self.center = class_center([s for s in self.samples if s.y == 1],
+        self.center = class_center(self.samples[self.samples.y == 1],
                                    self.params, self.stats)
 
     def test_matches_individual_operations(self):
         report = evaluate(self.samples, self.params, self.stats, self.center, k=5)
         scores = score(self.samples, self.params, self.stats, self.center)
-        labels = np.array([s.y for s in self.samples])
+        labels = self.samples.y
         assert np.array_equal(report.scores, scores)
         assert report.auc == auc(scores, labels)
         assert report.roc == roc_points(scores, labels)
@@ -247,7 +257,7 @@ class TestEvaluate:
 
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
-            evaluate([], self.params, self.stats, self.center, k=1)
+            evaluate(self.samples[:0], self.params, self.stats, self.center, k=1)
 
     def test_scores_csv_rows(self, tmp_path):
         report = evaluate(self.samples, self.params, self.stats, self.center, k=5)
@@ -255,5 +265,5 @@ class TestEvaluate:
         evaluation.write_scores_csv(report, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "index,score,label,tg"
-        assert lines[1:] == [f"{i},{float(report.scores[i])!r},{s.y},{s.tg!r}"
-                             for i, s in enumerate(self.samples)]
+        assert lines[1:] == [f"{i},{float(report.scores[i])!r},{y},{tg!r}" for i, (y, tg)
+                             in enumerate(zip(self.samples.y.tolist(), self.samples.tg.tolist()))]

@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from glasscreen.data_pipeline import LabeledSample
 from glasscreen.deepglassnet import ArchConfig, forward_batch, init_params
 from glasscreen.numeric_core import RandomSource, grad_check
+from sample_tables import table
 from glasscreen.training import (
     AdamState,
     NumericFailure,
@@ -298,13 +299,13 @@ class TestAdam:
 def tiny_dataset(n=60, seed=0):
     """Small labeled set with a linearly separable flavor for loop tests."""
     rng = RandomSource(seed)
-    samples = []
+    fractions, tgs = [], []
     for _ in range(n):
         x = rng.uniform(size=3)
         x = x / x.sum()
-        tg = 400.0 + 400.0 * x[0] + rng.normal(0, 10.0)
-        samples.append(LabeledSample(fractions=x, y=int(500.0 <= tg < 600.0), tg=tg))
-    return samples
+        fractions.append(x)
+        tgs.append(400.0 + 400.0 * x[0] + rng.normal(0, 10.0))
+    return table(fractions, tgs, [int(500.0 <= tg < 600.0) for tg in tgs])
 
 
 SMALL_ARCH = ArchConfig(n_components=3, embed_dim=4, adjacency_rank=2,
@@ -357,8 +358,7 @@ class TestTrainLoop:
 
     def test_single_class_data_rejected(self):
         data = tiny_dataset()
-        for sample in data:
-            sample.y = 0
+        data = replace(data, y=np.zeros(len(data)))
         cfg = TrainConfig(epochs=1, batch_size=8, seed=0, precision_k=2)
         with pytest.raises(Exception, match="widen|class"):
             train(data[:40], data[40:], SMALL_ARCH, cfg)
@@ -366,7 +366,7 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_input_raises_numeric_failure(self):
         data = tiny_dataset()
-        data[3].fractions = np.array([np.nan, 0.5, 0.5])
+        data.fractions[3] = [np.nan, 0.5, 0.5]
         cfg = TrainConfig(epochs=1, batch_size=16, seed=0, precision_k=5)
         with pytest.raises((NumericFailure, ValueError)):
             train(data[:40], data[40:], SMALL_ARCH, cfg)
