@@ -69,8 +69,8 @@ _ARCH_FIELDS = [f for f in fields(ArchConfig)
                 if f.name not in ("n_components", "bn_momentum", "bn_epsilon")]
 _TRAIN_FIELDS = list(fields(TrainConfig))
 
-# the JSON values a config key of each field type accepts: an int key takes an
-# int (not a bool, which Python counts as one), a float key an int or a float
+# the values a RunConfig field of each type accepts: an int field takes an int
+# (not a bool, which Python counts as one), a float field an int or a float
 _VALUE_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
 
 
@@ -89,7 +89,6 @@ class _RunOptions:
 
     @classmethod
     def load(cls, path, overrides: dict | None = None) -> "RunConfig":
-        types = {f.name: f.type for f in fields(cls)}
         values: dict = {}
         if path is not None:
             with open(path, encoding="utf-8") as fh:
@@ -99,22 +98,23 @@ class _RunOptions:
                     raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
             if not isinstance(raw, dict):
                 raise ConfigError(f"{path}: config must be a flat JSON object")
-            unknown = sorted(set(raw) - types.keys())
+            unknown = sorted(set(raw) - {f.name for f in fields(cls)})
             if unknown:
                 raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
             values.update(raw)
         for key, value in (overrides or {}).items():
             if value is not None:
                 values[key] = value
-        for key, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[types[key]]):
-                raise ConfigError(f"{key} must be of type {types[key]}, got {value!r}")
         cfg = cls(**values)
-        cfg.validate()
         log.debug("run config %s: fingerprint %s", path or "(defaults)", cfg.fingerprint())
         return cfg
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Check every value, for a config file and a direct caller alike."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         try:
             # n_components comes from the data later; use a size that cannot
             # trip the low-rank advisory warning during field validation

@@ -11,6 +11,7 @@ float64.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -27,7 +28,8 @@ from .numeric_core import (
     softmax_rows,
 )
 
-CHECKPOINT_MAGIC = b"DGNCKPT1"
+CHECKPOINT_MAGIC = b"DGNCKPT2"
+CHECKPOINT_MAGIC_V1 = b"DGNCKPT1"  # the same, plus a hidden bias between w_hidden and w_out
 
 
 class CheckpointError(RuntimeError):
@@ -66,6 +68,10 @@ class ArchConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0.0 < self.bn_momentum < 1.0:
+            raise ValueError(f"bn_momentum must be in (0, 1), got {self.bn_momentum}")
+        if not 0.0 < self.bn_epsilon < math.inf:
+            raise ValueError(f"bn_epsilon must be positive and finite, got {self.bn_epsilon}")
         if self.adjacency_rank > self.n_components:
             warnings.warn(
                 f"adjacency_rank {self.adjacency_rank} exceeds n_components "
@@ -99,9 +105,11 @@ class TensorSpec:
         return np.full(shape, 1.0 if self.init == "ones" else 0.0)
 
 
-# Every trainable tensor, once. The order is the init draw order, the
-# optimizer order and the checkpoint layout. Weight matrices get decoupled
-# weight decay; biases and the batch-norm scale and shift do not.
+# Every trainable tensor, once. The order is the init draw order and the
+# layout of the parameter vector, the optimizer state and the checkpoint.
+# Weight matrices get decoupled weight decay; biases and the batch-norm scale
+# and shift do not. The first head layer has no bias: the batch norm after it
+# subtracts the mean, and its beta is the shift.
 TENSORS = (
     TensorSpec("embeddings", ("n_components", "embed_dim"), "fan_in", True),
     TensorSpec("interaction_factors", ("n_components", "adjacency_rank"), "fan_in", True),
@@ -109,7 +117,6 @@ TENSORS = (
     TensorSpec("w_key", ("embed_dim", "attention_dim"), "fan_in", True),
     TensorSpec("w_value", ("embed_dim", "attention_dim"), "fan_in", True),
     TensorSpec("w_hidden", ("flat_dim", "hidden_dim"), "fan_in", True),
-    TensorSpec("b_hidden", ("hidden_dim",), "zeros", False),
     TensorSpec("w_out", ("hidden_dim", "feature_dim"), "fan_in", True),
     TensorSpec("b_out", ("feature_dim",), "zeros", False),
     TensorSpec("bn_gamma", ("hidden_dim",), "ones", False),
@@ -117,58 +124,91 @@ TENSORS = (
 )
 
 
-@dataclass
+def tensor_layout(cfg: ArchConfig) -> dict[str, tuple[slice, tuple[int, ...]]]:
+    """Name -> (slice of the parameter vector, shape) for every TENSORS row,
+    sized in Python ints, which no architecture can overflow."""
+    layout, start = {}, 0
+    for spec in TENSORS:
+        shape = spec.shape(cfg)
+        layout[spec.name] = (slice(start, start + math.prod(shape)), shape)
+        start += math.prod(shape)
+    return layout
+
+
+def vector_length(cfg: ArchConfig) -> int:
+    """Length of the parameter vector: the number of trainable floats."""
+    return sum(math.prod(spec.shape(cfg)) for spec in TENSORS)
+
+
+def decay_mask(cfg: ArchConfig) -> np.ndarray:
+    """Per entry of the parameter vector: does weight decay apply to it."""
+    return np.concatenate([np.full(math.prod(spec.shape(cfg)), spec.decay) for spec in TENSORS])
+
+
 class ModelParams:
-    """All trainable tensors plus batch-norm state."""
+    """The trainable tensors as views of one float64 vector, plus batch-norm state.
 
-    embeddings: np.ndarray          # (n, d) one row per component
-    interaction_factors: np.ndarray  # (n, rank), rows unit-normalized on use
-    w_query: np.ndarray             # (d, dk)
-    w_key: np.ndarray               # (d, dk)
-    w_value: np.ndarray             # (d, dk)
-    w_hidden: np.ndarray            # (n * dk, h)
-    b_hidden: np.ndarray            # (h,)
-    w_out: np.ndarray               # (h, k)
-    b_out: np.ndarray               # (k,)
-    bn: BatchNormState              # carries bn_gamma and bn_beta
+    ``vector`` (used as given, not copied) holds the TENSORS rows in table
+    order; each TENSORS name, such as ``params.w_hidden``, is a reshaped view
+    of it, and so are ``bn.gamma`` and ``bn.beta``. Assigning to a name writes
+    into its view and needs its shape, so the vector never goes stale.
+    """
 
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray], running_mean: np.ndarray,
-                     running_var: np.ndarray, momentum: float, epsilon: float) -> "ModelParams":
-        """Assemble params from a TENSORS-keyed dict plus batch-norm running state."""
-        tensors = dict(tensors)
-        bn = BatchNormState(gamma=tensors.pop("bn_gamma"), beta=tensors.pop("bn_beta"),
+    __slots__ = ("arch", "vector", "bn", "_views")
+
+    def __init__(self, arch: ArchConfig, vector: np.ndarray, running_mean: np.ndarray,
+                 running_var: np.ndarray):
+        size = vector_length(arch)
+        if vector.shape != (size,) or vector.dtype != np.float64 or not vector.flags.c_contiguous:
+            raise ValueError(f"parameter vector must be C-contiguous float64 of length {size}")
+        views = {name: vector[part].reshape(shape)
+                 for name, (part, shape) in tensor_layout(arch).items()}
+        bn = BatchNormState(gamma=views["bn_gamma"], beta=views["bn_beta"],
                             running_mean=running_mean, running_var=running_var,
-                            momentum=momentum, epsilon=epsilon)
-        return cls(bn=bn, **tensors)
+                            momentum=arch.bn_momentum, epsilon=arch.bn_epsilon)
+        for name, value in (("arch", arch), ("vector", vector), ("bn", bn), ("_views", views)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def bn_gamma(self) -> np.ndarray:
-        return self.bn.gamma
+    def __getattr__(self, name: str) -> np.ndarray:
+        try:
+            return object.__getattribute__(self, "_views")[name]
+        except (AttributeError, KeyError):
+            raise AttributeError(f"ModelParams has no tensor {name!r}") from None
 
-    @property
-    def bn_beta(self) -> np.ndarray:
-        return self.bn.beta
+    def __setattr__(self, name: str, value) -> None:
+        if name in self.__slots__ and value is object.__getattribute__(self, name):
+            return  # an in-place operator, such as params.vector -= update
+        if name not in self._views:
+            raise AttributeError(f"cannot set {name!r}: only TENSORS names are assignable")
+        view = self._views[name]
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != view.shape:
+            raise ValueError(f"{name} has shape {view.shape}, got {value.shape}")
+        view[...] = value
 
     def trainable(self) -> dict[str, np.ndarray]:
-        """Name -> tensor for every parameter the optimizer updates, in TENSORS order."""
-        return {spec.name: getattr(self, spec.name) for spec in TENSORS}
+        """Name -> view for every tensor the optimizer updates, in TENSORS order."""
+        return dict(self._views)
+
+    def gather(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
+        """A TENSORS-keyed dict of arrays (such as gradients) as one vector
+        in the parameter layout."""
+        for name, view in self._views.items():
+            if np.shape(tensors[name]) != view.shape:
+                raise ValueError(f"gradient shape mismatch for {name!r}")
+        return np.concatenate([np.ravel(tensors[name]) for name in self._views])
 
     def copy(self) -> "ModelParams":
-        return ModelParams.from_tensors(
-            {name: tensor.copy() for name, tensor in self.trainable().items()},
-            self.bn.running_mean.copy(), self.bn.running_var.copy(),
-            self.bn.momentum, self.bn.epsilon,
-        )
+        return ModelParams(self.arch, self.vector.copy(), self.bn.running_mean.copy(),
+                           self.bn.running_var.copy())
 
 
 def init_params(cfg: ArchConfig, seed: int) -> ModelParams:
     """Weights ~ N(0, 1/sqrt(fan_in)) with fan_in = input dimension (rows);
     biases zero; batch norm at identity with neutral running statistics."""
     rng = RandomSource(seed)
-    tensors = {spec.name: spec.initial(cfg, rng) for spec in TENSORS}
-    return ModelParams.from_tensors(tensors, np.zeros(cfg.hidden_dim), np.ones(cfg.hidden_dim),
-                                    cfg.bn_momentum, cfg.bn_epsilon)
+    vector = np.concatenate([spec.initial(cfg, rng).ravel() for spec in TENSORS])
+    return ModelParams(cfg, vector, np.zeros(cfg.hidden_dim), np.ones(cfg.hidden_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +293,13 @@ def forward_batch(
     alpha = softmax_rows(np.matmul(q, np.swapaxes(k, -1, -2)) / np.sqrt(dk))
     attended = np.matmul(alpha, v)
 
-    # projection head. Train-mode batch norm subtracts the batch mean, which
-    # removes b_hidden exactly; it only shifts the running mean.
+    # projection head
     flat = attended.reshape(b, -1)
     if mode == "train":
-        bn_out, x_hat, inv_std = batchnorm_train_cached(
-            flat @ params.w_hidden, params.bn, update_running, bias=params.b_hidden)
+        bn_out, x_hat, inv_std = batchnorm_train_cached(flat @ params.w_hidden, params.bn,
+                                                        update_running)
     else:
-        bn_out = batchnorm_eval(flat @ params.w_hidden + params.b_hidden, params.bn)
+        bn_out = batchnorm_eval(flat @ params.w_hidden, params.bn)
         x_hat, inv_std = None, None
 
     post = np.maximum(bn_out, 0.0)
@@ -335,10 +374,10 @@ def save_checkpoint(
 ) -> None:
     """Write the versioned binary checkpoint (bit-exact round trip).
 
-    Layout: magic, arch header, the TENSORS in table order as little-endian
-    float64, the batch-norm running mean and variance, normalization stats,
-    Tg band, optional class center, then a SHA-256 checksum of everything
-    before it.
+    Layout: magic, arch header, the parameter vector (the TENSORS in table
+    order) as little-endian float64, the batch-norm running mean and
+    variance, normalization stats, Tg band, optional class center, then a
+    SHA-256 checksum of everything before it.
     """
     def le_bytes(a: np.ndarray) -> bytes:
         a = np.ascontiguousarray(a, dtype=np.float64)
@@ -351,10 +390,9 @@ def save_checkpoint(
     blob += struct.pack("<6q", cfg.n_components, cfg.embed_dim, cfg.adjacency_rank,
                         cfg.attention_dim, cfg.hidden_dim, cfg.feature_dim)
     blob += struct.pack("<3d", cfg.dropout, params.bn.momentum, params.bn.epsilon)
-    for tensor in (*params.trainable().values(), params.bn.running_mean, params.bn.running_var):
-        blob += le_bytes(tensor)
-    blob += le_bytes(stats.mean)
-    blob += le_bytes(stats.std)
+    for vector in (params.vector, params.bn.running_mean, params.bn.running_var,
+                   stats.mean, stats.std):
+        blob += le_bytes(vector)
     blob += struct.pack("<2d", band.low, band.high)
     if center is None:
         blob += struct.pack("<B", 0)
@@ -367,12 +405,15 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by save_checkpoint, verifying format and
-    checksum before constructing any model object."""
+    """Read a checkpoint written by save_checkpoint, verifying format,
+    checksum and architecture header before constructing any model object.
+    A DGNCKPT1 file's hidden bias is folded into the running mean, which is
+    all it ever did in eval mode."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) or blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointVersionError(f"{path}: not a DGNCKPT1 checkpoint")
+    magic = blob[: len(CHECKPOINT_MAGIC)]
+    if magic not in (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1):
+        raise CheckpointVersionError(f"{path}: not a DGNCKPT2 or DGNCKPT1 checkpoint")
     if len(blob) < len(CHECKPOINT_MAGIC) + 32:
         raise CheckpointCorruptError(f"{path}: truncated checkpoint")
     payload, digest = blob[:-32], blob[-32:]
@@ -390,29 +431,40 @@ def load_checkpoint(path) -> Checkpoint:
         offset += size
         return values
 
-    def read_array(shape: tuple[int, ...]) -> np.ndarray:
+    def read_array(count: int) -> np.ndarray:
         nonlocal offset
-        count = int(np.prod(shape))
-        size = count * 8
-        if offset + size > len(payload):
+        if offset + count * 8 > len(payload):
             raise CheckpointCorruptError(f"{path}: truncated checkpoint")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        offset += size
-        return arr.astype(np.float64).reshape(shape)
+        offset += count * 8
+        return arr.astype(np.float64)
 
     n, d, rank, dk, h, k = unpack("<6q")
     dropout, momentum, epsilon = unpack("<3d")
-    cfg = ArchConfig(n_components=n, embed_dim=d, adjacency_rank=rank,
-                     attention_dim=dk, hidden_dim=h, feature_dim=k,
-                     dropout=dropout, bn_momentum=momentum, bn_epsilon=epsilon)
-    tensors = {spec.name: read_array(spec.shape(cfg)) for spec in TENSORS}
-    params = ModelParams.from_tensors(tensors, read_array((h,)), read_array((h,)),
-                                      momentum, epsilon)
-    stats = NormalizationStats(mean=read_array((n,)), std=read_array((n,)))
+    try:
+        cfg = ArchConfig(n_components=n, embed_dim=d, adjacency_rank=rank,
+                         attention_dim=dk, hidden_dim=h, feature_dim=k,
+                         dropout=dropout, bn_momentum=momentum, bn_epsilon=epsilon)
+    except ValueError as exc:
+        raise CheckpointCorruptError(f"{path}: bad architecture header: {exc}") from None
+    if magic == CHECKPOINT_MAGIC:
+        vector = read_array(vector_length(cfg))
+        running_mean = read_array(h)
+    else:
+        stored = read_array(vector_length(cfg) + h)
+        at = tensor_layout(cfg)["w_out"][0].start
+        vector = np.concatenate([stored[:at], stored[at + h:]])
+        running_mean = read_array(h) - stored[at:at + h]
+    running_var = read_array(h)
+    mean, std = read_array(n), read_array(n)
     low, high = unpack("<2d")
     (has_center,) = unpack("<B")
-    center = read_array((k,)) if has_center else None
+    center = read_array(k) if has_center else None
     if offset != len(payload):
         raise CheckpointCorruptError(f"{path}: {len(payload) - offset} unexpected trailing bytes")
-    return Checkpoint(params=params, arch=cfg, stats=stats,
-                      band=TgBand(low, high), center=center)
+    try:
+        return Checkpoint(params=ModelParams(cfg, vector, running_mean, running_var), arch=cfg,
+                          stats=NormalizationStats(mean=mean, std=std),
+                          band=TgBand(low, high), center=center)
+    except ValueError as exc:
+        raise CheckpointCorruptError(f"{path}: {exc}") from None

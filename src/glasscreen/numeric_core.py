@@ -7,7 +7,6 @@ depending on library-specific normal samplers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,10 @@ class NumericsWarning(UserWarning):
 class RandomSource:
     """Deterministic random stream: PCG64 uniforms, Box-Muller normals.
 
-    Scalar normal draws consume two uniforms and keep only the cosine branch;
-    array draws use both branches of each pair. The exact consumption pattern
-    is part of the reproducibility contract.
+    Normal draws come in arrays: m normals take (m + 1) // 2 pairs of
+    uniforms, and are the cosine branch of every pair followed by the sine
+    branch, cut to m. The exact consumption pattern is part of the
+    reproducibility contract.
     """
 
     def __init__(self, seed: int):
@@ -41,18 +41,13 @@ class RandomSource:
     def uniform(self, size=None):
         return self._gen.random(size)
 
-    def normal(self, mean: float = 0.0, std: float = 1.0, size=None):
+    def normal(self, mean: float = 0.0, std: float = 1.0, *, size) -> np.ndarray:
         if std < 0:
             raise ValueError(f"std must be >= 0, got {std}")
-        if size is None:
-            u1 = 1.0 - self._gen.random()  # (0, 1]: keeps log finite
-            u2 = self._gen.random()
-            z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-            return mean + std * z
         shape = (size,) if isinstance(size, int) else tuple(size)
         m = int(np.prod(shape))
         npairs = (m + 1) // 2
-        u1 = 1.0 - self._gen.random(npairs)
+        u1 = 1.0 - self._gen.random(npairs)  # (0, 1]: keeps log finite
         u2 = self._gen.random(npairs)
         radius = np.sqrt(-2.0 * np.log(u1))
         z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
@@ -105,21 +100,16 @@ class BatchNormState:
                   self.running_mean.shape, self.running_var.shape}
         if len(widths) != 1:
             raise ValueError("batch-norm vectors must share one length")
-        if not 0.0 < self.momentum < 1.0:
-            raise ValueError(f"momentum must be in (0,1), got {self.momentum}")
         if np.any(self.running_var < 0):
             raise ValueError("running_var entries must be >= 0")
 
 
-def batchnorm_train_cached(x: np.ndarray, state: BatchNormState, update_running: bool = True,
-                           bias: np.ndarray | float = 0.0):
-    """Train-mode batch norm of ``x + bias`` returning backward cache (x_hat, inv_std).
+def batchnorm_train_cached(x: np.ndarray, state: BatchNormState, update_running: bool = True):
+    """Train-mode batch norm returning backward cache (x_hat, inv_std).
 
     Normalizes by population batch statistics and, unless ``update_running``
     is false, folds them into the running statistics with the configured
-    momentum (new batch weighted by momentum). Subtracting the batch mean
-    removes a per-feature ``bias`` exactly, so it is left out of the output
-    and only enters the running mean.
+    momentum (new batch weighted by momentum).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -131,7 +121,7 @@ def batchnorm_train_cached(x: np.ndarray, state: BatchNormState, update_running:
     out = state.gamma * x_hat + state.beta
     if update_running:
         m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * (mean + bias)
+        state.running_mean = (1.0 - m) * state.running_mean + m * mean
         state.running_var = (1.0 - m) * state.running_var + m * var
     return out, x_hat, inv_std
 
@@ -150,40 +140,3 @@ def batchnorm_eval(x: np.ndarray, state: BatchNormState) -> np.ndarray:
     out += state.beta
     return out
 
-
-def grad_check(f, params: dict, analytic_grads: dict, h: float = 1e-5) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    The test suite's finite-difference check; the package itself never calls it.
-
-    ``f`` is called as ``f(params)`` and must be a deterministic scalar
-    function of the arrays in ``params``. The arrays are perturbed in place,
-    one coordinate at a time, and restored afterwards. The relative error per
-    coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    """
-    if h <= 0:
-        raise ValueError("step h must be > 0")
-    worst = 0.0
-    for name, theta in params.items():
-        grad = np.asarray(analytic_grads[name])
-        if grad.shape != theta.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}")
-        if not theta.flags.c_contiguous:
-            raise ValueError(f"parameter {name!r} must be C-contiguous "
-                             "(reshape would copy and in-place perturbation would be lost)")
-        flat = theta.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = float(f(params))
-            flat[i] = orig - h
-            f_minus = float(f(params))
-            flat[i] = orig
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                raise ValueError(f"non-finite loss while perturbing {name!r}[{i}]")
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            analytic = float(gflat[i])
-            err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -24,10 +24,10 @@ from .data_pipeline import (
     normalize,
 )
 from .deepglassnet import (
-    TENSORS,
     ArchConfig,
     BatchTrace,
     ModelParams,
+    decay_mask,
     forward_batch,
     init_params,
 )
@@ -129,10 +129,8 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
     )
     _ensure_finite(d_pre, "batch norm")
 
-    # projection head first layer; train-mode batch norm removes b_hidden
-    # exactly, so its gradient is exactly zero
+    # projection head first layer
     grads["w_hidden"] = trace.flat.T @ d_pre
-    grads["b_hidden"] = np.zeros_like(params.b_hidden)
     d_attended = (d_pre @ params.w_hidden.T).reshape(trace.attended.shape)
 
     # attention
@@ -188,8 +186,9 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray      # moments, one entry per entry of the parameter vector
+    v: np.ndarray
+    decay: np.ndarray  # bool: does weight decay apply to the entry
     t: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -201,33 +200,27 @@ class AdamState:
     def initial(cls, params: ModelParams, lr: float = 1e-3, beta1: float = 0.9,
                 beta2: float = 0.999, eps: float = 1e-8,
                 weight_decay: float = 0.0) -> "AdamState":
-        tensors = params.trainable()
-        return cls(
-            m={name: np.zeros_like(t) for name, t in tensors.items()},
-            v={name: np.zeros_like(t) for name, t in tensors.items()},
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay,
-        )
+        return cls(m=np.zeros_like(params.vector), v=np.zeros_like(params.vector),
+                   decay=decay_mask(params.arch), lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+                   weight_decay=weight_decay)
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState):
-    """Bias-corrected Adam update in place; decoupled weight decay touches
-    the TENSORS flagged for it (weight matrices, not biases or batch norm)."""
+    """Bias-corrected Adam update of the parameter vector in place; decoupled
+    weight decay touches the TENSORS flagged for it (weight matrices, not
+    biases or batch norm)."""
+    g = params.gather(grads)
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    tensors = params.trainable()
-    for spec in TENSORS:
-        name, theta, g = spec.name, tensors[spec.name], grads[spec.name]
-        if g.shape != theta.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}")
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * np.square(g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        update = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        if state.weight_decay > 0.0 and spec.decay:
-            update = update + state.lr * state.weight_decay * theta
-        theta -= update
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * np.square(g)
+    update = state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.eps)
+    if state.weight_decay > 0.0:
+        # masked, as the per-tensor update was: adding 0.0 elsewhere could flip a -0.0
+        np.add(update, state.lr * state.weight_decay * params.vector, out=update,
+               where=state.decay)
+    params.vector -= update
     return params, state
 
 

@@ -1,0 +1,69 @@
+"""Reference code the tests compare the package against: a finite-difference
+gradient check, scalar normal draws and a per-tensor Adam step."""
+
+import math
+
+import numpy as np
+
+
+def grad_check(f, params: dict, analytic_grads: dict, h: float = 1e-5) -> float:
+    """Max relative error between analytic gradients and central differences.
+
+    ``f`` is called as ``f(params)`` and must be a deterministic scalar
+    function of the arrays in ``params``. The arrays are perturbed in place,
+    one coordinate at a time, and restored afterwards. The relative error per
+    coordinate is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    """
+    if h <= 0:
+        raise ValueError("step h must be > 0")
+    worst = 0.0
+    for name, theta in params.items():
+        grad = np.asarray(analytic_grads[name])
+        if grad.shape != theta.shape:
+            raise ValueError(f"gradient shape mismatch for {name!r}")
+        if not theta.flags.c_contiguous:
+            raise ValueError(f"parameter {name!r} must be C-contiguous "
+                             "(reshape would copy and in-place perturbation would be lost)")
+        flat = theta.reshape(-1)
+        gflat = grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            f_plus = float(f(params))
+            flat[i] = orig - h
+            f_minus = float(f(params))
+            flat[i] = orig
+            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+                raise ValueError(f"non-finite loss while perturbing {name!r}[{i}]")
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            analytic = float(gflat[i])
+            err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+            worst = max(worst, err)
+    return worst
+
+
+def scalar_normal(rng, mean: float = 0.0, std: float = 1.0) -> float:
+    """One Box-Muller normal from a RandomSource: two uniforms, the cosine
+    branch only. Test tables drawn this way keep the bytes they always had."""
+    u1 = 1.0 - rng.uniform()  # (0, 1]: keeps log finite
+    u2 = rng.uniform()
+    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return mean + std * z
+
+
+def adam_loop(tensors: dict, grads: dict, m: dict, v: dict, t: int, decay: dict,
+              lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0) -> None:
+    """Step ``t`` (from 1) of bias-corrected Adam with decoupled weight decay,
+    one tensor at a time, updating ``tensors``, ``m`` and ``v`` in place."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, theta in tensors.items():
+        g = grads[name]
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * np.square(g)
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
+        update = lr * m_hat / (np.sqrt(v_hat) + eps)
+        if weight_decay > 0.0 and decay[name]:
+            update = update + lr * weight_decay * theta
+        theta -= update

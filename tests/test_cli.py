@@ -19,6 +19,7 @@ from glasscreen.data_pipeline import (
 )
 from glasscreen.deepglassnet import ArchConfig, init_params, load_checkpoint, save_checkpoint
 from glasscreen.numeric_core import RandomSource
+from oracles import scalar_normal
 from sample_tables import table
 
 SCHEMA = ComponentSchema(("A", "B", "C"))
@@ -44,7 +45,7 @@ def make_table(path, n_rows=150, seed=0):
         x = rng.uniform(size=3)
         x = x / x.sum()
         fractions.append(x)
-        tgs.append(float(380.0 + 420.0 * x[0] + rng.normal(0.0, 15.0)))
+        tgs.append(float(380.0 + 420.0 * x[0] + scalar_normal(rng, 0.0, 15.0)))
     write_dataset(path, SCHEMA, table(fractions, tgs))
     return path
 
@@ -403,6 +404,19 @@ class TestRunConfig:
                 else ["train", "--data", str(data), "--band", "500:600", "--out", str(out)])
         assert main(argv + ["--config", str(config)]) == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("epochs", 5.5),        # float for an int field
+        ("seed", True),         # bool for an int field
+        ("lr", True),           # bool for a float field
+        ("min_sum", "0.9"),     # str for a float field
+        ("k_neighbors", "5"),   # str for an int field
+        ("seed", None),         # None outside band_low/band_high
+        ("band_low", "500"),    # str for an optional float field
+    ])
+    def test_direct_construction_checks_types(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be of type"):
+            RunConfig(**{key: value})
 
     def test_accepted_values_are_kept(self, tmp_path):
         path = tmp_path / "config.json"

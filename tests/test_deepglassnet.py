@@ -1,6 +1,8 @@
 import hashlib
 import math
 import struct
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from glasscreen.deepglassnet import (
     CHECKPOINT_MAGIC,
     ArchConfig,
     CheckpointCorruptError,
+    CheckpointError,
     CheckpointVersionError,
     ModelParams,
     eval_features,
@@ -19,11 +22,14 @@ from glasscreen.deepglassnet import (
     init_params,
     load_checkpoint,
     save_checkpoint,
+    tensor_layout,
+    vector_length,
 )
 from glasscreen.numeric_core import RandomSource
 
 TINY = ArchConfig(n_components=4, embed_dim=3, adjacency_rank=2,
                   attention_dim=3, hidden_dim=5, feature_dim=2)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -64,7 +70,6 @@ class TestInit:
         assert params_equal(init_params(TINY, seed=11), init_params(TINY, seed=11))
 
     def test_biases_zero(self, tiny_params):
-        assert np.all(tiny_params.b_hidden == 0.0)
         assert np.all(tiny_params.b_out == 0.0)
         assert np.all(tiny_params.bn.beta == 0.0)
         assert np.all(tiny_params.bn.gamma == 1.0)
@@ -275,10 +280,10 @@ class TestProject:
         params = init_params(cfg, seed=1)
         params.w_out = np.eye(4)
         params.b_out = np.zeros(4)
-        params.b_hidden = np.full(4, 0.1)
+        params.bn_beta = np.full(4, 0.1)
         x = np.random.default_rng(10).normal(size=(1, 3))
         features, trace = forward_batch(x, params)
-        hidden = np.maximum(trace.flat[0] @ params.w_hidden + params.b_hidden, 0.0)
+        hidden = np.maximum(trace.flat[0] @ params.w_hidden + params.bn_beta, 0.0)
         expected = hidden / np.linalg.norm(hidden)
         assert np.max(np.abs(features[0] - expected)) < 1e-9
 
@@ -371,27 +376,12 @@ class TestForward:
             got = getattr(trace, name)
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name
 
-    def test_train_mode_ignores_hidden_bias(self):
-        # batch statistics remove b_hidden exactly, so it must not reach the
-        # train-mode features even in the last bit
+    def test_train_mode_updates_running_stats(self):
         params = init_params(TINY, seed=3)
-        params.b_hidden += 0.3
-        params.b_out += 0.5
-        shifted = params.copy()
-        shifted.b_hidden += 1e-5
-        for seed in range(10):
-            x = RandomSource(seed).normal(0.0, 1.0, size=(9, 4))
-            base, _ = forward_batch(x, params, mode="train", update_running=False)
-            moved, _ = forward_batch(x, shifted, mode="train", update_running=False)
-            assert np.array_equal(base, moved), seed
-
-    def test_hidden_bias_enters_running_mean(self):
-        params = init_params(TINY, seed=3)
-        params.b_hidden += 0.3
         params.b_out += 0.5
         x = RandomSource(0).normal(0.0, 1.0, size=(9, 4))
         _, trace = forward_batch(x, params, mode="train")
-        pre = trace.flat @ params.w_hidden + params.b_hidden
+        pre = trace.flat @ params.w_hidden
         assert np.allclose(params.bn.running_mean, 0.1 * pre.mean(axis=0), rtol=0, atol=1e-12)
         assert np.allclose(params.bn.running_var, 0.9 + 0.1 * pre.var(axis=0), rtol=0, atol=1e-12)
 
@@ -497,7 +487,7 @@ class TestCheckpoint:
         expected += struct.pack("<6q", 4, 3, 2, 3, 5, 2)
         expected += struct.pack("<3d", 0.0, 0.1, 1e-5)
         for name in ("embeddings", "interaction_factors", "w_query", "w_key", "w_value",
-                     "w_hidden", "b_hidden", "w_out", "b_out"):
+                     "w_hidden", "w_out", "b_out"):
             expected += f8(getattr(params, name))
         for vector in (params.bn.gamma, params.bn.beta,
                        params.bn.running_mean, params.bn.running_var):
@@ -507,3 +497,159 @@ class TestCheckpoint:
         expected += struct.pack("<B", 1) + f8(center)
         expected += hashlib.sha256(bytes(expected)).digest()
         assert path.read_bytes() == bytes(expected)
+
+    # The fixtures are DGNCKPT1 files written before the hidden bias was
+    # removed: TINY, init seed 21, running mean + 0.25, running var x 1.5,
+    # b_out + 0.3, and b_hidden all zero or + 0.1. The expected features
+    # are what that code computed on this batch.
+    V1_BATCH = RandomSource(2024).normal(0.0, 1.0, size=(8, 4))
+
+    def test_reads_v1_with_zero_hidden_bias_to_the_same_bytes(self):
+        ckpt = load_checkpoint(FIXTURES / "v1_zero_bias.ckpt")
+        assert ckpt.arch == TINY
+        assert (ckpt.band.low, ckpt.band.high) == (500.0, 600.0)
+        assert np.array_equal(ckpt.center, [0.6, 0.8])
+        features = eval_features(self.V1_BATCH, ckpt.params)
+        assert hashlib.sha256(features.tobytes()).hexdigest() == \
+            "eb47c5b13c72d944da065554ea7246ff1743a40000f05b023b3e9da738b29b79"
+
+    def test_reads_v1_hidden_bias_into_running_mean(self):
+        ckpt = load_checkpoint(FIXTURES / "v1_bias.ckpt")
+        expected = np.load(FIXTURES / "v1_bias_features.npy")
+        features = eval_features(self.V1_BATCH, ckpt.params)
+        assert np.max(np.abs(features - expected)) <= 1e-12
+        plain = load_checkpoint(FIXTURES / "v1_zero_bias.ckpt").params
+        assert np.array_equal(ckpt.params.vector, plain.vector)
+        assert np.array_equal(ckpt.params.bn.running_mean, plain.bn.running_mean - 0.1)
+
+    def saved_blob(self, tmp_path):
+        params, stats, band = self.build()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, TINY, stats, band, path, center=np.array([0.125, -0.5]))
+        return path, path.read_bytes()
+
+    @staticmethod
+    def rechecksummed(blob: bytes, offset: int, fmt: str, value) -> bytes:
+        payload = bytearray(blob[:-32])
+        struct.pack_into(fmt, payload, offset, value)
+        return bytes(payload) + hashlib.sha256(payload).digest()
+
+    # the <6q arch header starts at byte 8 and the <3d constants at byte 56
+    @pytest.mark.parametrize("offset, fmt, value", [
+        (8, "<q", 1),            # n_components
+        (8, "<q", 2**62),        # n_components: overflows a numpy size product
+        (8 + 8, "<q", -3),       # embed_dim
+        (8 + 32, "<q", 2**63 - 1),  # hidden_dim
+        (8 + 40, "<q", 0),       # feature_dim
+        (56, "<d", 1.0),         # dropout
+        (56, "<d", math.nan),    # dropout
+        (64, "<d", 0.0),         # bn_momentum
+        (64, "<d", 1.5),         # bn_momentum
+        (72, "<d", 0.0),         # bn_epsilon
+        (72, "<d", -1e-5),       # bn_epsilon
+        (72, "<d", math.nan),    # bn_epsilon
+    ])
+    def test_bad_header_with_valid_checksum_is_corruption_error(self, tmp_path, offset, fmt,
+                                                               value):
+        path, blob = self.saved_blob(tmp_path)
+        path.write_bytes(self.rechecksummed(blob, offset, fmt, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the low-rank advisory of a corrupt header
+            with pytest.raises(CheckpointCorruptError):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("running_var", -1.0), ("std", 0.0), ("band_high", 400.0)])
+    def test_bad_value_with_valid_checksum_is_corruption_error(self, tmp_path, field, value):
+        path, blob = self.saved_blob(tmp_path)
+        length, h, n = vector_length(TINY), TINY.hidden_dim, TINY.n_components
+        # after the 80-byte header: vector, running mean and var, stats mean
+        # and std, band low and high
+        offset = 80 + 8 * {"running_var": length + h, "std": length + 2 * h + n,
+                           "band_high": length + 2 * h + 2 * n + 1}[field]
+        path.write_bytes(self.rechecksummed(blob, offset, "<d", value))
+        with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file_always_raises_checkpoint_error(self, tmp_path_factory, data):
+        path, blob = self.saved_blob(tmp_path_factory.mktemp("ckpt"))
+        damage = data.draw(st.sampled_from(["flip", "truncate", "append", "int", "float"]))
+        if damage == "flip":
+            at = data.draw(st.integers(0, len(blob) - 1))
+            bad = bytearray(blob)
+            bad[at] ^= data.draw(st.integers(1, 255))
+        elif damage == "truncate":
+            bad = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        elif damage == "append":
+            bad = blob + data.draw(st.binary(min_size=1, max_size=64))
+        elif damage == "int":
+            # one arch field changes the length of every later section
+            field = data.draw(st.integers(0, 5))
+            (old,) = struct.unpack_from("<q", blob, 8 + 8 * field)
+            value = data.draw(st.integers(-2**63, 2**63 - 1).filter(lambda v: v != old))
+            bad = self.rechecksummed(blob, 8 + 8 * field, "<q", value)
+        else:
+            field, valid = data.draw(st.sampled_from([
+                (0, lambda v: 0.0 <= v < 1.0),             # dropout
+                (1, lambda v: 0.0 < v < 1.0),              # bn_momentum
+                (2, lambda v: 0.0 < v < math.inf)]))       # bn_epsilon
+            value = data.draw(st.floats().filter(lambda v: not valid(v)))
+            bad = self.rechecksummed(blob, 56 + 8 * field, "<d", value)
+        path.write_bytes(bytes(bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the low-rank advisory of a corrupt header
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+
+class TestParamVector:
+    def test_tensors_are_views_of_one_vector(self, tiny_params):
+        vector = tiny_params.vector
+        assert vector.dtype == np.float64 and vector.flags.c_contiguous
+        layout = tensor_layout(TINY)
+        assert list(layout) == list(tiny_params.trainable())
+        assert sum(part.stop - part.start for part, _ in layout.values()) == vector.size
+        for name, (part, shape) in layout.items():
+            view = tiny_params.trainable()[name]
+            assert view.shape == shape and np.shares_memory(view, vector), name
+            assert view.ravel().tobytes() == vector[part].tobytes(), name
+        assert tiny_params.bn.gamma is tiny_params.bn_gamma
+        assert tiny_params.bn.beta is tiny_params.bn_beta
+
+    def test_assignment_writes_into_the_vector(self, tiny_params, tmp_path):
+        vector = tiny_params.vector
+        tiny_params.w_out = np.eye(5, 2)
+        tiny_params.b_out += 0.5
+        tiny_params.bn_gamma = np.full(5, 2.0)
+        assert tiny_params.vector is vector
+        layout = tensor_layout(TINY)
+        assert np.array_equal(vector[layout["w_out"][0]], np.eye(5, 2).ravel())
+        assert np.array_equal(vector[layout["b_out"][0]], [0.5, 0.5])
+        assert np.array_equal(tiny_params.bn.gamma, np.full(5, 2.0))
+        # what is copied and saved is what was assigned
+        assert np.array_equal(tiny_params.copy().w_out, np.eye(5, 2))
+        stats = NormalizationStats(mean=np.zeros(4), std=np.ones(4))
+        save_checkpoint(tiny_params, TINY, stats, TgBand(1.0, 2.0), tmp_path / "m.ckpt")
+        loaded = load_checkpoint(tmp_path / "m.ckpt").params
+        assert np.array_equal(loaded.w_out, np.eye(5, 2))
+        assert np.array_equal(loaded.bn.gamma, np.full(5, 2.0))
+
+    def test_bad_assignment_raises_and_changes_nothing(self, tiny_params):
+        before = tiny_params.vector.copy()
+        with pytest.raises(ValueError, match="shape"):
+            tiny_params.w_out = np.eye(4)
+        with pytest.raises(AttributeError):
+            tiny_params.b_hidden = np.zeros(5)
+        with pytest.raises(AttributeError):
+            tiny_params.vector = np.zeros_like(before)
+        assert tiny_params.vector.tobytes() == before.tobytes()
+
+    def test_copy_shares_no_memory(self, tiny_params):
+        copied = tiny_params.copy()
+        copied.w_out += 1.0
+        copied.bn.running_mean += 1.0
+        assert not np.shares_memory(copied.vector, tiny_params.vector)
+        assert not np.array_equal(copied.w_out, tiny_params.w_out)
+        assert not np.array_equal(copied.bn.running_mean, tiny_params.bn.running_mean)

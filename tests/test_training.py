@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from glasscreen.deepglassnet import ArchConfig, forward_batch, init_params
-from glasscreen.numeric_core import RandomSource, grad_check
+from glasscreen.deepglassnet import TENSORS, ArchConfig, forward_batch, init_params
+from glasscreen.numeric_core import RandomSource
+from oracles import adam_loop, grad_check, scalar_normal
 from sample_tables import table
 from glasscreen.training import (
     AdamState,
@@ -83,10 +84,9 @@ class TestContrastiveLoss:
 
 
 def _healthy_tiny_params(seed=3):
-    """Tiny model nudged away from ReLU kinks and the zero-norm guard so the
+    """Tiny model nudged away from the zero-norm guard so the
     finite-difference sweep stays on one smooth branch."""
     params = init_params(TINY, seed=seed)
-    params.b_hidden += 0.3
     params.b_out += 0.5
     return params
 
@@ -120,7 +120,6 @@ def einsum_backward(trace, params):
     d_pre = inv_std * (d_x_hat - d_x_hat.mean(axis=0)
                        - x_hat * np.mean(d_x_hat * x_hat, axis=0))
     grads["w_hidden"] = trace.flat.T @ d_pre
-    grads["b_hidden"] = d_pre.sum(axis=0)
     d_attended = (d_pre @ params.w_hidden.T).reshape(trace.attended.shape)
 
     alpha, value = trace.attention, trace.value
@@ -218,8 +217,7 @@ class TestBackward:
         grads = backward(trace, params)
         reference = einsum_backward(trace, params)
         assert grads.keys() == reference.keys()
-        # relative to the largest gradient entry: b_hidden's gradient is zero
-        # up to rounding (batch norm removes the bias), so it has no own scale
+        # relative to the largest gradient entry
         scale = max(np.max(np.abs(g)) for g in reference.values())
         for name, expected in reference.items():
             assert grads[name].shape == expected.shape, name
@@ -231,7 +229,7 @@ class TestBackward:
         _, trace = forward_batch(batch, params, mode="train", update_running=False)
         grads = backward(trace, params)
         assert grads["b_out"].shape == (TINY.feature_dim,)
-        assert grads["b_hidden"].shape == (TINY.hidden_dim,)
+        assert grads["bn_beta"].shape == (TINY.hidden_dim,)
 
     def test_rejects_eval_trace(self):
         params = _healthy_tiny_params()
@@ -275,9 +273,35 @@ class TestAdam:
         before = {n: t.copy() for n, t in params.trainable().items()}
         state = AdamState.initial(params, lr=0.1, weight_decay=0.5)
         adam_step(params, self.constant_grads(params, 0.0), state)
-        for name in ("b_hidden", "b_out", "bn_gamma", "bn_beta"):
+        for name in ("b_out", "bn_gamma", "bn_beta"):
             assert np.array_equal(params.trainable()[name], before[name]), name
         assert not np.array_equal(params.w_hidden, before["w_hidden"])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_matches_per_tensor_loop(self, weight_decay):
+        params = init_params(ArchConfig(n_components=8), seed=4)
+        tensors = {n: t.copy() for n, t in params.trainable().items()}
+        m = {n: np.zeros_like(t) for n, t in tensors.items()}
+        v = {n: np.zeros_like(t) for n, t in tensors.items()}
+        decay = {spec.name: spec.decay for spec in TENSORS}
+        state = AdamState.initial(params, lr=0.01, weight_decay=weight_decay)
+        rng = RandomSource(5)
+        for step in range(1, 21):
+            grads = {n: rng.normal(0.0, 1.0, size=t.shape) for n, t in tensors.items()}
+            adam_step(params, grads, state)
+            adam_loop(tensors, grads, m, v, step, decay, lr=0.01, weight_decay=weight_decay)
+        for name, tensor in params.trainable().items():
+            assert tensor.tobytes() == tensors[name].tobytes(), name
+        assert params.vector.tobytes() == np.concatenate(
+            [tensors[spec.name].ravel() for spec in TENSORS]).tobytes()
+
+    def test_rejects_gradient_of_wrong_shape(self):
+        params = init_params(TINY, seed=0)
+        state = AdamState.initial(params)
+        grads = self.constant_grads(params, 0.5)
+        grads["w_out"] = grads["w_out"].T
+        with pytest.raises(ValueError, match="shape mismatch for 'w_out'"):
+            adam_step(params, grads, state)
 
     @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_two_identical_runs_are_bitwise_identical(self):
@@ -304,7 +328,7 @@ def tiny_dataset(n=60, seed=0):
         x = rng.uniform(size=3)
         x = x / x.sum()
         fractions.append(x)
-        tgs.append(400.0 + 400.0 * x[0] + rng.normal(0, 10.0))
+        tgs.append(400.0 + 400.0 * x[0] + scalar_normal(rng, 0, 10.0))
     return table(fractions, tgs, [int(500.0 <= tg < 600.0) for tg in tgs])
 
 
