@@ -179,15 +179,6 @@ def atomic_path(path):
         raise
 
 
-@contextmanager
-def atomic_write(path, mode: str = "w"):
-    """Open-for-write variant of atomic_path."""
-    with atomic_path(path) as tmp_name:
-        encoding = None if "b" in mode else "utf-8"
-        with open(tmp_name, mode, encoding=encoding) as fh:
-            yield fh
-
-
 def _parse_band(text: str) -> TgBand:
     try:
         low_text, high_text = text.split(":")
@@ -237,6 +228,9 @@ def cmd_train(args) -> int:
         band = TgBand(run.band_low, run.band_high)
     else:
         raise ConfigError("no Tg band given (use --band LOW:HIGH or band_low/band_high)")
+    history_path = args.history or (str(args.out) + ".history.csv")
+    if Path(history_path).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"--history {history_path} would overwrite the checkpoint --out")
 
     raw, schema = load_dataset(args.data)
     train_part, val_part = _label_split(raw, band, run)
@@ -250,7 +244,6 @@ def cmd_train(args) -> int:
 
     with atomic_path(args.out) as tmp:
         save_checkpoint(params, arch, stats, band, tmp, center=center.vector)
-    history_path = args.history or (str(args.out) + ".history.csv")
     with atomic_path(history_path) as tmp:
         history.write_csv(tmp)
 
@@ -261,15 +254,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
     run = RunConfig.load(args.config, {"seed": args.seed})
+    ckpt = load_checkpoint(args.checkpoint)
     log.info("checkpoint band [%g, %g)", ckpt.band.low, ckpt.band.high)
 
     raw, schema = load_dataset(args.data)
-    if schema.n != ckpt.arch.n_components:
+    if schema.n != ckpt.params.arch.n_components:
         raise DataFormatError(
             f"{args.data} has {schema.n} components but the checkpoint "
-            f"expects {ckpt.arch.n_components}"
+            f"expects {ckpt.params.arch.n_components}"
         )
     train_part, val_part = _label_split(raw, ckpt.band, run)
 
@@ -310,7 +303,7 @@ def cmd_screen(args) -> int:
         raise DataFormatError(
             f"{args.checkpoint} carries no class center; retrain to enable screening"
         )
-    candidates, schema = load_candidates(args.candidates, ckpt.arch.n_components)
+    candidates, schema = load_candidates(args.candidates, ckpt.params.arch.n_components)
     # the composition rule clean applies to training rows
     totals, negative, off_sum = composition_masks(candidates, run.min_sum, run.max_sum)
     off_simplex = np.flatnonzero(negative | off_sum)
@@ -332,7 +325,7 @@ def cmd_screen(args) -> int:
     scores = features @ ckpt.center
     order = np.lexsort((np.arange(scores.size), -scores))[: args.top_k]
 
-    with atomic_write(args.out) as fh:
+    with atomic_path(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(",".join(schema.names) + ",score\n")
         for i in order:
             row = ",".join(repr(float(v)) for v in candidates[i])

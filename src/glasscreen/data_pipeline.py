@@ -133,17 +133,6 @@ class NormalizationStats:
         return self.mean.shape[0]
 
 
-@dataclass(frozen=True)
-class AugmentationConfig:
-    """Relative Gaussian noise level applied to raw fractions."""
-
-    sigma: float = 0.01
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-
 @dataclass
 class GridConfig:
     """Lattice definition for candidate enumeration.
@@ -441,16 +430,16 @@ def normalize(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     return (x - stats.mean) / stats.std
 
 
-def augment(x: np.ndarray, cfg: AugmentationConfig, rng: RandomSource) -> np.ndarray:
+def augment(x: np.ndarray, sigma: float, rng: RandomSource) -> np.ndarray:
     """Multiplicative Gaussian perturbation of raw fractions: x * (1 + eps).
 
     eps is drawn i.i.d. per entry from N(0, sigma^2). Applied before
     normalization; sigma = 0 returns the input unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
-    if cfg.sigma == 0.0:
+    if sigma == 0.0:
         return x.copy()
-    eps = rng.normal(0.0, cfg.sigma, size=x.shape)
+    eps = rng.normal(0.0, sigma, size=x.shape)
     return x * (1.0 + eps)
 
 

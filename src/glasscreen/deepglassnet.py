@@ -150,8 +150,9 @@ class ModelParams:
 
     ``vector`` (used as given, not copied) holds the TENSORS rows in table
     order; each TENSORS name, such as ``params.w_hidden``, is a reshaped view
-    of it, and so are ``bn.gamma`` and ``bn.beta``. Assigning to a name writes
-    into its view and needs its shape, so the vector never goes stale.
+    of it, and so are ``bn.gamma`` and ``bn.beta``. Tensors are written in
+    place (``params.w_out[...] = w``, ``+=``); rebinding any attribute raises,
+    so the views never go stale.
     """
 
     __slots__ = ("arch", "vector", "bn", "_views")
@@ -176,15 +177,10 @@ class ModelParams:
             raise AttributeError(f"ModelParams has no tensor {name!r}") from None
 
     def __setattr__(self, name: str, value) -> None:
-        if name in self.__slots__ and value is object.__getattribute__(self, name):
-            return  # an in-place operator, such as params.vector -= update
-        if name not in self._views:
-            raise AttributeError(f"cannot set {name!r}: only TENSORS names are assignable")
-        view = self._views[name]
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != view.shape:
-            raise ValueError(f"{name} has shape {view.shape}, got {value.shape}")
-        view[...] = value
+        # an in-place operator, such as params.vector -= update, rebinds the
+        # same array and is let through
+        if value is not getattr(self, name, object()):
+            raise AttributeError(f"cannot rebind {name!r}; write into it with [...] =")
 
     def trainable(self) -> dict[str, np.ndarray]:
         """Name -> view for every tensor the optimizer updates, in TENSORS order."""
@@ -246,15 +242,13 @@ def forward_batch(
     x: np.ndarray,
     params: ModelParams,
     mode: str = "eval",
-    dropout: float = 0.0,
     rng: RandomSource | None = None,
-    update_running: bool = True,
 ) -> tuple[np.ndarray, BatchTrace]:
     """Run the encoder over a (B, n) batch of normalized compositions.
 
-    Train mode normalizes the projection head by batch statistics (B >= 2)
-    and, unless ``update_running`` is false, folds them into the running
-    statistics. Eval mode is a pure function of (x, params).
+    Train mode normalizes the projection head by batch statistics (B >= 2),
+    folds them into the running statistics and applies dropout at
+    ``params.arch.dropout``. Eval mode is a pure function of (x, params).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -296,14 +290,14 @@ def forward_batch(
     # projection head
     flat = attended.reshape(b, -1)
     if mode == "train":
-        bn_out, x_hat, inv_std = batchnorm_train_cached(flat @ params.w_hidden, params.bn,
-                                                        update_running)
+        bn_out, x_hat, inv_std = batchnorm_train_cached(flat @ params.w_hidden, params.bn)
     else:
         bn_out = batchnorm_eval(flat @ params.w_hidden, params.bn)
         x_hat, inv_std = None, None
 
     post = np.maximum(bn_out, 0.0)
     mask = None
+    dropout = params.arch.dropout
     if mode == "train" and dropout > 0.0:
         if rng is None:
             raise ValueError("dropout > 0 in train mode requires an rng")
@@ -331,18 +325,20 @@ def forward_batch(
     return features, trace
 
 
-def eval_features(x: np.ndarray, params: ModelParams, chunk: int = 2048) -> np.ndarray:
-    """Eval-mode features for a (B, n) batch, computed in bounded-size chunks.
+# rows per eval_features forward: bounds the (chunk, n, n) attention buffers
+EVAL_CHUNK = 2048
+
+
+def eval_features(x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Eval-mode features for a (B, n) batch, computed in EVAL_CHUNK-row chunks.
 
     A one-row remainder is folded into the chunk before it: numpy runs a
     one-row matmul through another BLAS kernel, whose last bits differ, so
-    this keeps every row's bytes independent of ``chunk``.
+    this keeps every row's bytes independent of the chunk size.
     """
-    if chunk < 2:
-        raise ValueError(f"chunk must be >= 2, got {chunk}")
     x = np.asarray(x, dtype=np.float64)
     rows = x.shape[0]
-    starts = list(range(0, rows, chunk))
+    starts = list(range(0, rows, EVAL_CHUNK))
     if len(starts) > 1 and rows - starts[-1] == 1:
         starts.pop()
     ends = starts[1:] + [rows]
@@ -358,7 +354,6 @@ def eval_features(x: np.ndarray, params: ModelParams, chunk: int = 2048) -> np.n
 @dataclass
 class Checkpoint:
     params: ModelParams
-    arch: ArchConfig
     stats: NormalizationStats
     band: TgBand
     center: np.ndarray | None = None
@@ -377,8 +372,13 @@ def save_checkpoint(
     Layout: magic, arch header, the parameter vector (the TENSORS in table
     order) as little-endian float64, the batch-norm running mean and
     variance, normalization stats, Tg band, optional class center, then a
-    SHA-256 checksum of everything before it.
+    SHA-256 checksum of everything before it. The header is ``params.arch``,
+    which ``cfg`` must equal.
     """
+    arch = params.arch
+    if cfg != arch:
+        raise ValueError(f"checkpoint config {cfg} does not match the parameters' {arch}")
+
     def le_bytes(a: np.ndarray) -> bytes:
         a = np.ascontiguousarray(a, dtype=np.float64)
         if not np.all(np.isfinite(a)):
@@ -387,9 +387,9 @@ def save_checkpoint(
 
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<6q", cfg.n_components, cfg.embed_dim, cfg.adjacency_rank,
-                        cfg.attention_dim, cfg.hidden_dim, cfg.feature_dim)
-    blob += struct.pack("<3d", cfg.dropout, params.bn.momentum, params.bn.epsilon)
+    blob += struct.pack("<6q", arch.n_components, arch.embed_dim, arch.adjacency_rank,
+                        arch.attention_dim, arch.hidden_dim, arch.feature_dim)
+    blob += struct.pack("<3d", arch.dropout, arch.bn_momentum, arch.bn_epsilon)
     for vector in (params.vector, params.bn.running_mean, params.bn.running_var,
                    stats.mean, stats.std):
         blob += le_bytes(vector)
@@ -463,7 +463,7 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(payload):
         raise CheckpointCorruptError(f"{path}: {len(payload) - offset} unexpected trailing bytes")
     try:
-        return Checkpoint(params=ModelParams(cfg, vector, running_mean, running_var), arch=cfg,
+        return Checkpoint(params=ModelParams(cfg, vector, running_mean, running_var),
                           stats=NormalizationStats(mean=mean, std=std),
                           band=TgBand(low, high), center=center)
     except ValueError as exc:

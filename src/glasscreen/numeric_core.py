@@ -104,12 +104,11 @@ class BatchNormState:
             raise ValueError("running_var entries must be >= 0")
 
 
-def batchnorm_train_cached(x: np.ndarray, state: BatchNormState, update_running: bool = True):
+def batchnorm_train_cached(x: np.ndarray, state: BatchNormState):
     """Train-mode batch norm returning backward cache (x_hat, inv_std).
 
-    Normalizes by population batch statistics and, unless ``update_running``
-    is false, folds them into the running statistics with the configured
-    momentum (new batch weighted by momentum).
+    Normalizes by population batch statistics and folds them into the running
+    statistics with the configured momentum (new batch weighted by momentum).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -119,10 +118,9 @@ def batchnorm_train_cached(x: np.ndarray, state: BatchNormState, update_running:
     inv_std = 1.0 / np.sqrt(var + state.epsilon)
     x_hat = (x - mean) * inv_std
     out = state.gamma * x_hat + state.beta
-    if update_running:
-        m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mean
-        state.running_var = (1.0 - m) * state.running_var + m * var
+    m = state.momentum
+    state.running_mean = (1.0 - m) * state.running_mean + m * mean
+    state.running_var = (1.0 - m) * state.running_var + m * var
     return out, x_hat, inv_std
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import evaluation
 from .data_pipeline import (
-    AugmentationConfig,
     Samples,
     TripletIndexSampler,
     augment,
@@ -190,35 +189,28 @@ class AdamState:
     v: np.ndarray
     decay: np.ndarray  # bool: does weight decay apply to the entry
     t: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
 
     @classmethod
-    def initial(cls, params: ModelParams, lr: float = 1e-3, beta1: float = 0.9,
-                beta2: float = 0.999, eps: float = 1e-8,
-                weight_decay: float = 0.0) -> "AdamState":
+    def initial(cls, params: ModelParams) -> "AdamState":
         return cls(m=np.zeros_like(params.vector), v=np.zeros_like(params.vector),
-                   decay=decay_mask(params.arch), lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                   weight_decay=weight_decay)
+                   decay=decay_mask(params.arch))
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState):
-    """Bias-corrected Adam update of the parameter vector in place; decoupled
-    weight decay touches the TENSORS flagged for it (weight matrices, not
-    biases or batch norm)."""
+def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
+              cfg: TrainConfig):
+    """Bias-corrected Adam update of the parameter vector in place, with the
+    step settings of ``cfg``; decoupled weight decay touches the TENSORS
+    flagged for it (weight matrices, not biases or batch norm)."""
     g = params.gather(grads)
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * np.square(g)
-    update = state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.eps)
-    if state.weight_decay > 0.0:
+    bc1 = 1.0 - cfg.beta1 ** state.t
+    bc2 = 1.0 - cfg.beta2 ** state.t
+    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * np.square(g)
+    update = cfg.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + cfg.adam_eps)
+    if cfg.weight_decay > 0.0:
         # masked, as the per-tensor update was: adding 0.0 elsewhere could flip a -0.0
-        np.add(update, state.lr * state.weight_decay * params.vector, out=update,
+        np.add(update, cfg.lr * cfg.weight_decay * params.vector, out=update,
                where=state.decay)
     params.vector -= update
     return params, state
@@ -251,6 +243,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.precision_k < 1:
@@ -306,9 +300,7 @@ def train(
     params = init_params(arch, cfg.seed)
     # separate stream from init so architecture draws and loop draws don't alias
     rng = RandomSource(cfg.seed + 1)
-    adam = AdamState.initial(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                             eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
-    aug_cfg = AugmentationConfig(sigma=cfg.sigma)
+    adam = AdamState.initial(params)
 
     history = TrainHistory()
     best_auc = -math.inf
@@ -324,10 +316,9 @@ def train(
             anchor_idx = order[start:start + cfg.batch_size]
             pos_idx, neg_idx = sampler.draw(anchor_idx, rng)
             stacked = np.concatenate([x_raw[anchor_idx], x_raw[pos_idx], x_raw[neg_idx]])
-            perturbed = augment(stacked, aug_cfg, rng)
+            perturbed = augment(stacked, cfg.sigma, rng)
             batch = normalize(perturbed, stats)
-            features, trace = forward_batch(batch, params, mode="train",
-                                            dropout=arch.dropout, rng=rng)
+            features, trace = forward_batch(batch, params, mode="train", rng=rng)
             losses = triplet_losses(features)
             if not np.all(np.isfinite(losses)):
                 raise NumericFailure(
@@ -335,7 +326,7 @@ def train(
                 )
             loss_total += float(losses.sum())
             grads = backward(trace, params)
-            params, adam = adam_step(params, grads, adam)
+            params, adam = adam_step(params, grads, adam, cfg)
         mean_loss = loss_total / n_anchors
 
         if epoch == 1 or epoch == cfg.epochs or epoch % cfg.eval_every == 0:

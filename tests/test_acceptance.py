@@ -57,11 +57,11 @@ def test_a1_gradient_correctness():
     params.b_out += 0.5     # stay off the zero-norm guard
     batch = RandomSource(11).normal(0.0, 1.0, size=(9, 4))  # 3 triplets
 
-    _, trace = forward_batch(batch, params, mode="train", update_running=False)
+    _, trace = forward_batch(batch, params, mode="train")
     grads = backward(trace, params)
 
     def loss_fn(_tensors):
-        feats, _ = forward_batch(batch, params, mode="train", update_running=False)
+        feats, _ = forward_batch(batch, params, mode="train")
         return float(triplet_losses(feats).mean())
 
     err = grad_check(loss_fn, params.trainable(), grads, h=1e-5)
@@ -260,7 +260,7 @@ def test_a6_determinism(tmp_path):
 
     ckpt = load_checkpoint(tmp_path / "run1.ckpt")
     resaved = tmp_path / "resaved.ckpt"
-    save_checkpoint(ckpt.params, ckpt.arch, ckpt.stats, ckpt.band, resaved,
+    save_checkpoint(ckpt.params, ckpt.params.arch, ckpt.stats, ckpt.band, resaved,
                     center=ckpt.center)
     round_trip = resaved.read_bytes() == checkpoints[0]
 

@@ -166,6 +166,15 @@ class TestTrain:
                      "--out", str(tmp_path / "x.ckpt")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("history", ["model.ckpt", "sub/../model.ckpt"])
+    def test_history_at_checkpoint_path_is_usage_error(self, workdir, history):
+        tmp_path, data, config = workdir
+        out = tmp_path / "model.ckpt"
+        code = main(["train", "--data", str(data), "--config", str(config), "--band",
+                     "500:600", "--out", str(out), "--history", str(tmp_path / history)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     def test_unknown_config_key_is_usage_error(self, workdir):
         tmp_path, data, _ = workdir
         bad = tmp_path / "bad.json"
@@ -417,6 +426,19 @@ class TestRunConfig:
     def test_direct_construction_checks_types(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be of type"):
             RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("argv", [
+        ["clean", "--input", "raw.csv", "--output", "clean.csv"],
+        ["train", "--data", "data.csv", "--band", "500:600", "--out", "model.ckpt"],
+        ["eval", "--checkpoint", "model.ckpt", "--data", "data.csv", "--report-dir", "report"],
+        ["screen", "--checkpoint", "model.ckpt", "--candidates", "c.csv", "--out", "picks.csv"],
+        ["enumerate", "--components", "A,B,C", "--step", "0.5", "--out", "c.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, argv):
+        # the inputs do not exist, so reading any of them first would be a data error
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--seed", "-1"]) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
 
     def test_accepted_values_are_kept(self, tmp_path):
         path = tmp_path / "config.json"

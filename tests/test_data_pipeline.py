@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from glasscreen import data_pipeline
 from glasscreen.data_pipeline import (
-    AugmentationConfig,
     CandidateCapError,
     CleanCounts,
     ComponentSchema,
@@ -774,24 +773,24 @@ class TestAugment:
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=6), st.integers(0, 100))
     def test_sigma_zero_is_identity(self, values, seed):
         x = np.array(values)
-        out = augment(x, AugmentationConfig(sigma=0.0), RandomSource(seed))
+        out = augment(x, 0.0, RandomSource(seed))
         assert np.array_equal(out, x)
 
     def test_zero_entry_stays_zero(self):
-        out = augment(np.array([0.0, 0.5]), AugmentationConfig(sigma=0.3), RandomSource(1))
+        out = augment(np.array([0.0, 0.5]), 0.3, RandomSource(1))
         assert out[0] == 0.0
 
     def test_monte_carlo_moments(self):
         # ratio x'/x over 1e5 draws should recover the (1, sigma) moments
         rng = RandomSource(77)
         x = np.ones(100_000)
-        ratio = augment(x, AugmentationConfig(sigma=0.05), rng) / x
+        ratio = augment(x, 0.05, rng) / x
         assert 0.999 <= ratio.mean() <= 1.001
         assert 0.049 <= ratio.std() <= 0.051
 
     def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            AugmentationConfig(sigma=-0.1)
+        with pytest.raises(ValueError, match="std"):
+            augment(np.ones(3), -0.1, RandomSource(0))
 
 
 def draw_triplets(train, anchors, rng):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glasscreen import deepglassnet
 from glasscreen.data_pipeline import NormalizationStats, TgBand
 from glasscreen.deepglassnet import (
     CHECKPOINT_MAGIC,
@@ -35,6 +37,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture
 def tiny_params():
     return init_params(TINY, seed=3)
+
+
+def dropout_params(rate):
+    """tiny_params' tensors under an arch with the given dropout rate."""
+    return init_params(replace(TINY, dropout=rate), seed=3)
+
+
+def features_at_chunk(x, params, chunk):
+    """eval_features with EVAL_CHUNK set to ``chunk`` for the call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deepglassnet, "EVAL_CHUNK", chunk)
+        return eval_features(x, params)
 
 
 def trace_of(x, params):
@@ -117,14 +131,14 @@ class TestEmbedProportions:
 class TestAdjacency:
     def with_factors(self, factors):
         params = init_params(TINY, seed=0)
-        params.interaction_factors = np.array(factors, dtype=float)
+        params.interaction_factors[...] = np.array(factors, dtype=float)
         return params
 
     def test_parallel_factors(self):
         params = init_params(
             ArchConfig(n_components=2, embed_dim=2, adjacency_rank=2,
                        attention_dim=2, hidden_dim=3, feature_dim=2), seed=0)
-        params.interaction_factors = np.array([[2.0, 0.0], [5.0, 0.0]])
+        params.interaction_factors[...] = np.array([[2.0, 0.0], [5.0, 0.0]])
         assert np.allclose(trace_of([0.5, 0.5], params).adjacency,
                            [[1.0, 1.0], [1.0, 1.0]], atol=1e-14)
 
@@ -132,7 +146,7 @@ class TestAdjacency:
         params = init_params(
             ArchConfig(n_components=2, embed_dim=2, adjacency_rank=2,
                        attention_dim=2, hidden_dim=3, feature_dim=2), seed=0)
-        params.interaction_factors = np.array([[3.0, 0.0], [0.0, 0.25]])
+        params.interaction_factors[...] = np.array([[3.0, 0.0], [0.0, 0.25]])
         a = trace_of([0.5, 0.5], params).adjacency
         assert abs(a[0, 1]) < 1e-14 and abs(a[1, 0]) < 1e-14
 
@@ -170,7 +184,7 @@ class TestGraphConvolve:
 
     def test_identity_adjacency_passes_through(self):
         params = init_params(self.arch(4, 2, 4), seed=0)
-        params.interaction_factors = np.eye(4)  # orthogonal factors: identity adjacency
+        params.interaction_factors[...] = np.eye(4)  # orthogonal factors: identity adjacency
         trace = trace_of(np.arange(8.0).reshape(2, 4), params)
         assert np.array_equal(trace.adjacency, np.eye(4))
         assert np.array_equal(trace.mixing, trace.inputs[:, None, :] * np.eye(4))
@@ -179,9 +193,9 @@ class TestGraphConvolve:
 
     def test_two_components_full_coupling(self):
         params = init_params(self.arch(2, 2, 2), seed=0)
-        params.interaction_factors = np.array([[1.0, 0.0], [1.0, 0.0]])
-        params.embeddings = np.array([[1.0, 2.0], [10.0, 20.0]])
-        params.w_query = np.eye(2)  # the query rows are then the mixed embeddings
+        params.interaction_factors[...] = np.array([[1.0, 0.0], [1.0, 0.0]])
+        params.embeddings[...] = np.array([[1.0, 2.0], [10.0, 20.0]])
+        params.w_query[...] = np.eye(2)  # the query rows are then the mixed embeddings
         z = trace_of([1.0, 1.0], params).query[0]
         assert np.array_equal(z[0], params.embeddings[0] + params.embeddings[1])
         assert np.array_equal(z[1], params.embeddings[1] + params.embeddings[0])
@@ -192,7 +206,7 @@ class TestGraphConvolve:
         for _ in range(10):
             n, d = int(rng.integers(2, 9)), int(rng.integers(1, 7))
             params = init_params(self.arch(n, d, 2), seed=int(rng.integers(100)))
-            params.interaction_factors = rng.normal(size=(n, 2))
+            params.interaction_factors[...] = rng.normal(size=(n, 2))
             trace = trace_of(rng.normal(size=(2, n)), params)
             for x, q in zip(trace.inputs, trace.query):
                 z = convolve_oracle(x[:, None] * params.embeddings, trace.adjacency)
@@ -228,8 +242,8 @@ class TestSelfAttention:
     def test_identical_rows_give_uniform_attention(self, tiny_params):
         trace = trace_of(np.zeros(4), tiny_params)  # zero input => identical rows
         assert np.allclose(trace.attention, 0.25, atol=1e-12)
-        tiny_params.embeddings = np.tile(np.array([0.3, -0.7, 1.1]), (4, 1))
-        tiny_params.interaction_factors = np.ones((4, 2))
+        tiny_params.embeddings[...] = np.tile(np.array([0.3, -0.7, 1.1]), (4, 1))
+        tiny_params.interaction_factors[...] = np.ones((4, 2))
         trace = trace_of(np.full(4, 0.25), tiny_params)
         # identical embeddings give identical rows of E @ W, and symmetric
         # coupling makes every row of G a permutation of the first
@@ -242,7 +256,7 @@ class TestSelfAttention:
 
     @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_zero_value_matrix(self, tiny_params):
-        tiny_params.w_value = np.zeros_like(tiny_params.w_value)
+        tiny_params.w_value[...] = np.zeros_like(tiny_params.w_value)
         x = np.random.default_rng(0).normal(size=(3, 4))
         assert np.all(trace_of(x, tiny_params).attended == 0.0)
 
@@ -278,9 +292,9 @@ class TestProject:
                          attention_dim=2, hidden_dim=4, feature_dim=4,
                          bn_epsilon=1e-300)
         params = init_params(cfg, seed=1)
-        params.w_out = np.eye(4)
-        params.b_out = np.zeros(4)
-        params.bn_beta = np.full(4, 0.1)
+        params.w_out[...] = np.eye(4)
+        params.b_out[...] = np.zeros(4)
+        params.bn_beta[...] = np.full(4, 0.1)
         x = np.random.default_rng(10).normal(size=(1, 3))
         features, trace = forward_batch(x, params)
         hidden = np.maximum(trace.flat[0] @ params.w_hidden + params.bn_beta, 0.0)
@@ -341,16 +355,16 @@ class TestForward:
         rng = RandomSource(14)
         tiny_params.b_out += 0.2
         x = rng.normal(0, 1, size=(10, 4))
-        assert np.array_equal(eval_features(x, tiny_params, chunk=3),
-                              eval_features(x, tiny_params, chunk=100))
+        assert np.array_equal(features_at_chunk(x, tiny_params, 3),
+                              features_at_chunk(x, tiny_params, 100))
 
     def test_eval_features_one_row_remainder(self):
         # at chunk 4,096, 4,097 rows leave a one-row remainder; a one-row
         # matmul rounds differently from the same row inside a chunk
         params = init_params(ArchConfig(n_components=8), seed=0)
         x = RandomSource(15).normal(0, 1, size=(4097, 8))
-        assert np.array_equal(eval_features(x, params, chunk=4096),
-                              eval_features(x, params, chunk=8192))
+        assert np.array_equal(features_at_chunk(x, params, 4096),
+                              features_at_chunk(x, params, 8192))
 
     @settings(max_examples=50, deadline=None)
     @given(rows=st.integers(0, 40), chunk=st.integers(2, 45), seed=st.integers(0, 2**32 - 1))
@@ -358,12 +372,8 @@ class TestForward:
         params = init_params(TINY, seed=3)
         params.b_out += 0.2
         x = RandomSource(seed).normal(0, 1, size=(rows, 4))
-        assert np.array_equal(eval_features(x, params, chunk=chunk),
-                              eval_features(x, params, chunk=max(rows, 2)))
-
-    def test_eval_features_rejects_chunk_below_two(self, tiny_params):
-        with pytest.raises(ValueError, match="chunk"):
-            eval_features(np.ones((3, 4)), tiny_params, chunk=1)
+        assert np.array_equal(features_at_chunk(x, params, chunk),
+                              features_at_chunk(x, params, max(rows, 2)))
 
     @pytest.mark.parametrize("arch, rows", [(ArchConfig(n_components=8), 768), (TINY, 9)],
                              ids=["default-768", "tiny-9"])
@@ -387,18 +397,18 @@ class TestForward:
 
 
 class TestDropout:
-    def test_train_mode_needs_rng(self, tiny_params):
+    def test_train_mode_needs_rng(self):
         x = RandomSource(15).normal(0, 1, size=(6, 4))
         with pytest.raises(ValueError, match="rng"):
-            forward_batch(x, tiny_params, mode="train", dropout=0.5)
+            forward_batch(x, dropout_params(0.5), mode="train")
 
-    def test_deterministic_per_seed(self, tiny_params):
-        tiny_params.b_out += 0.2
+    def test_deterministic_per_seed(self):
+        params = dropout_params(0.5)
+        params.b_out += 0.2
         x = RandomSource(16).normal(0, 1, size=(6, 4))
         runs = []
         for _ in range(2):
-            f, trace = forward_batch(x, tiny_params.copy(), mode="train",
-                                     dropout=0.5, rng=RandomSource(21))
+            f, trace = forward_batch(x, params.copy(), mode="train", rng=RandomSource(21))
             runs.append((f, trace.dropout_mask))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
@@ -410,7 +420,9 @@ class TestDropout:
         tiny_params.b_out += 0.2
         x = RandomSource(17).normal(0, 1, size=(6, 4))
         plain, _ = forward_batch(x, tiny_params, mode="eval")
-        with_knob, trace = forward_batch(x, tiny_params, mode="eval", dropout=0.9)
+        knob = dropout_params(0.9)
+        knob.b_out += 0.2
+        with_knob, trace = forward_batch(x, knob, mode="eval")
         assert np.array_equal(plain, with_knob)
         assert trace.dropout_mask is None
 
@@ -437,13 +449,22 @@ class TestCheckpoint:
         assert np.array_equal(ckpt.stats.std, stats.std)
         assert (ckpt.band.low, ckpt.band.high) == (band.low, band.high)
         assert np.array_equal(ckpt.center, center)
-        assert ckpt.arch == TINY
+        assert ckpt.params.arch == TINY
 
     def test_round_trip_without_center(self, tmp_path):
         params, stats, band = self.build()
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, TINY, stats, band, path)
         assert load_checkpoint(path).center is None
+
+    @pytest.mark.parametrize("field, value", [("embed_dim", 4), ("dropout", 0.5),
+                                              ("bn_epsilon", 1e-3)])
+    def test_config_unlike_params_raises_before_writing(self, tmp_path, field, value):
+        params, stats, band = self.build()
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="does not match"):
+            save_checkpoint(params, replace(TINY, **{field: value}), stats, band, path)
+        assert not path.exists()
 
     def test_bad_magic_is_version_error(self, tmp_path):
         params, stats, band = self.build()
@@ -506,7 +527,7 @@ class TestCheckpoint:
 
     def test_reads_v1_with_zero_hidden_bias_to_the_same_bytes(self):
         ckpt = load_checkpoint(FIXTURES / "v1_zero_bias.ckpt")
-        assert ckpt.arch == TINY
+        assert ckpt.params.arch == TINY
         assert (ckpt.band.low, ckpt.band.high) == (500.0, 600.0)
         assert np.array_equal(ckpt.center, [0.6, 0.8])
         features = eval_features(self.V1_BATCH, ckpt.params)
@@ -620,9 +641,9 @@ class TestParamVector:
 
     def test_assignment_writes_into_the_vector(self, tiny_params, tmp_path):
         vector = tiny_params.vector
-        tiny_params.w_out = np.eye(5, 2)
+        tiny_params.w_out[...] = np.eye(5, 2)
         tiny_params.b_out += 0.5
-        tiny_params.bn_gamma = np.full(5, 2.0)
+        tiny_params.bn_gamma[...] = np.full(5, 2.0)
         assert tiny_params.vector is vector
         layout = tensor_layout(TINY)
         assert np.array_equal(vector[layout["w_out"][0]], np.eye(5, 2).ravel())
@@ -639,7 +660,9 @@ class TestParamVector:
     def test_bad_assignment_raises_and_changes_nothing(self, tiny_params):
         before = tiny_params.vector.copy()
         with pytest.raises(ValueError, match="shape"):
-            tiny_params.w_out = np.eye(4)
+            tiny_params.w_out[...] = np.eye(4)
+        with pytest.raises(AttributeError, match="rebind"):
+            tiny_params.w_out = np.eye(5, 2)  # a new array would leave the view stale
         with pytest.raises(AttributeError):
             tiny_params.b_hidden = np.zeros(5)
         with pytest.raises(AttributeError):

@@ -126,7 +126,7 @@ class TestL2Normalize:
 
     def features(self, b_out):
         params = head_params(len(b_out))
-        params.b_out = np.array(b_out, dtype=float)
+        params.b_out[...] = np.array(b_out, dtype=float)
         features, _ = forward_batch(np.zeros((1, 2)), params)
         return features[0]
 

@@ -68,7 +68,7 @@ class TestContrastiveLoss:
         params = init_params(TINY, seed=0)
         batch = np.ones((3, 4))
         batch[0, 0] = np.nan
-        _, trace = forward_batch(batch, params, mode="train", update_running=False)
+        _, trace = forward_batch(batch, params, mode="train")
         with pytest.raises(NumericFailure, match="contrastive loss"):
             backward(trace, params)
 
@@ -83,10 +83,10 @@ class TestContrastiveLoss:
             assert abs(batch[i] - scalar) < 1e-15
 
 
-def _healthy_tiny_params(seed=3):
+def _healthy_tiny_params(seed=3, arch=TINY):
     """Tiny model nudged away from the zero-norm guard so the
     finite-difference sweep stays on one smooth branch."""
-    params = init_params(TINY, seed=seed)
+    params = init_params(arch, seed=seed)
     params.b_out += 0.5
     return params
 
@@ -157,11 +157,11 @@ class TestBackward:
         rng = RandomSource(11)
         batch = rng.normal(0.0, 1.0, size=(9, 4))  # 3 triplets
 
-        _, trace = forward_batch(batch, params, mode="train", update_running=False)
+        _, trace = forward_batch(batch, params, mode="train")
         grads = backward(trace, params)
 
         def loss_fn(_tensors):
-            feats, _ = forward_batch(batch, params, mode="train", update_running=False)
+            feats, _ = forward_batch(batch, params, mode="train")
             return float(triplet_losses(feats).mean())
 
         err = grad_check(loss_fn, params.trainable(), grads, h=1e-5)
@@ -178,13 +178,12 @@ class TestBackward:
                 assert size == self.values.shape
                 return self.values
 
-        params = _healthy_tiny_params(seed=5)
+        params = _healthy_tiny_params(seed=5, arch=replace(TINY, dropout=0.4))
         batch = RandomSource(12).normal(0.0, 1.0, size=(6, 4))
         mask_source = RandomSource(13).uniform(size=(6, 5))
 
         def run():
-            return forward_batch(batch, params, mode="train", dropout=0.4,
-                                 rng=FixedUniform(mask_source), update_running=False)
+            return forward_batch(batch, params, mode="train", rng=FixedUniform(mask_source))
 
         _, trace = run()
         grads = backward(trace, params)
@@ -202,7 +201,7 @@ class TestBackward:
         anchor = rng.normal(0, 1, size=(1, 4))
         shared = rng.normal(0, 1, size=(1, 4))
         batch = np.concatenate([anchor, shared, shared])
-        _, trace = forward_batch(batch, params, mode="train", update_running=False)
+        _, trace = forward_batch(batch, params, mode="train")
         grads = backward(trace, params)
         for name, g in grads.items():
             assert np.max(np.abs(g)) < 1e-12, name
@@ -213,7 +212,7 @@ class TestBackward:
     def test_matches_einsum_reference(self, arch, rows, seed):
         params = init_params(arch, seed=seed)
         batch = RandomSource(100 + seed).normal(0.0, 1.0, size=(rows, arch.n_components))
-        _, trace = forward_batch(batch, params, mode="train", update_running=False)
+        _, trace = forward_batch(batch, params, mode="train")
         grads = backward(trace, params)
         reference = einsum_backward(trace, params)
         assert grads.keys() == reference.keys()
@@ -226,7 +225,7 @@ class TestBackward:
     def test_output_bias_gradient_shape(self):
         params = _healthy_tiny_params()
         batch = RandomSource(5).normal(0, 1, size=(6, 4))
-        _, trace = forward_batch(batch, params, mode="train", update_running=False)
+        _, trace = forward_batch(batch, params, mode="train")
         grads = backward(trace, params)
         assert grads["b_out"].shape == (TINY.feature_dim,)
         assert grads["bn_beta"].shape == (TINY.hidden_dim,)
@@ -241,7 +240,7 @@ class TestBackward:
     def test_rejects_non_triplet_batch(self):
         params = _healthy_tiny_params()
         batch = RandomSource(7).normal(0, 1, size=(4, 4))
-        _, trace = forward_batch(batch, params, mode="train", update_running=False)
+        _, trace = forward_batch(batch, params, mode="train")
         with pytest.raises(ValueError, match="triplet"):
             backward(trace, params)
 
@@ -253,8 +252,9 @@ class TestAdam:
     def test_first_step_is_signed_lr(self):
         params = init_params(TINY, seed=0)
         before = {n: t.copy() for n, t in params.trainable().items()}
-        state = AdamState.initial(params, lr=0.01, eps=1e-12)
-        adam_step(params, self.constant_grads(params, 0.5), state)
+        state = AdamState.initial(params)
+        adam_step(params, self.constant_grads(params, 0.5), state,
+                  TrainConfig(lr=0.01, adam_eps=1e-12))
         for name, tensor in params.trainable().items():
             delta = tensor - before[name]
             assert np.max(np.abs(delta + 0.01)) < 1e-9, name
@@ -263,16 +263,18 @@ class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         params = init_params(TINY, seed=1)
         before = {n: t.copy() for n, t in params.trainable().items()}
-        state = AdamState.initial(params, lr=0.1, weight_decay=0.0)
-        adam_step(params, self.constant_grads(params, 0.0), state)
+        state = AdamState.initial(params)
+        adam_step(params, self.constant_grads(params, 0.0), state,
+                  TrainConfig(lr=0.1, weight_decay=0.0))
         for name, tensor in params.trainable().items():
             assert np.array_equal(tensor, before[name]), name
 
     def test_weight_decay_skips_biases_and_bn(self):
         params = init_params(TINY, seed=2)
         before = {n: t.copy() for n, t in params.trainable().items()}
-        state = AdamState.initial(params, lr=0.1, weight_decay=0.5)
-        adam_step(params, self.constant_grads(params, 0.0), state)
+        state = AdamState.initial(params)
+        adam_step(params, self.constant_grads(params, 0.0), state,
+                  TrainConfig(lr=0.1, weight_decay=0.5))
         for name in ("b_out", "bn_gamma", "bn_beta"):
             assert np.array_equal(params.trainable()[name], before[name]), name
         assert not np.array_equal(params.w_hidden, before["w_hidden"])
@@ -284,11 +286,12 @@ class TestAdam:
         m = {n: np.zeros_like(t) for n, t in tensors.items()}
         v = {n: np.zeros_like(t) for n, t in tensors.items()}
         decay = {spec.name: spec.decay for spec in TENSORS}
-        state = AdamState.initial(params, lr=0.01, weight_decay=weight_decay)
+        state = AdamState.initial(params)
+        cfg = TrainConfig(lr=0.01, weight_decay=weight_decay)
         rng = RandomSource(5)
         for step in range(1, 21):
             grads = {n: rng.normal(0.0, 1.0, size=t.shape) for n, t in tensors.items()}
-            adam_step(params, grads, state)
+            adam_step(params, grads, state, cfg)
             adam_loop(tensors, grads, m, v, step, decay, lr=0.01, weight_decay=weight_decay)
         for name, tensor in params.trainable().items():
             assert tensor.tobytes() == tensors[name].tobytes(), name
@@ -301,20 +304,20 @@ class TestAdam:
         grads = self.constant_grads(params, 0.5)
         grads["w_out"] = grads["w_out"].T
         with pytest.raises(ValueError, match="shape mismatch for 'w_out'"):
-            adam_step(params, grads, state)
+            adam_step(params, grads, state, TrainConfig())
 
     @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_two_identical_runs_are_bitwise_identical(self):
         trajectories = []
         for _ in range(2):
             params = init_params(TINY, seed=3)
-            state = AdamState.initial(params, lr=0.005)
+            state = AdamState.initial(params)
             rng = RandomSource(8)
             for _step in range(5):
                 batch = rng.normal(0, 1, size=(6, 4))
                 _, trace = forward_batch(batch, params, mode="train")
                 grads = backward(trace, params)
-                adam_step(params, grads, state)
+                adam_step(params, grads, state, TrainConfig(lr=0.005))
             trajectories.append({n: t.copy() for n, t in params.trainable().items()})
         for name in trajectories[0]:
             assert np.array_equal(trajectories[0][name], trajectories[1][name]), name
@@ -340,6 +343,11 @@ class TestTrainLoop:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("field, value", [("sigma", -0.1), ("seed", -1)])
+    def test_negative_sigma_or_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_single_epoch_single_record(self):
         data = tiny_dataset()
