@@ -3,9 +3,9 @@
 Four stages: proportion-modulated component embeddings, residual message
 passing over a low-rank learned interaction graph, scaled dot-product
 self-attention, and a batch-normalized two-layer projection head whose output
-is L2-normalized. The first two stages and the Q/K/V projections are linear,
-so forward_batch computes them as one product per projection. All tensors are
-float64.
+is L2-normalized. Everything before the softmax is linear in the embeddings,
+so forward_batch folds attention into n x n forms and builds no
+(B, n, attention_dim) array. All tensors are float64.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ class ArchConfig:
 
     @property
     def flat_dim(self) -> int:
-        """Length of the flattened attention output fed to the projection head."""
+        """Row count of w_hidden: n blocks of attention_dim, one per component.
+        No flattened attention output of this length is built (see forward_batch)."""
         return self.n_components * self.attention_dim
 
 
@@ -221,12 +222,11 @@ class BatchTrace:
     adjacency: np.ndarray       # (n, n)
     mixing: np.ndarray          # (B, n, n) G_b = (I + masked / (n - 1)) * x_b[None, :]
     projected: tuple[np.ndarray, np.ndarray, np.ndarray]  # E @ W_q, E @ W_k, E @ W_v, each (n, dk)
-    query: np.ndarray           # (B, n, dk)
-    key: np.ndarray             # (B, n, dk)
-    value: np.ndarray           # (B, n, dk)
-    attention: np.ndarray       # (B, n, n)
-    attended: np.ndarray        # (B, n, dk)
-    flat: np.ndarray            # (B, n*dk)
+    M: np.ndarray               # (n, n) (E W_q)(E W_k)^T / sqrt(dk)
+    GM: np.ndarray              # (B, n, n) G_b M
+    attention: np.ndarray       # (B, n, n) softmax_rows(G_b M G_b^T)
+    P: np.ndarray               # (B, n, n) alpha_b G_b
+    U: np.ndarray               # (n*n, h) U[i*n + m] = (E W_v)[m] @ w_hidden block i
     bn_x_hat: np.ndarray | None  # train-mode cache
     bn_inv_std: np.ndarray | None
     bn_out: np.ndarray          # (B, h)
@@ -273,26 +273,28 @@ def forward_batch(
     masked = adj - np.diag(np.diag(adj))
 
     # proportion-modulated embeddings diag(x_b) E, one round of residual
-    # message passing and the Q/K/V projections are all linear, so each
-    # projection is one row product G_b (E W) with G_b = A * x_b[None, :]
-    # and A = I + masked / (n - 1)
+    # message passing and the Q/K/V projections are all linear: each
+    # projection is G_b (E W), with G_b = A * x_b[None, :] and A = I + masked / (n - 1)
     mixing = (np.eye(n) + masked / (n - 1)) * x[:, None, :]
-    mixing_rows = mixing.reshape(b * n, n)
-    projected = tuple(params.embeddings @ w
-                      for w in (params.w_query, params.w_key, params.w_value))
-    q, k, v = ((mixing_rows @ p).reshape(b, n, -1) for p in projected)
+    pq, pk, pv = projected = tuple(params.embeddings @ w
+                                   for w in (params.w_query, params.w_key, params.w_value))
 
-    # scaled dot-product self-attention across components
-    dk = params.w_query.shape[1]
-    alpha = softmax_rows(np.matmul(q, np.swapaxes(k, -1, -2)) / np.sqrt(dk))
-    attended = np.matmul(alpha, v)
+    # scaled dot-product self-attention across components, as n x n forms:
+    # q_b k_b^T / sqrt(dk) = G_b M G_b^T, and the value rows alpha_b G_b (E W_v)
+    # meet w_hidden only through U, so attended rows are never built
+    dk = pq.shape[1]
+    m = pq @ pk.T / np.sqrt(dk)
+    gm = (mixing.reshape(b * n, n) @ m).reshape(b, n, n)
+    alpha = softmax_rows(np.matmul(gm, np.swapaxes(mixing, -1, -2)))
+    p = np.matmul(alpha, mixing)
+    u = np.einsum("md,idh->imh", pv, params.w_hidden.reshape(n, dk, -1)).reshape(n * n, -1)
 
     # projection head
-    flat = attended.reshape(b, -1)
+    pre = p.reshape(b, n * n) @ u
     if mode == "train":
-        bn_out, x_hat, inv_std = batchnorm_train_cached(flat @ params.w_hidden, params.bn)
+        bn_out, x_hat, inv_std = batchnorm_train_cached(pre, params.bn)
     else:
-        bn_out = batchnorm_eval(flat @ params.w_hidden, params.bn)
+        bn_out = batchnorm_eval(pre, params.bn)
         x_hat, inv_std = None, None
 
     post = np.maximum(bn_out, 0.0)
@@ -314,15 +316,13 @@ def forward_batch(
     divisor = np.where(guarded, 1.0, norms)
     features = head_out / divisor[..., None]
 
-    trace = BatchTrace(
+    return features, BatchTrace(
         inputs=x, unit_factors=vhat, factor_norms=factor_norms, adjacency=adj,
-        mixing=mixing, projected=projected, query=q, key=k, value=v,
-        attention=alpha, attended=attended, flat=flat,
+        mixing=mixing, projected=projected, M=m, GM=gm, attention=alpha, P=p, U=u,
         bn_x_hat=x_hat, bn_inv_std=inv_std, bn_out=bn_out, post_relu=post,
         dropout_mask=mask, out_norms=norms, out_divisor=divisor,
         features=features, mode=mode,
     )
-    return features, trace
 
 
 # rows per eval_features forward: bounds the (chunk, n, n) attention buffers

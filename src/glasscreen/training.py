@@ -4,7 +4,8 @@ Adam with decoupled weight decay, and the epoch loop.
 Gradients are derived by hand (reverse mode through the projection head's
 batch statistics, the attention softmax, the graph convolution and the factor
 row-normalization) and are checked against central finite differences in the
-test suite.
+test suite. Like forward_batch, backward works on the folded n x n attention
+forms and builds no query, key, value or flattened attention output.
 """
 
 from __future__ import annotations
@@ -128,46 +129,42 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
     )
     _ensure_finite(d_pre, "batch norm")
 
-    # projection head first layer
-    grads["w_hidden"] = trace.flat.T @ d_pre
-    d_attended = (d_pre @ params.w_hidden.T).reshape(trace.attended.shape)
+    # projection head first layer, folded: pre = vec(P_b) U with
+    # U[i*n + m] = (E W_v)[m] @ w_hidden block i
+    pq, pk, pv = trace.projected
+    dk = pq.shape[1]
+    d_u = (trace.P.reshape(b, n * n).T @ d_pre).reshape(n, n, -1)
+    d_p = (d_pre @ trace.U.T).reshape(b, n, n)
+    grads["w_hidden"] = np.matmul(pv.T, d_u).reshape(n * dk, -1)
+    d_pv = np.einsum("imh,idh->md", d_u, params.w_hidden.reshape(n, dk, -1))
 
-    # attention
-    alpha, value = trace.attention, trace.value
-    dk = params.w_query.shape[1]
-    d_alpha = np.matmul(d_attended, np.swapaxes(value, -1, -2))
-    d_value = np.matmul(np.swapaxes(alpha, -1, -2), d_attended)
-    d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=-1, keepdims=True))
-    d_scores /= np.sqrt(dk)
-    d_query = np.matmul(d_scores, trace.key)
-    d_key = np.matmul(np.swapaxes(d_scores, -1, -2), trace.query)
+    # attention: P_b = alpha_b G_b and S_b = (G_b M) G_b^T. With the rows of
+    # all B samples stacked, dM = G_rows^T (dS G)_rows is one GEMM.
+    alpha, mixing = trace.attention, trace.mixing
+    d_alpha = np.matmul(d_p, np.swapaxes(mixing, -1, -2))
+    d_mixing = np.matmul(np.swapaxes(alpha, -1, -2), d_p)
+    # einsum: numpy's sum reduces a short last axis slowly
+    d_scores = alpha * (d_alpha - np.einsum("bij,bij->bi", d_alpha, alpha)[..., None])
+    d_sg_rows = np.matmul(d_scores, mixing).reshape(b * n, n)
+    d_mixing += np.matmul(np.swapaxes(d_scores, -1, -2), trace.GM)
+    d_mixing_rows = d_mixing.reshape(b * n, n)
+    d_mixing_rows += d_sg_rows @ trace.M.T
+    d_m = mixing.reshape(b * n, n).T @ d_sg_rows
+    _ensure_finite(d_mixing_rows, "self attention")
 
-    # linear front end: each projection is G_b (E W) with G_b = A * x_b[None, :]
-    # and A = I + masked / (n - 1). With the rows of all B samples stacked,
-    # d(E W) = G_rows^T d_proj_rows is one (n, B*n) x (B*n, dk) GEMM, and
-    # d_mixing = sum over projections of d_proj (E W)^T is the gradient of G.
-    # The three d_* blocks stay separate arrays: a shared (B, n, 3*dk) buffer
-    # was no faster end to end and, as the largest temporary of a step,
-    # fragmented the glibc heap and raised the train benchmark's peak RSS.
-    mixing_rows = trace.mixing.reshape(b * n, n)
-    d_mixing_rows = np.zeros_like(mixing_rows)
-    d_embeddings = np.zeros_like(params.embeddings)
-    for name, weight, projected, d_proj in (
-            ("w_query", params.w_query, trace.projected[0], d_query),
-            ("w_key", params.w_key, trace.projected[1], d_key),
-            ("w_value", params.w_value, trace.projected[2], d_value)):
-        d_proj_rows = d_proj.reshape(b * n, dk)
-        d_projected = mixing_rows.T @ d_proj_rows
+    # M = (E W_q)(E W_k)^T / sqrt(dk), and each projection is E W
+    grads["embeddings"] = d_embeddings = np.zeros_like(params.embeddings)
+    for name, weight, d_projected in (
+            ("w_query", params.w_query, d_m @ pk / np.sqrt(dk)),
+            ("w_key", params.w_key, d_m.T @ pq / np.sqrt(dk)),
+            ("w_value", params.w_value, d_pv)):
         grads[name] = params.embeddings.T @ d_projected
         d_embeddings += d_projected @ weight.T
-        d_mixing_rows += d_proj_rows @ projected.T
-    _ensure_finite(d_mixing_rows, "self attention")
-    grads["embeddings"] = d_embeddings
     _ensure_finite(d_embeddings, "embedding")
 
     # graph convolution: G_b[i, m] = A[i, m] * inputs[b, m], and the shared
     # adjacency accumulates over the batch
-    d_masked = np.einsum("bnm,bm->nm", d_mixing_rows.reshape(b, n, n), trace.inputs) / (n - 1)
+    d_masked = np.einsum("bnm,bm->nm", d_mixing, trace.inputs) / (n - 1)
     np.fill_diagonal(d_masked, 0.0)  # diagonal is excluded from the message sum
 
     # adjacency = vhat vhat^T through factor row-normalization
@@ -237,18 +234,21 @@ class TrainConfig:
     precision_k: int = 50
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.precision_k < 1:
-            raise ValueError(f"precision_k must be >= 1, got {self.precision_k}")
+        # each condition is written so that NaN fails it
+        for name, ok, rule in (
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("batch_size", self.batch_size >= 2, ">= 2"),
+                ("sigma", self.sigma >= 0, ">= 0"),
+                ("seed", self.seed >= 0, ">= 0"),
+                ("eval_every", self.eval_every >= 1, ">= 1"),
+                ("precision_k", self.precision_k >= 1, ">= 1"),
+                ("lr", 0.0 < self.lr < math.inf, "positive and finite"),
+                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                ("adam_eps", 0.0 < self.adam_eps < math.inf, "positive and finite"),
+                ("weight_decay", 0.0 <= self.weight_decay < math.inf, ">= 0 and finite")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass

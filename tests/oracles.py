@@ -1,5 +1,6 @@
 """Reference code the tests compare the package against: a finite-difference
-gradient check, scalar normal draws and a per-tensor Adam step."""
+gradient check, scalar normal draws, a per-tensor Adam step and the encoder's
+forward pass stage by stage, without the folded attention."""
 
 import math
 
@@ -67,3 +68,46 @@ def adam_loop(tensors: dict, grads: dict, m: dict, v: dict, t: int, decay: dict,
         if weight_decay > 0.0 and decay[name]:
             update = update + lr * weight_decay * theta
         theta -= update
+
+
+def unfolded_forward(x, params, mode: str = "eval", mask=None) -> dict:
+    """The encoder without the attention fold, one stage at a time: modulated
+    embeddings diag(x_b) E, residual message passing over the masked
+    adjacency, (B, n, dk) query, key and value, scaled scores, softmax,
+    attended rows, their (B, n*dk) flattening and the projection head.
+
+    Returns stage name -> array. ``mode`` picks the batch-norm statistics:
+    the running ones ("eval") or the batch's own ("train", which leaves the
+    running statistics alone). ``mask`` is a dropout mask to apply after the
+    ReLU, such as the one a train-mode forward_batch drew.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    b, n = x.shape
+    factors = params.interaction_factors
+    vhat = factors / np.linalg.norm(factors, axis=1)[:, None]
+    adjacency = vhat @ vhat.T
+    masked = adjacency - np.diag(np.diag(adjacency))
+    modulated = x[:, :, None] * params.embeddings
+    mixed = modulated + np.matmul(masked, modulated) / (n - 1)
+    query, key, value = (mixed @ w for w in (params.w_query, params.w_key, params.w_value))
+    scores = np.matmul(query, np.swapaxes(key, -1, -2)) / math.sqrt(query.shape[-1])
+    shifted = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attention = shifted / shifted.sum(axis=-1, keepdims=True)
+    attended = np.matmul(attention, value)
+    flat = attended.reshape(b, -1)
+    pre = flat @ params.w_hidden
+    bn = params.bn
+    if mode == "train":
+        mean, var = pre.mean(axis=0), pre.var(axis=0)
+    else:
+        mean, var = bn.running_mean, bn.running_var
+    hidden = np.maximum(bn.gamma * (pre - mean) / np.sqrt(var + bn.epsilon) + bn.beta, 0.0)
+    if mask is not None:
+        hidden = hidden * mask
+    head = hidden @ params.w_out + params.b_out
+    norms = np.linalg.norm(head, axis=1)
+    features = head / np.where(norms <= 1e-12, 1.0, norms)[:, None]
+    return {"adjacency": adjacency, "masked": masked, "modulated": modulated, "mixed": mixed,
+            "query": query, "key": key, "value": value, "scores": scores,
+            "attention": attention, "attended": attended, "flat": flat, "pre": pre,
+            "features": features}

@@ -440,6 +440,22 @@ class TestRunConfig:
         assert main(argv + ["--seed", "-1"]) == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr", -0.01),          # gradient ascent
+        ("beta1", 1.0),         # bias correction 1 - beta1**t is 0
+        ("beta2", 2.0),
+        ("adam_eps", 0.0),
+        ("weight_decay", -5.0),
+    ])
+    def test_bad_adam_setting_is_usage_error(self, tmp_path, monkeypatch, key, value):
+        # the data does not exist, so reading it first would be a data error
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "config.json", **{key: value})
+        code = main(["train", "--data", "data.csv", "--band", "500:600", "--out",
+                     "model.ckpt", "--config", "config.json"])
+        assert code == EXIT_USAGE
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_accepted_values_are_kept(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"epochs": 5}), encoding="utf-8")

@@ -28,6 +28,7 @@ from glasscreen.deepglassnet import (
     vector_length,
 )
 from glasscreen.numeric_core import RandomSource
+from oracles import unfolded_forward
 
 TINY = ArchConfig(n_components=4, embed_dim=3, adjacency_rank=2,
                   attention_dim=3, hidden_dim=5, feature_dim=2)
@@ -57,18 +58,10 @@ def trace_of(x, params):
     return forward_batch(x.reshape(-1, x.shape[-1]), params)[1]
 
 
-def unfused_front_end(x, params):
-    """Q/K/V as the encoder first computed them, stage by stage: modulated
-    embeddings diag(x_b) E, residual message passing over the masked
-    adjacency, then three (B, n, d) x (d, dk) projections. forward_batch's
-    one-product front end must agree with it to rounding."""
-    n = params.embeddings.shape[0]
-    vhat = params.interaction_factors / np.linalg.norm(params.interaction_factors, axis=1)[:, None]
-    adj = vhat @ vhat.T
-    masked = adj - np.diag(np.diag(adj))
-    modulated = x[:, :, None] * params.embeddings
-    mixed = modulated + np.matmul(masked, modulated) / (n - 1)
-    return mixed @ params.w_query, mixed @ params.w_key, mixed @ params.w_value
+def rows_of(trace, index):
+    """Query (0), key (1) or value (2) rows G_b (E W) rebuilt from a trace:
+    forward_batch folds them into n x n forms and never builds them."""
+    return np.matmul(trace.mixing, trace.projected[index])
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
@@ -103,7 +96,7 @@ class TestInit:
 @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
 class TestEmbedProportions:
     """Stage 1 lives in the mixing matrix G_b = A * x_b[None, :]: column m of
-    G_b scales component m's row of E @ W."""
+    G_b scales component m's row of E @ W, and of M in G_b M."""
 
     def test_zero_fraction_zero_row(self, tiny_params):
         x = np.array([0.0, 0.5, 0.2, 0.3])
@@ -112,14 +105,18 @@ class TestEmbedProportions:
     def test_unit_fraction_copies_row(self, tiny_params):
         x = np.array([0.0, 1.0, 0.0, 0.0])
         trace = trace_of(x, tiny_params)
-        assert np.array_equal(trace.query[0, 1], (tiny_params.embeddings @ tiny_params.w_query)[1])
+        assert np.array_equal(trace.mixing[0, 1], x)
+        assert np.array_equal(rows_of(trace, 0)[0, 1],
+                              (tiny_params.embeddings @ tiny_params.w_query)[1])
+        assert np.array_equal(trace.GM[0, 1], trace.M[1])
 
     def test_linearity(self, tiny_params):
         x = np.array([0.1, 0.2, 0.3, 0.4])
         single, double = trace_of(x, tiny_params), trace_of(2 * x, tiny_params)
         assert np.array_equal(double.mixing, 2 * single.mixing)
-        for name in ("query", "key", "value"):
-            assert np.array_equal(getattr(double, name), 2 * getattr(single, name)), name
+        assert np.array_equal(double.GM, 2 * single.GM)
+        for index, name in enumerate(("query", "key", "value")):
+            assert np.array_equal(rows_of(double, index), 2 * rows_of(single, index)), name
 
     def test_dimension_mismatch(self, tiny_params):
         with pytest.raises(ValueError, match="entries"):
@@ -188,15 +185,16 @@ class TestGraphConvolve:
         trace = trace_of(np.arange(8.0).reshape(2, 4), params)
         assert np.array_equal(trace.adjacency, np.eye(4))
         assert np.array_equal(trace.mixing, trace.inputs[:, None, :] * np.eye(4))
-        assert np.array_equal(trace.query,
+        assert np.array_equal(rows_of(trace, 0),
                               trace.inputs[:, :, None] * (params.embeddings @ params.w_query))
+        assert np.array_equal(trace.GM, trace.inputs[:, :, None] * trace.M)
 
     def test_two_components_full_coupling(self):
         params = init_params(self.arch(2, 2, 2), seed=0)
         params.interaction_factors[...] = np.array([[1.0, 0.0], [1.0, 0.0]])
         params.embeddings[...] = np.array([[1.0, 2.0], [10.0, 20.0]])
         params.w_query[...] = np.eye(2)  # the query rows are then the mixed embeddings
-        z = trace_of([1.0, 1.0], params).query[0]
+        z = rows_of(trace_of([1.0, 1.0], params), 0)[0]
         assert np.array_equal(z[0], params.embeddings[0] + params.embeddings[1])
         assert np.array_equal(z[1], params.embeddings[1] + params.embeddings[0])
 
@@ -208,7 +206,7 @@ class TestGraphConvolve:
             params = init_params(self.arch(n, d, 2), seed=int(rng.integers(100)))
             params.interaction_factors[...] = rng.normal(size=(n, 2))
             trace = trace_of(rng.normal(size=(2, n)), params)
-            for x, q in zip(trace.inputs, trace.query):
+            for x, q in zip(trace.inputs, rows_of(trace, 0)):
                 z = convolve_oracle(x[:, None] * params.embeddings, trace.adjacency)
                 assert np.max(np.abs(q - z @ params.w_query)) < 1e-12
 
@@ -251,19 +249,21 @@ class TestSelfAttention:
             assert np.max(np.abs(projected - projected[0])) == 0.0
         rows = np.sort(trace.mixing[0], axis=1)
         assert np.max(np.abs(rows - rows[0])) == 0.0
-        u = trace.attended[0]
+        u = trace.P[0] @ trace.projected[2]  # the attended rows alpha_b G_b (E W_v)
         assert np.max(np.abs(u - u[0])) < 1e-12
 
     @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_zero_value_matrix(self, tiny_params):
         tiny_params.w_value[...] = np.zeros_like(tiny_params.w_value)
         x = np.random.default_rng(0).normal(size=(3, 4))
-        assert np.all(trace_of(x, tiny_params).attended == 0.0)
+        trace = trace_of(x, tiny_params)
+        assert np.all(trace.U == 0.0)  # no value reaches the head
+        assert np.all(trace.P @ trace.projected[2] == 0.0)
 
     def test_matches_loop_oracle(self, tiny_params):
         rng = np.random.default_rng(7)
         trace = trace_of(rng.normal(size=(10, 4)), tiny_params)
-        for x, got in zip(trace.inputs, trace.attended):
+        for x, got in zip(trace.inputs, trace.P @ trace.projected[2]):
             z = convolve_oracle(x[:, None] * tiny_params.embeddings, trace.adjacency)
             want = attention_oracle(z, tiny_params.w_query,
                                     tiny_params.w_key, tiny_params.w_value)
@@ -296,8 +296,9 @@ class TestProject:
         params.b_out[...] = np.zeros(4)
         params.bn_beta[...] = np.full(4, 0.1)
         x = np.random.default_rng(10).normal(size=(1, 3))
-        features, trace = forward_batch(x, params)
-        hidden = np.maximum(trace.flat[0] @ params.w_hidden + params.bn_beta, 0.0)
+        features, _ = forward_batch(x, params)
+        hidden = np.maximum(unfolded_forward(x, params)["flat"][0] @ params.w_hidden
+                            + params.bn_beta, 0.0)
         expected = hidden / np.linalg.norm(hidden)
         assert np.max(np.abs(features[0] - expected)) < 1e-9
 
@@ -322,7 +323,7 @@ class TestForward:
     def test_zero_input_propagation(self, tiny_params):
         trace = trace_of(np.zeros(4), tiny_params)
         assert np.all(trace.mixing == 0.0)
-        for name in ("query", "key", "value"):
+        for name in ("GM", "P"):
             assert np.all(getattr(trace, name) == 0.0), name
         assert np.allclose(trace.attention, 0.25, atol=1e-12)
 
@@ -382,16 +383,21 @@ class TestForward:
         params = init_params(arch, seed=seed)
         x = RandomSource(100 + seed).normal(0.0, 1.0, size=(rows, arch.n_components))
         trace = trace_of(x, params)
-        for name, expected in zip(("query", "key", "value"), unfused_front_end(x, params)):
-            got = getattr(trace, name)
+        stages = unfolded_forward(x, params)
+        folded = {name: rows_of(trace, index)
+                  for index, name in enumerate(("query", "key", "value"))}
+        folded["scores"] = np.matmul(trace.GM, np.swapaxes(trace.mixing, -1, -2))
+        folded["pre"] = trace.P.reshape(rows, -1) @ trace.U
+        for name, got in folded.items():
+            expected = stages[name]
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name
 
     def test_train_mode_updates_running_stats(self):
         params = init_params(TINY, seed=3)
         params.b_out += 0.5
         x = RandomSource(0).normal(0.0, 1.0, size=(9, 4))
-        _, trace = forward_batch(x, params, mode="train")
-        pre = trace.flat @ params.w_hidden
+        pre = unfolded_forward(x, params, mode="train")["pre"]
+        forward_batch(x, params, mode="train")
         assert np.allclose(params.bn.running_mean, 0.1 * pre.mean(axis=0), rtol=0, atol=1e-12)
         assert np.allclose(params.bn.running_var, 0.9 + 0.1 * pre.var(axis=0), rtol=0, atol=1e-12)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from glasscreen.deepglassnet import TENSORS, ArchConfig, forward_batch, init_params
 from glasscreen.numeric_core import RandomSource
-from oracles import adam_loop, grad_check, scalar_normal
+from oracles import adam_loop, grad_check, scalar_normal, unfolded_forward
 from sample_tables import table
 from glasscreen.training import (
     AdamState,
@@ -92,10 +92,13 @@ def _healthy_tiny_params(seed=3, arch=TINY):
 
 
 def einsum_backward(trace, params):
-    """Reference gradients through the unfused front end: the (B, n, d)
-    modulated and mixed embeddings rebuilt stage by stage, one einsum per
-    weight gradient, three batched matmuls into d_mixed and the (B, n, d)
-    adjacency contraction. backward must agree with it to rounding."""
+    """Reference gradients through the unfolded encoder: the modulated and
+    mixed embeddings, query, key, value, attention and attended rows rebuilt
+    stage by stage from ``trace.inputs`` and ``params`` by unfolded_forward,
+    one einsum per weight gradient, three batched matmuls into d_mixed and
+    the (B, n, d) adjacency contraction. backward must agree with it to
+    rounding."""
+    stages = unfolded_forward(trace.inputs, params, mode="train")
     features = trace.features
     t = features.shape[0] // 3
     n = trace.adjacency.shape[0]
@@ -119,23 +122,20 @@ def einsum_backward(trace, params):
     d_x_hat = d_bn_out * params.bn.gamma
     d_pre = inv_std * (d_x_hat - d_x_hat.mean(axis=0)
                        - x_hat * np.mean(d_x_hat * x_hat, axis=0))
-    grads["w_hidden"] = trace.flat.T @ d_pre
-    d_attended = (d_pre @ params.w_hidden.T).reshape(trace.attended.shape)
+    grads["w_hidden"] = stages["flat"].T @ d_pre
+    d_attended = (d_pre @ params.w_hidden.T).reshape(stages["attended"].shape)
 
-    alpha, value = trace.attention, trace.value
+    alpha, value = stages["attention"], stages["value"]
     dk = params.w_query.shape[1]
     d_alpha = np.matmul(d_attended, np.swapaxes(value, -1, -2))
     d_value = np.matmul(np.swapaxes(alpha, -1, -2), d_attended)
     d_scores = alpha * (d_alpha - np.sum(d_alpha * alpha, axis=-1, keepdims=True))
     d_scores /= np.sqrt(dk)
-    d_query = np.matmul(d_scores, trace.key)
-    d_key = np.matmul(np.swapaxes(d_scores, -1, -2), trace.query)
+    d_query = np.matmul(d_scores, stages["key"])
+    d_key = np.matmul(np.swapaxes(d_scores, -1, -2), stages["query"])
     d_mixed = (np.matmul(d_query, params.w_query.T) + np.matmul(d_key, params.w_key.T)
                + np.matmul(d_value, params.w_value.T))
-    adj = trace.adjacency
-    masked = adj - np.diag(np.diag(adj))
-    modulated = trace.inputs[:, :, None] * params.embeddings
-    mixed = modulated + np.matmul(masked, modulated) / (n - 1)
+    masked, modulated, mixed = stages["masked"], stages["modulated"], stages["mixed"]
     grads["w_query"] = np.einsum("bnd,bnm->dm", mixed, d_query)
     grads["w_key"] = np.einsum("bnd,bnm->dm", mixed, d_key)
     grads["w_value"] = np.einsum("bnd,bnm->dm", mixed, d_value)
@@ -245,6 +245,62 @@ class TestBackward:
             backward(trace, params)
 
 
+def max_relative_gap(got, expected):
+    return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+
+
+class TestFoldedAttention:
+    """The folded n x n attention against the unfolded encoder, across the
+    component counts where the fold is cheaper (2, 8) and where it is not (24)."""
+
+    @staticmethod
+    def arch(n, **dims):
+        return ArchConfig(n_components=n, adjacency_rank=min(5, n), dropout=0.3, **dims)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("n", [2, 8, 24])
+    def test_features_match_unfolded(self, n, mode):
+        params = _healthy_tiny_params(seed=n, arch=self.arch(n))
+        params.bn.running_mean += 0.1  # non-neutral eval statistics
+        params.bn.running_var *= 1.5
+        batch = RandomSource(200 + n).normal(0.0, 1.0, size=(96, n))
+        features, trace = forward_batch(batch, params, mode=mode, rng=RandomSource(n))
+        assert (trace.dropout_mask is not None) == (mode == "train")
+        # train mode normalizes by the batch's statistics, not the running ones it moved
+        expected = unfolded_forward(batch, params, mode=mode, mask=trace.dropout_mask)
+        assert max_relative_gap(features, expected["features"]) <= 1e-12
+        assert max_relative_gap(trace.attention, expected["attention"]) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 8, 24])
+    def test_gradients_match_unfolded(self, n):
+        params = _healthy_tiny_params(seed=n, arch=self.arch(n))
+        batch = RandomSource(300 + n).normal(0.0, 1.0, size=(96, n))
+        _, trace = forward_batch(batch, params, mode="train", rng=RandomSource(n))
+        grads = backward(trace, params)
+        reference = einsum_backward(trace, params)
+        assert grads.keys() == reference.keys()
+        for name, expected in reference.items():
+            assert max_relative_gap(grads[name], expected) <= 1e-12, name
+
+    @pytest.mark.parametrize("n", [2, 24])
+    def test_gradients_match_finite_differences(self, n):
+        params = _healthy_tiny_params(arch=self.arch(n, embed_dim=3, attention_dim=3,
+                                                     hidden_dim=5, feature_dim=2))
+        batch = RandomSource(400 + n).normal(0.0, 1.0, size=(9, n))
+
+        def run():
+            # a fresh stream per call draws the same dropout mask every time
+            return forward_batch(batch, params, mode="train", rng=RandomSource(500 + n))
+
+        _, trace = run()
+        grads = backward(trace, params)
+
+        def loss_fn(_tensors):
+            return float(triplet_losses(run()[0]).mean())
+
+        assert grad_check(loss_fn, params.trainable(), grads, h=1e-5) < 1e-4
+
+
 class TestAdam:
     def constant_grads(self, params, value):
         return {name: np.full_like(t, value) for name, t in params.trainable().items()}
@@ -346,6 +402,16 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("field, value", [("sigma", -0.1), ("seed", -1)])
     def test_negative_sigma_or_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1.0), ("lr", 0.0), ("lr", math.inf), ("lr", math.nan),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 2.0), ("beta2", math.nan),
+        ("adam_eps", 0.0), ("adam_eps", math.inf),
+        ("weight_decay", -5.0), ("weight_decay", math.inf), ("sigma", math.nan),
+    ])
+    def test_out_of_range_setting_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
