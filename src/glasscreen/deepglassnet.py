@@ -5,7 +5,10 @@ passing over a low-rank learned interaction graph, scaled dot-product
 self-attention, and a batch-normalized two-layer projection head whose output
 is L2-normalized. Everything before the softmax is linear in the embeddings,
 so forward_batch folds attention into n x n forms and builds no
-(B, n, attention_dim) array. All tensors are float64.
+(B, n, attention_dim) array. Each sample's mixing matrix is G_b = A diag(x_b)
+with one shared (n, n) matrix A, so every product with G_b is one GEMM with A
+(or with a matrix built from A) over the rows of all samples, and no per-sample
+mixing tensor is built either. All tensors are float64.
 """
 
 from __future__ import annotations
@@ -220,7 +223,7 @@ class BatchTrace:
     unit_factors: np.ndarray    # (n, rank)
     factor_norms: np.ndarray    # (n,)
     adjacency: np.ndarray       # (n, n)
-    mixing: np.ndarray          # (B, n, n) G_b = (I + masked / (n - 1)) * x_b[None, :]
+    A: np.ndarray               # (n, n) I + masked / (n - 1); G_b = A diag(x_b)
     projected: tuple[np.ndarray, np.ndarray, np.ndarray]  # E @ W_q, E @ W_k, E @ W_v, each (n, dk)
     M: np.ndarray               # (n, n) (E W_q)(E W_k)^T / sqrt(dk)
     GM: np.ndarray              # (B, n, n) G_b M
@@ -274,23 +277,31 @@ def forward_batch(
 
     # proportion-modulated embeddings diag(x_b) E, one round of residual
     # message passing and the Q/K/V projections are all linear: each
-    # projection is G_b (E W), with G_b = A * x_b[None, :] and A = I + masked / (n - 1)
-    mixing = (np.eye(n) + masked / (n - 1)) * x[:, None, :]
+    # projection is G_b (E W), with G_b = A diag(x_b) and one shared
+    # A = I + masked / (n - 1)
+    a = np.eye(n) + masked / (n - 1)
     pq, pk, pv = projected = tuple(params.embeddings @ w
                                    for w in (params.w_query, params.w_key, params.w_value))
 
     # scaled dot-product self-attention across components, as n x n forms:
     # q_b k_b^T / sqrt(dk) = G_b M G_b^T, and the value rows alpha_b G_b (E W_v)
-    # meet w_hidden only through U, so attended rows are never built
+    # meet w_hidden only through U, so attended rows are never built. Every
+    # G_b product is one GEMM over all samples' rows: G_b M is x_b K with
+    # K[m, i*n + l] = A[i, m] M[m, l]; Y G_b^T scales Y's columns by x_b,
+    # then multiplies by A^T; Y G_b multiplies by A, then scales by x_b
     dk = pq.shape[1]
     m = pq @ pk.T / np.sqrt(dk)
-    gm = (mixing.reshape(b * n, n) @ m).reshape(b, n, n)
-    alpha = softmax_rows(np.matmul(gm, np.swapaxes(mixing, -1, -2)))
-    p = np.matmul(alpha, mixing)
+    a_t = a.T.copy()  # numpy multiplies by a transposed (n, n) view several times slower
+    gm = x @ (a_t[:, :, None] * m[:, None, :]).reshape(n, n * n)
+    x_tiled = np.tile(x, n)  # x_tiled[b, i*n + l] = x[b, l]
+    # the scores stay a temporary, so they do not outlive the softmax
+    alpha = softmax_rows(((gm * x_tiled).reshape(b * n, n) @ a_t).reshape(b, n, n))
+    p = (alpha.reshape(b * n, n) @ a).reshape(b, n * n)
+    p *= x_tiled
     u = np.einsum("md,idh->imh", pv, params.w_hidden.reshape(n, dk, -1)).reshape(n * n, -1)
 
     # projection head
-    pre = p.reshape(b, n * n) @ u
+    pre = p @ u
     if mode == "train":
         bn_out, x_hat, inv_std = batchnorm_train_cached(pre, params.bn)
     else:
@@ -318,7 +329,8 @@ def forward_batch(
 
     return features, BatchTrace(
         inputs=x, unit_factors=vhat, factor_norms=factor_norms, adjacency=adj,
-        mixing=mixing, projected=projected, M=m, GM=gm, attention=alpha, P=p, U=u,
+        A=a, projected=projected, M=m, GM=gm.reshape(b, n, n), attention=alpha,
+        P=p.reshape(b, n, n), U=u,
         bn_x_hat=x_hat, bn_inv_std=inv_std, bn_out=bn_out, post_relu=post,
         dropout_mask=mask, out_norms=norms, out_divisor=divisor,
         features=features, mode=mode,

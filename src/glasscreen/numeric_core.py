@@ -72,15 +72,14 @@ class RandomSource:
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax over the last axis (any leading batch shape)."""
     scores = np.asarray(scores, dtype=np.float64)
-    # a running maximum over the columns: numpy reduces a short last axis
-    # slowly, and a maximum is exact in any order (the sum below is not, so
-    # it stays one reduction)
+    # numpy reduces a short last axis slowly: the maximum is a running one
+    # over the columns (exact in any order) and the sum is an einsum
     peak = scores[..., 0].copy()
     for j in range(1, scores.shape[-1]):
         np.maximum(peak, scores[..., j], out=peak)
     e = scores - peak[..., None]
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.einsum("...j->...", e)[..., None]
     return e
 
 
@@ -114,9 +113,12 @@ def batchnorm_train_cached(x: np.ndarray, state: BatchNormState):
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("train-mode batch norm needs a batch of >= 2 vectors")
     mean = x.mean(axis=0)
-    var = x.var(axis=0)  # population (ddof=0)
+    # population variance (ddof=0) from the centred batch, in the steps of
+    # numpy's own x.var(axis=0), so the bytes are the same
+    centred = x - mean
+    var = np.square(centred).sum(axis=0) / x.shape[0]
     inv_std = 1.0 / np.sqrt(var + state.epsilon)
-    x_hat = (x - mean) * inv_std
+    x_hat = centred * inv_std
     out = state.gamma * x_hat + state.beta
     m = state.momentum
     state.running_mean = (1.0 - m) * state.running_mean + m * mean

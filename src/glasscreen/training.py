@@ -5,7 +5,10 @@ Gradients are derived by hand (reverse mode through the projection head's
 batch statistics, the attention softmax, the graph convolution and the factor
 row-normalization) and are checked against central finite differences in the
 test suite. Like forward_batch, backward works on the folded n x n attention
-forms and builds no query, key, value or flattened attention output.
+forms and builds no query, key, value or flattened attention output. The
+inputs are not trained, so the mixing matrices G_b = A diag(x_b) need no
+per-sample gradient: the shared A and M get theirs from GEMMs over the rows of
+all samples.
 """
 
 from __future__ import annotations
@@ -134,23 +137,30 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
     pq, pk, pv = trace.projected
     dk = pq.shape[1]
     d_u = (trace.P.reshape(b, n * n).T @ d_pre).reshape(n, n, -1)
-    d_p = (d_pre @ trace.U.T).reshape(b, n, n)
+    d_p = d_pre @ trace.U.T
     grads["w_hidden"] = np.matmul(pv.T, d_u).reshape(n * dk, -1)
     d_pv = np.einsum("imh,idh->md", d_u, params.w_hidden.reshape(n, dk, -1))
 
-    # attention: P_b = alpha_b G_b and S_b = (G_b M) G_b^T. With the rows of
-    # all B samples stacked, dM = G_rows^T (dS G)_rows is one GEMM.
-    alpha, mixing = trace.attention, trace.mixing
-    d_alpha = np.matmul(d_p, np.swapaxes(mixing, -1, -2))
-    d_mixing = np.matmul(np.swapaxes(alpha, -1, -2), d_p)
+    # attention: P_b = alpha_b G_b and S_b = (G_b M) G_b^T with G_b = A diag(x_b).
+    # The inputs are not trained, so only the shared A and M need gradients:
+    # with all samples' rows stacked, each of their terms is one GEMM
+    a, alpha = trace.A, trace.attention
+    x_tiled = np.tile(trace.inputs, n)  # x_tiled[b, i*n + l] = inputs[b, l]
+    d_p *= x_tiled
+    d_p_rows = d_p.reshape(b * n, n)
+    d_alpha = (d_p_rows @ a.T.copy()).reshape(b, n, n)  # a contiguous A^T multiplies faster
+    d_a = alpha.reshape(b * n, n).T @ d_p_rows
     # einsum: numpy's sum reduces a short last axis slowly
     d_scores = alpha * (d_alpha - np.einsum("bij,bij->bi", d_alpha, alpha)[..., None])
-    d_sg_rows = np.matmul(d_scores, mixing).reshape(b * n, n)
-    d_mixing += np.matmul(np.swapaxes(d_scores, -1, -2), trace.GM)
-    d_mixing_rows = d_mixing.reshape(b * n, n)
-    d_mixing_rows += d_sg_rows @ trace.M.T
-    d_m = mixing.reshape(b * n, n).T @ d_sg_rows
-    _ensure_finite(d_mixing_rows, "self attention")
+    d_scores_rows = d_scores.reshape(b * n, n)
+    d_a += d_scores_rows.T @ (trace.GM.reshape(b, n * n) * x_tiled).reshape(b * n, n)
+    # d(G_b M) = dS_b G_b, and G_b M = x_b K with K[m, i*n + l] = A[i, m] M[m, l]
+    d_gm = (d_scores_rows @ a).reshape(b, n * n)
+    d_gm *= x_tiled
+    d_k = (trace.inputs.T @ d_gm).reshape(n, n, n)
+    d_a += np.einsum("mil,ml->im", d_k, trace.M)
+    d_m = np.einsum("mil,im->ml", d_k, a)
+    _ensure_finite(d_a, "self attention")
 
     # M = (E W_q)(E W_k)^T / sqrt(dk), and each projection is E W
     grads["embeddings"] = d_embeddings = np.zeros_like(params.embeddings)
@@ -162,9 +172,8 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
         d_embeddings += d_projected @ weight.T
     _ensure_finite(d_embeddings, "embedding")
 
-    # graph convolution: G_b[i, m] = A[i, m] * inputs[b, m], and the shared
-    # adjacency accumulates over the batch
-    d_masked = np.einsum("bnm,bm->nm", d_mixing, trace.inputs) / (n - 1)
+    # graph convolution: A = I + masked / (n - 1)
+    d_masked = d_a / (n - 1)
     np.fill_diagonal(d_masked, 0.0)  # diagonal is excluded from the message sum
 
     # adjacency = vhat vhat^T through factor row-normalization

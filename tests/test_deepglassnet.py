@@ -58,10 +58,16 @@ def trace_of(x, params):
     return forward_batch(x.reshape(-1, x.shape[-1]), params)[1]
 
 
+def mixing_of(trace):
+    """The (B, n, n) mixing matrices G_b = A diag(x_b) rebuilt from a trace:
+    forward_batch multiplies by them through the shared A and never builds them."""
+    return trace.A * trace.inputs[:, None, :]
+
+
 def rows_of(trace, index):
     """Query (0), key (1) or value (2) rows G_b (E W) rebuilt from a trace:
     forward_batch folds them into n x n forms and never builds them."""
-    return np.matmul(trace.mixing, trace.projected[index])
+    return np.matmul(mixing_of(trace), trace.projected[index])
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
@@ -95,17 +101,17 @@ class TestInit:
 
 @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
 class TestEmbedProportions:
-    """Stage 1 lives in the mixing matrix G_b = A * x_b[None, :]: column m of
+    """Stage 1 lives in the mixing matrix G_b = A diag(x_b): column m of
     G_b scales component m's row of E @ W, and of M in G_b M."""
 
     def test_zero_fraction_zero_row(self, tiny_params):
         x = np.array([0.0, 0.5, 0.2, 0.3])
-        assert np.all(trace_of(x, tiny_params).mixing[0][:, 0] == 0.0)
+        assert np.all(mixing_of(trace_of(x, tiny_params))[0][:, 0] == 0.0)
 
     def test_unit_fraction_copies_row(self, tiny_params):
         x = np.array([0.0, 1.0, 0.0, 0.0])
         trace = trace_of(x, tiny_params)
-        assert np.array_equal(trace.mixing[0, 1], x)
+        assert np.array_equal(mixing_of(trace)[0, 1], x)
         assert np.array_equal(rows_of(trace, 0)[0, 1],
                               (tiny_params.embeddings @ tiny_params.w_query)[1])
         assert np.array_equal(trace.GM[0, 1], trace.M[1])
@@ -113,7 +119,7 @@ class TestEmbedProportions:
     def test_linearity(self, tiny_params):
         x = np.array([0.1, 0.2, 0.3, 0.4])
         single, double = trace_of(x, tiny_params), trace_of(2 * x, tiny_params)
-        assert np.array_equal(double.mixing, 2 * single.mixing)
+        assert np.array_equal(mixing_of(double), 2 * mixing_of(single))
         assert np.array_equal(double.GM, 2 * single.GM)
         for index, name in enumerate(("query", "key", "value")):
             assert np.array_equal(rows_of(double, index), 2 * rows_of(single, index)), name
@@ -184,7 +190,7 @@ class TestGraphConvolve:
         params.interaction_factors[...] = np.eye(4)  # orthogonal factors: identity adjacency
         trace = trace_of(np.arange(8.0).reshape(2, 4), params)
         assert np.array_equal(trace.adjacency, np.eye(4))
-        assert np.array_equal(trace.mixing, trace.inputs[:, None, :] * np.eye(4))
+        assert np.array_equal(mixing_of(trace), trace.inputs[:, None, :] * np.eye(4))
         assert np.array_equal(rows_of(trace, 0),
                               trace.inputs[:, :, None] * (params.embeddings @ params.w_query))
         assert np.array_equal(trace.GM, trace.inputs[:, :, None] * trace.M)
@@ -247,7 +253,7 @@ class TestSelfAttention:
         # coupling makes every row of G a permutation of the first
         for projected in trace.projected:
             assert np.max(np.abs(projected - projected[0])) == 0.0
-        rows = np.sort(trace.mixing[0], axis=1)
+        rows = np.sort(mixing_of(trace)[0], axis=1)
         assert np.max(np.abs(rows - rows[0])) == 0.0
         u = trace.P[0] @ trace.projected[2]  # the attended rows alpha_b G_b (E W_v)
         assert np.max(np.abs(u - u[0])) < 1e-12
@@ -322,7 +328,7 @@ class TestForward:
     @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_zero_input_propagation(self, tiny_params):
         trace = trace_of(np.zeros(4), tiny_params)
-        assert np.all(trace.mixing == 0.0)
+        assert np.all(mixing_of(trace) == 0.0)
         for name in ("GM", "P"):
             assert np.all(getattr(trace, name) == 0.0), name
         assert np.allclose(trace.attention, 0.25, atol=1e-12)
@@ -386,7 +392,7 @@ class TestForward:
         stages = unfolded_forward(x, params)
         folded = {name: rows_of(trace, index)
                   for index, name in enumerate(("query", "key", "value"))}
-        folded["scores"] = np.matmul(trace.GM, np.swapaxes(trace.mixing, -1, -2))
+        folded["scores"] = np.matmul(trace.GM, np.swapaxes(mixing_of(trace), -1, -2))
         folded["pre"] = trace.P.reshape(rows, -1) @ trace.U
         for name, got in folded.items():
             expected = stages[name]
@@ -527,18 +533,25 @@ class TestCheckpoint:
 
     # The fixtures are DGNCKPT1 files written before the hidden bias was
     # removed: TINY, init seed 21, running mean + 0.25, running var x 1.5,
-    # b_out + 0.3, and b_hidden all zero or + 0.1. The expected features
-    # are what that code computed on this batch.
+    # b_out + 0.3, and b_hidden all zero or + 0.1. v1_bias_features.npy
+    # holds what that code computed on this batch.
     V1_BATCH = RandomSource(2024).normal(0.0, 1.0, size=(8, 4))
 
-    def test_reads_v1_with_zero_hidden_bias_to_the_same_bytes(self):
+    def test_reads_v1_with_zero_hidden_bias_to_the_same_bytes(self, tmp_path):
         ckpt = load_checkpoint(FIXTURES / "v1_zero_bias.ckpt")
         assert ckpt.params.arch == TINY
         assert (ckpt.band.low, ckpt.band.high) == (500.0, 600.0)
         assert np.array_equal(ckpt.center, [0.6, 0.8])
-        features = eval_features(self.V1_BATCH, ckpt.params)
-        assert hashlib.sha256(features.tobytes()).hexdigest() == \
-            "eb47c5b13c72d944da065554ea7246ff1743a40000f05b023b3e9da738b29b79"
+        # the fixture's tensors, built anew and round-tripped through a
+        # DGNCKPT2 file, score the batch to the same bytes
+        params, stats, band = self.build()
+        params.b_out += 0.3
+        save_checkpoint(params, TINY, stats, band, tmp_path / "v2.ckpt", center=ckpt.center)
+        v2 = load_checkpoint(tmp_path / "v2.ckpt")
+        assert np.array_equal(ckpt.stats.mean, v2.stats.mean)
+        assert np.array_equal(ckpt.stats.std, v2.stats.std)
+        assert np.array_equal(eval_features(self.V1_BATCH, ckpt.params),
+                              eval_features(self.V1_BATCH, v2.params))
 
     def test_reads_v1_hidden_bias_into_running_mean(self):
         ckpt = load_checkpoint(FIXTURES / "v1_bias.ckpt")

@@ -81,6 +81,18 @@ class TestSoftmax:
         assert got[finite].tobytes() == expected[finite].tobytes()
         assert scores.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("n", [2, 8, 24])
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_rows_sum_to_one_and_match_exact_sums(self, n, scale):
+        scores = np.random.default_rng(n).normal(0.0, scale, size=(256, n, n))
+        got = softmax_rows(scores).reshape(-1, n)
+        # the reference divides the same exponentials by their correctly rounded sum
+        shifted = np.exp(scores - scores.max(axis=-1, keepdims=True)).reshape(-1, n)
+        expected = np.array([row / math.fsum(row) for row in shifted])
+        sums = np.array([math.fsum(row) for row in got])
+        assert np.max(np.abs(sums - 1.0)) <= 4 * np.spacing(1.0)
+        assert np.max(np.abs(got - expected) / expected.max(axis=1, keepdims=True)) <= 1e-15
+
     def test_neg_inf_row_is_nan_like_the_formula(self):
         scores = np.array([[0.0, 1.0], [-np.inf, -np.inf], [-np.inf, 2.0]])
         with np.errstate(invalid="ignore"):
@@ -95,8 +107,10 @@ TIED_OR_LARGE = st.sampled_from([0.0, -0.0, 1.5, -700.0, 700.0]) | st.floats(-70
 
 
 def softmax_formula(scores):
+    """The softmax in one expression, with softmax_rows' row sum: an einsum,
+    which adds in another order than numpy's pairwise sum."""
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.einsum("...j->...", e)[..., None]
 
 
 def head_params(feature_dim=2):
@@ -212,6 +226,24 @@ class TestBatchNorm:
         expected = state.gamma * (x - state.running_mean) * inv_std + state.beta
         assert batchnorm_eval(x, state).tobytes() == expected.tobytes()
         assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("rows", [2, 9, 768])
+    def test_train_bitwise_equal_to_mean_and_var(self, rows):
+        rng = np.random.default_rng(rows)
+        x = rng.normal(2.0, 3.0, size=(rows, 64))
+        gamma, beta = rng.normal(size=64), rng.normal(size=64)
+        running_mean, running_var = rng.normal(size=64), rng.random(64) + 0.5
+        state = BatchNormState(gamma=gamma, beta=beta, running_mean=running_mean.copy(),
+                               running_var=running_var.copy())
+        out, x_hat, inv_std = batchnorm_train_cached(x, state)
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        expected_inv_std = 1.0 / np.sqrt(var + state.epsilon)
+        expected_x_hat = (x - mean) * expected_inv_std
+        assert inv_std.tobytes() == expected_inv_std.tobytes()
+        assert x_hat.tobytes() == expected_x_hat.tobytes()
+        assert out.tobytes() == (gamma * expected_x_hat + beta).tobytes()
+        assert state.running_mean.tobytes() == (0.9 * running_mean + 0.1 * mean).tobytes()
+        assert state.running_var.tobytes() == (0.9 * running_var + 0.1 * var).tobytes()
 
     def test_train_rejects_single_row(self):
         state = neutral_state(3)
