@@ -186,8 +186,8 @@ def load_dataset(path) -> tuple[Samples, ComponentSchema]:
 
     Raises DataFormatError naming the offending data row (1-based) for wrong
     column counts or non-numeric cells. A table whose cells are all finite
-    numbers is read as one array; any other table is read row by row, to the
-    same values.
+    numbers is read as one array by numpy; any other table (an empty Tg cell,
+    a nan/inf cell, a bad row) by ``_parse_rowwise``, to the same values.
     """
     header, body = _read_header(path)
     if header[-1] != TG_COLUMN:
@@ -195,13 +195,19 @@ def load_dataset(path) -> tuple[Samples, ComponentSchema]:
     schema = ComponentSchema(tuple(header[:-1]))
     table = _parse_table_fast(path, body, schema.n + 1)
     if table is None:
-        return _parse_dataset_rowwise(path, schema.n), schema
-    return Samples(table[:, :-1], table[:, -1], np.ones(table.shape[0], dtype=bool)), schema
+        table, has_tg = _parse_rowwise(path, schema.n + 1, tg_column=True)
+    else:
+        has_tg = np.ones(table.shape[0], dtype=bool)
+    return Samples(table[:, :-1], table[:, -1], has_tg), schema
 
 
-def _rows(path, n_columns: int):
-    """(1-based index, cells) of each data row by ``csv``, for the row-wise
-    parses; a row with another column count raises DataFormatError."""
+def _parse_rowwise(path, n_columns: int, tg_column: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The data rows by ``csv`` and one ``float`` per cell, the reference parse
+    and the one that names a bad row: the (m, n_columns) float64 array and a
+    mask of the rows whose last cell held a value. With ``tg_column`` an empty
+    (stripped) last cell is a missing Tg, read as nan; without, a bad cell."""
+    cell, last_cell = ("fraction cell", "Tg cell") if tg_column else ("cell", "cell")
+    values, filled = array("d"), bytearray()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -209,26 +215,18 @@ def _rows(path, n_columns: int):
             if len(row) != n_columns:
                 raise DataFormatError(
                     f"{path}: row {row_index}: expected {n_columns} columns, got {len(row)}")
-            yield row_index, row
-
-
-def _parse_dataset_rowwise(path, n_components: int) -> Samples:
-    """The data rows by ``csv`` and one ``float`` per cell; the reference parse,
-    the one that reads empty Tg cells and the one that names a bad row."""
-    fractions, tg, has_tg = array("d"), array("d"), bytearray()
-    for row_index, row in _rows(path, n_components + 1):
-        try:
-            fractions.extend(map(float, row[:-1]))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {row_index}: non-numeric fraction cell") from exc
-        tg_cell = row[-1].strip()
-        has_tg.append(tg_cell != "")
-        try:
-            tg.append(float(tg_cell) if tg_cell else math.nan)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {row_index}: non-numeric Tg cell") from exc
-    return Samples(np.frombuffer(fractions, dtype=np.float64).reshape(-1, n_components),
-                   np.frombuffer(tg, dtype=np.float64), np.frombuffer(has_tg, dtype=bool))
+            try:
+                values.extend(map(float, row[:-1]))
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: row {row_index}: non-numeric {cell}") from exc
+            has_value = row[-1].strip() != ""
+            filled.append(has_value)
+            try:
+                values.append(float(row[-1]) if has_value or not tg_column else math.nan)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: row {row_index}: non-numeric {last_cell}") from exc
+    return (np.frombuffer(values, dtype=np.float64).reshape(-1, n_columns),
+            np.frombuffer(filled, dtype=bool))
 
 
 # rows joined per write in write_dataset: each joined string stays under
@@ -261,7 +259,8 @@ def load_candidates(path, n_components: int) -> tuple[np.ndarray, ComponentSchem
     Returns the C-contiguous (m, n) float64 array and the schema the header
     names. Raises DataFormatError for an empty file or a header with another
     column count, and names the first data row (1-based) with a wrong column
-    count or a non-numeric or non-finite cell.
+    count or a non-numeric or non-finite cell. A table of finite numbers is
+    read as one array by numpy; any other by ``_parse_rowwise``.
     """
     header, body = _read_header(path)
     if len(header) != n_components:
@@ -270,14 +269,17 @@ def load_candidates(path, n_components: int) -> tuple[np.ndarray, ComponentSchem
     schema = ComponentSchema(tuple(header))
     candidates = _parse_table_fast(path, body, n_components)
     if candidates is None:
-        candidates = _parse_candidates_rowwise(path, n_components)
+        candidates = _parse_rowwise(path, n_components, tg_column=False)[0]
+        non_finite = np.flatnonzero(~np.isfinite(candidates).all(axis=1))
+        if non_finite.size:
+            raise DataFormatError(f"{path}: row {non_finite[0] + 1}: non-finite cell")
     return candidates, schema
 
 
 def _parse_table_fast(path, body: str, n_columns: int) -> np.ndarray | None:
     """The data rows of a one-line-header table by numpy's C parser, or None
-    wherever its result could differ from the ``csv``/``float`` parse of the
-    row-wise readers (``_parse_candidates_rowwise``, ``_parse_dataset_rowwise``).
+    wherever its result could differ from the ``csv``/``float`` parse of
+    ``_parse_rowwise``.
 
     ``body`` is the text after the header. numpy skips blank lines, which the
     row-wise parse rejects, so a result must have one row per line of
@@ -298,22 +300,6 @@ def _parse_table_fast(path, body: str, n_columns: int) -> np.ndarray | None:
         return None
     if candidates.shape != (lines, n_columns) or not np.isfinite(candidates).all():
         return None
-    return candidates
-
-
-def _parse_candidates_rowwise(path, n_components: int) -> np.ndarray:
-    """The data rows by ``csv`` and one ``float`` per cell; the reference parse
-    and the one that names a bad row."""
-    values = array("d")
-    for row_index, row in _rows(path, n_components):
-        try:
-            values.extend(map(float, row))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {row_index}: non-numeric cell") from exc
-    candidates = np.frombuffer(values, dtype=np.float64).reshape(-1, n_components)
-    non_finite = np.flatnonzero(~np.isfinite(candidates).all(axis=1))
-    if non_finite.size:
-        raise DataFormatError(f"{path}: row {non_finite[0] + 1}: non-finite cell")
     return candidates
 
 

@@ -17,7 +17,7 @@ import hashlib
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .numeric_core import (
 
 CHECKPOINT_MAGIC = b"DGNCKPT2"
 CHECKPOINT_MAGIC_V1 = b"DGNCKPT1"  # the same, plus a hidden bias between w_hidden and w_out
+_ARCH_HEADER = struct.Struct("<6q3d")  # ArchConfig's fields in order, after the magic
 
 
 class CheckpointError(RuntimeError):
@@ -139,6 +140,11 @@ def tensor_layout(cfg: ArchConfig) -> dict[str, tuple[slice, tuple[int, ...]]]:
     return layout
 
 
+def tensor_views(cfg: ArchConfig, vector: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> reshaped view of ``vector`` (parameters or a gradient) per TENSORS row."""
+    return {name: vector[part].reshape(shape) for name, (part, shape) in tensor_layout(cfg).items()}
+
+
 def vector_length(cfg: ArchConfig) -> int:
     """Length of the parameter vector: the number of trainable floats."""
     return sum(math.prod(spec.shape(cfg)) for spec in TENSORS)
@@ -166,11 +172,9 @@ class ModelParams:
         size = vector_length(arch)
         if vector.shape != (size,) or vector.dtype != np.float64 or not vector.flags.c_contiguous:
             raise ValueError(f"parameter vector must be C-contiguous float64 of length {size}")
-        views = {name: vector[part].reshape(shape)
-                 for name, (part, shape) in tensor_layout(arch).items()}
+        views = tensor_views(arch, vector)
         bn = BatchNormState(gamma=views["bn_gamma"], beta=views["bn_beta"],
-                            running_mean=running_mean, running_var=running_var,
-                            momentum=arch.bn_momentum, epsilon=arch.bn_epsilon)
+                            running_mean=running_mean, running_var=running_var)
         for name, value in (("arch", arch), ("vector", vector), ("bn", bn), ("_views", views)):
             object.__setattr__(self, name, value)
 
@@ -189,14 +193,6 @@ class ModelParams:
     def trainable(self) -> dict[str, np.ndarray]:
         """Name -> view for every tensor the optimizer updates, in TENSORS order."""
         return dict(self._views)
-
-    def gather(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
-        """A TENSORS-keyed dict of arrays (such as gradients) as one vector
-        in the parameter layout."""
-        for name, view in self._views.items():
-            if np.shape(tensors[name]) != view.shape:
-                raise ValueError(f"gradient shape mismatch for {name!r}")
-        return np.concatenate([np.ravel(tensors[name]) for name in self._views])
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.arch, self.vector.copy(), self.bn.running_mean.copy(),
@@ -303,9 +299,10 @@ def forward_batch(
     # projection head
     pre = p @ u
     if mode == "train":
-        bn_out, x_hat, inv_std = batchnorm_train_cached(pre, params.bn)
+        bn_out, x_hat, inv_std = batchnorm_train_cached(pre, params.bn, params.arch.bn_momentum,
+                                                        params.arch.bn_epsilon)
     else:
-        bn_out = batchnorm_eval(pre, params.bn)
+        bn_out = batchnorm_eval(pre, params.bn, params.arch.bn_epsilon)
         x_hat, inv_std = None, None
 
     post = np.maximum(bn_out, 0.0)
@@ -385,11 +382,17 @@ def save_checkpoint(
     order) as little-endian float64, the batch-norm running mean and
     variance, normalization stats, Tg band, optional class center, then a
     SHA-256 checksum of everything before it. The header is ``params.arch``,
-    which ``cfg`` must equal.
+    which ``cfg`` must equal and whose lengths the stats and center must have.
     """
     arch = params.arch
     if cfg != arch:
         raise ValueError(f"checkpoint config {cfg} does not match the parameters' {arch}")
+    if {stats.mean.shape, stats.std.shape} != {(arch.n_components,)}:
+        raise ValueError(f"normalization stats shape {stats.mean.shape} does not match "
+                         f"the model's {arch.n_components} components")
+    if center is not None and np.shape(center) != (arch.feature_dim,):
+        raise ValueError(f"class center shape {np.shape(center)} does not match "
+                         f"the model's {arch.feature_dim} features")
 
     def le_bytes(a: np.ndarray) -> bytes:
         a = np.ascontiguousarray(a, dtype=np.float64)
@@ -397,20 +400,15 @@ def save_checkpoint(
             raise ValueError("refusing to save non-finite tensor values")
         return a.astype("<f8", copy=False).tobytes()
 
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<6q", arch.n_components, arch.embed_dim, arch.adjacency_rank,
-                        arch.attention_dim, arch.hidden_dim, arch.feature_dim)
-    blob += struct.pack("<3d", arch.dropout, arch.bn_momentum, arch.bn_epsilon)
+    blob = bytearray(CHECKPOINT_MAGIC)
+    blob += _ARCH_HEADER.pack(*astuple(arch))
     for vector in (params.vector, params.bn.running_mean, params.bn.running_var,
                    stats.mean, stats.std):
         blob += le_bytes(vector)
     blob += struct.pack("<2d", band.low, band.high)
-    if center is None:
-        blob += struct.pack("<B", 0)
-    else:
-        blob += struct.pack("<B", 1)
-        blob += le_bytes(np.asarray(center, dtype=np.float64))
+    blob += struct.pack("<B", center is not None)
+    if center is not None:
+        blob += le_bytes(center)
     blob += hashlib.sha256(bytes(blob)).digest()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
@@ -432,48 +430,36 @@ def load_checkpoint(path) -> Checkpoint:
     if hashlib.sha256(payload).digest() != digest:
         raise CheckpointCorruptError(f"{path}: checksum mismatch (corrupted or truncated)")
 
-    offset = len(CHECKPOINT_MAGIC)
-
-    def unpack(fmt: str):
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(payload):
-            raise CheckpointCorruptError(f"{path}: truncated checkpoint")
-        values = struct.unpack_from(fmt, payload, offset)
-        offset += size
-        return values
-
-    def read_array(count: int) -> np.ndarray:
-        nonlocal offset
-        if offset + count * 8 > len(payload):
-            raise CheckpointCorruptError(f"{path}: truncated checkpoint")
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        return arr.astype(np.float64)
-
-    n, d, rank, dk, h, k = unpack("<6q")
-    dropout, momentum, epsilon = unpack("<3d")
     try:
-        cfg = ArchConfig(n_components=n, embed_dim=d, adjacency_rank=rank,
-                         attention_dim=dk, hidden_dim=h, feature_dim=k,
-                         dropout=dropout, bn_momentum=momentum, bn_epsilon=epsilon)
+        cfg = ArchConfig(*_ARCH_HEADER.unpack_from(payload, len(CHECKPOINT_MAGIC)))
+    except struct.error:
+        raise CheckpointCorruptError(f"{path}: truncated checkpoint") from None
     except ValueError as exc:
         raise CheckpointCorruptError(f"{path}: bad architecture header: {exc}") from None
-    if magic == CHECKPOINT_MAGIC:
-        vector = read_array(vector_length(cfg))
-        running_mean = read_array(h)
-    else:
-        stored = read_array(vector_length(cfg) + h)
+
+    # float64 counts in Python ints, which no header overflows: the vector (and
+    # a DGNCKPT1 hidden bias), running mean and variance, stats mean and std,
+    # band; then the center flag (0 where the payload ends first) and center
+    n, h, k = cfg.n_components, cfg.hidden_dim, cfg.feature_dim
+    sizes = [vector_length(cfg) + h * (magic == CHECKPOINT_MAGIC_V1), h, h, n, n, 2]
+    start = len(CHECKPOINT_MAGIC) + _ARCH_HEADER.size
+    flag = start + 8 * sum(sizes)
+    has_center = any(payload[flag:flag + 1])
+    expected = flag + 1 + 8 * k * has_center
+    if len(payload) != expected:
+        raise CheckpointCorruptError(
+            f"{path}: truncated checkpoint" if len(payload) < expected
+            else f"{path}: {len(payload) - expected} unexpected trailing bytes")
+    slab = np.frombuffer(payload, dtype="<f8", count=sum(sizes), offset=start)
+    vector, running_mean, running_var, mean, std, band = np.split(
+        slab.astype(np.float64), np.cumsum(sizes)[:-1])
+    if magic == CHECKPOINT_MAGIC_V1:
         at = tensor_layout(cfg)["w_out"][0].start
-        vector = np.concatenate([stored[:at], stored[at + h:]])
-        running_mean = read_array(h) - stored[at:at + h]
-    running_var = read_array(h)
-    mean, std = read_array(n), read_array(n)
-    low, high = unpack("<2d")
-    (has_center,) = unpack("<B")
-    center = read_array(k) if has_center else None
-    if offset != len(payload):
-        raise CheckpointCorruptError(f"{path}: {len(payload) - offset} unexpected trailing bytes")
+        running_mean = running_mean - vector[at:at + h]
+        vector = np.delete(vector, np.s_[at:at + h])
+    low, high = band.tolist()
+    center = (np.frombuffer(payload, dtype="<f8", count=k, offset=flag + 1).astype(np.float64)
+              if has_center else None)
     try:
         return Checkpoint(params=ModelParams(cfg, vector, running_mean, running_var),
                           stats=NormalizationStats(mean=mean, std=std),

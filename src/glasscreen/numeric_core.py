@@ -91,8 +91,6 @@ class BatchNormState:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
 
     def __post_init__(self):
         widths = {self.gamma.shape, self.beta.shape,
@@ -103,11 +101,13 @@ class BatchNormState:
             raise ValueError("running_var entries must be >= 0")
 
 
-def batchnorm_train_cached(x: np.ndarray, state: BatchNormState):
+def batchnorm_train_cached(x: np.ndarray, state: BatchNormState, momentum: float,
+                           epsilon: float):
     """Train-mode batch norm returning backward cache (x_hat, inv_std).
 
-    Normalizes by population batch statistics and folds them into the running
-    statistics with the configured momentum (new batch weighted by momentum).
+    Normalizes by population batch statistics (``epsilon`` added to the
+    variance) and folds them into the running statistics, the new batch
+    weighted by ``momentum``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -117,21 +117,20 @@ def batchnorm_train_cached(x: np.ndarray, state: BatchNormState):
     # numpy's own x.var(axis=0), so the bytes are the same
     centred = x - mean
     var = np.square(centred).sum(axis=0) / x.shape[0]
-    inv_std = 1.0 / np.sqrt(var + state.epsilon)
+    inv_std = 1.0 / np.sqrt(var + epsilon)
     x_hat = centred * inv_std
     out = state.gamma * x_hat + state.beta
-    m = state.momentum
-    state.running_mean = (1.0 - m) * state.running_mean + m * mean
-    state.running_var = (1.0 - m) * state.running_var + m * var
+    state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
+    state.running_var = (1.0 - momentum) * state.running_var + momentum * var
     return out, x_hat, inv_std
 
 
-def batchnorm_eval(x: np.ndarray, state: BatchNormState) -> np.ndarray:
-    """Eval-mode batch norm by the running statistics; never mutates the state.
+def batchnorm_eval(x: np.ndarray, state: BatchNormState, epsilon: float) -> np.ndarray:
+    """Eval-mode batch norm by the running statistics and ``epsilon``; never mutates the state.
 
     Accepts a single vector or a batch.
     """
-    inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
+    inv_std = 1.0 / np.sqrt(state.running_var + epsilon)
     # in place on a fresh array, in the order of
     # gamma * (x - running_mean) * inv_std + beta, so the bits are the same
     out = np.asarray(x, dtype=np.float64) - state.running_mean

@@ -33,6 +33,7 @@ from .deepglassnet import (
     decay_mask,
     forward_batch,
     init_params,
+    tensor_views,
 )
 from .numeric_core import RandomSource
 
@@ -74,9 +75,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
-    """Exact gradients of the batch-mean triplet loss for every tensor, keyed
-    by TENSORS name with the tensors' shapes.
+def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
+    """Exact gradient of the batch-mean triplet loss as one float64 vector in
+    ``params.vector``'s layout, each tensor's part written into its view.
 
     The trace must come from a train-mode forward_batch over a batch laid out
     as [anchors | positives | negatives]; batch-norm statistics couple all
@@ -109,11 +110,12 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
     if np.any(guarded):
         d_head[guarded] = d_features[guarded]
 
-    grads: dict[str, np.ndarray] = {}
+    grad = np.zeros_like(params.vector)
+    grads = tensor_views(params.arch, grad)
 
     # projection head second layer
-    grads["w_out"] = trace.post_relu.T @ d_head
-    grads["b_out"] = d_head.sum(axis=0)
+    grads["w_out"][...] = trace.post_relu.T @ d_head
+    grads["b_out"][...] = d_head.sum(axis=0)
     d_post = d_head @ params.w_out.T
     if trace.dropout_mask is not None:
         d_post = d_post * trace.dropout_mask
@@ -122,8 +124,8 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
 
     # batch norm over batch statistics
     x_hat, inv_std = trace.bn_x_hat, trace.bn_inv_std
-    grads["bn_gamma"] = np.sum(d_bn_out * x_hat, axis=0)
-    grads["bn_beta"] = d_bn_out.sum(axis=0)
+    grads["bn_gamma"][...] = np.sum(d_bn_out * x_hat, axis=0)
+    grads["bn_beta"][...] = d_bn_out.sum(axis=0)
     d_x_hat = d_bn_out * params.bn.gamma
     d_pre = inv_std * (
         d_x_hat
@@ -138,7 +140,7 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
     dk = pq.shape[1]
     d_u = (trace.P.reshape(b, n * n).T @ d_pre).reshape(n, n, -1)
     d_p = d_pre @ trace.U.T
-    grads["w_hidden"] = np.matmul(pv.T, d_u).reshape(n * dk, -1)
+    grads["w_hidden"][...] = np.matmul(pv.T, d_u).reshape(n * dk, -1)
     d_pv = np.einsum("imh,idh->md", d_u, params.w_hidden.reshape(n, dk, -1))
 
     # attention: P_b = alpha_b G_b and S_b = (G_b M) G_b^T with G_b = A diag(x_b).
@@ -163,12 +165,12 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
     _ensure_finite(d_a, "self attention")
 
     # M = (E W_q)(E W_k)^T / sqrt(dk), and each projection is E W
-    grads["embeddings"] = d_embeddings = np.zeros_like(params.embeddings)
+    d_embeddings = grads["embeddings"]
     for name, weight, d_projected in (
             ("w_query", params.w_query, d_m @ pk / np.sqrt(dk)),
             ("w_key", params.w_key, d_m.T @ pq / np.sqrt(dk)),
             ("w_value", params.w_value, d_pv)):
-        grads[name] = params.embeddings.T @ d_projected
+        grads[name][...] = params.embeddings.T @ d_projected
         d_embeddings += d_projected @ weight.T
     _ensure_finite(d_embeddings, "embedding")
 
@@ -180,9 +182,10 @@ def backward(trace: BatchTrace, params: ModelParams) -> dict[str, np.ndarray]:
     vhat = trace.unit_factors
     d_vhat = (d_masked + d_masked.T) @ vhat
     vdots = np.sum(vhat * d_vhat, axis=1)
-    grads["interaction_factors"] = (d_vhat - vdots[:, None] * vhat) / trace.factor_norms[:, None]
+    grads["interaction_factors"][...] = ((d_vhat - vdots[:, None] * vhat)
+                                         / trace.factor_norms[:, None])
     _ensure_finite(grads["interaction_factors"], "graph convolution")
-    return grads
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +205,23 @@ class AdamState:
                    decay=decay_mask(params.arch))
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
-              cfg: TrainConfig):
-    """Bias-corrected Adam update of the parameter vector in place, with the
-    step settings of ``cfg``; decoupled weight decay touches the TENSORS
-    flagged for it (weight matrices, not biases or batch norm)."""
-    g = params.gather(grads)
+def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState, cfg: TrainConfig) -> None:
+    """Bias-corrected Adam update, in place, of ``params.vector`` by a gradient
+    in its layout (backward's), with the step settings of ``cfg``; decoupled
+    weight decay touches the TENSORS flagged for it (weights, not biases or BN)."""
+    if np.shape(grad) != params.vector.shape:  # a length-1 gradient would broadcast
+        raise ValueError(f"gradient shape {np.shape(grad)} does not match {params.vector.shape}")
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * np.square(g)
+    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
+    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * np.square(grad)
     update = cfg.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + cfg.adam_eps)
     if cfg.weight_decay > 0.0:
         # masked, as the per-tensor update was: adding 0.0 elsewhere could flip a -0.0
         np.add(update, cfg.lr * cfg.weight_decay * params.vector, out=update,
                where=state.decay)
     params.vector -= update
-    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +336,7 @@ def train(
                     f"non-finite loss at epoch {epoch}, anchors {start}..{start + anchor_idx.size}"
                 )
             loss_total += float(losses.sum())
-            grads = backward(trace, params)
-            params, adam = adam_step(params, grads, adam, cfg)
+            adam_step(params, backward(trace, params), adam, cfg)
         mean_loss = loss_total / n_anchors
 
         if epoch == 1 or epoch == cfg.epochs or epoch % cfg.eval_every == 0:

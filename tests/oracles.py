@@ -101,7 +101,8 @@ def unfolded_forward(x, params, mode: str = "eval", mask=None) -> dict:
         mean, var = pre.mean(axis=0), pre.var(axis=0)
     else:
         mean, var = bn.running_mean, bn.running_var
-    hidden = np.maximum(bn.gamma * (pre - mean) / np.sqrt(var + bn.epsilon) + bn.beta, 0.0)
+    epsilon = params.arch.bn_epsilon
+    hidden = np.maximum(bn.gamma * (pre - mean) / np.sqrt(var + epsilon) + bn.beta, 0.0)
     if mask is not None:
         hidden = hidden * mask
     head = hidden @ params.w_out + params.b_out

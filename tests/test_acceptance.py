@@ -26,6 +26,7 @@ from glasscreen.deepglassnet import (
     init_params,
     load_checkpoint,
     save_checkpoint,
+    tensor_views,
 )
 from glasscreen.evaluation import auc
 from glasscreen.numeric_core import RandomSource
@@ -59,7 +60,7 @@ def _a1_error(batch_seed: int) -> float:
     batch = RandomSource(batch_seed).normal(0.0, 1.0, size=(9, 4))  # 3 triplets
 
     _, trace = forward_batch(batch, params, mode="train")
-    grads = backward(trace, params)
+    grads = tensor_views(arch, backward(trace, params))
 
     def loss_fn(_tensors):
         feats, _ = forward_batch(batch, params, mode="train")

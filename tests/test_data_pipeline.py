@@ -94,6 +94,24 @@ class TestLoadDataset:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("cell, tg", [
+        ("", None), ("  ", None), ("\t", None), ('""', None), ('" "', None),
+        (" 400 ", 400.0), ('"400"', 400.0),
+        ("\x1c400", "row 2: non-numeric Tg cell"), ("4OO", "row 2: non-numeric Tg cell")],
+        ids=["empty", "spaces", "tab", "quoted-empty", "quoted-space", "padded", "quoted",
+             "control-char", "letters"])
+    def test_tg_cell_forms(self, tmp_path, cell, tg):
+        """An empty or whitespace Tg cell is a missing Tg; any other cell is
+        read by ``float``, which rejects U+001C..U+001F around a number."""
+        p = write_csv(tmp_path / "d.csv", f"A,B,C,Tg\n0.5,0.3,0.2,400\n0.5,0.3,0.2,{cell}\n")
+        if isinstance(tg, str):
+            with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: {tg}$"):
+                load_dataset(p)
+            return
+        samples, _ = load_dataset(p)
+        assert samples.has_tg.tolist() == [True, tg is not None]
+        np.testing.assert_equal(samples.tg[1], math.nan if tg is None else tg)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_tables_match_row_parse(self, data):
@@ -227,6 +245,7 @@ class TestLoadCandidates:
         ("0.5,0.3,0.2\n#0.5,0.3,0.2\n", "row 2: non-numeric cell"),
         ("0.5,0.3,0.2 # note\n", "row 1: non-numeric cell"),
         ("0.5,0.3,\x1c0.2\n", "row 1: non-numeric cell"),
+        ("0.5,0.3,\n", "row 1: non-numeric cell"),  # a blank last cell is no missing Tg here
     ])
     def test_malformed_body_names_first_bad_row(self, tmp_path, body, message):
         p = write_csv(tmp_path / "c.csv", "A,B,C\n" + body)

@@ -469,13 +469,25 @@ class TestCheckpoint:
         save_checkpoint(params, TINY, stats, band, path)
         assert load_checkpoint(path).center is None
 
-    @pytest.mark.parametrize("field, value", [("embed_dim", 4), ("dropout", 0.5),
-                                              ("bn_epsilon", 1e-3)])
+    # a config field, or a center or stats length unlike the parameters' arch
+    # (which load_checkpoint would refuse, or read with another shape)
+    @pytest.mark.parametrize("field, value", [
+        ("embed_dim", 4), ("dropout", 0.5), ("bn_epsilon", 1e-3),
+        pytest.param("center", np.zeros(3), id="center-3"),
+        pytest.param("center", np.zeros((1, 2)), id="center-1x2"),
+        pytest.param("stats", 5, id="stats-5")])
     def test_config_unlike_params_raises_before_writing(self, tmp_path, field, value):
         params, stats, band = self.build()
+        cfg, center = TINY, None
+        if field == "center":
+            center = value
+        elif field == "stats":
+            stats = NormalizationStats(mean=np.zeros(value), std=np.ones(value))
+        else:
+            cfg = replace(TINY, **{field: value})
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError, match="does not match"):
-            save_checkpoint(params, replace(TINY, **{field: value}), stats, band, path)
+            save_checkpoint(params, cfg, stats, band, path, center=center)
         assert not path.exists()
 
     def test_bad_magic_is_version_error(self, tmp_path):
@@ -609,6 +621,22 @@ class TestCheckpoint:
                            "band_high": length + 2 * h + 2 * n + 1}[field]
         path.write_bytes(self.rechecksummed(blob, offset, "<d", value))
         with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(path)
+
+    # the payload, checksummed anew, cut before the center flag byte, with
+    # flag 1 and no center, or with flag 0 and 8 more bytes
+    @pytest.mark.parametrize("tail, message", [
+        (b"", "truncated checkpoint"),
+        (b"\x01", "truncated checkpoint"),
+        (b"\x00" + bytes(8), "8 unexpected trailing bytes")],
+        ids=["no-flag", "flag-1-no-center", "flag-0-8-extra"])
+    def test_payload_length_decides(self, tmp_path, tail, message):
+        path, blob = self.saved_blob(tmp_path)
+        flag = len(blob) - 32 - 1 - 8 * TINY.feature_dim
+        assert blob[flag] == 1
+        payload = blob[:flag] + tail
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        with pytest.raises(CheckpointCorruptError, match=message):
             load_checkpoint(path)
 
     @settings(max_examples=200, deadline=None)

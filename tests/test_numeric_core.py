@@ -164,11 +164,14 @@ class TestL2Normalize:
         assert np.array_equal(out, np.zeros(3))
 
 
-def neutral_state(width, momentum=0.1, epsilon=1e-5):
+# ArchConfig's default batch-norm momentum and epsilon
+MOMENTUM, EPSILON = 0.1, 1e-5
+
+
+def neutral_state(width):
     """Batch norm at identity with neutral running statistics."""
     return BatchNormState(gamma=np.ones(width), beta=np.zeros(width),
-                          running_mean=np.zeros(width), running_var=np.ones(width),
-                          momentum=momentum, epsilon=epsilon)
+                          running_mean=np.zeros(width), running_var=np.ones(width))
 
 
 class TestBatchNorm:
@@ -176,25 +179,25 @@ class TestBatchNorm:
         rng = np.random.default_rng(2)
         x = rng.normal(2.0, 3.0, size=(64, 5))
         # tiny epsilon so the whitening check is tight
-        state = neutral_state(5, epsilon=1e-12)
-        out, _, _ = batchnorm_train_cached(x, state)
+        state = neutral_state(5)
+        out, _, _ = batchnorm_train_cached(x, state, MOMENTUM, 1e-12)
         assert np.max(np.abs(out.mean(axis=0))) < 1e-9
         assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-9
 
     def test_train_updates_running_stats(self):
         rng = np.random.default_rng(3)
         x = rng.normal(5.0, 2.0, size=(128, 4))
-        state = neutral_state(4, momentum=0.1)
-        batchnorm_train_cached(x, state)
+        state = neutral_state(4)
+        batchnorm_train_cached(x, state, 0.1, EPSILON)
         expected_mean = 0.9 * 0.0 + 0.1 * x.mean(axis=0)
         expected_var = 0.9 * 1.0 + 0.1 * x.var(axis=0)
         assert np.allclose(state.running_mean, expected_mean)
         assert np.allclose(state.running_var, expected_var)
 
     def test_eval_neutral_stats_is_identity(self):
-        state = neutral_state(3, epsilon=1e-12)
+        state = neutral_state(3)
         x = np.array([[1.0, -2.0, 0.5], [0.0, 4.0, -1.0]])
-        out = batchnorm_eval(x, state)
+        out = batchnorm_eval(x, state, 1e-12)
         assert np.max(np.abs(out - x)) < 1e-9
 
     def test_eval_is_pure(self):
@@ -205,8 +208,8 @@ class TestBatchNorm:
         )
         x = rng.normal(size=(10, 6))
         before_mean, before_var = state.running_mean.copy(), state.running_var.copy()
-        first = batchnorm_eval(x, state)
-        second = batchnorm_eval(x, state)
+        first = batchnorm_eval(x, state, EPSILON)
+        second = batchnorm_eval(x, state, EPSILON)
         assert np.array_equal(first, second)
         assert np.array_equal(state.running_mean, before_mean)
         assert np.array_equal(state.running_var, before_var)
@@ -222,9 +225,9 @@ class TestBatchNorm:
             gamma=data.draw(vector), beta=data.draw(vector), running_mean=data.draw(vector),
             running_var=data.draw(arrays(np.float64, (h,), elements=st.floats(0, 700))))
         before = x.copy()
-        inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
+        inv_std = 1.0 / np.sqrt(state.running_var + EPSILON)
         expected = state.gamma * (x - state.running_mean) * inv_std + state.beta
-        assert batchnorm_eval(x, state).tobytes() == expected.tobytes()
+        assert batchnorm_eval(x, state, EPSILON).tobytes() == expected.tobytes()
         assert x.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("rows", [2, 9, 768])
@@ -235,9 +238,9 @@ class TestBatchNorm:
         running_mean, running_var = rng.normal(size=64), rng.random(64) + 0.5
         state = BatchNormState(gamma=gamma, beta=beta, running_mean=running_mean.copy(),
                                running_var=running_var.copy())
-        out, x_hat, inv_std = batchnorm_train_cached(x, state)
+        out, x_hat, inv_std = batchnorm_train_cached(x, state, MOMENTUM, EPSILON)
         mean, var = x.mean(axis=0), x.var(axis=0)
-        expected_inv_std = 1.0 / np.sqrt(var + state.epsilon)
+        expected_inv_std = 1.0 / np.sqrt(var + EPSILON)
         expected_x_hat = (x - mean) * expected_inv_std
         assert inv_std.tobytes() == expected_inv_std.tobytes()
         assert x_hat.tobytes() == expected_x_hat.tobytes()
@@ -248,7 +251,7 @@ class TestBatchNorm:
     def test_train_rejects_single_row(self):
         state = neutral_state(3)
         with pytest.raises(ValueError, match=">= 2"):
-            batchnorm_train_cached(np.ones((1, 3)), state)
+            batchnorm_train_cached(np.ones((1, 3)), state, MOMENTUM, EPSILON)
 
 
 class TestGaussian:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from glasscreen.deepglassnet import TENSORS, ArchConfig, forward_batch, init_params
+from glasscreen.deepglassnet import TENSORS, ArchConfig, forward_batch, init_params, tensor_views
 from glasscreen.numeric_core import RandomSource
 from oracles import adam_loop, grad_check, scalar_normal, unfolded_forward
 from sample_tables import table
@@ -91,6 +91,11 @@ def _healthy_tiny_params(seed=3, arch=TINY):
     return params
 
 
+def named_gradients(trace, params):
+    """backward's gradient vector as its TENSORS-named views."""
+    return tensor_views(params.arch, backward(trace, params))
+
+
 def einsum_backward(trace, params):
     """Reference gradients through the unfolded encoder: the modulated and
     mixed embeddings, query, key, value, attention and attended rows rebuilt
@@ -158,7 +163,7 @@ class TestBackward:
         batch = rng.normal(0.0, 1.0, size=(9, 4))  # 3 triplets
 
         _, trace = forward_batch(batch, params, mode="train")
-        grads = backward(trace, params)
+        grads = named_gradients(trace, params)
 
         def loss_fn(_tensors):
             feats, _ = forward_batch(batch, params, mode="train")
@@ -186,7 +191,7 @@ class TestBackward:
             return forward_batch(batch, params, mode="train", rng=FixedUniform(mask_source))
 
         _, trace = run()
-        grads = backward(trace, params)
+        grads = named_gradients(trace, params)
 
         def loss_fn(_tensors):
             feats, _ = run()
@@ -202,7 +207,7 @@ class TestBackward:
         shared = rng.normal(0, 1, size=(1, 4))
         batch = np.concatenate([anchor, shared, shared])
         _, trace = forward_batch(batch, params, mode="train")
-        grads = backward(trace, params)
+        grads = named_gradients(trace, params)
         for name, g in grads.items():
             assert np.max(np.abs(g)) < 1e-12, name
 
@@ -213,7 +218,7 @@ class TestBackward:
         params = init_params(arch, seed=seed)
         batch = RandomSource(100 + seed).normal(0.0, 1.0, size=(rows, arch.n_components))
         _, trace = forward_batch(batch, params, mode="train")
-        grads = backward(trace, params)
+        grads = named_gradients(trace, params)
         reference = einsum_backward(trace, params)
         assert grads.keys() == reference.keys()
         # relative to the largest gradient entry
@@ -226,7 +231,9 @@ class TestBackward:
         params = _healthy_tiny_params()
         batch = RandomSource(5).normal(0, 1, size=(6, 4))
         _, trace = forward_batch(batch, params, mode="train")
-        grads = backward(trace, params)
+        grad = backward(trace, params)
+        assert grad.shape == params.vector.shape and grad.dtype == np.float64
+        grads = tensor_views(TINY, grad)
         assert grads["b_out"].shape == (TINY.feature_dim,)
         assert grads["bn_beta"].shape == (TINY.hidden_dim,)
 
@@ -276,7 +283,7 @@ class TestFoldedAttention:
         params = _healthy_tiny_params(seed=n, arch=self.arch(n))
         batch = RandomSource(300 + n).normal(0.0, 1.0, size=(96, n))
         _, trace = forward_batch(batch, params, mode="train", rng=RandomSource(n))
-        grads = backward(trace, params)
+        grads = named_gradients(trace, params)
         reference = einsum_backward(trace, params)
         assert grads.keys() == reference.keys()
         for name, expected in reference.items():
@@ -293,7 +300,7 @@ class TestFoldedAttention:
             return forward_batch(batch, params, mode="train", rng=RandomSource(500 + n))
 
         _, trace = run()
-        grads = backward(trace, params)
+        grads = named_gradients(trace, params)
 
         def loss_fn(_tensors):
             return float(triplet_losses(run()[0]).mean())
@@ -303,7 +310,7 @@ class TestFoldedAttention:
 
 class TestAdam:
     def constant_grads(self, params, value):
-        return {name: np.full_like(t, value) for name, t in params.trainable().items()}
+        return np.full_like(params.vector, value)
 
     def test_first_step_is_signed_lr(self):
         params = init_params(TINY, seed=0)
@@ -346,9 +353,10 @@ class TestAdam:
         cfg = TrainConfig(lr=0.01, weight_decay=weight_decay)
         rng = RandomSource(5)
         for step in range(1, 21):
-            grads = {n: rng.normal(0.0, 1.0, size=t.shape) for n, t in tensors.items()}
-            adam_step(params, grads, state, cfg)
-            adam_loop(tensors, grads, m, v, step, decay, lr=0.01, weight_decay=weight_decay)
+            grad = rng.normal(0.0, 1.0, size=params.vector.shape)
+            adam_step(params, grad, state, cfg)
+            adam_loop(tensors, tensor_views(params.arch, grad), m, v, step, decay, lr=0.01,
+                      weight_decay=weight_decay)
         for name, tensor in params.trainable().items():
             assert tensor.tobytes() == tensors[name].tobytes(), name
         assert params.vector.tobytes() == np.concatenate(
@@ -357,10 +365,12 @@ class TestAdam:
     def test_rejects_gradient_of_wrong_shape(self):
         params = init_params(TINY, seed=0)
         state = AdamState.initial(params)
-        grads = self.constant_grads(params, 0.5)
-        grads["w_out"] = grads["w_out"].T
-        with pytest.raises(ValueError, match="shape mismatch for 'w_out'"):
-            adam_step(params, grads, state, TrainConfig())
+        before = params.vector.copy()
+        # a length-1 gradient would broadcast over the vector without the check
+        for grad in (self.constant_grads(params, 0.5)[1:], np.array([0.5])):
+            with pytest.raises(ValueError, match="gradient shape"):
+                adam_step(params, grad, state, TrainConfig())
+        assert params.vector.tobytes() == before.tobytes() and state.t == 0
 
     @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_two_identical_runs_are_bitwise_identical(self):
