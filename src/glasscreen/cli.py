@@ -268,6 +268,7 @@ def cmd_eval(args) -> int:
 
     center = evaluation.class_center(train_part[train_part.y == 1], ckpt.params, ckpt.stats)
     report = evaluation.evaluate(val_part, ckpt.params, ckpt.stats, center, args.k)
+    _require_finite(report.scores, args.checkpoint)
 
     report_dir = Path(args.report_dir)
     fingerprint = run.fingerprint()
@@ -284,6 +285,14 @@ def cmd_eval(args) -> int:
         log.info("knn baseline: auc=%.4f precision@%d=%.4f",
                  knn_report.auc, args.k, knn_report.precision_at_k)
     return EXIT_OK
+
+
+def _require_finite(scores: np.ndarray, checkpoint) -> None:
+    """A model whose finite weights overflow scores nan or inf; no report or
+    ranking is written from such scores."""
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise NumericFailure(f"{checkpoint}: {bad} of {scores.size} scores are not finite")
 
 
 def _write_report(report_dir: Path, prefix: str, report, band: TgBand, fingerprint: str):
@@ -323,6 +332,7 @@ def cmd_screen(args) -> int:
     normalized = normalize(candidates, ckpt.stats)
     features = eval_features(normalized, ckpt.params)
     scores = features @ ckpt.center
+    _require_finite(scores, args.checkpoint)
     order = np.lexsort((np.arange(scores.size), -scores))[: args.top_k]
 
     with atomic_path(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:

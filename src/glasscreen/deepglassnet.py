@@ -28,7 +28,7 @@ from .numeric_core import (
     RandomSource,
     batchnorm_eval,
     batchnorm_train_cached,
-    softmax_rows,
+    softmax_leading,
 )
 
 CHECKPOINT_MAGIC = b"DGNCKPT2"
@@ -45,7 +45,8 @@ class CheckpointVersionError(CheckpointError):
 
 
 class CheckpointCorruptError(CheckpointError):
-    """Checkpoint is truncated or fails its checksum."""
+    """Checkpoint is truncated, fails its checksum or holds a value
+    save_checkpoint would not write."""
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,7 @@ class BatchTrace:
     projected: tuple[np.ndarray, np.ndarray, np.ndarray]  # E @ W_q, E @ W_k, E @ W_v, each (n, dk)
     M: np.ndarray               # (n, n) (E W_q)(E W_k)^T / sqrt(dk)
     GM: np.ndarray              # (B, n, n) G_b M
-    attention: np.ndarray       # (B, n, n) softmax_rows(G_b M G_b^T)
+    attention: np.ndarray       # (n, B n) softmax of G_b M G_b^T, column b*n + i is row i
     P: np.ndarray               # (B, n, n) alpha_b G_b
     U: np.ndarray               # (n*n, h) U[i*n + m] = (E W_v)[m] @ w_hidden block i
     bn_x_hat: np.ndarray | None  # train-mode cache
@@ -287,12 +288,13 @@ def forward_batch(
     # then multiplies by A^T; Y G_b multiplies by A, then scales by x_b
     dk = pq.shape[1]
     m = pq @ pk.T / np.sqrt(dk)
-    a_t = a.T.copy()  # numpy multiplies by a transposed (n, n) view several times slower
-    gm = x @ (a_t[:, :, None] * m[:, None, :]).reshape(n, n * n)
+    gm = x @ (a.T[:, :, None] * m[:, None, :]).reshape(n, n * n)
     x_tiled = np.tile(x, n)  # x_tiled[b, i*n + l] = x[b, l]
-    # the scores stay a temporary, so they do not outlive the softmax
-    alpha = softmax_rows(((gm * x_tiled).reshape(b * n, n) @ a_t).reshape(b, n, n))
-    p = (alpha.reshape(b * n, n) @ a).reshape(b, n * n)
+    # the scores are held transposed, as one (n, B n) array whose column
+    # b*n + i is row i of S_b, so the softmax reduces along the leading axis
+    # (in place: the scores are a temporary)
+    alpha = softmax_leading(a @ (gm * x_tiled).reshape(b * n, n).T)
+    p = (alpha.T @ a).reshape(b, n * n)
     p *= x_tiled
     u = np.einsum("md,idh->imh", pv, params.w_hidden.reshape(n, dk, -1)).reshape(n * n, -1)
 
@@ -334,7 +336,7 @@ def forward_batch(
     )
 
 
-# rows per eval_features forward: bounds the (chunk, n, n) attention buffers
+# rows per eval_features forward: bounds the (n, chunk n) attention buffers
 EVAL_CHUNK = 2048
 
 
@@ -451,6 +453,12 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: truncated checkpoint" if len(payload) < expected
             else f"{path}: {len(payload) - expected} unexpected trailing bytes")
     slab = np.frombuffer(payload, dtype="<f8", count=sum(sizes), offset=start)
+    center = (np.frombuffer(payload, dtype="<f8", count=k, offset=flag + 1).astype(np.float64)
+              if has_center else None)
+    # save_checkpoint writes finite values only
+    if not (np.all(np.isfinite(slab)) and (center is None or np.all(np.isfinite(center)))):
+        raise CheckpointCorruptError(f"{path}: non-finite value in the parameters, "
+                                     "statistics, band or center")
     vector, running_mean, running_var, mean, std, band = np.split(
         slab.astype(np.float64), np.cumsum(sizes)[:-1])
     if magic == CHECKPOINT_MAGIC_V1:
@@ -458,8 +466,6 @@ def load_checkpoint(path) -> Checkpoint:
         running_mean = running_mean - vector[at:at + h]
         vector = np.delete(vector, np.s_[at:at + h])
     low, high = band.tolist()
-    center = (np.frombuffer(payload, dtype="<f8", count=k, offset=flag + 1).astype(np.float64)
-              if has_center else None)
     try:
         return Checkpoint(params=ModelParams(cfg, vector, running_mean, running_var),
                           stats=NormalizationStats(mean=mean, std=std),

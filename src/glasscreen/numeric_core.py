@@ -14,8 +14,9 @@ import numpy as np
 __all__ = [
     "NumericsWarning",
     "RandomSource",
-    "softmax_rows",
+    "softmax_leading",
     "BatchNormState",
+    "batchnorm_backward",
     "batchnorm_eval",
     "batchnorm_train_cached",
 ]
@@ -69,18 +70,17 @@ class RandomSource:
         return self._gen.permutation(n)
 
 
-def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax over the last axis (any leading batch shape)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    # numpy reduces a short last axis slowly: the maximum is a running one
-    # over the columns (exact in any order) and the sum is an einsum
-    peak = scores[..., 0].copy()
-    for j in range(1, scores.shape[-1]):
-        np.maximum(peak, scores[..., j], out=peak)
-    e = scores - peak[..., None]
-    np.exp(e, out=e)
-    e /= np.einsum("...j->...", e)[..., None]
-    return e
+def softmax_leading(scores: np.ndarray) -> np.ndarray:
+    """Stable softmax over the first axis (any trailing shape), computed in
+    place in the float64 array ``scores``, which is returned.
+
+    With the reduction axis first, the max, subtract, exp, sum and divide are
+    each a few long contiguous passes, which a short last axis is not.
+    """
+    scores -= scores.max(axis=0)
+    np.exp(scores, out=scores)
+    scores /= np.einsum("i...->...", scores)  # faster than scores.sum(axis=0)
+    return scores
 
 
 @dataclass
@@ -123,6 +123,26 @@ def batchnorm_train_cached(x: np.ndarray, state: BatchNormState, momentum: float
     state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
     state.running_var = (1.0 - momentum) * state.running_var + momentum * var
     return out, x_hat, inv_std
+
+
+def batchnorm_backward(d_out: np.ndarray, x_hat: np.ndarray, inv_std: np.ndarray,
+                       gamma: np.ndarray):
+    """Train-mode batch-norm gradients (d_x, d_gamma, d_beta) from the output
+    gradient and batchnorm_train_cached's (x_hat, inv_std).
+
+    d_gamma and d_beta are the column sums of d_out * x_hat and of d_out. The
+    input gradient subtracts the column means of d_x_hat = gamma * d_out and
+    of d_x_hat * x_hat, which are gamma * d_beta / B and gamma * d_gamma / B:
+    d_x = gamma * inv_std * (d_out - d_beta / B - x_hat * d_gamma / B).
+    """
+    b = d_out.shape[0]
+    # einsum: faster than sum(axis=0), and no (B, h) temporary
+    d_gamma = np.einsum("bh,bh->h", d_out, x_hat)
+    d_beta = np.einsum("bh->h", d_out)
+    d_x = d_out - d_beta / b
+    d_x -= x_hat * (d_gamma / b)
+    d_x *= gamma * inv_std
+    return d_x, d_gamma, d_beta
 
 
 def batchnorm_eval(x: np.ndarray, state: BatchNormState, epsilon: float) -> np.ndarray:

@@ -35,7 +35,7 @@ from .deepglassnet import (
     init_params,
     tensor_views,
 )
-from .numeric_core import RandomSource
+from .numeric_core import RandomSource, batchnorm_backward
 
 
 class NumericFailure(RuntimeError):
@@ -116,22 +116,15 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
     # projection head second layer
     grads["w_out"][...] = trace.post_relu.T @ d_head
     grads["b_out"][...] = d_head.sum(axis=0)
-    d_post = d_head @ params.w_out.T
+    d_post = d_head @ params.w_out.T.copy()  # a contiguous w_out^T multiplies faster
     if trace.dropout_mask is not None:
         d_post = d_post * trace.dropout_mask
     d_bn_out = d_post * (trace.bn_out > 0.0)
     _ensure_finite(d_bn_out, "projection head")
 
     # batch norm over batch statistics
-    x_hat, inv_std = trace.bn_x_hat, trace.bn_inv_std
-    grads["bn_gamma"][...] = np.sum(d_bn_out * x_hat, axis=0)
-    grads["bn_beta"][...] = d_bn_out.sum(axis=0)
-    d_x_hat = d_bn_out * params.bn.gamma
-    d_pre = inv_std * (
-        d_x_hat
-        - d_x_hat.mean(axis=0)
-        - x_hat * np.mean(d_x_hat * x_hat, axis=0)
-    )
+    d_pre, grads["bn_gamma"][...], grads["bn_beta"][...] = batchnorm_backward(
+        d_bn_out, trace.bn_x_hat, trace.bn_inv_std, params.bn.gamma)
     _ensure_finite(d_pre, "batch norm")
 
     # projection head first layer, folded: pre = vec(P_b) U with
@@ -145,19 +138,19 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
 
     # attention: P_b = alpha_b G_b and S_b = (G_b M) G_b^T with G_b = A diag(x_b).
     # The inputs are not trained, so only the shared A and M need gradients:
-    # with all samples' rows stacked, each of their terms is one GEMM
+    # with all samples' rows stacked, each of their terms is one GEMM. Like
+    # alpha, d_alpha and dS are (n, B n), so the softmax's sum is over axis 0
     a, alpha = trace.A, trace.attention
     x_tiled = np.tile(trace.inputs, n)  # x_tiled[b, i*n + l] = inputs[b, l]
     d_p *= x_tiled
     d_p_rows = d_p.reshape(b * n, n)
-    d_alpha = (d_p_rows @ a.T.copy()).reshape(b, n, n)  # a contiguous A^T multiplies faster
-    d_a = alpha.reshape(b * n, n).T @ d_p_rows
-    # einsum: numpy's sum reduces a short last axis slowly
-    d_scores = alpha * (d_alpha - np.einsum("bij,bij->bi", d_alpha, alpha)[..., None])
-    d_scores_rows = d_scores.reshape(b * n, n)
-    d_a += d_scores_rows.T @ (trace.GM.reshape(b, n * n) * x_tiled).reshape(b * n, n)
+    d_a = alpha @ d_p_rows
+    d_scores = a @ d_p_rows.T  # d_alpha, turned into dS in place
+    d_scores -= np.einsum("ij,ij->j", d_scores, alpha)
+    d_scores *= alpha
+    d_a += d_scores @ (trace.GM.reshape(b, n * n) * x_tiled).reshape(b * n, n)
     # d(G_b M) = dS_b G_b, and G_b M = x_b K with K[m, i*n + l] = A[i, m] M[m, l]
-    d_gm = (d_scores_rows @ a).reshape(b, n * n)
+    d_gm = (d_scores.T @ a).reshape(b, n * n)
     d_gm *= x_tiled
     d_k = (trace.inputs.T @ d_gm).reshape(n, n, n)
     d_a += np.einsum("mil,ml->im", d_k, trace.M)

@@ -1,6 +1,7 @@
 """Reference code the tests compare the package against: a finite-difference
-gradient check, scalar normal draws, a per-tensor Adam step and the encoder's
-forward pass stage by stage, without the folded attention."""
+gradient check, scalar normal draws, a per-tensor Adam step, the batch-norm
+input gradient in its mean form and the encoder's forward pass stage by
+stage, without the folded attention."""
 
 import math
 
@@ -68,6 +69,15 @@ def adam_loop(tensors: dict, grads: dict, m: dict, v: dict, t: int, decay: dict,
         if weight_decay > 0.0 and decay[name]:
             update = update + lr * weight_decay * theta
         theta -= update
+
+
+def batchnorm_backward_mean_form(d_out, x_hat, inv_std, gamma):
+    """Train-mode batch-norm input gradient as the column means it subtracts:
+    d_x_hat = gamma * d_out, then inv_std * (d_x_hat - mean(d_x_hat)
+    - x_hat * mean(d_x_hat * x_hat)), each mean over the batch."""
+    d_x_hat = d_out * gamma
+    return inv_std * (d_x_hat - d_x_hat.mean(axis=0)
+                      - x_hat * np.mean(d_x_hat * x_hat, axis=0))
 
 
 def unfolded_forward(x, params, mode: str = "eval", mask=None) -> dict:

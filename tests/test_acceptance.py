@@ -221,8 +221,9 @@ def test_a4_structural_invariants():
         a = trace.adjacency
         worst["symmetry"] = max(worst["symmetry"], float(np.max(np.abs(a - a.T))))
         worst["diagonal"] = max(worst["diagonal"], float(np.max(np.abs(np.diag(a) - 1.0))))
+        # the attention is held as (n, B n): each column is one softmax row
         worst["attention"] = max(worst["attention"],
-                                 float(np.max(np.abs(trace.attention.sum(axis=-1) - 1.0))))
+                                 float(np.max(np.abs(trace.attention.sum(axis=0) - 1.0))))
         worst["norm"] = max(worst["norm"],
                             float(np.max(np.abs(np.linalg.norm(features, axis=1) - 1.0))))
         passes += features.shape[0]

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glasscreen.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, ConfigError, RunConfig, main
+from glasscreen.cli import (
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    ConfigError,
+    RunConfig,
+    main,
+)
 from glasscreen.data_pipeline import (
     ComponentSchema,
     GridConfig,
@@ -70,6 +78,18 @@ def run_train(tmp_path, data, config, out_name="model.ckpt"):
                  "--band", "500:600", "--out", str(out)])
     assert code == EXIT_OK
     return out
+
+
+def overflowing_checkpoint(path):
+    """A checkpoint of finite values whose embeddings are so large that the
+    attention scores overflow, so every feature and score comes out nan."""
+    arch = ArchConfig(n_components=3, embed_dim=4, adjacency_rank=2,
+                      attention_dim=4, hidden_dim=8, feature_dim=4)
+    params = init_params(arch, seed=0)
+    params.embeddings[...] *= 1e200
+    stats = NormalizationStats(mean=np.full(3, 1 / 3), std=np.full(3, 0.2))
+    save_checkpoint(params, arch, stats, TgBand(500.0, 600.0), path, center=np.full(4, 0.5))
+    return path
 
 
 class TestClean:
@@ -219,6 +239,16 @@ class TestEval:
                      "--config", str(config), "--report-dir", str(tmp_path / "rep")])
         assert code == EXIT_DATA
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_scores_are_numeric_failure(self, workdir):
+        tmp_path, data, config = workdir
+        ckpt = overflowing_checkpoint(tmp_path / "overflow.ckpt")
+        report_dir = tmp_path / "report"
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--config", str(config), "--report-dir", str(report_dir), "--k", "5"])
+        assert code == EXIT_NUMERIC
+        assert not report_dir.exists()
+
     def test_knn_baseline_reports(self, workdir):
         tmp_path, data, config = workdir
         out = run_train(tmp_path, data, config)
@@ -306,6 +336,16 @@ class TestScreen:
         loose = write_config(tmp_path / "loose.json", min_sum=0.0, max_sum=2.0)
         expected = EXIT_DATA if bad_row.startswith("-") else EXIT_OK  # negatives never pass
         assert main(args + ["--config", str(loose)]) == expected
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_scores_are_numeric_failure(self, tmp_path):
+        ckpt = overflowing_checkpoint(tmp_path / "overflow.ckpt")
+        ranked = tmp_path / "ranked.csv"
+        code = main(["screen", "--checkpoint", str(ckpt),
+                     "--candidates", str(self.make_candidates(tmp_path)),
+                     "--top-k", "2", "--out", str(ranked)])
+        assert code == EXIT_NUMERIC
+        assert not ranked.exists()
 
     def test_checkpoint_without_center_is_data_error(self, workdir):
         tmp_path, data, config = workdir

@@ -322,7 +322,7 @@ class TestForward:
         features, trace = forward_batch(rng.normal(0, 1, size=(50, 4)), tiny_params)
         assert np.max(np.abs(trace.adjacency - trace.adjacency.T)) < 1e-12
         assert np.max(np.abs(np.diag(trace.adjacency) - 1.0)) < 1e-12
-        assert np.max(np.abs(trace.attention.sum(axis=-1) - 1.0)) < 1e-12
+        assert np.max(np.abs(trace.attention.sum(axis=0) - 1.0)) < 1e-12  # (n, B n)
         assert np.max(np.abs(np.linalg.norm(features, axis=1) - 1.0)) < 1e-12
 
     @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
@@ -621,6 +621,25 @@ class TestCheckpoint:
                            "band_high": length + 2 * h + 2 * n + 1}[field]
         path.write_bytes(self.rechecksummed(blob, offset, "<d", value))
         with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(path)
+
+    # one non-finite entry per section, after the 80-byte header: the vector
+    # (embeddings[0, 1] is its second entry), running mean and var, stats
+    # mean and std, band low, then past band high and the flag byte, center[0]
+    @pytest.mark.parametrize("field, value", [
+        ("embeddings", math.nan), ("running_mean", math.nan), ("running_var", math.inf),
+        ("mean", math.nan), ("std", math.inf), ("band_low", -math.inf), ("center", math.nan)])
+    def test_non_finite_value_with_valid_checksum_is_corruption_error(self, tmp_path, field,
+                                                                      value):
+        path, blob = self.saved_blob(tmp_path)
+        length, h, n = vector_length(TINY), TINY.hidden_dim, TINY.n_components
+        offset = 80 + 8 * {"embeddings": 1, "running_mean": length, "running_var": length + h,
+                           "mean": length + 2 * h, "std": length + 2 * h + n,
+                           "band_low": length + 2 * h + 2 * n,
+                           "center": length + 2 * h + 2 * n + 2}[field]
+        offset += field == "center"
+        path.write_bytes(self.rechecksummed(blob, offset, "<d", value))
+        with pytest.raises(CheckpointCorruptError, match="non-finite"):
             load_checkpoint(path)
 
     # the payload, checksummed anew, cut before the center flag byte, with

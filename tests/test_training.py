@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from glasscreen.deepglassnet import TENSORS, ArchConfig, forward_batch, init_params, tensor_views
-from glasscreen.numeric_core import RandomSource
-from oracles import adam_loop, grad_check, scalar_normal, unfolded_forward
+from glasscreen.numeric_core import RandomSource, batchnorm_backward
+from oracles import (
+    adam_loop,
+    batchnorm_backward_mean_form,
+    grad_check,
+    scalar_normal,
+    unfolded_forward,
+)
 from sample_tables import table
 from glasscreen.training import (
     AdamState,
@@ -96,17 +106,13 @@ def named_gradients(trace, params):
     return tensor_views(params.arch, backward(trace, params))
 
 
-def einsum_backward(trace, params):
-    """Reference gradients through the unfolded encoder: the modulated and
-    mixed embeddings, query, key, value, attention and attended rows rebuilt
-    stage by stage from ``trace.inputs`` and ``params`` by unfolded_forward,
-    one einsum per weight gradient, three batched matmuls into d_mixed and
-    the (B, n, d) adjacency contraction. backward must agree with it to
-    rounding."""
-    stages = unfolded_forward(trace.inputs, params, mode="train")
+def head_gradients(trace, params):
+    """(d_head, d_bn_out) rebuilt from a train-mode trace: the gradients of
+    the batch-mean triplet loss at the head's output (through the L2
+    normalization, guarded rows passed through) and at the batch norm's
+    output (through the second head layer, dropout and ReLU)."""
     features = trace.features
     t = features.shape[0] // 3
-    n = trace.adjacency.shape[0]
     fa, fp, fn = features[:t], features[t:2 * t], features[2 * t:]
     gate = 1.0 / (1.0 + np.exp(np.sum(fa * fp, axis=1) - np.sum(fa * fn, axis=1))) / t
     d_features = np.concatenate([gate[:, None] * (fn - fp), -gate[:, None] * fa,
@@ -115,18 +121,27 @@ def einsum_backward(trace, params):
     d_head = (d_features - dots[:, None] * features) / trace.out_divisor[:, None]
     guarded = trace.out_norms <= 1e-12
     d_head[guarded] = d_features[guarded]
-
-    grads = {"w_out": trace.post_relu.T @ d_head, "b_out": d_head.sum(axis=0)}
     d_post = d_head @ params.w_out.T
     if trace.dropout_mask is not None:
         d_post = d_post * trace.dropout_mask
-    d_bn_out = d_post * (trace.bn_out > 0.0)
+    return d_head, d_post * (trace.bn_out > 0.0)
+
+
+def einsum_backward(trace, params):
+    """Reference gradients through the unfolded encoder: the modulated and
+    mixed embeddings, query, key, value, attention and attended rows rebuilt
+    stage by stage from ``trace.inputs`` and ``params`` by unfolded_forward,
+    one einsum per weight gradient, three batched matmuls into d_mixed and
+    the (B, n, d) adjacency contraction. backward must agree with it to
+    rounding."""
+    stages = unfolded_forward(trace.inputs, params, mode="train")
+    n = trace.adjacency.shape[0]
+    d_head, d_bn_out = head_gradients(trace, params)
+    grads = {"w_out": trace.post_relu.T @ d_head, "b_out": d_head.sum(axis=0)}
     x_hat, inv_std = trace.bn_x_hat, trace.bn_inv_std
     grads["bn_gamma"] = np.sum(d_bn_out * x_hat, axis=0)
     grads["bn_beta"] = d_bn_out.sum(axis=0)
-    d_x_hat = d_bn_out * params.bn.gamma
-    d_pre = inv_std * (d_x_hat - d_x_hat.mean(axis=0)
-                       - x_hat * np.mean(d_x_hat * x_hat, axis=0))
+    d_pre = batchnorm_backward_mean_form(d_bn_out, x_hat, inv_std, params.bn.gamma)
     grads["w_hidden"] = stages["flat"].T @ d_pre
     d_attended = (d_pre @ params.w_hidden.T).reshape(stages["attended"].shape)
 
@@ -276,7 +291,9 @@ class TestFoldedAttention:
         # train mode normalizes by the batch's statistics, not the running ones it moved
         expected = unfolded_forward(batch, params, mode=mode, mask=trace.dropout_mask)
         assert max_relative_gap(features, expected["features"]) <= 1e-12
-        assert max_relative_gap(trace.attention, expected["attention"]) <= 1e-12
+        # the trace holds alpha transposed: column b*n + i is row i of alpha_b
+        columns = expected["attention"].reshape(-1, n).T
+        assert max_relative_gap(trace.attention, columns) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 8, 24])
     def test_gradients_match_unfolded(self, n):
@@ -306,6 +323,46 @@ class TestFoldedAttention:
             return float(triplet_losses(run()[0]).mean())
 
         assert grad_check(loss_fn, params.trainable(), grads, h=1e-5) < 1e-4
+
+
+class TestBatchNormBackward:
+    """The closed-form batch-norm backward against its mean form in oracles,
+    on the output gradients of train-mode traces of the default arch."""
+
+    @staticmethod
+    def assert_matches_mean_form(trace, params):
+        _, d_bn_out = head_gradients(trace, params)
+        x_hat, inv_std, gamma = trace.bn_x_hat, trace.bn_inv_std, params.bn.gamma
+        d_pre, d_gamma, d_beta = batchnorm_backward(d_bn_out, x_hat, inv_std, gamma)
+        expected = batchnorm_backward_mean_form(d_bn_out, x_hat, inv_std, gamma)
+        assert max_relative_gap(d_pre, expected) <= 1e-12
+        assert max_relative_gap(d_gamma, np.sum(d_bn_out * x_hat, axis=0)) <= 1e-12
+        assert max_relative_gap(d_beta, d_bn_out.sum(axis=0)) <= 1e-12
+
+    @staticmethod
+    def run(dropout, seed):
+        params = init_params(ArchConfig(n_components=8, dropout=dropout), seed=seed)
+        batch = RandomSource(600 + seed).normal(0.0, 1.0, size=(96, 8))
+        return params, lambda: forward_batch(batch, params, mode="train",
+                                             rng=RandomSource(700 + seed))[1]
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_form_matches_mean_form(self, seed, dropout):
+        params, run = self.run(dropout, seed)
+        self.assert_matches_mean_form(run(), params)
+
+    @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_closed_form_matches_mean_form_with_guarded_row(self, dropout):
+        params, run = self.run(dropout, seed=9)
+        # b_out cancels row 0's head output (the forward before it does not
+        # read b_out), so the zero-norm guard passes its gradient through
+        params.b_out[...] = -(run().post_relu[0] @ params.w_out)
+        trace = run()
+        assert trace.out_norms[0] <= 1e-12 < np.min(trace.out_norms[1:])
+        assert np.any(head_gradients(trace, params)[1][0] != 0.0)
+        self.assert_matches_mean_form(trace, params)
 
 
 class TestAdam:
@@ -405,6 +462,22 @@ SMALL_ARCH = ArchConfig(n_components=3, embed_dim=4, adjacency_rank=2,
                         attention_dim=4, hidden_dim=8, feature_dim=4)
 
 
+# a 2-epoch train on the benchmark corpus at the default arch, printing the
+# SHA-256 of the trained parameter vector and running statistics
+BLAS_THREADS_RUN = """
+import hashlib
+from glasscreen import data_pipeline, synthetic, training
+from glasscreen.deepglassnet import ArchConfig
+labeled, _ = synthetic.benchmark_dataset(1200, 3)
+train_set, val_set = data_pipeline.split(labeled, 0.8, 3)
+arch = ArchConfig(n_components=len(synthetic.COMPONENT_NAMES))
+params, _, _ = training.train(train_set, val_set, arch, training.TrainConfig(epochs=2, seed=3))
+digest = hashlib.sha256(params.vector.tobytes())
+digest.update(params.bn.running_mean.tobytes() + params.bn.running_var.tobytes())
+print(digest.hexdigest())
+"""
+
+
 class TestTrainLoop:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
@@ -438,6 +511,23 @@ class TestTrainLoop:
         _, _, history = train(data[:40], data[40:], SMALL_ARCH, cfg)
         assert [r.epoch for r in history.records] == [1, 2, 3, 4]
         assert all(np.isfinite(r.mean_loss) for r in history.records)
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # the default arch at the default 768-row batch: its (n, n) x (n, B n)
+        # attention GEMMs are wide enough for OpenBLAS to split across threads
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        digests = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert len(proc.stdout.strip()) == 64
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
     def test_deterministic_given_seed(self):
         data = tiny_dataset()
