@@ -455,10 +455,11 @@ def load_checkpoint(path) -> Checkpoint:
     slab = np.frombuffer(payload, dtype="<f8", count=sum(sizes), offset=start)
     center = (np.frombuffer(payload, dtype="<f8", count=k, offset=flag + 1).astype(np.float64)
               if has_center else None)
-    # save_checkpoint writes finite values only
-    if not (np.all(np.isfinite(slab)) and (center is None or np.all(np.isfinite(center)))):
+    # save_checkpoint writes finite values only, but for the band: an open end
+    # (``--band 500:inf``) is an infinite bound, and TgBand refuses a nan one
+    if not (np.all(np.isfinite(slab[:-2])) and (center is None or np.all(np.isfinite(center)))):
         raise CheckpointCorruptError(f"{path}: non-finite value in the parameters, "
-                                     "statistics, band or center")
+                                     "statistics or center")
     vector, running_mean, running_var, mean, std, band = np.split(
         slab.astype(np.float64), np.cumsum(sizes)[:-1])
     if magic == CHECKPOINT_MAGIC_V1:

@@ -174,6 +174,21 @@ class TestTrain:
         assert (ckpt.band.low, ckpt.band.high) == (500.0, 600.0)
         assert ckpt.center is not None
 
+    @pytest.mark.parametrize("band, bounds", [
+        ("500:inf", (500.0, np.inf)), ("-inf:500", (-np.inf, 500.0))])
+    def test_open_band_checkpoint_serves_eval_and_screen(self, workdir, band, bounds):
+        tmp_path, data, config = workdir
+        out = tmp_path / "model.ckpt"
+        assert main(["train", "--data", str(data), "--config", str(config),
+                     f"--band={band}", "--out", str(out)]) == EXIT_OK
+        assert (load_checkpoint(out).band.low, load_checkpoint(out).band.high) == bounds
+        assert main(["eval", "--checkpoint", str(out), "--data", str(data), "--config",
+                     str(config), "--report-dir", str(tmp_path / "report"),
+                     "--k", "5"]) == EXIT_OK
+        candidates = TestScreen().make_candidates(tmp_path)
+        assert main(["screen", "--checkpoint", str(out), "--candidates", str(candidates),
+                     "--top-k", "5", "--out", str(tmp_path / "ranked.csv")]) == EXIT_OK
+
     def test_deterministic_checkpoints(self, workdir):
         tmp_path, data, config = workdir
         first = run_train(tmp_path, data, config, "a.ckpt")

@@ -611,13 +611,14 @@ class TestCheckpoint:
                 load_checkpoint(path)
 
     @pytest.mark.parametrize("field, value", [
-        ("running_var", -1.0), ("std", 0.0), ("band_high", 400.0)])
+        ("running_var", -1.0), ("std", 0.0), ("band_high", 400.0), ("band_low", math.nan)])
     def test_bad_value_with_valid_checksum_is_corruption_error(self, tmp_path, field, value):
         path, blob = self.saved_blob(tmp_path)
         length, h, n = vector_length(TINY), TINY.hidden_dim, TINY.n_components
         # after the 80-byte header: vector, running mean and var, stats mean
         # and std, band low and high
         offset = 80 + 8 * {"running_var": length + h, "std": length + 2 * h + n,
+                           "band_low": length + 2 * h + 2 * n,
                            "band_high": length + 2 * h + 2 * n + 1}[field]
         path.write_bytes(self.rechecksummed(blob, offset, "<d", value))
         with pytest.raises(CheckpointCorruptError):
@@ -625,17 +626,16 @@ class TestCheckpoint:
 
     # one non-finite entry per section, after the 80-byte header: the vector
     # (embeddings[0, 1] is its second entry), running mean and var, stats
-    # mean and std, band low, then past band high and the flag byte, center[0]
+    # mean and std, then past the band and the flag byte, center[0]
     @pytest.mark.parametrize("field, value", [
         ("embeddings", math.nan), ("running_mean", math.nan), ("running_var", math.inf),
-        ("mean", math.nan), ("std", math.inf), ("band_low", -math.inf), ("center", math.nan)])
+        ("mean", math.nan), ("std", math.inf), ("center", math.nan)])
     def test_non_finite_value_with_valid_checksum_is_corruption_error(self, tmp_path, field,
                                                                       value):
         path, blob = self.saved_blob(tmp_path)
         length, h, n = vector_length(TINY), TINY.hidden_dim, TINY.n_components
         offset = 80 + 8 * {"embeddings": 1, "running_mean": length, "running_var": length + h,
                            "mean": length + 2 * h, "std": length + 2 * h + n,
-                           "band_low": length + 2 * h + 2 * n,
                            "center": length + 2 * h + 2 * n + 2}[field]
         offset += field == "center"
         path.write_bytes(self.rechecksummed(blob, offset, "<d", value))
