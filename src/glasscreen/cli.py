@@ -41,6 +41,7 @@ from .data_pipeline import (
     transform_labels,
     write_candidates,
     write_dataset,
+    write_header,
 )
 from .deepglassnet import (
     ArchConfig,
@@ -116,9 +117,7 @@ class _RunOptions:
             if isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[f.type]):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         try:
-            # n_components comes from the data later; use a size that cannot
-            # trip the low-rank advisory warning during field validation
-            self.arch_config(n_components=max(2, self.adjacency_rank))
+            self.arch_config(n_components=2)  # the data sets it later
             self.train_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -235,6 +234,9 @@ def cmd_train(args) -> int:
     raw, schema = load_dataset(args.data)
     train_part, val_part = _label_split(raw, band, run)
     arch = run.arch_config(n_components=schema.n)
+    if arch.adjacency_rank > arch.n_components:
+        log.warning("adjacency_rank %d exceeds n_components %d; the factorization is no "
+                    "longer low-rank", arch.adjacency_rank, arch.n_components)
     params, stats, history = train(train_part, val_part, arch, run.train_config())
     for r in history.records:
         log.debug("epoch %d: mean loss %.6f, val AUC %.4f, val P@%d %.4f",
@@ -336,7 +338,7 @@ def cmd_screen(args) -> int:
     order = np.lexsort((np.arange(scores.size), -scores))[: args.top_k]
 
     with atomic_path(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(",".join(schema.names) + ",score\n")
+        write_header(fh, schema.names + ("score",))
         for i in order:
             row = ",".join(repr(float(v)) for v in candidates[i])
             fh.write(f"{row},{float(scores[i])!r}\n")
@@ -455,7 +457,7 @@ def main(argv=None) -> int:
             FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         log.error("data error: %s", exc)
         return EXIT_DATA
-    except NumericFailure as exc:
+    except (NumericFailure, RuntimeWarning) as exc:  # numpy's, raised under -W error
         log.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
     except ValueError as exc:

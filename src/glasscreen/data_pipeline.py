@@ -168,16 +168,20 @@ class GridConfig:
 
 
 def _read_header(path) -> tuple[list[str], str]:
-    """A table's header row and the text after it; "" for text that is not
-    UTF-8, which the row-wise parse then raises after any bad row before it."""
+    """A table's header row and the text after it."""
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if not header:
-            raise DataFormatError(f"{path}: empty file, expected a header row")
         try:
-            return header, fh.read()
-        except UnicodeDecodeError:
-            return header, ""
+            header, body = next(csv.reader(fh), None), fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if not header:
+        raise DataFormatError(f"{path}: empty file, expected a header row")
+    return header, body
+
+
+def write_header(fh, names) -> None:
+    """Write a header row of ``names`` in ``csv`` quoting, ended by "\\n"."""
+    csv.writer(fh, lineterminator="\n").writerow(names)
 
 
 def load_dataset(path) -> tuple[Samples, ComponentSchema]:
@@ -316,7 +320,7 @@ def write_candidates(path, schema: ComponentSchema, candidates: np.ndarray) -> N
     cells = np.array([repr(float(v)) for v in bits.view(np.float64)], dtype=object)
     inverse = inverse.reshape(candidates.shape)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(schema.names) + "\n")
+        write_header(fh, schema.names)
         for start in range(0, candidates.shape[0], _WRITE_CHUNK_ROWS):
             rows = cells[inverse[start:start + _WRITE_CHUNK_ROWS]].tolist()
             fh.write("".join([",".join(row) + "\n" for row in rows]))

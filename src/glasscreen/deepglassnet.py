@@ -14,9 +14,9 @@ mixing tensor is built either. All tensors are float64.
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import struct
-import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -24,7 +24,6 @@ import numpy as np
 from .data_pipeline import NormalizationStats, TgBand
 from .numeric_core import (
     BatchNormState,
-    NumericsWarning,
     RandomSource,
     batchnorm_eval,
     batchnorm_train_cached,
@@ -34,6 +33,8 @@ from .numeric_core import (
 CHECKPOINT_MAGIC = b"DGNCKPT2"
 CHECKPOINT_MAGIC_V1 = b"DGNCKPT1"  # the same, plus a hidden bias between w_hidden and w_out
 _ARCH_HEADER = struct.Struct("<6q3d")  # ArchConfig's fields in order, after the magic
+
+log = logging.getLogger(__name__)
 
 
 class CheckpointError(RuntimeError):
@@ -77,12 +78,6 @@ class ArchConfig:
             raise ValueError(f"bn_momentum must be in (0, 1), got {self.bn_momentum}")
         if not 0.0 < self.bn_epsilon < math.inf:
             raise ValueError(f"bn_epsilon must be positive and finite, got {self.bn_epsilon}")
-        if self.adjacency_rank > self.n_components:
-            warnings.warn(
-                f"adjacency_rank {self.adjacency_rank} exceeds n_components "
-                f"{self.n_components}; the factorization is no longer low-rank",
-                stacklevel=2,
-            )
 
     @property
     def flat_dim(self) -> int:
@@ -321,8 +316,8 @@ def forward_batch(
     norms = np.linalg.norm(head_out, axis=-1)
     guarded = norms <= 1e-12
     if np.any(guarded):
-        warnings.warn("feature vector with near-zero norm left unnormalized",
-                      NumericsWarning, stacklevel=2)
+        log.warning("feature vector with near-zero norm left unnormalized (%d of %d rows)",
+                    np.count_nonzero(guarded), b)
     divisor = np.where(guarded, 1.0, norms)
     features = head_out / divisor[..., None]
 

@@ -4,14 +4,15 @@ count), ROC staircase, Precision@k and report assembly/export."""
 from __future__ import annotations
 
 import json
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_pipeline import EmptyClassError, NormalizationStats, Samples, TgBand, normalize
 from .deepglassnet import ModelParams, eval_features
-from .numeric_core import NumericsWarning
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -46,8 +47,8 @@ def class_center(
     list of rows such as ``[s for s in table if s.y == 1]``; this is the one
     place a row list is stacked, to the values of the matching sub-table.
 
-    The mean of unit vectors can cancel to (near) zero; that case is flagged
-    with a warning but still returned.
+    The mean of unit vectors can cancel to (near) zero; that case is logged
+    as a warning but still returned.
     """
     if not targets:
         raise EmptyClassError("class center needs at least one target sample")
@@ -56,8 +57,7 @@ def class_center(
     features = eval_features(x, params)
     center = features.mean(axis=0)
     if float(np.linalg.norm(center)) <= 1e-12:
-        warnings.warn("class center has near-zero norm; scores will be ~0",
-                      NumericsWarning, stacklevel=2)
+        log.warning("class center has near-zero norm; scores will be ~0")
     return ClassCenter(vector=center)
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NumericsWarning",
     "RandomSource",
     "softmax_leading",
     "BatchNormState",
@@ -20,10 +19,6 @@ __all__ = [
     "batchnorm_eval",
     "batchnorm_train_cached",
 ]
-
-
-class NumericsWarning(UserWarning):
-    """Raised-as-warning for recoverable numeric degeneracies (zero norms etc.)."""
 
 
 class RandomSource:

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import tempfile
@@ -23,6 +24,7 @@ from glasscreen.data_pipeline import (
     NormalizationStats,
     TgBand,
     enumerate_candidates,
+    load_candidates,
     write_dataset,
 )
 from glasscreen.deepglassnet import ArchConfig, init_params, load_checkpoint, save_checkpoint
@@ -78,6 +80,13 @@ def run_train(tmp_path, data, config, out_name="model.ckpt"):
                  "--band", "500:600", "--out", str(out)])
     assert code == EXIT_OK
     return out
+
+
+# numpy's overflow warnings ignored (scores come out nan) or raised (as under
+# python -W error): each is exit 4 with nothing written
+RUNTIME_WARNING_ACTIONS = pytest.mark.parametrize("action", [
+    pytest.param(action, marks=pytest.mark.filterwarnings(f"{action}::RuntimeWarning"))
+    for action in ("error", "ignore")])
 
 
 def overflowing_checkpoint(path):
@@ -254,8 +263,8 @@ class TestEval:
                      "--config", str(config), "--report-dir", str(tmp_path / "rep")])
         assert code == EXIT_DATA
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_scores_are_numeric_failure(self, workdir):
+    @RUNTIME_WARNING_ACTIONS
+    def test_non_finite_scores_are_numeric_failure(self, workdir, action):
         tmp_path, data, config = workdir
         ckpt = overflowing_checkpoint(tmp_path / "overflow.ckpt")
         report_dir = tmp_path / "report"
@@ -306,6 +315,24 @@ class TestScreen:
             total = sum(float(v) for v in line.split(",")[:-1])
             assert abs(total - 1.0) < 1e-9
 
+    def test_quoted_header_reads_back(self, workdir):
+        tmp_path, data, config = workdir
+        out = run_train(tmp_path, data, config)
+        names = ["Si,O2", 'Al"2O3', "C"]
+        candidates = self.make_candidates(tmp_path)
+        rows = candidates.read_text().splitlines()[1:]
+        with open(candidates, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(names)
+            fh.write("\n".join(rows) + "\n")
+        ranked = tmp_path / "ranked.csv"
+        code = main(["screen", "--checkpoint", str(out), "--candidates", str(candidates),
+                     "--top-k", "5", "--out", str(ranked)])
+        assert code == EXIT_OK
+        with open(ranked, newline="", encoding="utf-8") as fh:
+            read = list(csv.reader(fh))
+        assert read[0] == names + ["score"]
+        assert [len(row) for row in read] == [4] * 6
+
     def test_top_k_exceeding_count_is_data_error(self, workdir):
         tmp_path, data, config = workdir
         out = run_train(tmp_path, data, config)
@@ -352,8 +379,8 @@ class TestScreen:
         expected = EXIT_DATA if bad_row.startswith("-") else EXIT_OK  # negatives never pass
         assert main(args + ["--config", str(loose)]) == expected
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_scores_are_numeric_failure(self, tmp_path):
+    @RUNTIME_WARNING_ACTIONS
+    def test_non_finite_scores_are_numeric_failure(self, tmp_path, action):
         ckpt = overflowing_checkpoint(tmp_path / "overflow.ckpt")
         ranked = tmp_path / "ranked.csv"
         code = main(["screen", "--checkpoint", str(ckpt),
@@ -387,6 +414,15 @@ class TestEnumerate:
         assert lines[0] == "A,B,C"
         assert len(lines) - 1 == 6
         assert "6 candidates" in caplog.text  # logged count equals row count
+
+    def test_quoted_name_reads_back(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        code = main(["enumerate", "--components", '"A,B,C', "--step", "0.5",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        candidates, schema = load_candidates(out, 3)
+        assert schema.names == ('"A', "B", "C")
+        assert candidates.shape == (6, 3)
 
     def test_cap_violation_leaves_no_file(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -438,6 +474,27 @@ class TestEnumerate:
             out = Path(tmp) / "grid.csv"
             assert main(argv + ["--out", str(out)]) == EXIT_OK
             assert out.read_bytes() == (",".join(names) + "\n" + expected).encode()
+
+
+@pytest.mark.filterwarnings("error")
+def test_default_config_on_three_components_runs_under_warnings_as_errors(tmp_path, caplog):
+    """The default adjacency_rank 5 exceeds a 3-component table's: train logs
+    that once as a WARNING line, and no command warns or fails."""
+    data = make_table(tmp_path / "data.csv", n_rows=300)
+    ckpt, candidates = tmp_path / "model.ckpt", tmp_path / "candidates.csv"
+    assert main(["train", "--data", str(data), "--band", "500:600", "--out", str(ckpt)]) == EXIT_OK
+    assert [(r.levelno, r.getMessage()) for r in caplog.records
+            if "adjacency_rank" in r.getMessage()] == [
+        (logging.WARNING,
+         "adjacency_rank 5 exceeds n_components 3; the factorization is no longer low-rank")]
+    caplog.clear()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--report-dir", str(tmp_path / "report")]) == EXIT_OK
+    assert main(["enumerate", "--components", "A,B,C", "--step", "0.1",
+                 "--out", str(candidates)]) == EXIT_OK
+    assert main(["screen", "--checkpoint", str(ckpt), "--candidates", str(candidates),
+                 "--out", str(tmp_path / "picks.csv")]) == EXIT_OK
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 class TestRunConfig:

@@ -94,6 +94,17 @@ class TestLoadDataset:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "absent.csv")
 
+    # a bad byte in the header, or in the body after a bad row (the bad row
+    # is not reported first)
+    @pytest.mark.parametrize("blob", [
+        b"A,B\xff,C,Tg\n0.5,0.3,0.2,400\n",
+        b"A,B,C,Tg\n0.5,oops,0.2,400\n0.5,0.3,0.2,4\xff0\n"], ids=["header", "body"])
+    def test_non_utf8_table_names_the_file(self, tmp_path, blob):
+        p = tmp_path / "d.csv"
+        p.write_bytes(blob)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: not UTF-8 text"):
+            load_dataset(p)
+
     @pytest.mark.parametrize("cell, tg", [
         ("", None), ("  ", None), ("\t", None), ('""', None), ('" "', None),
         (" 400 ", 400.0), ('"400"', 400.0),
@@ -214,6 +225,15 @@ class TestLoadCandidates:
             assert got.shape == (0, 3)
             assert got.dtype == np.float64
             assert schema == SCHEMA3
+
+    @pytest.mark.parametrize("blob", [
+        b"A,B\xff,C\n0.5,0.3,0.2\n",
+        b"A,B,C\n0.5,oops,0.2\n0.5,0.3,0.\xff2\n"], ids=["header", "body"])
+    def test_non_utf8_table_names_the_file(self, tmp_path, blob):
+        p = tmp_path / "c.csv"
+        p.write_bytes(blob)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: not UTF-8 text"):
+            load_candidates(p, 3)
 
     def test_header_mismatch_and_empty_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="3 components"):

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import struct
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -99,7 +98,6 @@ class TestInit:
         assert tiny_params.interaction_factors.size == TINY.n_components * TINY.adjacency_rank
 
 
-@pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
 class TestEmbedProportions:
     """Stage 1 lives in the mixing matrix G_b = A diag(x_b): column m of
     G_b scales component m's row of E @ W, and of M in G_b M."""
@@ -204,7 +202,6 @@ class TestGraphConvolve:
         assert np.array_equal(z[0], params.embeddings[0] + params.embeddings[1])
         assert np.array_equal(z[1], params.embeddings[1] + params.embeddings[0])
 
-    @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
@@ -242,7 +239,6 @@ def attention_oracle(z, wq, wk, wv):
 
 
 class TestSelfAttention:
-    @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_identical_rows_give_uniform_attention(self, tiny_params):
         trace = trace_of(np.zeros(4), tiny_params)  # zero input => identical rows
         assert np.allclose(trace.attention, 0.25, atol=1e-12)
@@ -258,7 +254,6 @@ class TestSelfAttention:
         u = trace.P[0] @ trace.projected[2]  # the attended rows alpha_b G_b (E W_v)
         assert np.max(np.abs(u - u[0])) < 1e-12
 
-    @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_zero_value_matrix(self, tiny_params):
         tiny_params.w_value[...] = np.zeros_like(tiny_params.w_value)
         x = np.random.default_rng(0).normal(size=(3, 4))
@@ -325,7 +320,6 @@ class TestForward:
         assert np.max(np.abs(trace.attention.sum(axis=0) - 1.0)) < 1e-12  # (n, B n)
         assert np.max(np.abs(np.linalg.norm(features, axis=1) - 1.0)) < 1e-12
 
-    @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_zero_input_propagation(self, tiny_params):
         trace = trace_of(np.zeros(4), tiny_params)
         assert np.all(mixing_of(trace) == 0.0)
@@ -605,10 +599,8 @@ class TestCheckpoint:
                                                                value):
         path, blob = self.saved_blob(tmp_path)
         path.write_bytes(self.rechecksummed(blob, offset, fmt, value))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the low-rank advisory of a corrupt header
-            with pytest.raises(CheckpointCorruptError):
-                load_checkpoint(path)
+        with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("field, value", [
         ("running_var", -1.0), ("std", 0.0), ("band_high", 400.0), ("band_low", math.nan)])
@@ -685,10 +677,8 @@ class TestCheckpoint:
             value = data.draw(st.floats().filter(lambda v: not valid(v)))
             bad = self.rechecksummed(blob, 56 + 8 * field, "<d", value)
         path.write_bytes(bytes(bad))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the low-rank advisory of a corrupt header
-            with pytest.raises(CheckpointError):
-                load_checkpoint(path)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 class TestParamVector:

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from glasscreen.evaluation import (
     roc_points,
     score,
 )
-from glasscreen.numeric_core import NumericsWarning, RandomSource
+from glasscreen.numeric_core import RandomSource
 from sample_tables import table
 
 
@@ -179,14 +180,16 @@ class TestClassCenterAndScore:
         center = class_center(targets, self.params, self.stats)
         assert np.linalg.norm(center.vector) <= 1.0 + 1e-12
 
-    def test_antipodal_features_warn(self, monkeypatch):
+    def test_antipodal_features_warn(self, monkeypatch, caplog):
         monkeypatch.setattr(
             evaluation, "eval_features",
             lambda x, params: np.array([[1.0, 0.0], [-1.0, 0.0]]),
         )
-        with pytest.warns(NumericsWarning, match="near-zero"):
-            center = class_center(self.samples[:2], self.params, self.stats)
+        center = class_center(self.samples[:2], self.params, self.stats)
         assert np.array_equal(center.vector, [0.0, 0.0])
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("glasscreen.evaluation", logging.WARNING,
+             "class center has near-zero norm; scores will be ~0")]
 
     def test_zero_center_scores_zero(self):
         center = ClassCenter(vector=np.zeros(ARCH.feature_dim))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from glasscreen.deepglassnet import ArchConfig, forward_batch, init_params
 from glasscreen.numeric_core import (
     BatchNormState,
-    NumericsWarning,
     RandomSource,
     batchnorm_eval,
     batchnorm_train_cached,
@@ -162,10 +162,12 @@ class TestL2Normalize:
             return
         assert abs(np.linalg.norm(self.features(v)) - 1.0) < 1e-12
 
-    def test_zero_guard_warns(self):
-        with pytest.warns(NumericsWarning):
-            out = self.features([0.0, 0.0, 0.0])
+    def test_zero_guard_warns(self, caplog):
+        out = self.features([0.0, 0.0, 0.0])
         assert np.array_equal(out, np.zeros(3))
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("glasscreen.deepglassnet", logging.WARNING,
+             "feature vector with near-zero norm left unnormalized (1 of 1 rows)")]
 
 
 # ArchConfig's default batch-norm momentum and epsilon

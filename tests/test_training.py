@@ -352,7 +352,6 @@ class TestBatchNormBackward:
         params, run = self.run(dropout, seed)
         self.assert_matches_mean_form(run(), params)
 
-    @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     def test_closed_form_matches_mean_form_with_guarded_row(self, dropout):
         params, run = self.run(dropout, seed=9)
@@ -429,7 +428,6 @@ class TestAdam:
                 adam_step(params, grad, state, TrainConfig())
         assert params.vector.tobytes() == before.tobytes() and state.t == 0
 
-    @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_two_identical_runs_are_bitwise_identical(self):
         trajectories = []
         for _ in range(2):
@@ -539,7 +537,6 @@ class TestTrainLoop:
         assert [r.mean_loss for r in h1.records] == [r.mean_loss for r in h2.records]
         assert [r.val_auc for r in h1.records] == [r.val_auc for r in h2.records]
 
-    @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_validation_never_augmented(self):
         # evaluation is structurally unable to perturb samples: nothing in its
         # surface accepts a random source, and scoring a fixed model is pure
@@ -569,7 +566,6 @@ class TestTrainLoop:
         with pytest.raises((NumericFailure, ValueError)):
             train(data[:40], data[40:], SMALL_ARCH, cfg)
 
-    @pytest.mark.filterwarnings("ignore::glasscreen.numeric_core.NumericsWarning")
     def test_train_with_dropout_smoke(self):
         data = tiny_dataset()
         arch = ArchConfig(n_components=3, embed_dim=4, adjacency_rank=2,
