@@ -178,6 +178,14 @@ def atomic_path(path):
         raise
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1, anything else a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_band(text: str) -> TgBand:
     try:
         low_text, high_text = text.split(":")
@@ -326,7 +334,7 @@ def cmd_screen(args) -> int:
         )
     log.debug("screen: %d candidates within the sum bounds [%g, %g]",
               candidates.shape[0], run.min_sum, run.max_sum)
-    if not 1 <= args.top_k <= candidates.shape[0]:
+    if args.top_k > candidates.shape[0]:
         raise DataFormatError(
             f"top_k={args.top_k} out of range for {candidates.shape[0]} candidates"
         )
@@ -335,7 +343,7 @@ def cmd_screen(args) -> int:
     features = eval_features(normalized, ckpt.params)
     scores = features @ ckpt.center
     _require_finite(scores, args.checkpoint)
-    order = np.lexsort((np.arange(scores.size), -scores))[: args.top_k]
+    order = evaluation.top_k(scores, args.top_k)
 
     with atomic_path(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         write_header(fh, schema.names + ("score",))
@@ -411,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--report-dir", required=True, dest="report_dir")
-    p.add_argument("--k", type=int, default=50, help="k for Precision@k")
+    p.add_argument("--k", type=positive_int, default=50, help="k for Precision@k (>= 1)")
     p.add_argument("--with-knn-baseline", action="store_true", dest="with_knn_baseline")
     p.set_defaults(func=cmd_eval)
 
@@ -419,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--candidates", required=True, help="candidate CSV (no Tg column)")
-    p.add_argument("--top-k", type=int, default=5, dest="top_k")
+    p.add_argument("--top-k", type=positive_int, default=5, dest="top_k",
+                   help=">= 1 and at most the candidate count")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_screen)
 

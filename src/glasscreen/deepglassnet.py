@@ -25,7 +25,7 @@ from .data_pipeline import NormalizationStats, TgBand
 from .numeric_core import (
     BatchNormState,
     RandomSource,
-    batchnorm_eval,
+    batchnorm_fold,
     batchnorm_train_cached,
     softmax_leading,
 )
@@ -207,21 +207,70 @@ def init_params(cfg: ArchConfig, seed: int) -> ModelParams:
 # forward pass
 
 
-@dataclass
-class BatchTrace:
-    """Batched forward intermediates plus the caches backward needs."""
+@dataclass(frozen=True, eq=False)
+class EncoderConstants:
+    """The parameter-only part of the forward pass: everything forward_batch
+    computes before it reads the batch. Built by encoder_constants; valid for
+    the ModelParams it was built from while those do not change."""
 
-    inputs: np.ndarray          # (B, n)
+    params: ModelParams
     unit_factors: np.ndarray    # (n, rank)
     factor_norms: np.ndarray    # (n,)
     adjacency: np.ndarray       # (n, n)
     A: np.ndarray               # (n, n) I + masked / (n - 1); G_b = A diag(x_b)
     projected: tuple[np.ndarray, np.ndarray, np.ndarray]  # E @ W_q, E @ W_k, E @ W_v, each (n, dk)
     M: np.ndarray               # (n, n) (E W_q)(E W_k)^T / sqrt(dk)
+    K: np.ndarray               # (n, n*n) K[m, i*n + l] = A[i, m] M[m, l]; G_b M = x_b K
+    U: np.ndarray               # (n*n, h) U[i*n + m] = (E W_v)[m] @ w_hidden block i
+    folded_U: np.ndarray        # (n*n, h) U * scale, the eval head's first product
+    folded_shift: np.ndarray    # (h,) the eval batch norm's shift
+
+
+def encoder_constants(params: ModelParams) -> EncoderConstants:
+    """Build the constants forward_batch needs from ``params`` alone: the
+    interaction graph, A, the Q/K/V projections, M, K, U, and U with the
+    eval-mode batch norm folded in."""
+    # interaction graph: Gram matrix of row-normalized factors, so the
+    # diagonal is 1 and entries lie in [-1, 1]; the self message is excluded
+    factor_norms = np.linalg.norm(params.interaction_factors, axis=1)
+    if np.any(factor_norms <= 1e-12):
+        raise ValueError("interaction_factors contains a zero row; cannot normalize")
+    vhat = params.interaction_factors / factor_norms[:, None]
+    adj = vhat @ vhat.T
+    masked = adj - np.diag(np.diag(adj))
+
+    # proportion-modulated embeddings diag(x_b) E, one round of residual
+    # message passing and the Q/K/V projections are all linear: each
+    # projection is G_b (E W), with G_b = A diag(x_b) and one shared
+    # A = I + masked / (n - 1)
+    n = adj.shape[0]
+    a = np.eye(n) + masked / (n - 1)
+    pq, pk, pv = projected = tuple(params.embeddings @ w
+                                   for w in (params.w_query, params.w_key, params.w_value))
+
+    # scaled dot-product self-attention across components, as n x n forms:
+    # q_b k_b^T / sqrt(dk) = G_b M G_b^T, and the value rows alpha_b G_b (E W_v)
+    # meet w_hidden only through U, so attended rows are never built
+    dk = pq.shape[1]
+    m = pq @ pk.T / np.sqrt(dk)
+    k = (a.T[:, :, None] * m[:, None, :]).reshape(n, n * n)
+    u = np.einsum("md,idh->imh", pv, params.w_hidden.reshape(n, dk, -1)).reshape(n * n, -1)
+    scale, shift = batchnorm_fold(params.bn, params.arch.bn_epsilon)
+    return EncoderConstants(
+        params=params, unit_factors=vhat, factor_norms=factor_norms, adjacency=adj, A=a,
+        projected=projected, M=m, K=k, U=u, folded_U=u * scale, folded_shift=shift,
+    )
+
+
+@dataclass
+class BatchTrace:
+    """Batched forward intermediates plus the caches backward needs."""
+
+    inputs: np.ndarray          # (B, n)
+    constants: EncoderConstants  # the graph, A, the projections, M, K and U
     GM: np.ndarray              # (B, n, n) G_b M
     attention: np.ndarray       # (n, B n) softmax of G_b M G_b^T, column b*n + i is row i
     P: np.ndarray               # (B, n, n) alpha_b G_b
-    U: np.ndarray               # (n*n, h) U[i*n + m] = (E W_v)[m] @ w_hidden block i
     bn_x_hat: np.ndarray | None  # train-mode cache
     bn_inv_std: np.ndarray | None
     bn_out: np.ndarray          # (B, h)
@@ -238,12 +287,16 @@ def forward_batch(
     params: ModelParams,
     mode: str = "eval",
     rng: RandomSource | None = None,
+    constants: EncoderConstants | None = None,
 ) -> tuple[np.ndarray, BatchTrace]:
     """Run the encoder over a (B, n) batch of normalized compositions.
 
     Train mode normalizes the projection head by batch statistics (B >= 2),
     folds them into the running statistics and applies dropout at
-    ``params.arch.dropout``. Eval mode is a pure function of (x, params).
+    ``params.arch.dropout``. Eval mode is a pure function of (x, params); its
+    batch norm, by the running statistics, is folded into the head's first
+    product. ``constants`` are encoder_constants(params), built here when
+    not given; constants built from another ModelParams are refused.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -257,33 +310,16 @@ def forward_batch(
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "train" and b < 2:
         raise ValueError("train-mode forward needs a batch of >= 2 samples")
+    if constants is None:
+        constants = encoder_constants(params)
+    elif constants.params is not params:
+        raise ValueError("encoder constants were built from another ModelParams")
+    a = constants.A
 
-    # interaction graph: Gram matrix of row-normalized factors, so the
-    # diagonal is 1 and entries lie in [-1, 1]; the self message is excluded
-    factor_norms = np.linalg.norm(params.interaction_factors, axis=1)
-    if np.any(factor_norms <= 1e-12):
-        raise ValueError("interaction_factors contains a zero row; cannot normalize")
-    vhat = params.interaction_factors / factor_norms[:, None]
-    adj = vhat @ vhat.T
-    masked = adj - np.diag(np.diag(adj))
-
-    # proportion-modulated embeddings diag(x_b) E, one round of residual
-    # message passing and the Q/K/V projections are all linear: each
-    # projection is G_b (E W), with G_b = A diag(x_b) and one shared
-    # A = I + masked / (n - 1)
-    a = np.eye(n) + masked / (n - 1)
-    pq, pk, pv = projected = tuple(params.embeddings @ w
-                                   for w in (params.w_query, params.w_key, params.w_value))
-
-    # scaled dot-product self-attention across components, as n x n forms:
-    # q_b k_b^T / sqrt(dk) = G_b M G_b^T, and the value rows alpha_b G_b (E W_v)
-    # meet w_hidden only through U, so attended rows are never built. Every
-    # G_b product is one GEMM over all samples' rows: G_b M is x_b K with
-    # K[m, i*n + l] = A[i, m] M[m, l]; Y G_b^T scales Y's columns by x_b,
-    # then multiplies by A^T; Y G_b multiplies by A, then scales by x_b
-    dk = pq.shape[1]
-    m = pq @ pk.T / np.sqrt(dk)
-    gm = x @ (a.T[:, :, None] * m[:, None, :]).reshape(n, n * n)
+    # every G_b product is one GEMM over all samples' rows: G_b M is x_b K;
+    # Y G_b^T scales Y's columns by x_b, then multiplies by A^T; Y G_b
+    # multiplies by A, then scales by x_b
+    gm = x @ constants.K
     x_tiled = np.tile(x, n)  # x_tiled[b, i*n + l] = x[b, l]
     # the scores are held transposed, as one (n, B n) array whose column
     # b*n + i is row i of S_b, so the softmax reduces along the leading axis
@@ -291,15 +327,15 @@ def forward_batch(
     alpha = softmax_leading(a @ (gm * x_tiled).reshape(b * n, n).T)
     p = (alpha.T @ a).reshape(b, n * n)
     p *= x_tiled
-    u = np.einsum("md,idh->imh", pv, params.w_hidden.reshape(n, dk, -1)).reshape(n * n, -1)
 
     # projection head
-    pre = p @ u
     if mode == "train":
-        bn_out, x_hat, inv_std = batchnorm_train_cached(pre, params.bn, params.arch.bn_momentum,
+        bn_out, x_hat, inv_std = batchnorm_train_cached(p @ constants.U, params.bn,
+                                                        params.arch.bn_momentum,
                                                         params.arch.bn_epsilon)
     else:
-        bn_out = batchnorm_eval(pre, params.bn, params.arch.bn_epsilon)
+        bn_out = p @ constants.folded_U
+        bn_out += constants.folded_shift
         x_hat, inv_std = None, None
 
     post = np.maximum(bn_out, 0.0)
@@ -322,9 +358,8 @@ def forward_batch(
     features = head_out / divisor[..., None]
 
     return features, BatchTrace(
-        inputs=x, unit_factors=vhat, factor_norms=factor_norms, adjacency=adj,
-        A=a, projected=projected, M=m, GM=gm.reshape(b, n, n), attention=alpha,
-        P=p.reshape(b, n, n), U=u,
+        inputs=x, constants=constants, GM=gm.reshape(b, n, n), attention=alpha,
+        P=p.reshape(b, n, n),
         bn_x_hat=x_hat, bn_inv_std=inv_std, bn_out=bn_out, post_relu=post,
         dropout_mask=mask, out_norms=norms, out_divisor=divisor,
         features=features, mode=mode,
@@ -336,7 +371,8 @@ EVAL_CHUNK = 2048
 
 
 def eval_features(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Eval-mode features for a (B, n) batch, computed in EVAL_CHUNK-row chunks.
+    """Eval-mode features for a (B, n) batch, computed in EVAL_CHUNK-row chunks
+    that share one encoder_constants(params).
 
     A one-row remainder is folded into the chunk before it: numpy runs a
     one-row matmul through another BLAS kernel, whose last bits differ, so
@@ -345,12 +381,14 @@ def eval_features(x: np.ndarray, params: ModelParams) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     rows = x.shape[0]
     starts = list(range(0, rows, EVAL_CHUNK))
+    if not starts:
+        return np.zeros((0, params.w_out.shape[1]))
     if len(starts) > 1 and rows - starts[-1] == 1:
         starts.pop()
     ends = starts[1:] + [rows]
-    outputs = [forward_batch(x[s:e], params, mode="eval")[0] for s, e in zip(starts, ends)]
-    if not outputs:
-        return np.zeros((0, params.w_out.shape[1]))
+    constants = encoder_constants(params)
+    outputs = [forward_batch(x[s:e], params, mode="eval", constants=constants)[0]
+               for s, e in zip(starts, ends)]
     return np.concatenate(outputs, axis=0)
 
 

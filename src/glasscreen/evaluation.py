@@ -105,13 +105,29 @@ def roc_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, floa
     return [(0.0, 0.0)] + [(f / m0, t / m1) for f, t in zip(fp.tolist(), tp.tolist())]
 
 
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k highest scores, highest first, ties broken by
+    ascending index: ``np.lexsort((np.arange(m), -scores))[:k]``.
+
+    Only the scores at or above the k-th are sorted: a partition finds the
+    k-th, and every tie at it is kept, so the tie rule picks among them.
+    """
+    if not 1 <= k <= scores.size:
+        raise ValueError(f"k={k} out of range for {scores.size} scores")
+    negated = -scores
+    if k < scores.size:
+        kth = np.partition(negated, k - 1)[k - 1]
+        # ~(>) rather than <=: a nan k-th score (the sort puts nan last) keeps every row
+        kept = np.flatnonzero(~(negated > kth))
+    else:
+        kept = np.arange(scores.size)
+    return kept[np.lexsort((kept, negated[kept]))][:k]
+
+
 def precision_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Target fraction among the k highest scores (ties broken by ascending
     sample index for determinism)."""
-    if not 1 <= k <= scores.size:
-        raise ValueError(f"k={k} out of range for {scores.size} scores")
-    top = np.lexsort((np.arange(scores.size), -scores))[:k]
-    return int(labels[top].sum()) / k
+    return int(labels[top_k(scores, k)].sum()) / k
 
 
 def make_report(scores: np.ndarray, samples: Samples, k: int) -> Report:

@@ -16,7 +16,7 @@ __all__ = [
     "softmax_leading",
     "BatchNormState",
     "batchnorm_backward",
-    "batchnorm_eval",
+    "batchnorm_fold",
     "batchnorm_train_cached",
 ]
 
@@ -140,17 +140,15 @@ def batchnorm_backward(d_out: np.ndarray, x_hat: np.ndarray, inv_std: np.ndarray
     return d_x, d_gamma, d_beta
 
 
-def batchnorm_eval(x: np.ndarray, state: BatchNormState, epsilon: float) -> np.ndarray:
-    """Eval-mode batch norm by the running statistics and ``epsilon``; never mutates the state.
+def batchnorm_fold(state: BatchNormState, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode batch norm by the running statistics and ``epsilon`` as one
+    ``(scale, shift)`` pair; never mutates the state.
 
-    Accepts a single vector or a batch.
+    By the running statistics the batch norm is affine,
+    gamma * (x - running_mean) / sqrt(running_var + epsilon) + beta
+    = x * scale + shift, so it folds into the linear layer before it:
+    (p @ U) * scale + shift = p @ (U * scale) + shift.
     """
-    inv_std = 1.0 / np.sqrt(state.running_var + epsilon)
-    # in place on a fresh array, in the order of
-    # gamma * (x - running_mean) * inv_std + beta, so the bits are the same
-    out = np.asarray(x, dtype=np.float64) - state.running_mean
-    out *= state.gamma
-    out *= inv_std
-    out += state.beta
-    return out
-
+    scale = state.gamma / np.sqrt(state.running_var + epsilon)
+    shift = state.beta - state.running_mean * scale
+    return scale, shift

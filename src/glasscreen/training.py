@@ -90,7 +90,8 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
     if b % 3 != 0:
         raise ValueError(f"trace batch of {b} rows is not a stack of triplets")
     t = b // 3
-    n = trace.adjacency.shape[0]
+    constants = trace.constants
+    n = constants.A.shape[0]
 
     # loss -> features
     fa, fp, fn = features[:t], features[t:2 * t], features[2 * t:]
@@ -129,10 +130,10 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
 
     # projection head first layer, folded: pre = vec(P_b) U with
     # U[i*n + m] = (E W_v)[m] @ w_hidden block i
-    pq, pk, pv = trace.projected
+    pq, pk, pv = constants.projected
     dk = pq.shape[1]
     d_u = (trace.P.reshape(b, n * n).T @ d_pre).reshape(n, n, -1)
-    d_p = d_pre @ trace.U.T
+    d_p = d_pre @ constants.U.T
     grads["w_hidden"][...] = np.matmul(pv.T, d_u).reshape(n * dk, -1)
     d_pv = np.einsum("imh,idh->md", d_u, params.w_hidden.reshape(n, dk, -1))
 
@@ -140,7 +141,7 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
     # The inputs are not trained, so only the shared A and M need gradients:
     # with all samples' rows stacked, each of their terms is one GEMM. Like
     # alpha, d_alpha and dS are (n, B n), so the softmax's sum is over axis 0
-    a, alpha = trace.A, trace.attention
+    a, alpha = constants.A, trace.attention
     x_tiled = np.tile(trace.inputs, n)  # x_tiled[b, i*n + l] = inputs[b, l]
     d_p *= x_tiled
     d_p_rows = d_p.reshape(b * n, n)
@@ -153,7 +154,7 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
     d_gm = (d_scores.T @ a).reshape(b, n * n)
     d_gm *= x_tiled
     d_k = (trace.inputs.T @ d_gm).reshape(n, n, n)
-    d_a += np.einsum("mil,ml->im", d_k, trace.M)
+    d_a += np.einsum("mil,ml->im", d_k, constants.M)
     d_m = np.einsum("mil,im->ml", d_k, a)
     _ensure_finite(d_a, "self attention")
 
@@ -172,11 +173,11 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
     np.fill_diagonal(d_masked, 0.0)  # diagonal is excluded from the message sum
 
     # adjacency = vhat vhat^T through factor row-normalization
-    vhat = trace.unit_factors
+    vhat = constants.unit_factors
     d_vhat = (d_masked + d_masked.T) @ vhat
     vdots = np.sum(vhat * d_vhat, axis=1)
     grads["interaction_factors"][...] = ((d_vhat - vdots[:, None] * vhat)
-                                         / trace.factor_norms[:, None])
+                                         / constants.factor_norms[:, None])
     _ensure_finite(grads["interaction_factors"], "graph convolution")
     return grad
 

@@ -273,6 +273,14 @@ class TestEval:
         assert code == EXIT_NUMERIC
         assert not report_dir.exists()
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_usage_error(self, tmp_path, monkeypatch, k):
+        # the inputs do not exist, so reading any of them first would be a data error
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--checkpoint", "model.ckpt", "--data", "data.csv",
+                     "--report-dir", "report", "--k", k]) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
     def test_knn_baseline_reports(self, workdir):
         tmp_path, data, config = workdir
         out = run_train(tmp_path, data, config)
@@ -340,6 +348,14 @@ class TestScreen:
         code = main(["screen", "--checkpoint", str(out), "--candidates", str(candidates),
                      "--top-k", "10", "--out", str(tmp_path / "ranked.csv")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_top_k_below_one_is_usage_error(self, tmp_path, monkeypatch, k):
+        # the inputs do not exist, so reading any of them first would be a data error
+        monkeypatch.chdir(tmp_path)
+        assert main(["screen", "--checkpoint", "model.ckpt", "--candidates", "c.csv",
+                     "--top-k", k, "--out", "picks.csv"]) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
 
     def test_schema_mismatch_is_data_error(self, workdir):
         tmp_path, data, config = workdir

@@ -18,6 +18,7 @@ from glasscreen.deepglassnet import (
     CheckpointError,
     CheckpointVersionError,
     ModelParams,
+    encoder_constants,
     eval_features,
     forward_batch,
     init_params,
@@ -60,13 +61,13 @@ def trace_of(x, params):
 def mixing_of(trace):
     """The (B, n, n) mixing matrices G_b = A diag(x_b) rebuilt from a trace:
     forward_batch multiplies by them through the shared A and never builds them."""
-    return trace.A * trace.inputs[:, None, :]
+    return trace.constants.A * trace.inputs[:, None, :]
 
 
 def rows_of(trace, index):
     """Query (0), key (1) or value (2) rows G_b (E W) rebuilt from a trace:
     forward_batch folds them into n x n forms and never builds them."""
-    return np.matmul(mixing_of(trace), trace.projected[index])
+    return np.matmul(mixing_of(trace), trace.constants.projected[index])
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
@@ -112,7 +113,7 @@ class TestEmbedProportions:
         assert np.array_equal(mixing_of(trace)[0, 1], x)
         assert np.array_equal(rows_of(trace, 0)[0, 1],
                               (tiny_params.embeddings @ tiny_params.w_query)[1])
-        assert np.array_equal(trace.GM[0, 1], trace.M[1])
+        assert np.array_equal(trace.GM[0, 1], trace.constants.M[1])
 
     def test_linearity(self, tiny_params):
         x = np.array([0.1, 0.2, 0.3, 0.4])
@@ -140,7 +141,7 @@ class TestAdjacency:
             ArchConfig(n_components=2, embed_dim=2, adjacency_rank=2,
                        attention_dim=2, hidden_dim=3, feature_dim=2), seed=0)
         params.interaction_factors[...] = np.array([[2.0, 0.0], [5.0, 0.0]])
-        assert np.allclose(trace_of([0.5, 0.5], params).adjacency,
+        assert np.allclose(encoder_constants(params).adjacency,
                            [[1.0, 1.0], [1.0, 1.0]], atol=1e-14)
 
     def test_orthogonal_factors(self):
@@ -148,14 +149,14 @@ class TestAdjacency:
             ArchConfig(n_components=2, embed_dim=2, adjacency_rank=2,
                        attention_dim=2, hidden_dim=3, feature_dim=2), seed=0)
         params.interaction_factors[...] = np.array([[3.0, 0.0], [0.0, 0.25]])
-        a = trace_of([0.5, 0.5], params).adjacency
+        a = encoder_constants(params).adjacency
         assert abs(a[0, 1]) < 1e-14 and abs(a[1, 0]) < 1e-14
 
     def test_random_symmetry_and_diagonal(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             params = self.with_factors(rng.normal(size=(4, 2)))
-            a = trace_of(np.full(4, 0.25), params).adjacency
+            a = encoder_constants(params).adjacency
             assert np.max(np.abs(a - a.T)) < 1e-14
             assert np.max(np.abs(np.diag(a) - 1.0)) < 1e-12
             assert np.all(np.abs(a) <= 1.0 + 1e-12)
@@ -187,11 +188,11 @@ class TestGraphConvolve:
         params = init_params(self.arch(4, 2, 4), seed=0)
         params.interaction_factors[...] = np.eye(4)  # orthogonal factors: identity adjacency
         trace = trace_of(np.arange(8.0).reshape(2, 4), params)
-        assert np.array_equal(trace.adjacency, np.eye(4))
+        assert np.array_equal(trace.constants.adjacency, np.eye(4))
         assert np.array_equal(mixing_of(trace), trace.inputs[:, None, :] * np.eye(4))
         assert np.array_equal(rows_of(trace, 0),
                               trace.inputs[:, :, None] * (params.embeddings @ params.w_query))
-        assert np.array_equal(trace.GM, trace.inputs[:, :, None] * trace.M)
+        assert np.array_equal(trace.GM, trace.inputs[:, :, None] * trace.constants.M)
 
     def test_two_components_full_coupling(self):
         params = init_params(self.arch(2, 2, 2), seed=0)
@@ -210,7 +211,7 @@ class TestGraphConvolve:
             params.interaction_factors[...] = rng.normal(size=(n, 2))
             trace = trace_of(rng.normal(size=(2, n)), params)
             for x, q in zip(trace.inputs, rows_of(trace, 0)):
-                z = convolve_oracle(x[:, None] * params.embeddings, trace.adjacency)
+                z = convolve_oracle(x[:, None] * params.embeddings, trace.constants.adjacency)
                 assert np.max(np.abs(q - z @ params.w_query)) < 1e-12
 
     def test_single_component_rejected(self):
@@ -247,25 +248,25 @@ class TestSelfAttention:
         trace = trace_of(np.full(4, 0.25), tiny_params)
         # identical embeddings give identical rows of E @ W, and symmetric
         # coupling makes every row of G a permutation of the first
-        for projected in trace.projected:
+        for projected in trace.constants.projected:
             assert np.max(np.abs(projected - projected[0])) == 0.0
         rows = np.sort(mixing_of(trace)[0], axis=1)
         assert np.max(np.abs(rows - rows[0])) == 0.0
-        u = trace.P[0] @ trace.projected[2]  # the attended rows alpha_b G_b (E W_v)
+        u = trace.P[0] @ trace.constants.projected[2]  # the attended rows alpha_b G_b (E W_v)
         assert np.max(np.abs(u - u[0])) < 1e-12
 
     def test_zero_value_matrix(self, tiny_params):
         tiny_params.w_value[...] = np.zeros_like(tiny_params.w_value)
         x = np.random.default_rng(0).normal(size=(3, 4))
         trace = trace_of(x, tiny_params)
-        assert np.all(trace.U == 0.0)  # no value reaches the head
-        assert np.all(trace.P @ trace.projected[2] == 0.0)
+        assert np.all(trace.constants.U == 0.0)  # no value reaches the head
+        assert np.all(trace.P @ trace.constants.projected[2] == 0.0)
 
     def test_matches_loop_oracle(self, tiny_params):
         rng = np.random.default_rng(7)
         trace = trace_of(rng.normal(size=(10, 4)), tiny_params)
-        for x, got in zip(trace.inputs, trace.P @ trace.projected[2]):
-            z = convolve_oracle(x[:, None] * tiny_params.embeddings, trace.adjacency)
+        for x, got in zip(trace.inputs, trace.P @ trace.constants.projected[2]):
+            z = convolve_oracle(x[:, None] * tiny_params.embeddings, trace.constants.adjacency)
             want = attention_oracle(z, tiny_params.w_query,
                                     tiny_params.w_key, tiny_params.w_value)
             assert np.max(np.abs(got - want)) < 1e-12
@@ -315,8 +316,8 @@ class TestForward:
         rng = RandomSource(12)
         tiny_params.b_out += 0.2
         features, trace = forward_batch(rng.normal(0, 1, size=(50, 4)), tiny_params)
-        assert np.max(np.abs(trace.adjacency - trace.adjacency.T)) < 1e-12
-        assert np.max(np.abs(np.diag(trace.adjacency) - 1.0)) < 1e-12
+        assert np.max(np.abs(trace.constants.adjacency - trace.constants.adjacency.T)) < 1e-12
+        assert np.max(np.abs(np.diag(trace.constants.adjacency) - 1.0)) < 1e-12
         assert np.max(np.abs(trace.attention.sum(axis=0) - 1.0)) < 1e-12  # (n, B n)
         assert np.max(np.abs(np.linalg.norm(features, axis=1) - 1.0)) < 1e-12
 
@@ -376,6 +377,25 @@ class TestForward:
         assert np.array_equal(features_at_chunk(x, params, chunk),
                               features_at_chunk(x, params, max(rows, 2)))
 
+    def test_eval_features_equals_forward_batch_per_chunk(self):
+        # two full chunks and a one-row remainder, folded into the second
+        params = init_params(ArchConfig(n_components=8), seed=0)
+        chunk = deepglassnet.EVAL_CHUNK
+        x = RandomSource(16).normal(0, 1, size=(2 * chunk + 1, 8))
+        expected = np.concatenate([forward_batch(x[:chunk], params)[0],
+                                   forward_batch(x[chunk:], params)[0]])
+        assert eval_features(x, params).tobytes() == expected.tobytes()
+
+    def test_constants_from_other_params_are_refused(self, tiny_params):
+        x = RandomSource(17).normal(0, 1, size=(3, 4))
+        constants = encoder_constants(tiny_params)
+        forward_batch(x, tiny_params, constants=constants)
+        for other in (tiny_params.copy(), init_params(TINY, seed=4)):
+            with pytest.raises(ValueError, match="another ModelParams"):
+                forward_batch(x, other, constants=constants)
+            with pytest.raises(ValueError, match="another ModelParams"):
+                forward_batch(x, other, mode="train", constants=constants)
+
     @pytest.mark.parametrize("arch, rows", [(ArchConfig(n_components=8), 768), (TINY, 9)],
                              ids=["default-768", "tiny-9"])
     @pytest.mark.parametrize("seed", range(3))
@@ -387,7 +407,7 @@ class TestForward:
         folded = {name: rows_of(trace, index)
                   for index, name in enumerate(("query", "key", "value"))}
         folded["scores"] = np.matmul(trace.GM, np.swapaxes(mixing_of(trace), -1, -2))
-        folded["pre"] = trace.P.reshape(rows, -1) @ trace.U
+        folded["pre"] = trace.P.reshape(rows, -1) @ trace.constants.U
         for name, got in folded.items():
             expected = stages[name]
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name

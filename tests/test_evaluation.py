@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from glasscreen import evaluation
 from glasscreen.data_pipeline import EmptyClassError, fit_normalization
@@ -18,6 +19,7 @@ from glasscreen.evaluation import (
     precision_at_k,
     roc_points,
     score,
+    top_k,
 )
 from glasscreen.numeric_core import RandomSource
 from sample_tables import table
@@ -116,6 +118,22 @@ class TestRocPoints:
         labels = rng.integers(0, 2, size=120)
         labels[0], labels[1] = 0, 1
         assert abs(trapezoid_area(roc_points(scores, labels)) - auc(scores, labels)) < 1e-12
+
+
+class TestTopK:
+    # heavy ties, -0.0 beside 0.0, and values far apart
+    SCORES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]) | st.floats(-1e3, 1e3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_full_lexsort(self, data):
+        m = data.draw(st.integers(1, 60), label="m")
+        scores = data.draw(arrays(np.float64, m, elements=self.SCORES), label="scores")
+        k = data.draw(st.sampled_from([1, m]) | st.integers(1, m), label="k")
+        before = scores.tobytes()
+        expected = np.lexsort((np.arange(m), -scores))[:k]
+        assert np.array_equal(top_k(scores, k), expected)
+        assert scores.tobytes() == before
 
 
 class TestPrecisionAtK:

@@ -11,7 +11,7 @@ from glasscreen.deepglassnet import ArchConfig, forward_batch, init_params
 from glasscreen.numeric_core import (
     BatchNormState,
     RandomSource,
-    batchnorm_eval,
+    batchnorm_fold,
     batchnorm_train_cached,
     softmax_leading,
 )
@@ -203,8 +203,8 @@ class TestBatchNorm:
     def test_eval_neutral_stats_is_identity(self):
         state = neutral_state(3)
         x = np.array([[1.0, -2.0, 0.5], [0.0, 4.0, -1.0]])
-        out = batchnorm_eval(x, state, 1e-12)
-        assert np.max(np.abs(out - x)) < 1e-9
+        scale, shift = batchnorm_fold(state, 1e-12)
+        assert np.max(np.abs(x * scale + shift - x)) < 1e-9
 
     def test_eval_is_pure(self):
         rng = np.random.default_rng(4)
@@ -212,29 +212,30 @@ class TestBatchNorm:
             gamma=rng.normal(size=6), beta=rng.normal(size=6),
             running_mean=rng.normal(size=6), running_var=rng.random(6) + 0.5,
         )
-        x = rng.normal(size=(10, 6))
-        before_mean, before_var = state.running_mean.copy(), state.running_var.copy()
-        first = batchnorm_eval(x, state, EPSILON)
-        second = batchnorm_eval(x, state, EPSILON)
-        assert np.array_equal(first, second)
-        assert np.array_equal(state.running_mean, before_mean)
-        assert np.array_equal(state.running_var, before_var)
+        before = [v.copy() for v in (state.gamma, state.beta, state.running_mean,
+                                     state.running_var)]
+        first = batchnorm_fold(state, EPSILON)
+        second = batchnorm_fold(state, EPSILON)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        after = (state.gamma, state.beta, state.running_mean, state.running_var)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_eval_bitwise_equal_to_formula(self, data):
         h = data.draw(st.integers(1, 8), label="h")
-        shape = data.draw(st.sampled_from([(h,), (data.draw(st.integers(1, 6)), h)]), label="shape")
-        x = data.draw(arrays(np.float64, shape, elements=TIED_OR_LARGE), label="x")
         vector = arrays(np.float64, (h,), elements=TIED_OR_LARGE)
         state = BatchNormState(
             gamma=data.draw(vector), beta=data.draw(vector), running_mean=data.draw(vector),
             running_var=data.draw(arrays(np.float64, (h,), elements=st.floats(0, 700))))
-        before = x.copy()
-        inv_std = 1.0 / np.sqrt(state.running_var + EPSILON)
-        expected = state.gamma * (x - state.running_mean) * inv_std + state.beta
-        assert batchnorm_eval(x, state, EPSILON).tobytes() == expected.tobytes()
-        assert x.tobytes() == before.tobytes()
+        before = [v.tobytes() for v in (state.gamma, state.beta, state.running_mean,
+                                        state.running_var)]
+        scale = state.gamma / np.sqrt(state.running_var + EPSILON)
+        got_scale, got_shift = batchnorm_fold(state, EPSILON)
+        assert got_scale.tobytes() == scale.tobytes()
+        assert got_shift.tobytes() == (state.beta - state.running_mean * scale).tobytes()
+        assert [v.tobytes() for v in (state.gamma, state.beta, state.running_mean,
+                                      state.running_var)] == before
 
     @pytest.mark.parametrize("rows", [2, 9, 768])
     def test_train_bitwise_equal_to_mean_and_var(self, rows):

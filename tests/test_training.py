@@ -135,7 +135,8 @@ def einsum_backward(trace, params):
     the (B, n, d) adjacency contraction. backward must agree with it to
     rounding."""
     stages = unfolded_forward(trace.inputs, params, mode="train")
-    n = trace.adjacency.shape[0]
+    constants = trace.constants
+    n = constants.adjacency.shape[0]
     d_head, d_bn_out = head_gradients(trace, params)
     grads = {"w_out": trace.post_relu.T @ d_head, "b_out": d_head.sum(axis=0)}
     x_hat, inv_std = trace.bn_x_hat, trace.bn_inv_std
@@ -163,10 +164,10 @@ def einsum_backward(trace, params):
     d_modulated = d_mixed + np.matmul(masked.T, d_mixed) / (n - 1)
     d_masked = np.einsum("bnd,bmd->nm", d_mixed, modulated) / (n - 1)
     np.fill_diagonal(d_masked, 0.0)
-    vhat = trace.unit_factors
+    vhat = constants.unit_factors
     d_vhat = (d_masked + d_masked.T) @ vhat
     vdots = np.sum(vhat * d_vhat, axis=1)
-    grads["interaction_factors"] = (d_vhat - vdots[:, None] * vhat) / trace.factor_norms[:, None]
+    grads["interaction_factors"] = (d_vhat - vdots[:, None] * vhat) / constants.factor_norms[:, None]
     grads["embeddings"] = np.einsum("bn,bnd->nd", trace.inputs, d_modulated)
     return grads
 
