@@ -2,8 +2,11 @@
 """Write the synthetic 8-component benchmark corpus as a composition/Tg CSV.
 
 The ground-truth coefficients are frozen in glasscreen.synthetic, so the same
-seed always reproduces the same corpus. Use --sum-jitter to emulate the dirty
-mass-fraction sums of real database exports (exercises `glasscreen clean`).
+seed always reproduces the same corpus. --sum-jitter J scales each row by
+U(1-J, 1+J), so each row sums to within J of 1; `glasscreen clean` drops rows
+by sum only when J exceeds its sum band's half-width (0.05 for the default
+[0.95, 1.05]), so 0.03 keeps every row and 0.1 emulates the dirty
+mass-fraction sums of real database exports.
 """
 
 import argparse
@@ -24,7 +27,8 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_DATA_SEED)
     parser.add_argument("--noise-std", type=float, default=DEFAULT_NOISE_STD)
     parser.add_argument("--sum-jitter", type=float, default=0.0,
-                        help="rescale each row by U(1-j, 1+j)")
+                        help="rescale each row by U(1-J, 1+J); clean drops rows by sum "
+                             "only when J exceeds its band's half-width (0.05 by default)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
 

@@ -314,16 +314,24 @@ _WRITE_CHUNK_ROWS = 4096
 def write_candidates(path, schema: ComponentSchema, candidates: np.ndarray) -> None:
     """Write a candidate table: the component header, then each cell as
     ``repr(float(value))``. Each distinct value (by bit pattern, so -0.0 and
-    0.0 stay apart) is formatted once."""
+    0.0 stay apart) is formatted once with its separator, "," or, in the last
+    column, "\\n"; each chunk of rows is then one join of those strings."""
     candidates = np.ascontiguousarray(candidates, dtype=np.float64)
-    bits, inverse = np.unique(candidates.view(np.int64), return_inverse=True)
-    cells = np.array([repr(float(v)) for v in bits.view(np.float64)], dtype=object)
-    inverse = inverse.reshape(candidates.shape)
+    bits = candidates.view(np.int64)
+    # a sort and a mask: np.unique(bits) gives the same array about 8x slower on numpy 2.4
+    distinct = np.sort(bits, axis=None)
+    keep = np.ones(distinct.size, dtype=bool)
+    keep[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[keep]
+    # column by column: a lattice column runs in order, which keeps the search short
+    code = np.searchsorted(distinct, bits.T).T
+    code[:, -1] += distinct.size
+    cells = [repr(v) for v in distinct.view(np.float64).tolist()]
+    table = np.array([c + "," for c in cells] + [c + "\n" for c in cells], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         write_header(fh, schema.names)
         for start in range(0, candidates.shape[0], _WRITE_CHUNK_ROWS):
-            rows = cells[inverse[start:start + _WRITE_CHUNK_ROWS]].tolist()
-            fh.write("".join([",".join(row) + "\n" for row in rows]))
+            fh.write("".join(table[code[start:start + _WRITE_CHUNK_ROWS]].ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +508,10 @@ def enumerate_candidates(schema: ComponentSchema, grid: GridConfig) -> np.ndarra
     if grid.max_nonzero > n:
         raise ValueError(f"max_nonzero {grid.max_nonzero} exceeds component count {n}")
     m = grid.ticks
+    # every tick count and difference below lies within (n + 1) * m of zero
+    if (n + 1) * m > np.iinfo(np.int64).max:
+        raise ValueError(f"step {grid.step} is too fine for {n} components: "
+                         f"(components + 1) * round(1 / step) must be below 2**63")
     if grid.bounds is not None:
         if len(grid.bounds) != n:
             raise ValueError(f"bounds has {len(grid.bounds)} entries, schema has {n}")

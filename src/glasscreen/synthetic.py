@@ -59,8 +59,9 @@ def generate_raw_samples(
 ) -> Samples:
     """Benchmark corpus of compositions with noisy Tg labels.
 
-    ``sum_jitter`` optionally rescales each row by U(1-j, 1+j) so the corpus
-    also exercises the sum filter of the cleaning step.
+    ``sum_jitter`` optionally rescales each row by U(1-j, 1+j), so each row
+    sums to within j of 1. The cleaning step's sum filter drops rows only when
+    j exceeds its band's half-width (0.05 for the default [0.95, 1.05]).
     """
     rng = RandomSource(seed)
     x = generate_compositions(n_samples, rng)

@@ -465,6 +465,24 @@ class TestEnumerate:
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
+    # 2**-62 is the coarsest power-of-two step refused for 2 components:
+    # 3 * 2**62 ticks' worth of arithmetic does not fit in int64
+    @pytest.mark.parametrize("step", ["1e-300", repr(2.0 ** -62)])
+    def test_step_too_fine_for_int64_is_data_error(self, tmp_path, caplog, step):
+        out = tmp_path / "grid.csv"
+        code = main(["enumerate", "--components", "A,B", "--step", step, "--cap", "1000",
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert f"step {float(step)!r} is too fine for 2 components" in caplog.text
+        assert not out.exists()
+
+    def test_finest_power_of_two_step_within_int64_enumerates(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        code = main(["enumerate", "--components", "A,B", "--step", repr(2.0 ** -61),
+                     "--bound", "A", "0.5", "0.5", "--cap", "1000", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text() == "A,B\n0.5,0.5\n"
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_output_matches_per_cell_repr_writer(self, data):

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from glasscreen import data_pipeline
 from glasscreen.data_pipeline import (
@@ -36,6 +37,7 @@ from glasscreen.data_pipeline import (
     write_dataset,
 )
 from glasscreen.numeric_core import RandomSource
+from glasscreen.synthetic import generate_raw_samples
 from sample_tables import assert_same_table, concat, labeled, table
 
 SCHEMA3 = ComponentSchema(("A", "B", "C"))
@@ -416,17 +418,34 @@ def mutate_table(data, text, n_columns, mutations):
     return "".join(lines)
 
 
+# cell values that share bits or compare equal, as bit patterns: -0.0 beside
+# 0.0, quiet and signalling nans of both signs and several payloads, +-inf,
+# subnormals and ordinary floats
+WRITER_POOL = np.array([
+    0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+    0x7FF8000000000001, 0x7FF0000000000001, 0xFFF0000000000002, 0x7FF0000000000000,
+    0xFFF0000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+], dtype=np.uint64).view(np.float64)
+WRITER_POOL = np.concatenate([WRITER_POOL, [1 / 3, 2 / 3, 0.1 + 0.2, 0.05, 1.0, -1e300]])
+
+
 class TestWriteCandidates:
-    def test_matches_per_cell_repr(self, tmp_path):
-        rows = np.array([
-            [0.0, -0.0, 1.0],
-            [-0.0, 1 / 3, 2 / 3],
-            [1 / 7, 6 / 7, 5e-324],
-            [0.1 + 0.2, 1e-300, 0.7],
-        ])
-        write_candidates(tmp_path / "c.csv", SCHEMA3, rows)
-        assert (tmp_path / "c.csv").read_text(encoding="utf-8") == \
-            reference_candidate_text(SCHEMA3, rows)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: arrays(
+        np.intp, st.tuples(st.integers(0, 40), st.just(n)),
+        elements=st.integers(0, WRITER_POOL.size - 1))).map(WRITER_POOL.__getitem__))
+    @example(np.array([
+        [0.0, -0.0, 1.0],
+        [-0.0, 1 / 3, 2 / 3],
+        [1 / 7, 6 / 7, 5e-324],
+        [0.1 + 0.2, 1e-300, 0.7],
+    ]))
+    def test_matches_per_cell_repr(self, rows):
+        schema = ComponentSchema(tuple("ABCDE"[:rows.shape[1]]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.csv"
+            write_candidates(path, schema, rows)
+            assert path.read_text(encoding="utf-8") == reference_candidate_text(schema, rows)
 
     def test_many_chunks_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -493,6 +512,14 @@ class TestClean:
 
     def test_missing_tg_removed(self):
         assert len(kept_rows(self.sample(1.00, tg=None), 0.95, 1.05)) == 0
+
+    def test_sum_jitter_drops_rows_only_beyond_the_sum_band(self):
+        raw = generate_raw_samples(n_samples=4000, seed=42, sum_jitter=0.03)
+        totals = raw.fractions.sum(axis=1)
+        assert 0.97 - 1e-12 <= totals.min() and totals.max() <= 1.03 + 1e-12
+        assert clean_with_counts(raw, 0.95, 1.05)[1].dropped_sum == 0
+        raw = generate_raw_samples(n_samples=4000, seed=42, sum_jitter=0.1)
+        assert clean_with_counts(raw, 0.95, 1.05)[1].dropped_sum > 0
 
     def test_negative_fraction_removed(self):
         bad = table([[1.2, -0.2]], [400.0])
@@ -935,6 +962,13 @@ class TestEnumerateCandidates:
         ])
         assert got.shape == (6, 3)
         assert np.max(np.abs(got - expected)) < 1e-12  # exact order required
+
+    def test_int64_step_bound_counts_components(self):
+        grid = GridConfig(step=2.0 ** -60, max_nonzero=2, cap=10)
+        with pytest.raises(CandidateCapError):  # 3 * 2**60 ticks fit in int64
+            enumerate_candidates(ComponentSchema(("A", "B")), grid)
+        with pytest.raises(ValueError, match=r"too fine for 8 components"):  # 9 * 2**60 do not
+            enumerate_candidates(ComponentSchema(tuple("ABCDEFGH")), grid)
 
     def test_two_components_unit_step(self):
         got = enumerate_candidates(ComponentSchema(("A", "B")), GridConfig(step=1.0, max_nonzero=2))
