@@ -366,7 +366,10 @@ def cmd_enumerate(args) -> int:
         for name, lo, hi in args.bound:
             if name not in index:
                 raise ConfigError(f"--bound names unknown component {name!r}")
-            bounds[index[name]] = (float(lo), float(hi))
+            lo, hi = float(lo), float(hi)
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError(f"--bound {name} {lo} {hi}: an end is nan")
+            bounds[index[name]] = (lo, hi)
     max_nonzero = schema.n if args.max_nonzero is None else args.max_nonzero
     grid = GridConfig(step=args.step, max_nonzero=max_nonzero, bounds=bounds, cap=args.cap)
     candidates = enumerate_candidates(schema, grid)

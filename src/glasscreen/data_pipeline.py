@@ -520,6 +520,8 @@ def enumerate_candidates(schema: ComponentSchema, grid: GridConfig) -> np.ndarra
         for lo, hi in grid.bounds:
             if lo > hi:
                 raise ValueError(f"bound lo {lo} exceeds hi {hi}")
+            # clamped to [-1, 2] for finite ticks, an end outside [0, 1] (inf too) stays outside
+            lo, hi = min(max(lo, -1.0), 2.0), min(max(hi, -1.0), 2.0)
             lo_ticks.append(max(0, math.ceil(lo / grid.step - 1e-9)))
             hi_ticks.append(min(m, math.floor(hi / grid.step + 1e-9)))
     else:

@@ -216,7 +216,6 @@ class EncoderConstants:
     params: ModelParams
     unit_factors: np.ndarray    # (n, rank)
     factor_norms: np.ndarray    # (n,)
-    adjacency: np.ndarray       # (n, n)
     A: np.ndarray               # (n, n) I + masked / (n - 1); G_b = A diag(x_b)
     projected: tuple[np.ndarray, np.ndarray, np.ndarray]  # E @ W_q, E @ W_k, E @ W_v, each (n, dk)
     M: np.ndarray               # (n, n) (E W_q)(E W_k)^T / sqrt(dk)
@@ -257,7 +256,7 @@ def encoder_constants(params: ModelParams) -> EncoderConstants:
     u = np.einsum("md,idh->imh", pv, params.w_hidden.reshape(n, dk, -1)).reshape(n * n, -1)
     scale, shift = batchnorm_fold(params.bn, params.arch.bn_epsilon)
     return EncoderConstants(
-        params=params, unit_factors=vhat, factor_norms=factor_norms, adjacency=adj, A=a,
+        params=params, unit_factors=vhat, factor_norms=factor_norms, A=a,
         projected=projected, M=m, K=k, U=u, folded_U=u * scale, folded_shift=shift,
     )
 
@@ -268,16 +267,15 @@ class BatchTrace:
 
     inputs: np.ndarray          # (B, n)
     constants: EncoderConstants  # the graph, A, the projections, M, K and U
-    GM: np.ndarray              # (B, n, n) G_b M
+    GMX: np.ndarray             # (B n, n) G_b M diag(x_b), row b*n + i is row i
     attention: np.ndarray       # (n, B n) softmax of G_b M G_b^T, column b*n + i is row i
-    P: np.ndarray               # (B, n, n) alpha_b G_b
+    P: np.ndarray               # (B, n n) alpha_b G_b, row b is its n x n block row by row
     bn_x_hat: np.ndarray | None  # train-mode cache
     bn_inv_std: np.ndarray | None
-    bn_out: np.ndarray          # (B, h)
-    post_relu: np.ndarray       # (B, h)
+    post_relu: np.ndarray       # (B, h) after ReLU and dropout
     dropout_mask: np.ndarray | None
-    out_norms: np.ndarray       # (B,)
-    out_divisor: np.ndarray     # (B,) 1.0 where the zero-norm guard fired
+    guarded: np.ndarray         # (B,) bool: the zero-norm guard fired, row left unnormalized
+    out_divisor: np.ndarray     # (B,) 1.0 where guarded, else the row's norm
     features: np.ndarray        # (B, k)
     mode: str
 
@@ -316,39 +314,41 @@ def forward_batch(
         raise ValueError("encoder constants were built from another ModelParams")
     a = constants.A
 
-    # every G_b product is one GEMM over all samples' rows: G_b M is x_b K;
-    # Y G_b^T scales Y's columns by x_b, then multiplies by A^T; Y G_b
-    # multiplies by A, then scales by x_b
-    gm = x @ constants.K
-    x_tiled = np.tile(x, n)  # x_tiled[b, i*n + l] = x[b, l]
-    # the scores are held transposed, as one (n, B n) array whose column
-    # b*n + i is row i of S_b, so the softmax reduces along the leading axis
-    # (in place: the scores are a temporary)
-    alpha = softmax_leading(a @ (gm * x_tiled).reshape(b * n, n).T)
-    p = (alpha.T @ a).reshape(b, n * n)
-    p *= x_tiled
+    # every G_b product is one GEMM over all samples' rows, and diag(x_b) is
+    # x_b broadcast over the columns of each (n, n) block, in place: G_b M is
+    # x_b K, scaled to G_b M diag(x_b); alpha_b G_b is alpha_b A, scaled
+    gmx = (x @ constants.K).reshape(b, n, n)
+    gmx *= x[:, None, :]
+    gmx = gmx.reshape(b * n, n)  # the rows the scores and backward's d A read
+    # the scores S_b = G_b M diag(x_b) A^T are held transposed, as one
+    # (n, B n) array whose column b*n + i is row i of S_b, so the softmax
+    # reduces along the leading axis (in place: the scores are a temporary)
+    alpha = softmax_leading(a @ gmx.T)
+    p = (alpha.T @ a).reshape(b, n, n)
+    p *= x[:, None, :]
+    p = p.reshape(b, n * n)  # the layout the head GEMM and backward's P^T d_pre read
 
-    # projection head
+    # projection head: the hidden layer's batch norm, ReLU and dropout in place
     if mode == "train":
-        bn_out, x_hat, inv_std = batchnorm_train_cached(p @ constants.U, params.bn,
+        hidden, x_hat, inv_std = batchnorm_train_cached(p @ constants.U, params.bn,
                                                         params.arch.bn_momentum,
                                                         params.arch.bn_epsilon)
     else:
-        bn_out = p @ constants.folded_U
-        bn_out += constants.folded_shift
+        hidden = p @ constants.folded_U
+        hidden += constants.folded_shift
         x_hat, inv_std = None, None
 
-    post = np.maximum(bn_out, 0.0)
+    np.maximum(hidden, 0.0, out=hidden)
     mask = None
     dropout = params.arch.dropout
     if mode == "train" and dropout > 0.0:
         if rng is None:
             raise ValueError("dropout > 0 in train mode requires an rng")
-        mask = (rng.uniform(size=post.shape) >= dropout) / (1.0 - dropout)
-        post = post * mask
+        mask = (rng.uniform(size=hidden.shape) >= dropout) / (1.0 - dropout)
+        hidden *= mask
 
     # L2 normalization; rows with norm <= 1e-12 pass through unnormalized
-    head_out = post @ params.w_out + params.b_out
+    head_out = hidden @ params.w_out + params.b_out
     norms = np.linalg.norm(head_out, axis=-1)
     guarded = norms <= 1e-12
     if np.any(guarded):
@@ -358,11 +358,9 @@ def forward_batch(
     features = head_out / divisor[..., None]
 
     return features, BatchTrace(
-        inputs=x, constants=constants, GM=gm.reshape(b, n, n), attention=alpha,
-        P=p.reshape(b, n, n),
-        bn_x_hat=x_hat, bn_inv_std=inv_std, bn_out=bn_out, post_relu=post,
-        dropout_mask=mask, out_norms=norms, out_divisor=divisor,
-        features=features, mode=mode,
+        inputs=x, constants=constants, GMX=gmx, attention=alpha, P=p,
+        bn_x_hat=x_hat, bn_inv_std=inv_std, post_relu=hidden, dropout_mask=mask,
+        guarded=guarded, out_divisor=divisor, features=features, mode=mode,
     )
 
 

@@ -115,12 +115,9 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= scores.size:
         raise ValueError(f"k={k} out of range for {scores.size} scores")
     negated = -scores
-    if k < scores.size:
-        kth = np.partition(negated, k - 1)[k - 1]
-        # ~(>) rather than <=: a nan k-th score (the sort puts nan last) keeps every row
-        kept = np.flatnonzero(~(negated > kth))
-    else:
-        kept = np.arange(scores.size)
+    kth = np.partition(negated, k - 1)[k - 1]
+    # ~(>) rather than <=: a nan k-th score (the sort puts nan last) keeps every row
+    kept = np.flatnonzero(~(negated > kth))
     return kept[np.lexsort((kept, negated[kept]))][:k]
 
 

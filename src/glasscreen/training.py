@@ -107,9 +107,8 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
     # L2 normalization (guarded rows passed through unnormalized)
     dots = np.sum(features * d_features, axis=1)
     d_head = (d_features - dots[:, None] * features) / trace.out_divisor[:, None]
-    guarded = trace.out_norms <= 1e-12
-    if np.any(guarded):
-        d_head[guarded] = d_features[guarded]
+    if np.any(trace.guarded):
+        d_head[trace.guarded] = d_features[trace.guarded]
 
     grad = np.zeros_like(params.vector)
     grads = tensor_views(params.arch, grad)
@@ -120,7 +119,8 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
     d_post = d_head @ params.w_out.T.copy()  # a contiguous w_out^T multiplies faster
     if trace.dropout_mask is not None:
         d_post = d_post * trace.dropout_mask
-    d_bn_out = d_post * (trace.bn_out > 0.0)
+    # the ReLU's mask: dropout scales a kept unit by >= 1, and d_post is 0 at a dropped one
+    d_bn_out = d_post * (trace.post_relu > 0.0)
     _ensure_finite(d_bn_out, "projection head")
 
     # batch norm over batch statistics
@@ -132,28 +132,28 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
     # U[i*n + m] = (E W_v)[m] @ w_hidden block i
     pq, pk, pv = constants.projected
     dk = pq.shape[1]
-    d_u = (trace.P.reshape(b, n * n).T @ d_pre).reshape(n, n, -1)
-    d_p = d_pre @ constants.U.T
+    d_u = (trace.P.T @ d_pre).reshape(n, n, -1)
+    d_p = (d_pre @ constants.U.T).reshape(b, n, n)
     grads["w_hidden"][...] = np.matmul(pv.T, d_u).reshape(n * dk, -1)
     d_pv = np.einsum("imh,idh->md", d_u, params.w_hidden.reshape(n, dk, -1))
 
-    # attention: P_b = alpha_b G_b and S_b = (G_b M) G_b^T with G_b = A diag(x_b).
-    # The inputs are not trained, so only the shared A and M need gradients:
-    # with all samples' rows stacked, each of their terms is one GEMM. Like
-    # alpha, d_alpha and dS are (n, B n), so the softmax's sum is over axis 0
-    a, alpha = constants.A, trace.attention
-    x_tiled = np.tile(trace.inputs, n)  # x_tiled[b, i*n + l] = inputs[b, l]
-    d_p *= x_tiled
+    # attention: P_b = alpha_b G_b and S_b = (G_b M diag(x_b)) A^T with
+    # G_b = A diag(x_b). The inputs are not trained, so only the shared A and
+    # M need gradients, each term one GEMM over all samples' stacked rows;
+    # diag(x_b) scales each block's columns, as in forward. Like alpha,
+    # d_alpha and dS are (n, B n), so the softmax's sum is over axis 0
+    a, alpha, x = constants.A, trace.attention, trace.inputs[:, None, :]
+    d_p *= x
     d_p_rows = d_p.reshape(b * n, n)
     d_a = alpha @ d_p_rows
     d_scores = a @ d_p_rows.T  # d_alpha, turned into dS in place
     d_scores -= np.einsum("ij,ij->j", d_scores, alpha)
     d_scores *= alpha
-    d_a += d_scores @ (trace.GM.reshape(b, n * n) * x_tiled).reshape(b * n, n)
+    d_a += d_scores @ trace.GMX
     # d(G_b M) = dS_b G_b, and G_b M = x_b K with K[m, i*n + l] = A[i, m] M[m, l]
-    d_gm = (d_scores.T @ a).reshape(b, n * n)
-    d_gm *= x_tiled
-    d_k = (trace.inputs.T @ d_gm).reshape(n, n, n)
+    d_gm = (d_scores.T @ a).reshape(b, n, n)
+    d_gm *= x
+    d_k = (trace.inputs.T @ d_gm.reshape(b, n * n)).reshape(n, n, n)
     d_a += np.einsum("mil,ml->im", d_k, constants.M)
     d_m = np.einsum("mil,im->ml", d_k, a)
     _ensure_finite(d_a, "self attention")

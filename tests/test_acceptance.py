@@ -218,7 +218,8 @@ def test_a4_structural_invariants():
         rng = RandomSource(1000 + param_seed)
         x = np.stack([rng.normal(0.0, 1.0, size=6) for _ in range(200)])
         features, trace = forward_batch(x, params)
-        a = trace.constants.adjacency
+        vhat = trace.constants.unit_factors
+        a = vhat @ vhat.T  # the interaction graph
         worst["symmetry"] = max(worst["symmetry"], float(np.max(np.abs(a - a.T))))
         worst["diagonal"] = max(worst["diagonal"], float(np.max(np.abs(np.diag(a) - 1.0))))
         # the attention is held as (n, B n): each column is one softmax row

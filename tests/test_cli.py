@@ -456,6 +456,27 @@ class TestEnumerate:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert all(float(r[0]) >= 0.5 for r in rows)
 
+    def test_infinite_bound_end_acts_as_an_end_outside_the_unit_interval(self, tmp_path):
+        def lattice(lo, hi):
+            out = tmp_path / f"grid_{lo}_{hi}.csv"
+            code = main(["enumerate", "--components", "A,B", "--step", "0.5",
+                         "--bound", "A", lo, hi, "--out", str(out)])
+            assert code == EXIT_OK
+            return out.read_bytes()
+
+        assert lattice("0", "inf") == lattice("0", "1") == b"A,B\n1.0,0.0\n0.5,0.5\n0.0,1.0\n"
+        assert lattice("inf", "inf") == lattice("2", "3") == b"A,B\n"
+
+    @pytest.mark.parametrize("lo, hi", [("nan", "1"), ("0", "nan"), ("nan", "nan")])
+    def test_nan_bound_end_is_data_error(self, tmp_path, caplog, lo, hi):
+        out = tmp_path / "grid.csv"
+        code = main(["enumerate", "--components", "A,B", "--step", "0.5",
+                     "--bound", "B", lo, hi, "--out", str(out)])
+        assert code == EXIT_DATA
+        assert f"--bound B {float(lo)} {float(hi)}: an end is nan" in caplog.text
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
     @pytest.mark.parametrize("max_nonzero", ["0", "-1"])
     def test_max_nonzero_below_one_is_data_error(self, tmp_path, max_nonzero):
         out = tmp_path / "grid.csv"

@@ -1017,6 +1017,19 @@ class TestEnumerateCandidates:
         assert np.all(got[:, 0] >= 0.25 - 1e-12)
         assert np.all(got[:, 1] <= 0.5 + 1e-12)
 
+    @pytest.mark.parametrize("infinite, finite", [
+        ((0.0, math.inf), (0.0, 1.0)), ((-math.inf, 0.5), (-1.0, 0.5)),
+        ((math.inf, math.inf), (2.0, 3.0)), ((-math.inf, -math.inf), (-3.0, -2.0)),
+        ((-math.inf, math.inf), (-1.0, 2.0)),
+    ])
+    def test_infinite_bound_end_acts_as_an_end_outside_the_unit_interval(self, infinite,
+                                                                          finite):
+        def lattice(bound):
+            grid = GridConfig(step=0.25, max_nonzero=3, bounds=[(0.0, 1.0), bound, (0.0, 1.0)])
+            return enumerate_candidates(SCHEMA3, grid)
+
+        assert np.array_equal(lattice(infinite), lattice(finite))
+
     def test_sums_and_uniqueness(self):
         schema = ComponentSchema(tuple(f"C{i}" for i in range(5)))
         got = enumerate_candidates(schema, GridConfig(step=0.2, max_nonzero=5))

@@ -70,6 +70,17 @@ def rows_of(trace, index):
     return np.matmul(mixing_of(trace), trace.constants.projected[index])
 
 
+def blocks_of(trace, name):
+    """trace.GMX (G_b M diag(x_b)) or trace.P (alpha_b G_b) as (B, n, n) blocks."""
+    n = trace.inputs.shape[1]
+    return getattr(trace, name).reshape(-1, n, n)
+
+
+def adjacency_of(constants):
+    """The interaction graph: the Gram matrix of the unit factor rows."""
+    return constants.unit_factors @ constants.unit_factors.T
+
+
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
     for name, tensor in a.trainable().items():
         if not np.array_equal(tensor, b.trainable()[name]):
@@ -113,13 +124,13 @@ class TestEmbedProportions:
         assert np.array_equal(mixing_of(trace)[0, 1], x)
         assert np.array_equal(rows_of(trace, 0)[0, 1],
                               (tiny_params.embeddings @ tiny_params.w_query)[1])
-        assert np.array_equal(trace.GM[0, 1], trace.constants.M[1])
+        assert np.array_equal(blocks_of(trace, "GMX")[0, 1], trace.constants.M[1] * x)
 
     def test_linearity(self, tiny_params):
         x = np.array([0.1, 0.2, 0.3, 0.4])
         single, double = trace_of(x, tiny_params), trace_of(2 * x, tiny_params)
         assert np.array_equal(mixing_of(double), 2 * mixing_of(single))
-        assert np.array_equal(double.GM, 2 * single.GM)
+        assert np.array_equal(double.GMX, 4 * single.GMX)  # G_b M diag(x_b) is quadratic
         for index, name in enumerate(("query", "key", "value")):
             assert np.array_equal(rows_of(double, index), 2 * rows_of(single, index)), name
 
@@ -141,7 +152,7 @@ class TestAdjacency:
             ArchConfig(n_components=2, embed_dim=2, adjacency_rank=2,
                        attention_dim=2, hidden_dim=3, feature_dim=2), seed=0)
         params.interaction_factors[...] = np.array([[2.0, 0.0], [5.0, 0.0]])
-        assert np.allclose(encoder_constants(params).adjacency,
+        assert np.allclose(adjacency_of(encoder_constants(params)),
                            [[1.0, 1.0], [1.0, 1.0]], atol=1e-14)
 
     def test_orthogonal_factors(self):
@@ -149,14 +160,14 @@ class TestAdjacency:
             ArchConfig(n_components=2, embed_dim=2, adjacency_rank=2,
                        attention_dim=2, hidden_dim=3, feature_dim=2), seed=0)
         params.interaction_factors[...] = np.array([[3.0, 0.0], [0.0, 0.25]])
-        a = encoder_constants(params).adjacency
+        a = adjacency_of(encoder_constants(params))
         assert abs(a[0, 1]) < 1e-14 and abs(a[1, 0]) < 1e-14
 
     def test_random_symmetry_and_diagonal(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             params = self.with_factors(rng.normal(size=(4, 2)))
-            a = encoder_constants(params).adjacency
+            a = adjacency_of(encoder_constants(params))
             assert np.max(np.abs(a - a.T)) < 1e-14
             assert np.max(np.abs(np.diag(a) - 1.0)) < 1e-12
             assert np.all(np.abs(a) <= 1.0 + 1e-12)
@@ -188,11 +199,12 @@ class TestGraphConvolve:
         params = init_params(self.arch(4, 2, 4), seed=0)
         params.interaction_factors[...] = np.eye(4)  # orthogonal factors: identity adjacency
         trace = trace_of(np.arange(8.0).reshape(2, 4), params)
-        assert np.array_equal(trace.constants.adjacency, np.eye(4))
+        assert np.array_equal(adjacency_of(trace.constants), np.eye(4))
         assert np.array_equal(mixing_of(trace), trace.inputs[:, None, :] * np.eye(4))
         assert np.array_equal(rows_of(trace, 0),
                               trace.inputs[:, :, None] * (params.embeddings @ params.w_query))
-        assert np.array_equal(trace.GM, trace.inputs[:, :, None] * trace.constants.M)
+        assert np.array_equal(blocks_of(trace, "GMX"), trace.inputs[:, :, None]
+                              * trace.constants.M * trace.inputs[:, None, :])
 
     def test_two_components_full_coupling(self):
         params = init_params(self.arch(2, 2, 2), seed=0)
@@ -211,7 +223,7 @@ class TestGraphConvolve:
             params.interaction_factors[...] = rng.normal(size=(n, 2))
             trace = trace_of(rng.normal(size=(2, n)), params)
             for x, q in zip(trace.inputs, rows_of(trace, 0)):
-                z = convolve_oracle(x[:, None] * params.embeddings, trace.constants.adjacency)
+                z = convolve_oracle(x[:, None] * params.embeddings, adjacency_of(trace.constants))
                 assert np.max(np.abs(q - z @ params.w_query)) < 1e-12
 
     def test_single_component_rejected(self):
@@ -252,7 +264,8 @@ class TestSelfAttention:
             assert np.max(np.abs(projected - projected[0])) == 0.0
         rows = np.sort(mixing_of(trace)[0], axis=1)
         assert np.max(np.abs(rows - rows[0])) == 0.0
-        u = trace.P[0] @ trace.constants.projected[2]  # the attended rows alpha_b G_b (E W_v)
+        # the attended rows alpha_b G_b (E W_v)
+        u = blocks_of(trace, "P")[0] @ trace.constants.projected[2]
         assert np.max(np.abs(u - u[0])) < 1e-12
 
     def test_zero_value_matrix(self, tiny_params):
@@ -260,13 +273,13 @@ class TestSelfAttention:
         x = np.random.default_rng(0).normal(size=(3, 4))
         trace = trace_of(x, tiny_params)
         assert np.all(trace.constants.U == 0.0)  # no value reaches the head
-        assert np.all(trace.P @ trace.constants.projected[2] == 0.0)
+        assert np.all(blocks_of(trace, "P") @ trace.constants.projected[2] == 0.0)
 
     def test_matches_loop_oracle(self, tiny_params):
         rng = np.random.default_rng(7)
         trace = trace_of(rng.normal(size=(10, 4)), tiny_params)
-        for x, got in zip(trace.inputs, trace.P @ trace.constants.projected[2]):
-            z = convolve_oracle(x[:, None] * tiny_params.embeddings, trace.constants.adjacency)
+        for x, got in zip(trace.inputs, blocks_of(trace, "P") @ trace.constants.projected[2]):
+            z = convolve_oracle(x[:, None] * tiny_params.embeddings, adjacency_of(trace.constants))
             want = attention_oracle(z, tiny_params.w_query,
                                     tiny_params.w_key, tiny_params.w_value)
             assert np.max(np.abs(got - want)) < 1e-12
@@ -316,15 +329,16 @@ class TestForward:
         rng = RandomSource(12)
         tiny_params.b_out += 0.2
         features, trace = forward_batch(rng.normal(0, 1, size=(50, 4)), tiny_params)
-        assert np.max(np.abs(trace.constants.adjacency - trace.constants.adjacency.T)) < 1e-12
-        assert np.max(np.abs(np.diag(trace.constants.adjacency) - 1.0)) < 1e-12
+        adjacency = adjacency_of(trace.constants)
+        assert np.max(np.abs(adjacency - adjacency.T)) < 1e-12
+        assert np.max(np.abs(np.diag(adjacency) - 1.0)) < 1e-12
         assert np.max(np.abs(trace.attention.sum(axis=0) - 1.0)) < 1e-12  # (n, B n)
         assert np.max(np.abs(np.linalg.norm(features, axis=1) - 1.0)) < 1e-12
 
     def test_zero_input_propagation(self, tiny_params):
         trace = trace_of(np.zeros(4), tiny_params)
         assert np.all(mixing_of(trace) == 0.0)
-        for name in ("GM", "P"):
+        for name in ("GMX", "P"):
             assert np.all(getattr(trace, name) == 0.0), name
         assert np.allclose(trace.attention, 0.25, atol=1e-12)
 
@@ -406,8 +420,9 @@ class TestForward:
         stages = unfolded_forward(x, params)
         folded = {name: rows_of(trace, index)
                   for index, name in enumerate(("query", "key", "value"))}
-        folded["scores"] = np.matmul(trace.GM, np.swapaxes(mixing_of(trace), -1, -2))
-        folded["pre"] = trace.P.reshape(rows, -1) @ trace.constants.U
+        # S_b = G_b M G_b^T = (G_b M diag(x_b)) A^T
+        folded["scores"] = np.matmul(blocks_of(trace, "GMX"), trace.constants.A.T)
+        folded["pre"] = trace.P @ trace.constants.U
         for name, got in folded.items():
             expected = stages[name]
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name

@@ -121,8 +121,10 @@ class TestRocPoints:
 
 
 class TestTopK:
-    # heavy ties, -0.0 beside 0.0, and values far apart
-    SCORES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]) | st.floats(-1e3, 1e3)
+    # heavy ties, -0.0 beside 0.0, values far apart, and nan and +-inf, which
+    # pin the nan rule (nan ranks last) at every k
+    SCORES = (st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, math.nan, math.inf, -math.inf])
+              | st.floats(-1e3, 1e3))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

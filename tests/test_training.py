@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,11 +106,18 @@ def named_gradients(trace, params):
     return tensor_views(params.arch, backward(trace, params))
 
 
+def head_output(trace, params):
+    """The head's output before the L2 normalization, rebuilt from a trace."""
+    return trace.post_relu @ params.w_out + params.b_out
+
+
 def head_gradients(trace, params):
     """(d_head, d_bn_out) rebuilt from a train-mode trace: the gradients of
     the batch-mean triplet loss at the head's output (through the L2
     normalization, guarded rows passed through) and at the batch norm's
-    output (through the second head layer, dropout and ReLU)."""
+    output (through the second head layer, dropout and ReLU). The zero-norm
+    guard and the ReLU mask are rebuilt from the head output and from the
+    batch norm's x_hat, gamma and beta, not read from the trace's masks."""
     features = trace.features
     t = features.shape[0] // 3
     fa, fp, fn = features[:t], features[t:2 * t], features[2 * t:]
@@ -119,12 +126,27 @@ def head_gradients(trace, params):
                                  gate[:, None] * fa])
     dots = np.sum(features * d_features, axis=1)
     d_head = (d_features - dots[:, None] * features) / trace.out_divisor[:, None]
-    guarded = trace.out_norms <= 1e-12
+    guarded = np.linalg.norm(head_output(trace, params), axis=1) <= 1e-12
     d_head[guarded] = d_features[guarded]
     d_post = d_head @ params.w_out.T
     if trace.dropout_mask is not None:
         d_post = d_post * trace.dropout_mask
-    return d_head, d_post * (trace.bn_out > 0.0)
+    bn_out = params.bn.gamma * trace.bn_x_hat + params.bn.beta
+    return d_head, d_post * (bn_out > 0.0)
+
+
+def trace_arrays(trace):
+    """Every array a trace holds, by name: its own fields', its encoder
+    constants' (the projections' tuple item by item) and the parameter vector."""
+    found = {"params.vector": trace.constants.params.vector}
+    for owner, holder in (("trace", trace), ("constants", trace.constants)):
+        for spec in fields(holder):
+            value = getattr(holder, spec.name)
+            if isinstance(value, np.ndarray):
+                found[f"{owner}.{spec.name}"] = value
+            elif isinstance(value, tuple):
+                found.update((f"{owner}.{spec.name}[{i}]", item) for i, item in enumerate(value))
+    return found
 
 
 def einsum_backward(trace, params):
@@ -136,7 +158,7 @@ def einsum_backward(trace, params):
     rounding."""
     stages = unfolded_forward(trace.inputs, params, mode="train")
     constants = trace.constants
-    n = constants.adjacency.shape[0]
+    n = constants.A.shape[0]
     d_head, d_bn_out = head_gradients(trace, params)
     grads = {"w_out": trace.post_relu.T @ d_head, "b_out": d_head.sum(axis=0)}
     x_hat, inv_std = trace.bn_x_hat, trace.bn_inv_std
@@ -215,6 +237,22 @@ class TestBackward:
 
         err = grad_check(loss_fn, params.trainable(), grads, h=1e-5)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_backward_leaves_the_trace_unchanged(self, dropout):
+        # backward reads forward's arrays (G_b M diag(x_b), P, the ReLU output)
+        # instead of its own copies, so it must never write into them
+        params = _healthy_tiny_params(arch=replace(TINY, dropout=dropout))
+        batch = RandomSource(14).normal(0.0, 1.0, size=(9, 4))
+        _, trace = forward_batch(batch, params, mode="train", rng=RandomSource(15))
+        arrays = trace_arrays(trace)
+        assert {"trace.GMX", "trace.P", "trace.post_relu", "trace.guarded",
+                "constants.A", "constants.K", "params.vector"} <= arrays.keys()
+        assert ("trace.dropout_mask" in arrays) == (dropout > 0.0)
+        before = {name: (a.shape, a.dtype, a.tobytes()) for name, a in arrays.items()}
+        backward(trace, params)
+        after = {name: (a.shape, a.dtype, a.tobytes()) for name, a in trace_arrays(trace).items()}
+        assert [name for name in before if after[name] != before[name]] == []
 
     def test_identical_positive_negative_gives_zero_gradients(self):
         params = _healthy_tiny_params()
@@ -360,7 +398,9 @@ class TestBatchNormBackward:
         # read b_out), so the zero-norm guard passes its gradient through
         params.b_out[...] = -(run().post_relu[0] @ params.w_out)
         trace = run()
-        assert trace.out_norms[0] <= 1e-12 < np.min(trace.out_norms[1:])
+        norms = np.linalg.norm(head_output(trace, params), axis=1)
+        assert norms[0] <= 1e-12 < np.min(norms[1:])
+        assert trace.guarded.tolist() == [True] + [False] * (norms.size - 1)
         assert np.any(head_gradients(trace, params)[1][0] != 0.0)
         self.assert_matches_mean_form(trace, params)
 
