@@ -383,8 +383,22 @@ def cmd_enumerate(args) -> int:
 # parser / dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes a token such as -inf or -1e-3 for an option flag (it
+    reads only -1 and -0.5 forms as negative numbers), which made
+    ``--bound NAME -inf HI`` a usage error. No option here looks like a
+    number, so any token float() parses is an argument value."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="glasscreen",
         description="Train and apply a contrastive composition-screening model.",
     )

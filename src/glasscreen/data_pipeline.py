@@ -437,8 +437,10 @@ def augment(x: np.ndarray, sigma: float, rng: RandomSource) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if sigma == 0.0:
         return x.copy()
-    eps = rng.normal(0.0, sigma, size=x.shape)
-    return x * (1.0 + eps)
+    factor = rng.normal(0.0, sigma, size=x.shape)
+    factor += 1.0
+    factor *= x  # the bytes of x * (1.0 + eps): sums and products commute
+    return factor
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ import hashlib
 import logging
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import astuple, dataclass
+from functools import cache, cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -125,15 +128,17 @@ TENSORS = (
 )
 
 
-def tensor_layout(cfg: ArchConfig) -> dict[str, tuple[slice, tuple[int, ...]]]:
+@cache
+def tensor_layout(cfg: ArchConfig) -> Mapping[str, tuple[slice, tuple[int, ...]]]:
     """Name -> (slice of the parameter vector, shape) for every TENSORS row,
-    sized in Python ints, which no architecture can overflow."""
+    sized in Python ints, which no architecture can overflow. Computed once
+    per ArchConfig; the mapping is read-only, as every caller shares it."""
     layout, start = {}, 0
     for spec in TENSORS:
         shape = spec.shape(cfg)
         layout[spec.name] = (slice(start, start + math.prod(shape)), shape)
         start += math.prod(shape)
-    return layout
+    return MappingProxyType(layout)
 
 
 def tensor_views(cfg: ArchConfig, vector: np.ndarray) -> dict[str, np.ndarray]:
@@ -221,14 +226,19 @@ class EncoderConstants:
     M: np.ndarray               # (n, n) (E W_q)(E W_k)^T / sqrt(dk)
     K: np.ndarray               # (n, n*n) K[m, i*n + l] = A[i, m] M[m, l]; G_b M = x_b K
     U: np.ndarray               # (n*n, h) U[i*n + m] = (E W_v)[m] @ w_hidden block i
-    folded_U: np.ndarray        # (n*n, h) U * scale, the eval head's first product
-    folded_shift: np.ndarray    # (h,) the eval batch norm's shift
+
+    @cached_property
+    def folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U * scale, shift): the eval head's first product with the batch
+        norm's running statistics folded in (see batchnorm_fold). Built on
+        first use, as train mode never reads it."""
+        scale, shift = batchnorm_fold(self.params.bn, self.params.arch.bn_epsilon)
+        return self.U * scale, shift
 
 
 def encoder_constants(params: ModelParams) -> EncoderConstants:
     """Build the constants forward_batch needs from ``params`` alone: the
-    interaction graph, A, the Q/K/V projections, M, K, U, and U with the
-    eval-mode batch norm folded in."""
+    interaction graph, A, the Q/K/V projections, M, K and U."""
     # interaction graph: Gram matrix of row-normalized factors, so the
     # diagonal is 1 and entries lie in [-1, 1]; the self message is excluded
     factor_norms = np.linalg.norm(params.interaction_factors, axis=1)
@@ -253,11 +263,10 @@ def encoder_constants(params: ModelParams) -> EncoderConstants:
     dk = pq.shape[1]
     m = pq @ pk.T / np.sqrt(dk)
     k = (a.T[:, :, None] * m[:, None, :]).reshape(n, n * n)
-    u = np.einsum("md,idh->imh", pv, params.w_hidden.reshape(n, dk, -1)).reshape(n * n, -1)
-    scale, shift = batchnorm_fold(params.bn, params.arch.bn_epsilon)
+    u = np.matmul(pv, params.w_hidden.reshape(n, dk, -1)).reshape(n * n, -1)
     return EncoderConstants(
         params=params, unit_factors=vhat, factor_norms=factor_norms, A=a,
-        projected=projected, M=m, K=k, U=u, folded_U=u * scale, folded_shift=shift,
+        projected=projected, M=m, K=k, U=u,
     )
 
 
@@ -270,8 +279,8 @@ class BatchTrace:
     GMX: np.ndarray             # (B n, n) G_b M diag(x_b), row b*n + i is row i
     attention: np.ndarray       # (n, B n) softmax of G_b M G_b^T, column b*n + i is row i
     P: np.ndarray               # (B, n n) alpha_b G_b, row b is its n x n block row by row
-    bn_x_hat: np.ndarray | None  # train-mode cache
-    bn_inv_std: np.ndarray | None
+    bn_centred: np.ndarray | None  # (B, h) train-mode cache: pre-norm minus its batch mean
+    bn_inv_std: np.ndarray | None  # (h,) 1 / sqrt(batch variance + epsilon)
     post_relu: np.ndarray       # (B, h) after ReLU and dropout
     dropout_mask: np.ndarray | None
     guarded: np.ndarray         # (B,) bool: the zero-norm guard fired, row left unnormalized
@@ -330,13 +339,14 @@ def forward_batch(
 
     # projection head: the hidden layer's batch norm, ReLU and dropout in place
     if mode == "train":
-        hidden, x_hat, inv_std = batchnorm_train_cached(p @ constants.U, params.bn,
-                                                        params.arch.bn_momentum,
-                                                        params.arch.bn_epsilon)
+        hidden, centred, inv_std = batchnorm_train_cached(p, constants.U, params.bn,
+                                                          params.arch.bn_momentum,
+                                                          params.arch.bn_epsilon)
     else:
-        hidden = p @ constants.folded_U
-        hidden += constants.folded_shift
-        x_hat, inv_std = None, None
+        folded_u, folded_shift = constants.folded
+        hidden = p @ folded_u
+        hidden += folded_shift
+        centred, inv_std = None, None
 
     np.maximum(hidden, 0.0, out=hidden)
     mask = None
@@ -359,7 +369,7 @@ def forward_batch(
 
     return features, BatchTrace(
         inputs=x, constants=constants, GMX=gmx, attention=alpha, P=p,
-        bn_x_hat=x_hat, bn_inv_std=inv_std, post_relu=hidden, dropout_mask=mask,
+        bn_centred=centred, bn_inv_std=inv_std, post_relu=hidden, dropout_mask=mask,
         guarded=guarded, out_divisor=divisor, features=features, mode=mode,
     )
 

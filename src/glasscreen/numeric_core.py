@@ -7,6 +7,7 @@ depending on library-specific normal samplers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +42,25 @@ class RandomSource:
         if std < 0:
             raise ValueError(f"std must be >= 0, got {std}")
         shape = (size,) if isinstance(size, int) else tuple(size)
-        m = int(np.prod(shape))
+        m = math.prod(shape)
         npairs = (m + 1) // 2
         u1 = 1.0 - self._gen.random(npairs)  # (0, 1]: keeps log finite
         u2 = self._gen.random(npairs)
         radius = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
-                            radius * np.sin(2.0 * np.pi * u2)])[:m]
-        return (mean + std * z).reshape(shape)
+        angle = 2.0 * np.pi * u2
+        # the cosine branch then the sine branch, each scaled by the radius in
+        # its half of one buffer; products and sums commute bit for bit, so
+        # this is the same bytes as mean + std * (radius * cos | radius * sin)
+        z = np.empty(2 * npairs)
+        cos, sin = z[:npairs], z[npairs:]
+        np.cos(angle, out=cos)
+        cos *= radius
+        np.sin(angle, out=sin)
+        sin *= radius
+        z = z[:m]
+        z *= std
+        z += mean
+        return z.reshape(shape)
 
     def integers(self, low: int, high: np.ndarray) -> np.ndarray:
         """An int64 array shaped like ``high``, uniform on [low, high) per element.
@@ -96,46 +108,52 @@ class BatchNormState:
             raise ValueError("running_var entries must be >= 0")
 
 
-def batchnorm_train_cached(x: np.ndarray, state: BatchNormState, momentum: float,
-                           epsilon: float):
-    """Train-mode batch norm returning backward cache (x_hat, inv_std).
+def batchnorm_train_cached(p: np.ndarray, w: np.ndarray, state: BatchNormState,
+                           momentum: float, epsilon: float):
+    """Train-mode batch norm of the linear layer ``p @ w``, returning
+    (out, centred, inv_std): the output and the backward cache.
 
     Normalizes by population batch statistics (``epsilon`` added to the
     variance) and folds them into the running statistics, the new batch
-    weighted by ``momentum``.
+    weighted by ``momentum``. The product is this function's own array, so it
+    is centred in place; ``p``, ``w`` and every array the caller holds are
+    left as they were. With the mean and the variance each one einsum pass,
+    it makes five passes over the batch: column sum, centre, variance,
+    ``centred * (gamma * inv_std)`` and ``+= beta``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
+    centred = np.asarray(p, dtype=np.float64) @ np.asarray(w, dtype=np.float64)
+    if centred.ndim != 2 or centred.shape[0] < 2:
         raise ValueError("train-mode batch norm needs a batch of >= 2 vectors")
-    mean = x.mean(axis=0)
-    # population variance (ddof=0) from the centred batch, in the steps of
-    # numpy's own x.var(axis=0), so the bytes are the same
-    centred = x - mean
-    var = np.square(centred).sum(axis=0) / x.shape[0]
+    b = centred.shape[0]
+    mean = np.einsum("bh->h", centred) / b  # einsum: faster than mean(axis=0)
+    centred -= mean
+    var = np.einsum("bh,bh->h", centred, centred) / b  # population variance (ddof=0)
     inv_std = 1.0 / np.sqrt(var + epsilon)
-    x_hat = centred * inv_std
-    out = state.gamma * x_hat + state.beta
+    out = centred * (state.gamma * inv_std)
+    out += state.beta
     state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mean
     state.running_var = (1.0 - momentum) * state.running_var + momentum * var
-    return out, x_hat, inv_std
+    return out, centred, inv_std
 
 
-def batchnorm_backward(d_out: np.ndarray, x_hat: np.ndarray, inv_std: np.ndarray,
+def batchnorm_backward(d_out: np.ndarray, centred: np.ndarray, inv_std: np.ndarray,
                        gamma: np.ndarray):
     """Train-mode batch-norm gradients (d_x, d_gamma, d_beta) from the output
-    gradient and batchnorm_train_cached's (x_hat, inv_std).
+    gradient and batchnorm_train_cached's (centred, inv_std).
 
-    d_gamma and d_beta are the column sums of d_out * x_hat and of d_out. The
-    input gradient subtracts the column means of d_x_hat = gamma * d_out and
-    of d_x_hat * x_hat, which are gamma * d_beta / B and gamma * d_gamma / B:
-    d_x = gamma * inv_std * (d_out - d_beta / B - x_hat * d_gamma / B).
+    With x_hat = centred * inv_std, d_gamma and d_beta are the column sums of
+    d_out * x_hat and of d_out. The input gradient subtracts the column means
+    of d_x_hat = gamma * d_out and of d_x_hat * x_hat, which are
+    gamma * d_beta / B and gamma * d_gamma / B:
+    d_x = gamma * inv_std * (d_out - d_beta / B - centred * inv_std * d_gamma / B).
+    x_hat itself is never built.
     """
     b = d_out.shape[0]
     # einsum: faster than sum(axis=0), and no (B, h) temporary
-    d_gamma = np.einsum("bh,bh->h", d_out, x_hat)
+    d_gamma = np.einsum("bh,bh->h", d_out, centred) * inv_std
     d_beta = np.einsum("bh->h", d_out)
     d_x = d_out - d_beta / b
-    d_x -= x_hat * (d_gamma / b)
+    d_x -= centred * (inv_std * d_gamma / b)
     d_x *= gamma * inv_std
     return d_x, d_gamma, d_beta
 

@@ -116,16 +116,17 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
     # projection head second layer
     grads["w_out"][...] = trace.post_relu.T @ d_head
     grads["b_out"][...] = d_head.sum(axis=0)
+    # d_post is this function's own array: dropout and the ReLU mask it in place
     d_post = d_head @ params.w_out.T.copy()  # a contiguous w_out^T multiplies faster
     if trace.dropout_mask is not None:
-        d_post = d_post * trace.dropout_mask
+        d_post *= trace.dropout_mask
     # the ReLU's mask: dropout scales a kept unit by >= 1, and d_post is 0 at a dropped one
-    d_bn_out = d_post * (trace.post_relu > 0.0)
-    _ensure_finite(d_bn_out, "projection head")
+    d_post *= trace.post_relu > 0.0
+    _ensure_finite(d_post, "projection head")
 
     # batch norm over batch statistics
     d_pre, grads["bn_gamma"][...], grads["bn_beta"][...] = batchnorm_backward(
-        d_bn_out, trace.bn_x_hat, trace.bn_inv_std, params.bn.gamma)
+        d_post, trace.bn_centred, trace.bn_inv_std, params.bn.gamma)
     _ensure_finite(d_pre, "batch norm")
 
     # projection head first layer, folded: pre = vec(P_b) U with
@@ -135,7 +136,7 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
     d_u = (trace.P.T @ d_pre).reshape(n, n, -1)
     d_p = (d_pre @ constants.U.T).reshape(b, n, n)
     grads["w_hidden"][...] = np.matmul(pv.T, d_u).reshape(n * dk, -1)
-    d_pv = np.einsum("imh,idh->md", d_u, params.w_hidden.reshape(n, dk, -1))
+    d_pv = np.matmul(d_u, params.w_hidden.reshape(n, dk, -1).transpose(0, 2, 1)).sum(axis=0)
 
     # attention: P_b = alpha_b G_b and S_b = (G_b M diag(x_b)) A^T with
     # G_b = A diag(x_b). The inputs are not trained, so only the shared A and
@@ -188,6 +189,8 @@ def backward(trace: BatchTrace, params: ModelParams) -> np.ndarray:
 
 @dataclass
 class AdamState:
+    """Adam's step count and moments; adam_step updates m and v in place."""
+
     m: np.ndarray      # moments, one entry per entry of the parameter vector
     v: np.ndarray
     decay: np.ndarray  # bool: does weight decay apply to the entry
@@ -208,9 +211,21 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState, cfg: Trai
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * np.square(grad)
-    update = cfg.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + cfg.adam_eps)
+    # in place, with the operations of beta1 m + (1 - beta1) g, beta2 v +
+    # (1 - beta2) g^2 and lr (m / bc1) / (sqrt(v / bc2) + eps): products and
+    # sums commute bit for bit, so the bytes are the same
+    state.m *= cfg.beta1
+    state.m += (1.0 - cfg.beta1) * grad
+    squared = np.square(grad)
+    squared *= 1.0 - cfg.beta2
+    state.v *= cfg.beta2
+    state.v += squared
+    update = state.m / bc1
+    update *= cfg.lr
+    denominator = np.divide(state.v, bc2, out=squared)
+    np.sqrt(denominator, out=denominator)
+    denominator += cfg.adam_eps
+    update /= denominator
     if cfg.weight_decay > 0.0:
         # masked, as the per-tensor update was: adding 0.0 elsewhere could flip a -0.0
         np.add(update, cfg.lr * cfg.weight_decay * params.vector, out=update,

@@ -1,7 +1,7 @@
 """Reference code the tests compare the package against: a finite-difference
-gradient check, scalar normal draws, a per-tensor Adam step, the batch-norm
-input gradient in its mean form and the encoder's forward pass stage by
-stage, without the folded attention."""
+gradient check, scalar and concatenated Box-Muller normal draws, a per-tensor
+Adam step, the batch-norm input gradient in its mean form and the encoder's
+forward pass stage by stage, without the folded attention."""
 
 import math
 
@@ -51,6 +51,21 @@ def scalar_normal(rng, mean: float = 0.0, std: float = 1.0) -> float:
     u2 = rng.uniform()
     z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
     return mean + std * z
+
+
+def concatenated_normal(rng, mean: float = 0.0, std: float = 1.0, *, size) -> np.ndarray:
+    """RandomSource.normal in its concatenating Box-Muller form: (m + 1) // 2
+    pairs of uniforms, the cosine branch of every pair then the sine branch,
+    cut to m, then mean + std * z. Its bytes are the determinism contract's."""
+    shape = (size,) if isinstance(size, int) else tuple(size)
+    m = int(np.prod(shape))
+    npairs = (m + 1) // 2
+    u1 = 1.0 - rng.uniform(npairs)  # (0, 1]: keeps log finite
+    u2 = rng.uniform(npairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
+                        radius * np.sin(2.0 * np.pi * u2)])[:m]
+    return (mean + std * z).reshape(shape)
 
 
 def adam_loop(tensors: dict, grads: dict, m: dict, v: dict, t: int, decay: dict,

@@ -2,7 +2,8 @@
 them) and enforces its stated tolerance.
 
 The end-to-end synthetic run (shared by A3 and A8) trains the default
-configuration with seed 42 on the 4,000-sample benchmark corpus.
+configuration with seed 42 on the 4,000-sample benchmark corpus; A3 also runs
+on seed 7.
 """
 
 import json
@@ -119,12 +120,12 @@ def test_a2_auc_equals_bruteforce_exactly():
 # A3 + A8: end-to-end synthetic screening and training dynamics
 
 
-@pytest.fixture(scope="module")
-def synthetic_run():
+def _a3_recipe(seed: int) -> dict:
+    """A3's end-to-end run with ``seed`` as both the split and the train seed."""
     samples, band = benchmark_dataset(4000)
-    train_part, val_part = split(samples, 0.8, seed=42)
+    train_part, val_part = split(samples, 0.8, seed=seed)
     arch = ArchConfig(n_components=8)
-    cfg = TrainConfig(seed=42)  # defaults: 100 epochs, batch 256, lr 1e-3
+    cfg = TrainConfig(seed=seed)  # defaults: 100 epochs, batch 256, lr 1e-3
 
     started = time.monotonic()
     params, stats, history = train(train_part, val_part, arch, cfg)
@@ -142,12 +143,28 @@ def synthetic_run():
     }
 
 
+@pytest.fixture(scope="module")
+def synthetic_run():
+    return _a3_recipe(42)
+
+
 def test_a3_synthetic_screening(synthetic_run):
     dgn, knn = synthetic_run["dgn"], synthetic_run["knn"]
     runtime = synthetic_run["runtime"]
     ok = (dgn.auc >= 0.90 and dgn.precision_at_k >= 0.80
           and dgn.auc > knn.auc and runtime < 300.0)
     _report("A3", ok,
+            f"val AUC {dgn.auc:.4f} (>= 0.90), P@50 {dgn.precision_at_k:.3f} (>= 0.80), "
+            f"KNN AUC {knn.auc:.4f} (must be lower), runtime {runtime:.0f}s (limit 300s)")
+
+
+def test_a3_synthetic_screening_on_weakest_seed():
+    # of split/train seeds 42 and 0-7, seed 7 gives the lowest validation AUC
+    run = _a3_recipe(7)
+    dgn, knn, runtime = run["dgn"], run["knn"], run["runtime"]
+    ok = (dgn.auc >= 0.90 and dgn.precision_at_k >= 0.80
+          and dgn.auc > knn.auc and runtime < 300.0)
+    _report("A3 seed 7", ok,
             f"val AUC {dgn.auc:.4f} (>= 0.90), P@50 {dgn.precision_at_k:.3f} (>= 0.80), "
             f"KNN AUC {knn.auc:.4f} (must be lower), runtime {runtime:.0f}s (limit 300s)")
 

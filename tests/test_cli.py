@@ -467,6 +467,15 @@ class TestEnumerate:
         assert lattice("0", "inf") == lattice("0", "1") == b"A,B\n1.0,0.0\n0.5,0.5\n0.0,1.0\n"
         assert lattice("inf", "inf") == lattice("2", "3") == b"A,B\n"
 
+    # argparse alone reads -inf and -1e-3 as option flags, -1 and -0.5 as numbers
+    @pytest.mark.parametrize("lo", ["-inf", "-1e-3", "-1", "-0.5"])
+    def test_negative_lower_bound_end_parses_and_acts_as_zero(self, tmp_path, lo):
+        out = tmp_path / "grid.csv"
+        code = main(["enumerate", "--components", "A,B", "--step", "0.5",
+                     "--bound", "A", lo, "0.5", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_bytes() == b"A,B\n0.5,0.5\n0.0,1.0\n"
+
     @pytest.mark.parametrize("lo, hi", [("nan", "1"), ("0", "nan"), ("nan", "nan")])
     def test_nan_bound_end_is_data_error(self, tmp_path, caplog, lo, hi):
         out = tmp_path / "grid.csv"

@@ -16,7 +16,7 @@ from glasscreen.numeric_core import (
     softmax_leading,
 )
 from glasscreen.training import triplet_losses
-from oracles import grad_check, scalar_normal
+from oracles import concatenated_normal, grad_check, scalar_normal
 
 
 class TestInnerProduct:
@@ -181,12 +181,15 @@ def neutral_state(width):
 
 
 class TestBatchNorm:
+    """batchnorm_train_cached normalizes the product p @ w; with w the
+    identity, whose product with finite p is p bit for bit, it normalizes p."""
+
     def test_train_mode_whitens(self):
         rng = np.random.default_rng(2)
         x = rng.normal(2.0, 3.0, size=(64, 5))
         # tiny epsilon so the whitening check is tight
         state = neutral_state(5)
-        out, _, _ = batchnorm_train_cached(x, state, MOMENTUM, 1e-12)
+        out, _, _ = batchnorm_train_cached(x, np.eye(5), state, MOMENTUM, 1e-12)
         assert np.max(np.abs(out.mean(axis=0))) < 1e-9
         assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-9
 
@@ -194,7 +197,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(3)
         x = rng.normal(5.0, 2.0, size=(128, 4))
         state = neutral_state(4)
-        batchnorm_train_cached(x, state, 0.1, EPSILON)
+        batchnorm_train_cached(x, np.eye(4), state, 0.1, EPSILON)
         expected_mean = 0.9 * 0.0 + 0.1 * x.mean(axis=0)
         expected_var = 0.9 * 1.0 + 0.1 * x.var(axis=0)
         assert np.allclose(state.running_mean, expected_mean)
@@ -245,20 +248,34 @@ class TestBatchNorm:
         running_mean, running_var = rng.normal(size=64), rng.random(64) + 0.5
         state = BatchNormState(gamma=gamma, beta=beta, running_mean=running_mean.copy(),
                                running_var=running_var.copy())
-        out, x_hat, inv_std = batchnorm_train_cached(x, state, MOMENTUM, EPSILON)
+        out, centred, inv_std = batchnorm_train_cached(x, np.eye(64), state, MOMENTUM, EPSILON)
         mean, var = x.mean(axis=0), x.var(axis=0)
         expected_inv_std = 1.0 / np.sqrt(var + EPSILON)
-        expected_x_hat = (x - mean) * expected_inv_std
         assert inv_std.tobytes() == expected_inv_std.tobytes()
-        assert x_hat.tobytes() == expected_x_hat.tobytes()
-        assert out.tobytes() == (gamma * expected_x_hat + beta).tobytes()
+        assert centred.tobytes() == (x - mean).tobytes()
+        assert out.tobytes() == ((x - mean) * (gamma * expected_inv_std) + beta).tobytes()
         assert state.running_mean.tobytes() == (0.9 * running_mean + 0.1 * mean).tobytes()
         assert state.running_var.tobytes() == (0.9 * running_var + 0.1 * var).tobytes()
 
     def test_train_rejects_single_row(self):
         state = neutral_state(3)
         with pytest.raises(ValueError, match=">= 2"):
-            batchnorm_train_cached(np.ones((1, 3)), state, MOMENTUM, EPSILON)
+            batchnorm_train_cached(np.ones((1, 3)), np.eye(3), state, MOMENTUM, EPSILON)
+
+    def test_train_leaves_its_inputs_unchanged(self):
+        # the product is centred in place; the factors and gamma, beta are read only
+        rng = np.random.default_rng(5)
+        p, w = rng.normal(size=(32, 6)), rng.normal(size=(6, 4))
+        state = BatchNormState(gamma=rng.normal(size=4), beta=rng.normal(size=4),
+                               running_mean=np.zeros(4), running_var=np.ones(4))
+        held = {"p": p, "w": w, "gamma": state.gamma, "beta": state.beta}
+        before = {name: a.copy() for name, a in held.items()}
+        out, centred, inv_std = batchnorm_train_cached(p, w, state, MOMENTUM, EPSILON)
+        assert [name for name, a in held.items() if a.tobytes() != before[name].tobytes()] == []
+        assert not any(np.shares_memory(result, a)
+                       for result in (out, centred, inv_std) for a in held.values())
+        pre = p @ w
+        assert np.max(np.abs(centred - (pre - pre.mean(axis=0)))) <= 1e-12 * np.max(np.abs(pre))
 
 
 class TestGaussian:
@@ -273,6 +290,17 @@ class TestGaussian:
         seq2 = [scalar_normal(rng2, 0.0, 1.0) for _ in range(100)]
         assert seq1 == seq2
         assert np.array_equal(rng1.normal(0.0, 1.0, size=7), rng2.normal(0.0, 1.0, size=7))
+
+    @pytest.mark.parametrize("mean, std", [(0.0, 1.0), (2.5, 0.3), (-1.0, 0.0)])
+    @pytest.mark.parametrize("size", [1, 6, 7, (3, 5), (4, 6), (2, 3, 3)])
+    def test_bytes_match_concatenated_form(self, size, mean, std):
+        rng, reference = RandomSource(31), RandomSource(31)
+        for _ in range(3):  # later draws start mid-stream
+            got = rng.normal(mean, std, size=size)
+            expected = concatenated_normal(reference, mean, std, size=size)
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        assert rng.uniform(4).tobytes() == reference.uniform(4).tobytes()
 
     def test_moments_monte_carlo(self):
         draws = RandomSource(123).normal(0.0, 1.0, size=1_000_000)

@@ -117,7 +117,9 @@ def head_gradients(trace, params):
     normalization, guarded rows passed through) and at the batch norm's
     output (through the second head layer, dropout and ReLU). The zero-norm
     guard and the ReLU mask are rebuilt from the head output and from the
-    batch norm's x_hat, gamma and beta, not read from the trace's masks."""
+    batch norm's centred rows, inv_std, gamma and beta (in forward's order of
+    operations, so the mask is forward's bit for bit), not read from the
+    trace's masks."""
     features = trace.features
     t = features.shape[0] // 3
     fa, fp, fn = features[:t], features[t:2 * t], features[2 * t:]
@@ -131,7 +133,7 @@ def head_gradients(trace, params):
     d_post = d_head @ params.w_out.T
     if trace.dropout_mask is not None:
         d_post = d_post * trace.dropout_mask
-    bn_out = params.bn.gamma * trace.bn_x_hat + params.bn.beta
+    bn_out = trace.bn_centred * (params.bn.gamma * trace.bn_inv_std) + params.bn.beta
     return d_head, d_post * (bn_out > 0.0)
 
 
@@ -161,7 +163,8 @@ def einsum_backward(trace, params):
     n = constants.A.shape[0]
     d_head, d_bn_out = head_gradients(trace, params)
     grads = {"w_out": trace.post_relu.T @ d_head, "b_out": d_head.sum(axis=0)}
-    x_hat, inv_std = trace.bn_x_hat, trace.bn_inv_std
+    inv_std = trace.bn_inv_std
+    x_hat = trace.bn_centred * inv_std
     grads["bn_gamma"] = np.sum(d_bn_out * x_hat, axis=0)
     grads["bn_beta"] = d_bn_out.sum(axis=0)
     d_pre = batchnorm_backward_mean_form(d_bn_out, x_hat, inv_std, params.bn.gamma)
@@ -240,14 +243,16 @@ class TestBackward:
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_backward_leaves_the_trace_unchanged(self, dropout):
-        # backward reads forward's arrays (G_b M diag(x_b), P, the ReLU output)
-        # instead of its own copies, so it must never write into them
+        # backward reads forward's arrays (G_b M diag(x_b), P, the centred
+        # batch-norm input, the ReLU output) instead of its own copies, so it
+        # must never write into them
         params = _healthy_tiny_params(arch=replace(TINY, dropout=dropout))
         batch = RandomSource(14).normal(0.0, 1.0, size=(9, 4))
         _, trace = forward_batch(batch, params, mode="train", rng=RandomSource(15))
         arrays = trace_arrays(trace)
-        assert {"trace.GMX", "trace.P", "trace.post_relu", "trace.guarded",
-                "constants.A", "constants.K", "params.vector"} <= arrays.keys()
+        assert {"trace.GMX", "trace.P", "trace.bn_centred", "trace.bn_inv_std",
+                "trace.post_relu", "trace.guarded", "constants.A", "constants.K",
+                "params.vector"} <= arrays.keys()
         assert ("trace.dropout_mask" in arrays) == (dropout > 0.0)
         before = {name: (a.shape, a.dtype, a.tobytes()) for name, a in arrays.items()}
         backward(trace, params)
@@ -371,8 +376,9 @@ class TestBatchNormBackward:
     @staticmethod
     def assert_matches_mean_form(trace, params):
         _, d_bn_out = head_gradients(trace, params)
-        x_hat, inv_std, gamma = trace.bn_x_hat, trace.bn_inv_std, params.bn.gamma
-        d_pre, d_gamma, d_beta = batchnorm_backward(d_bn_out, x_hat, inv_std, gamma)
+        centred, inv_std, gamma = trace.bn_centred, trace.bn_inv_std, params.bn.gamma
+        x_hat = centred * inv_std
+        d_pre, d_gamma, d_beta = batchnorm_backward(d_bn_out, centred, inv_std, gamma)
         expected = batchnorm_backward_mean_form(d_bn_out, x_hat, inv_std, gamma)
         assert max_relative_gap(d_pre, expected) <= 1e-12
         assert max_relative_gap(d_gamma, np.sum(d_bn_out * x_hat, axis=0)) <= 1e-12
