@@ -198,9 +198,7 @@ def _parse_band(text: str) -> TgBand:
 # commands
 
 
-def cmd_clean(args) -> int:
-    run = RunConfig.load(args.config, {"seed": args.seed, "min_sum": args.min_sum,
-                                       "max_sum": args.max_sum})
+def cmd_clean(args, run: RunConfig) -> int:
     raw, schema = load_dataset(args.input)
     kept, counts = clean_with_counts(raw, run.min_sum, run.max_sum)
     with atomic_path(args.output) as tmp:
@@ -227,8 +225,7 @@ def _label_split(raw, band: TgBand, run: RunConfig):
     return train_part, val_part
 
 
-def cmd_train(args) -> int:
-    run = RunConfig.load(args.config, {"seed": args.seed})
+def cmd_train(args, run: RunConfig) -> int:
     if args.band is not None:
         band = _parse_band(args.band)
     elif run.band_low is not None:
@@ -263,8 +260,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    run = RunConfig.load(args.config, {"seed": args.seed})
+def cmd_eval(args, run: RunConfig) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     log.info("checkpoint band [%g, %g)", ckpt.band.low, ckpt.band.high)
 
@@ -276,7 +272,7 @@ def cmd_eval(args) -> int:
         )
     train_part, val_part = _label_split(raw, ckpt.band, run)
 
-    center = evaluation.class_center(train_part[train_part.y == 1], ckpt.params, ckpt.stats)
+    center = evaluation.ClassCenter(ckpt.center)  # the one train stored
     report = evaluation.evaluate(val_part, ckpt.params, ckpt.stats, center, args.k)
     _require_finite(report.scores, args.checkpoint)
 
@@ -315,13 +311,8 @@ def _write_report(report_dir: Path, prefix: str, report, band: TgBand, fingerpri
         evaluation.write_summary_json(report, band, fingerprint, tmp)
 
 
-def cmd_screen(args) -> int:
-    run = RunConfig.load(args.config, {"seed": args.seed})
+def cmd_screen(args, run: RunConfig) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    if ckpt.center is None:
-        raise DataFormatError(
-            f"{args.checkpoint} carries no class center; retrain to enable screening"
-        )
     candidates, schema = load_candidates(args.candidates, ckpt.params.arch.n_components)
     # the composition rule clean applies to training rows
     totals, negative, off_sum = composition_masks(candidates, run.min_sum, run.max_sum)
@@ -355,8 +346,7 @@ def cmd_screen(args) -> int:
     return EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
-    RunConfig.load(args.config, {"seed": args.seed})  # validate-only (no randomness here)
+def cmd_enumerate(args, run: RunConfig) -> int:
     names = tuple(name.strip() for name in args.components.split(","))
     schema = ComponentSchema(names)
     bounds = None
@@ -453,11 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--components", required=True, help="comma-separated component names")
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--max-nonzero", type=int, default=None, dest="max_nonzero",
+    p.add_argument("--max-nonzero", type=positive_int, default=None, dest="max_nonzero",
                    help=">= 1; default: every component")
     p.add_argument("--bound", action="append", nargs=3, metavar=("NAME", "LO", "HI"),
                    help="per-component fraction bounds (repeatable)")
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--cap", type=positive_int, default=10_000_000, help=">= 1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enumerate)
 
@@ -475,7 +465,10 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     try:
-        return args.func(args)
+        # --seed, and clean's --min-sum and --max-sum, override the config file
+        run = RunConfig.load(args.config, {key: getattr(args, key, None)
+                                           for key in ("seed", "min_sum", "max_sum")})
+        return args.func(args, run)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_USAGE

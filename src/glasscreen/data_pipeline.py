@@ -514,21 +514,19 @@ def enumerate_candidates(schema: ComponentSchema, grid: GridConfig) -> np.ndarra
     if (n + 1) * m > np.iinfo(np.int64).max:
         raise ValueError(f"step {grid.step} is too fine for {n} components: "
                          f"(components + 1) * round(1 / step) must be below 2**63")
-    if grid.bounds is not None:
-        if len(grid.bounds) != n:
-            raise ValueError(f"bounds has {len(grid.bounds)} entries, schema has {n}")
-        lo_ticks = []
-        hi_ticks = []
-        for lo, hi in grid.bounds:
-            if lo > hi:
-                raise ValueError(f"bound lo {lo} exceeds hi {hi}")
-            # clamped to [-1, 2] for finite ticks, an end outside [0, 1] (inf too) stays outside
-            lo, hi = min(max(lo, -1.0), 2.0), min(max(hi, -1.0), 2.0)
-            lo_ticks.append(max(0, math.ceil(lo / grid.step - 1e-9)))
-            hi_ticks.append(min(m, math.floor(hi / grid.step + 1e-9)))
-    else:
-        lo_ticks = [0] * n
-        hi_ticks = [m] * n
+    bounds = [(0.0, 1.0)] * n if grid.bounds is None else grid.bounds
+    if len(bounds) != n:
+        raise ValueError(f"bounds has {len(bounds)} entries, schema has {n}")
+    lo_ticks = []
+    hi_ticks = []
+    for lo, hi in bounds:
+        if lo > hi:
+            raise ValueError(f"bound lo {lo} exceeds hi {hi}")
+        # clamped to [-1, 2] for finite ticks, an end outside [0, 1] (inf too) stays outside
+        lo, hi = min(max(lo, -1.0), 2.0), min(max(hi, -1.0), 2.0)
+        lo_ticks.append(max(0, math.ceil(lo / grid.step - 1e-9)))
+        # a bound of 1 is m ticks: at very fine steps 1 / step rounds more than 1e-9 below m
+        hi_ticks.append(m if hi >= 1.0 else min(m, math.floor(hi / grid.step + 1e-9)))
 
     if any(lo > hi for lo, hi in zip(lo_ticks, hi_ticks)):
         return np.zeros((0, n), dtype=np.float64)

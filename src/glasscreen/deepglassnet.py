@@ -34,7 +34,6 @@ from .numeric_core import (
 )
 
 CHECKPOINT_MAGIC = b"DGNCKPT2"
-CHECKPOINT_MAGIC_V1 = b"DGNCKPT1"  # the same, plus a hidden bias between w_hidden and w_out
 _ARCH_HEADER = struct.Struct("<6q3d")  # ArchConfig's fields in order, after the magic
 
 log = logging.getLogger(__name__)
@@ -45,7 +44,8 @@ class CheckpointError(RuntimeError):
 
 
 class CheckpointVersionError(CheckpointError):
-    """Magic header does not identify a supported checkpoint format."""
+    """The file is not in the one format load_checkpoint reads: another magic
+    (DGNCKPT1 included), or a DGNCKPT2 file without a class center."""
 
 
 class CheckpointCorruptError(CheckpointError):
@@ -408,7 +408,7 @@ class Checkpoint:
     params: ModelParams
     stats: NormalizationStats
     band: TgBand
-    center: np.ndarray | None = None
+    center: np.ndarray
 
 
 def save_checkpoint(
@@ -417,14 +417,14 @@ def save_checkpoint(
     stats: NormalizationStats,
     band: TgBand,
     path,
-    center: np.ndarray | None = None,
+    center: np.ndarray,
 ) -> None:
     """Write the versioned binary checkpoint (bit-exact round trip).
 
     Layout: magic, arch header, the parameter vector (the TENSORS in table
     order) as little-endian float64, the batch-norm running mean and
-    variance, normalization stats, Tg band, optional class center, then a
-    SHA-256 checksum of everything before it. The header is ``params.arch``,
+    variance, normalization stats, Tg band, the byte 1, the class center, then
+    a SHA-256 checksum of everything before it. The header is ``params.arch``,
     which ``cfg`` must equal and whose lengths the stats and center must have.
     """
     arch = params.arch
@@ -433,7 +433,7 @@ def save_checkpoint(
     if {stats.mean.shape, stats.std.shape} != {(arch.n_components,)}:
         raise ValueError(f"normalization stats shape {stats.mean.shape} does not match "
                          f"the model's {arch.n_components} components")
-    if center is not None and np.shape(center) != (arch.feature_dim,):
+    if np.shape(center) != (arch.feature_dim,):
         raise ValueError(f"class center shape {np.shape(center)} does not match "
                          f"the model's {arch.feature_dim} features")
 
@@ -449,9 +449,8 @@ def save_checkpoint(
                    stats.mean, stats.std):
         blob += le_bytes(vector)
     blob += struct.pack("<2d", band.low, band.high)
-    blob += struct.pack("<B", center is not None)
-    if center is not None:
-        blob += le_bytes(center)
+    blob += struct.pack("<B", 1)  # the center flag, kept so the layout stays DGNCKPT2
+    blob += le_bytes(center)
     blob += hashlib.sha256(bytes(blob)).digest()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
@@ -459,14 +458,13 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint, verifying format,
-    checksum and architecture header before constructing any model object.
-    A DGNCKPT1 file's hidden bias is folded into the running mean, which is
-    all it ever did in eval mode."""
+    checksum and architecture header before constructing any model object."""
     with open(path, "rb") as fh:
         blob = fh.read()
     magic = blob[: len(CHECKPOINT_MAGIC)]
-    if magic not in (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1):
-        raise CheckpointVersionError(f"{path}: not a DGNCKPT2 or DGNCKPT1 checkpoint")
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointVersionError(f"{path}: not a DGNCKPT2 checkpoint (magic {magic!r}); "
+                                     "older formats are no longer read: retrain the model")
     if len(blob) < len(CHECKPOINT_MAGIC) + 32:
         raise CheckpointCorruptError(f"{path}: truncated checkpoint")
     payload, digest = blob[:-32], blob[-32:]
@@ -480,33 +478,30 @@ def load_checkpoint(path) -> Checkpoint:
     except ValueError as exc:
         raise CheckpointCorruptError(f"{path}: bad architecture header: {exc}") from None
 
-    # float64 counts in Python ints, which no header overflows: the vector (and
-    # a DGNCKPT1 hidden bias), running mean and variance, stats mean and std,
-    # band; then the center flag (0 where the payload ends first) and center
+    # float64 counts in Python ints, which no header overflows: the vector,
+    # running mean and variance, stats mean and std, band; then the center
+    # flag, always 1, and the center
     n, h, k = cfg.n_components, cfg.hidden_dim, cfg.feature_dim
-    sizes = [vector_length(cfg) + h * (magic == CHECKPOINT_MAGIC_V1), h, h, n, n, 2]
+    sizes = [vector_length(cfg), h, h, n, n, 2]
     start = len(CHECKPOINT_MAGIC) + _ARCH_HEADER.size
     flag = start + 8 * sum(sizes)
-    has_center = any(payload[flag:flag + 1])
-    expected = flag + 1 + 8 * k * has_center
+    if payload[flag:flag + 1] not in (b"", b"\x01"):
+        raise CheckpointVersionError(f"{path}: center flag {payload[flag]}, not 1: carries "
+                                     "no class center; retrain the model")
+    expected = flag + 1 + 8 * k
     if len(payload) != expected:
         raise CheckpointCorruptError(
             f"{path}: truncated checkpoint" if len(payload) < expected
             else f"{path}: {len(payload) - expected} unexpected trailing bytes")
     slab = np.frombuffer(payload, dtype="<f8", count=sum(sizes), offset=start)
-    center = (np.frombuffer(payload, dtype="<f8", count=k, offset=flag + 1).astype(np.float64)
-              if has_center else None)
+    center = np.frombuffer(payload, dtype="<f8", count=k, offset=flag + 1).astype(np.float64)
     # save_checkpoint writes finite values only, but for the band: an open end
     # (``--band 500:inf``) is an infinite bound, and TgBand refuses a nan one
-    if not (np.all(np.isfinite(slab[:-2])) and (center is None or np.all(np.isfinite(center)))):
+    if not (np.all(np.isfinite(slab[:-2])) and np.all(np.isfinite(center))):
         raise CheckpointCorruptError(f"{path}: non-finite value in the parameters, "
                                      "statistics or center")
     vector, running_mean, running_var, mean, std, band = np.split(
         slab.astype(np.float64), np.cumsum(sizes)[:-1])
-    if magic == CHECKPOINT_MAGIC_V1:
-        at = tensor_layout(cfg)["w_out"][0].start
-        running_mean = running_mean - vector[at:at + h]
-        vector = np.delete(vector, np.s_[at:at + h])
     low, high = band.tolist()
     try:
         return Checkpoint(params=ModelParams(cfg, vector, running_mean, running_var),

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import tempfile
@@ -23,16 +24,28 @@ from glasscreen.data_pipeline import (
     GridConfig,
     NormalizationStats,
     TgBand,
+    clean_with_counts,
     enumerate_candidates,
     load_candidates,
+    load_dataset,
+    normalize,
+    split,
+    transform_labels,
     write_dataset,
 )
-from glasscreen.deepglassnet import ArchConfig, init_params, load_checkpoint, save_checkpoint
+from glasscreen.deepglassnet import (
+    ArchConfig,
+    eval_features,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from glasscreen.numeric_core import RandomSource
 from oracles import scalar_normal
 from sample_tables import table
 
 SCHEMA = ComponentSchema(("A", "B", "C"))
+V1_CHECKPOINT = Path(__file__).parent / "fixtures" / "v1_zero_bias.ckpt"
 
 SMALL_CONFIG = {
     "embed_dim": 4,
@@ -89,16 +102,47 @@ RUNTIME_WARNING_ACTIONS = pytest.mark.parametrize("action", [
     for action in ("error", "ignore")])
 
 
-def overflowing_checkpoint(path):
-    """A checkpoint of finite values whose embeddings are so large that the
-    attention scores overflow, so every feature and score comes out nan."""
+def small_checkpoint(path, embedding_scale=1.0):
+    """A checkpoint of an untrained 3-component model. At an embedding_scale
+    of 1e200 its values are finite, but the attention scores overflow, so
+    every feature and score comes out nan."""
     arch = ArchConfig(n_components=3, embed_dim=4, adjacency_rank=2,
                       attention_dim=4, hidden_dim=8, feature_dim=4)
     params = init_params(arch, seed=0)
-    params.embeddings[...] *= 1e200
+    params.embeddings[...] *= embedding_scale
     stats = NormalizationStats(mean=np.full(3, 1 / 3), std=np.full(3, 0.2))
     save_checkpoint(params, arch, stats, TgBand(500.0, 600.0), path, center=np.full(4, 0.5))
     return path
+
+
+def centerless_checkpoint(path, feature_dim=4):
+    """A copy of the checkpoint at ``path`` as save_checkpoint wrote one
+    without a class center: center flag 0, no center, checksummed anew."""
+    payload = path.read_bytes()[:-32 - 1 - 8 * feature_dim] + b"\x00"
+    bare = path.with_name("bare.ckpt")
+    bare.write_bytes(payload + hashlib.sha256(payload).digest())
+    return bare
+
+
+# a DGNCKPT1 file, or a DGNCKPT2 file without a center: eval and screen exit
+# 3 naming the file, and write nothing
+@pytest.mark.parametrize("command", ["eval", "screen"])
+@pytest.mark.parametrize("kind, message", [
+    ("v1", "older formats are no longer read: retrain the model"),
+    ("centerless", "carries no class center; retrain the model")], ids=["v1", "centerless"])
+def test_unread_checkpoint_is_data_error(tmp_path, monkeypatch, caplog, command, kind, message):
+    monkeypatch.chdir(tmp_path)
+    if kind == "v1":
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(V1_CHECKPOINT.read_bytes())
+    else:
+        ckpt = centerless_checkpoint(small_checkpoint(tmp_path / "model.ckpt"))
+        (tmp_path / "model.ckpt").unlink()
+    argv = (["eval", "--data", "data.csv", "--report-dir", "report"] if command == "eval"
+            else ["screen", "--candidates", "c.csv", "--out", "picks.csv"])
+    assert main(argv + ["--checkpoint", ckpt.name]) == EXIT_DATA
+    assert f"{ckpt.name}: " in caplog.text and message in caplog.text
+    assert list(tmp_path.iterdir()) == [ckpt]
 
 
 class TestClean:
@@ -181,7 +225,7 @@ class TestTrain:
         out = run_train(tmp_path, data, config)
         ckpt = load_checkpoint(out)
         assert (ckpt.band.low, ckpt.band.high) == (500.0, 600.0)
-        assert ckpt.center is not None
+        assert ckpt.center.shape == (SMALL_CONFIG["feature_dim"],)
 
     @pytest.mark.parametrize("band, bounds", [
         ("500:inf", (500.0, np.inf)), ("-inf:500", (-np.inf, 500.0))])
@@ -266,7 +310,7 @@ class TestEval:
     @RUNTIME_WARNING_ACTIONS
     def test_non_finite_scores_are_numeric_failure(self, workdir, action):
         tmp_path, data, config = workdir
-        ckpt = overflowing_checkpoint(tmp_path / "overflow.ckpt")
+        ckpt = small_checkpoint(tmp_path / "overflow.ckpt", 1e200)
         report_dir = tmp_path / "report"
         code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                      "--config", str(config), "--report-dir", str(report_dir), "--k", "5"])
@@ -280,6 +324,24 @@ class TestEval:
         assert main(["eval", "--checkpoint", "model.ckpt", "--data", "data.csv",
                      "--report-dir", "report", "--k", k]) == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
+
+    def test_scores_against_the_stored_center_on_another_seed(self, workdir):
+        tmp_path, data, config = workdir
+        out = tmp_path / "model.ckpt"
+        assert main(["train", "--data", str(data), "--config", str(config), "--band", "500:600",
+                     "--seed", "42", "--out", str(out)]) == EXIT_OK
+        report_dir = tmp_path / "report"
+        assert main(["eval", "--checkpoint", str(out), "--data", str(data), "--config",
+                     str(config), "--seed", "7", "--report-dir", str(report_dir),
+                     "--k", "5"]) == EXIT_OK
+        ckpt = load_checkpoint(out)
+        cleaned, _ = clean_with_counts(load_dataset(data)[0], 0.95, 1.05)
+        _, val_part = split(transform_labels(cleaned, ckpt.band), 0.8, 7)
+        expected = eval_features(normalize(val_part.fractions, ckpt.stats), ckpt.params) \
+            @ ckpt.center
+        with open(report_dir / "scores.csv", newline="", encoding="utf-8") as fh:
+            scores = [float(row["score"]) for row in csv.DictReader(fh)]
+        assert scores == expected.tolist()
 
     def test_knn_baseline_reports(self, workdir):
         tmp_path, data, config = workdir
@@ -397,7 +459,7 @@ class TestScreen:
 
     @RUNTIME_WARNING_ACTIONS
     def test_non_finite_scores_are_numeric_failure(self, tmp_path, action):
-        ckpt = overflowing_checkpoint(tmp_path / "overflow.ckpt")
+        ckpt = small_checkpoint(tmp_path / "overflow.ckpt", 1e200)
         ranked = tmp_path / "ranked.csv"
         code = main(["screen", "--checkpoint", str(ckpt),
                      "--candidates", str(self.make_candidates(tmp_path)),
@@ -405,18 +467,18 @@ class TestScreen:
         assert code == EXIT_NUMERIC
         assert not ranked.exists()
 
-    def test_checkpoint_without_center_is_data_error(self, workdir):
-        tmp_path, data, config = workdir
-        arch = ArchConfig(n_components=3, embed_dim=4, adjacency_rank=2,
-                          attention_dim=4, hidden_dim=8, feature_dim=4)
-        params = init_params(arch, seed=0)
-        stats = NormalizationStats(mean=np.zeros(3), std=np.ones(3))
-        bare = tmp_path / "bare.ckpt"
-        save_checkpoint(params, arch, stats, TgBand(500.0, 600.0), bare)
+    # the same checkpoint screens once its center flag is 0 and its center gone
+    def test_checkpoint_without_center_is_data_error(self, tmp_path, caplog):
+        ckpt = small_checkpoint(tmp_path / "model.ckpt")
         candidates = self.make_candidates(tmp_path)
-        code = main(["screen", "--checkpoint", str(bare), "--candidates", str(candidates),
-                     "--top-k", "2", "--out", str(tmp_path / "ranked.csv")])
-        assert code == EXIT_DATA
+        ranked = tmp_path / "ranked.csv"
+        argv = ["screen", "--candidates", str(candidates), "--top-k", "2", "--out", str(ranked)]
+        assert main(argv + ["--checkpoint", str(ckpt)]) == EXIT_OK
+        ranked.unlink()
+        bare = centerless_checkpoint(ckpt)
+        assert main(argv + ["--checkpoint", str(bare)]) == EXIT_DATA
+        assert f"{bare}: center flag 0, not 1: carries no class center" in caplog.text
+        assert not ranked.exists()
 
 
 class TestEnumerate:
@@ -486,14 +548,21 @@ class TestEnumerate:
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
-    @pytest.mark.parametrize("max_nonzero", ["0", "-1"])
-    def test_max_nonzero_below_one_is_data_error(self, tmp_path, max_nonzero):
+    @pytest.mark.parametrize("flag", ["--max-nonzero", "--cap"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_flag_below_one_is_usage_error(self, tmp_path, flag, value):
         out = tmp_path / "grid.csv"
         code = main(["enumerate", "--components", "A,B,C", "--step", "0.5",
-                     "--max-nonzero", max_nonzero, "--out", str(out)])
-        assert code == EXIT_DATA
-        assert not out.exists()
-        assert not list(tmp_path.glob("*.tmp"))
+                     flag, value, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
+    # the parser refuses the flag (above); an API caller's GridConfig refuses
+    # the value with the ValueError that main reports as a data error
+    @pytest.mark.parametrize("max_nonzero", ["0", "-1"])
+    def test_max_nonzero_below_one_is_data_error(self, max_nonzero):
+        with pytest.raises(ValueError, match="max_nonzero must be >= 1"):
+            GridConfig(step=0.5, max_nonzero=int(max_nonzero))
 
     # 2**-62 is the coarsest power-of-two step refused for 2 components:
     # 3 * 2**62 ticks' worth of arithmetic does not fit in int64

@@ -970,6 +970,14 @@ class TestEnumerateCandidates:
         with pytest.raises(ValueError, match=r"too fine for 8 components"):  # 9 * 2**60 do not
             enumerate_candidates(ComponentSchema(tuple("ABCDEFGH")), grid)
 
+    # 1 / step rounds to m - 1.2e-4 at this m, so a bound of 1 must not be
+    # converted to ticks by division, with bounds given or not
+    @pytest.mark.parametrize("bounds", [None, [(0.0, 1.0)] * 2])
+    def test_unit_bound_keeps_the_top_tick_at_any_step(self, bounds):
+        grid = GridConfig(step=1 / 897040837611, max_nonzero=1, bounds=bounds)
+        got = enumerate_candidates(ComponentSchema(("A", "B")), grid)
+        assert np.array_equal(got, [[1.0, 0.0], [0.0, 1.0]])
+
     def test_two_components_unit_step(self):
         got = enumerate_candidates(ComponentSchema(("A", "B")), GridConfig(step=1.0, max_nonzero=2))
         assert np.array_equal(got, [[1.0, 0.0], [0.0, 1.0]])
@@ -1007,6 +1015,11 @@ class TestEnumerateCandidates:
         oracle = sorted(brute_force_grid(n, m, max_nonzero, lo, hi), reverse=True)
         expected = np.array(oracle, dtype=np.int64).reshape(len(oracle), n) * grid.step
         assert np.array_equal(got, expected)  # same rows in descending lexicographic order
+        if tick_bounds is None:  # no bounds is the lattice of (0, 1) on every component
+            unit = GridConfig(step=grid.step, max_nonzero=max_nonzero, bounds=[(0.0, 1.0)] * n)
+            explicit = enumerate_candidates(ComponentSchema(tuple(f"C{i}" for i in range(n))),
+                                            unit)
+            assert got.tobytes() == explicit.tobytes()
 
     def test_bounds_respected(self):
         grid = GridConfig(step=0.25, max_nonzero=3,

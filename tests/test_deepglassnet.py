@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -492,11 +493,15 @@ class TestCheckpoint:
         assert np.array_equal(ckpt.center, center)
         assert ckpt.params.arch == TINY
 
+    # a file without a class center, as save_checkpoint wrote one before the
+    # center was required: center flag 0, no center, checksummed anew
     def test_round_trip_without_center(self, tmp_path):
-        params, stats, band = self.build()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, TINY, stats, band, path)
-        assert load_checkpoint(path).center is None
+        path, blob = self.saved_blob(tmp_path)
+        payload = blob[:-32 - 1 - 8 * TINY.feature_dim] + b"\x00"
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        message = f"{re.escape(str(path))}: center flag 0, not 1: carries no class center"
+        with pytest.raises(CheckpointVersionError, match=message):
+            load_checkpoint(path)
 
     # a config field, or a center or stats length unlike the parameters' arch
     # (which load_checkpoint would refuse, or read with another shape)
@@ -507,7 +512,7 @@ class TestCheckpoint:
         pytest.param("stats", 5, id="stats-5")])
     def test_config_unlike_params_raises_before_writing(self, tmp_path, field, value):
         params, stats, band = self.build()
-        cfg, center = TINY, None
+        cfg, center = TINY, np.zeros(TINY.feature_dim)
         if field == "center":
             center = value
         elif field == "stats":
@@ -520,28 +525,23 @@ class TestCheckpoint:
         assert not path.exists()
 
     def test_bad_magic_is_version_error(self, tmp_path):
-        params, stats, band = self.build()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, TINY, stats, band, path)
+        path, _ = self.saved_blob(tmp_path)
         blob = bytearray(path.read_bytes())
         blob[:8] = b"DGNCKPT9"
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointVersionError):
+        message = f"{re.escape(str(path))}: not a DGNCKPT2 checkpoint"
+        with pytest.raises(CheckpointVersionError, match=message):
             load_checkpoint(path)
 
     def test_truncation_is_corruption_error(self, tmp_path):
-        params, stats, band = self.build()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, TINY, stats, band, path)
+        path, _ = self.saved_blob(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path)
 
     def test_flipped_byte_is_corruption_error(self, tmp_path):
-        params, stats, band = self.build()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, TINY, stats, band, path)
+        path, _ = self.saved_blob(tmp_path)
         blob = bytearray(path.read_bytes())
         blob[60] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -572,36 +572,26 @@ class TestCheckpoint:
         expected += hashlib.sha256(bytes(expected)).digest()
         assert path.read_bytes() == bytes(expected)
 
-    # The fixtures are DGNCKPT1 files written before the hidden bias was
-    # removed: TINY, init seed 21, running mean + 0.25, running var x 1.5,
-    # b_out + 0.3, and b_hidden all zero or + 0.1. v1_bias_features.npy
-    # holds what that code computed on this batch.
-    V1_BATCH = RandomSource(2024).normal(0.0, 1.0, size=(8, 4))
+    # v1_zero_bias.ckpt is a valid DGNCKPT1 file: TINY, init seed 21, running
+    # mean + 0.25, running var x 1.5, b_out + 0.3, a zero hidden bias and the
+    # center [0.6, 0.8]. That format, which also stored a hidden bias, is no
+    # longer read.
+    V1 = FIXTURES / "v1_zero_bias.ckpt"
 
-    def test_reads_v1_with_zero_hidden_bias_to_the_same_bytes(self, tmp_path):
-        ckpt = load_checkpoint(FIXTURES / "v1_zero_bias.ckpt")
-        assert ckpt.params.arch == TINY
-        assert (ckpt.band.low, ckpt.band.high) == (500.0, 600.0)
-        assert np.array_equal(ckpt.center, [0.6, 0.8])
-        # the fixture's tensors, built anew and round-tripped through a
-        # DGNCKPT2 file, score the batch to the same bytes
-        params, stats, band = self.build()
-        params.b_out += 0.3
-        save_checkpoint(params, TINY, stats, band, tmp_path / "v2.ckpt", center=ckpt.center)
-        v2 = load_checkpoint(tmp_path / "v2.ckpt")
-        assert np.array_equal(ckpt.stats.mean, v2.stats.mean)
-        assert np.array_equal(ckpt.stats.std, v2.stats.std)
-        assert np.array_equal(eval_features(self.V1_BATCH, ckpt.params),
-                              eval_features(self.V1_BATCH, v2.params))
+    def test_reads_v1_with_zero_hidden_bias_to_the_same_bytes(self):
+        message = (f"{re.escape(str(self.V1))}: not a DGNCKPT2 checkpoint .*DGNCKPT1.* "
+                   "no longer read: retrain the model")
+        with pytest.raises(CheckpointVersionError, match=message):
+            load_checkpoint(self.V1)
 
-    def test_reads_v1_hidden_bias_into_running_mean(self):
-        ckpt = load_checkpoint(FIXTURES / "v1_bias.ckpt")
-        expected = np.load(FIXTURES / "v1_bias_features.npy")
-        features = eval_features(self.V1_BATCH, ckpt.params)
-        assert np.max(np.abs(features - expected)) <= 1e-12
-        plain = load_checkpoint(FIXTURES / "v1_zero_bias.ckpt").params
-        assert np.array_equal(ckpt.params.vector, plain.vector)
-        assert np.array_equal(ckpt.params.bn.running_mean, plain.bn.running_mean - 0.1)
+    # under the DGNCKPT2 magic and checksummed anew, the hidden bias shifts
+    # every later section: the file is still refused, not read misaligned
+    def test_reads_v1_hidden_bias_into_running_mean(self, tmp_path):
+        payload = CHECKPOINT_MAGIC + self.V1.read_bytes()[8:-32]
+        path = tmp_path / "relabelled.ckpt"
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
 
     def saved_blob(self, tmp_path):
         params, stats, band = self.build()
@@ -670,19 +660,20 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     # the payload, checksummed anew, cut before the center flag byte, with
-    # flag 1 and no center, or with flag 0 and 8 more bytes
-    @pytest.mark.parametrize("tail, message", [
-        (b"", "truncated checkpoint"),
-        (b"\x01", "truncated checkpoint"),
-        (b"\x00" + bytes(8), "8 unexpected trailing bytes")],
+    # flag 1 and no center, or with flag 0 and 8 more bytes: a flag other than
+    # 1 is refused whatever the length
+    @pytest.mark.parametrize("tail, error, message", [
+        (b"", CheckpointCorruptError, "truncated checkpoint"),
+        (b"\x01", CheckpointCorruptError, "truncated checkpoint"),
+        (b"\x00" + bytes(8), CheckpointVersionError, "carries no class center")],
         ids=["no-flag", "flag-1-no-center", "flag-0-8-extra"])
-    def test_payload_length_decides(self, tmp_path, tail, message):
+    def test_payload_length_decides(self, tmp_path, tail, error, message):
         path, blob = self.saved_blob(tmp_path)
         flag = len(blob) - 32 - 1 - 8 * TINY.feature_dim
         assert blob[flag] == 1
         payload = blob[:flag] + tail
         path.write_bytes(payload + hashlib.sha256(payload).digest())
-        with pytest.raises(CheckpointCorruptError, match=message):
+        with pytest.raises(error, match=message):
             load_checkpoint(path)
 
     @settings(max_examples=200, deadline=None)
@@ -743,7 +734,8 @@ class TestParamVector:
         # what is copied and saved is what was assigned
         assert np.array_equal(tiny_params.copy().w_out, np.eye(5, 2))
         stats = NormalizationStats(mean=np.zeros(4), std=np.ones(4))
-        save_checkpoint(tiny_params, TINY, stats, TgBand(1.0, 2.0), tmp_path / "m.ckpt")
+        save_checkpoint(tiny_params, TINY, stats, TgBand(1.0, 2.0), tmp_path / "m.ckpt",
+                        center=np.array([0.6, 0.8]))
         loaded = load_checkpoint(tmp_path / "m.ckpt").params
         assert np.array_equal(loaded.w_out, np.eye(5, 2))
         assert np.array_equal(loaded.bn.gamma, np.full(5, 2.0))
