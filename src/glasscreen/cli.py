@@ -41,7 +41,6 @@ from .data_pipeline import (
     transform_labels,
     write_candidates,
     write_dataset,
-    write_header,
 )
 from .deepglassnet import (
     ArchConfig,
@@ -188,10 +187,10 @@ def positive_int(text: str) -> int:
 
 def _parse_band(text: str) -> TgBand:
     try:
-        low_text, high_text = text.split(":")
-        return TgBand(float(low_text), float(high_text))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"band must look like LOW:HIGH, got {text!r}") from exc
+        low, high = map(float, text.split(":"))
+        return TgBand(low, high)
+    except ValueError as exc:
+        raise ConfigError(f"band must be LOW:HIGH with LOW < HIGH, got {text!r} ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +264,10 @@ def cmd_eval(args, run: RunConfig) -> int:
     log.info("checkpoint band [%g, %g)", ckpt.band.low, ckpt.band.high)
 
     raw, schema = load_dataset(args.data)
-    if schema.n != ckpt.params.arch.n_components:
-        raise DataFormatError(
-            f"{args.data} has {schema.n} components but the checkpoint "
-            f"expects {ckpt.params.arch.n_components}"
-        )
+    _check_columns(args.data, schema, ckpt)
     train_part, val_part = _label_split(raw, ckpt.band, run)
-
-    center = evaluation.ClassCenter(ckpt.center)  # the one train stored
-    report = evaluation.evaluate(val_part, ckpt.params, ckpt.stats, center, args.k)
-    _require_finite(report.scores, args.checkpoint)
+    report = evaluation.make_report(_score(val_part.fractions, ckpt, args.checkpoint),
+                                    val_part, args.k)
 
     report_dir = Path(args.report_dir)
     fingerprint = run.fingerprint()
@@ -293,12 +286,22 @@ def cmd_eval(args, run: RunConfig) -> int:
     return EXIT_OK
 
 
-def _require_finite(scores: np.ndarray, checkpoint) -> None:
-    """A model whose finite weights overflow scores nan or inf; no report or
+def _check_columns(path, schema: ComponentSchema, ckpt) -> None:
+    """Refuse a table whose component columns are not the checkpoint model's."""
+    if schema.n != ckpt.params.arch.n_components:
+        raise DataFormatError(f"{path} has {schema.n} components but the checkpoint "
+                              f"expects {ckpt.params.arch.n_components}")
+
+
+def _score(fractions: np.ndarray, ckpt, ckpt_path) -> np.ndarray:
+    """Each composition's inner product with the checkpoint's class center.
+    A model whose finite weights overflow scores nan or inf; no report or
     ranking is written from such scores."""
+    scores = eval_features(normalize(fractions, ckpt.stats), ckpt.params) @ ckpt.center
     bad = np.count_nonzero(~np.isfinite(scores))
     if bad:
-        raise NumericFailure(f"{checkpoint}: {bad} of {scores.size} scores are not finite")
+        raise NumericFailure(f"{ckpt_path}: {bad} of {scores.size} scores are not finite")
+    return scores
 
 
 def _write_report(report_dir: Path, prefix: str, report, band: TgBand, fingerprint: str):
@@ -313,7 +316,8 @@ def _write_report(report_dir: Path, prefix: str, report, band: TgBand, fingerpri
 
 def cmd_screen(args, run: RunConfig) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    candidates, schema = load_candidates(args.candidates, ckpt.params.arch.n_components)
+    candidates, schema = load_candidates(args.candidates)
+    _check_columns(args.candidates, schema, ckpt)
     # the composition rule clean applies to training rows
     totals, negative, off_sum = composition_masks(candidates, run.min_sum, run.max_sum)
     off_simplex = np.flatnonzero(negative | off_sum)
@@ -330,17 +334,11 @@ def cmd_screen(args, run: RunConfig) -> int:
             f"top_k={args.top_k} out of range for {candidates.shape[0]} candidates"
         )
 
-    normalized = normalize(candidates, ckpt.stats)
-    features = eval_features(normalized, ckpt.params)
-    scores = features @ ckpt.center
-    _require_finite(scores, args.checkpoint)
+    scores = _score(candidates, ckpt, args.checkpoint)
     order = evaluation.top_k(scores, args.top_k)
-
-    with atomic_path(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        write_header(fh, schema.names + ("score",))
-        for i in order:
-            row = ",".join(repr(float(v)) for v in candidates[i])
-            fh.write(f"{row},{float(scores[i])!r}\n")
+    with atomic_path(args.out) as tmp:
+        write_candidates(tmp, schema.names + ("score",),
+                         np.column_stack((candidates[order], scores[order])))
     log.info("screen: scored %d candidates, wrote top %d to %s",
              candidates.shape[0], args.top_k, args.out)
     return EXIT_OK
@@ -364,7 +362,7 @@ def cmd_enumerate(args, run: RunConfig) -> int:
     grid = GridConfig(step=args.step, max_nonzero=max_nonzero, bounds=bounds, cap=args.cap)
     candidates = enumerate_candidates(schema, grid)
     with atomic_path(args.out) as tmp:
-        write_candidates(tmp, schema, candidates)
+        write_candidates(tmp, schema.names, candidates)
     log.info("enumerate: wrote %d candidates to %s", candidates.shape[0], args.out)
     return EXIT_OK
 
@@ -447,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=">= 1; default: every component")
     p.add_argument("--bound", action="append", nargs=3, metavar=("NAME", "LO", "HI"),
                    help="per-component fraction bounds (repeatable)")
-    p.add_argument("--cap", type=positive_int, default=10_000_000, help=">= 1")
+    p.add_argument("--cap", type=positive_int, default=GridConfig.cap, help=">= 1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enumerate)
 
@@ -473,7 +471,7 @@ def main(argv=None) -> int:
         log.error("config error: %s", exc)
         return EXIT_USAGE
     except (DataFormatError, EmptyClassError, CandidateCapError, CheckpointError,
-            FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+            OSError) as exc:
         log.error("data error: %s", exc)
         return EXIT_DATA
     except (NumericFailure, RuntimeWarning) as exc:  # numpy's, raised under -W error

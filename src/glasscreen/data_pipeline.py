@@ -167,8 +167,10 @@ class GridConfig:
 # table IO
 
 
-def _read_header(path) -> tuple[list[str], str]:
-    """A table's header row and the text after it."""
+def _read_header(path, tg_column: bool) -> tuple[ComponentSchema, str]:
+    """The schema a table's header names, before a final Tg column with
+    ``tg_column``, and the text after the header. A header ComponentSchema
+    refuses is a DataFormatError naming the file."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             header, body = next(csv.reader(fh), None), fh.read()
@@ -176,12 +178,14 @@ def _read_header(path) -> tuple[list[str], str]:
             raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not header:
         raise DataFormatError(f"{path}: empty file, expected a header row")
-    return header, body
-
-
-def write_header(fh, names) -> None:
-    """Write a header row of ``names`` in ``csv`` quoting, ended by "\\n"."""
-    csv.writer(fh, lineterminator="\n").writerow(names)
+    if tg_column:
+        if header[-1] != TG_COLUMN:
+            raise DataFormatError(f"{path}: last header column must be {TG_COLUMN!r}")
+        header = header[:-1]
+    try:
+        return ComponentSchema(tuple(header)), body
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def load_dataset(path) -> tuple[Samples, ComponentSchema]:
@@ -193,10 +197,7 @@ def load_dataset(path) -> tuple[Samples, ComponentSchema]:
     numbers is read as one array by numpy; any other table (an empty Tg cell,
     a nan/inf cell, a bad row) by ``_parse_rowwise``, to the same values.
     """
-    header, body = _read_header(path)
-    if header[-1] != TG_COLUMN:
-        raise DataFormatError(f"{path}: last header column must be {TG_COLUMN!r}")
-    schema = ComponentSchema(tuple(header[:-1]))
+    schema, body = _read_header(path, tg_column=True)
     table = _parse_table_fast(path, body, schema.n + 1)
     if table is None:
         table, has_tg = _parse_rowwise(path, schema.n + 1, tg_column=True)
@@ -256,24 +257,20 @@ def write_dataset(path, schema: ComponentSchema, samples: Samples) -> None:
             ]))
 
 
-def load_candidates(path, n_components: int) -> tuple[np.ndarray, ComponentSchema]:
-    """Parse a candidate table: a header of ``n_components`` component names,
-    then one row of fractions per candidate (no Tg column).
+def load_candidates(path) -> tuple[np.ndarray, ComponentSchema]:
+    """Parse a candidate table: a header of component names, then one row of
+    fractions per candidate (no Tg column).
 
     Returns the C-contiguous (m, n) float64 array and the schema the header
-    names. Raises DataFormatError for an empty file or a header with another
-    column count, and names the first data row (1-based) with a wrong column
-    count or a non-numeric or non-finite cell. A table of finite numbers is
-    read as one array by numpy; any other by ``_parse_rowwise``.
+    names. Raises DataFormatError for an empty file or a header ComponentSchema
+    refuses, and names the first data row (1-based) with a column count other
+    than the header's or a non-numeric or non-finite cell. A table of finite
+    numbers is read as one array by numpy; any other by ``_parse_rowwise``.
     """
-    header, body = _read_header(path)
-    if len(header) != n_components:
-        raise DataFormatError(f"{path} has {len(header)} component columns but the "
-                              f"checkpoint expects {n_components} components")
-    schema = ComponentSchema(tuple(header))
-    candidates = _parse_table_fast(path, body, n_components)
+    schema, body = _read_header(path, tg_column=False)
+    candidates = _parse_table_fast(path, body, schema.n)
     if candidates is None:
-        candidates = _parse_rowwise(path, n_components, tg_column=False)[0]
+        candidates = _parse_rowwise(path, schema.n, tg_column=False)[0]
         non_finite = np.flatnonzero(~np.isfinite(candidates).all(axis=1))
         if non_finite.size:
             raise DataFormatError(f"{path}: row {non_finite[0] + 1}: non-finite cell")
@@ -311,13 +308,14 @@ def _parse_table_fast(path, body: str, n_columns: int) -> np.ndarray | None:
 _WRITE_CHUNK_ROWS = 4096
 
 
-def write_candidates(path, schema: ComponentSchema, candidates: np.ndarray) -> None:
-    """Write a candidate table: the component header, then each cell as
-    ``repr(float(value))``. Each distinct value (by bit pattern, so -0.0 and
-    0.0 stay apart) is formatted once with its separator, "," or, in the last
-    column, "\\n"; each chunk of rows is then one join of those strings."""
-    candidates = np.ascontiguousarray(candidates, dtype=np.float64)
-    bits = candidates.view(np.int64)
+def write_candidates(path, names, rows: np.ndarray) -> None:
+    """Write a float table, such as a candidate lattice: a header of ``names``
+    in ``csv`` quoting, then each cell as ``repr(float(value))``, every line
+    ended by "\\n". Each distinct value (by bit pattern, so -0.0 and 0.0 stay
+    apart) is formatted once with its separator, "," or, in the last column,
+    "\\n"; each chunk of rows is then one join of those strings."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    bits = rows.view(np.int64)
     # a sort and a mask: np.unique(bits) gives the same array about 8x slower on numpy 2.4
     distinct = np.sort(bits, axis=None)
     keep = np.ones(distinct.size, dtype=bool)
@@ -329,8 +327,8 @@ def write_candidates(path, schema: ComponentSchema, candidates: np.ndarray) -> N
     cells = [repr(v) for v in distinct.view(np.float64).tolist()]
     table = np.array([c + "," for c in cells] + [c + "\n" for c in cells], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        write_header(fh, schema.names)
-        for start in range(0, candidates.shape[0], _WRITE_CHUNK_ROWS):
+        csv.writer(fh, lineterminator="\n").writerow(names)
+        for start in range(0, rows.shape[0], _WRITE_CHUNK_ROWS):
             fh.write("".join(table[code[start:start + _WRITE_CHUNK_ROWS]].ravel().tolist()))
 
 

@@ -485,9 +485,11 @@ def load_checkpoint(path) -> Checkpoint:
     sizes = [vector_length(cfg), h, h, n, n, 2]
     start = len(CHECKPOINT_MAGIC) + _ARCH_HEADER.size
     flag = start + 8 * sum(sizes)
-    if payload[flag:flag + 1] not in (b"", b"\x01"):
-        raise CheckpointVersionError(f"{path}: center flag {payload[flag]}, not 1: carries "
+    if payload[flag:flag + 1] == b"\x00":
+        raise CheckpointVersionError(f"{path}: center flag 0, not 1: carries "
                                      "no class center; retrain the model")
+    if payload[flag:flag + 1] not in (b"", b"\x01"):
+        raise CheckpointCorruptError(f"{path}: center flag {payload[flag]}, neither 0 nor 1")
     expected = flag + 1 + 8 * k
     if len(payload) != expected:
         raise CheckpointCorruptError(

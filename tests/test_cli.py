@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+import re
 import tempfile
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from glasscreen.cli import (
     EXIT_USAGE,
     ConfigError,
     RunConfig,
+    atomic_path,
     main,
 )
 from glasscreen.data_pipeline import (
@@ -145,6 +147,24 @@ def test_unread_checkpoint_is_data_error(tmp_path, monkeypatch, caplog, command,
     assert list(tmp_path.iterdir()) == [ckpt]
 
 
+# an input or output path under a regular file is a data error that writes nothing
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint", "model.ckpt", "--data", "data.csv", "--k", "5",
+     "--report-dir", "data.csv"],
+    ["enumerate", "--components", "A,B", "--step", "0.5", "--out", "data.csv/x.csv"],
+    ["clean", "--input", "data.csv/x.csv", "--output", "out.csv"],
+    ["clean", "--input", "data.csv", "--output", "out.csv", "--config", "data.csv/c.json"],
+], ids=["eval-report-dir", "enumerate-out", "clean-input", "config"])
+def test_path_under_a_file_is_data_error(tmp_path, monkeypatch, caplog, argv):
+    monkeypatch.chdir(tmp_path)
+    make_table(tmp_path / "data.csv")
+    small_checkpoint(tmp_path / "model.ckpt")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv) == EXIT_DATA
+    assert "data error: " in caplog.text
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 class TestClean:
     def test_counts_and_content(self, tmp_path, caplog):
         rows = table([
@@ -248,6 +268,26 @@ class TestTrain:
         second = run_train(tmp_path, data, config, "b.ckpt")
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("band, reason", [
+        ("600:500", "band requires low < high, got [600.0, 500.0)"),
+        ("abc", "could not convert string to float: 'abc'")], ids=["reversed", "not-numbers"])
+    def test_bad_band_is_usage_error_with_its_reason(self, workdir, caplog, band, reason):
+        tmp_path, data, config = workdir
+        out = tmp_path / "x.ckpt"
+        code = main(["train", "--data", str(data), "--config", str(config),
+                     "--band", band, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert f"got {band!r} ({reason})" in caplog.text
+        assert not out.exists()
+
+    def test_band_from_config(self, workdir):
+        tmp_path, data, _ = workdir
+        config = write_config(tmp_path / "band.json", band_low=500.0, band_high=600.0)
+        out = tmp_path / "model.ckpt"
+        assert main(["train", "--data", str(data), "--config", str(config),
+                     "--out", str(out)]) == EXIT_OK
+        assert load_checkpoint(out).band == TgBand(500.0, 600.0)
+
     def test_missing_band_is_usage_error(self, workdir):
         tmp_path, data, config = workdir
         code = main(["train", "--data", str(data), "--config", str(config),
@@ -296,7 +336,7 @@ class TestEval:
         for name in ("scores.csv", "roc.csv", "summary.json"):
             assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
 
-    def test_component_mismatch_is_data_error(self, workdir, tmp_path):
+    def test_component_mismatch_is_data_error(self, workdir, tmp_path, caplog):
         _, data, config = workdir
         other = tmp_path / "wide.csv"
         wide_schema = ComponentSchema(("A", "B", "C", "D"))
@@ -306,6 +346,8 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(out), "--data", str(other),
                      "--config", str(config), "--report-dir", str(tmp_path / "rep")])
         assert code == EXIT_DATA
+        assert f"{other} has 4 components but the checkpoint expects 3" in caplog.text
+        assert not (tmp_path / "rep").exists()
 
     @RUNTIME_WARNING_ACTIONS
     def test_non_finite_scores_are_numeric_failure(self, workdir, action):
@@ -419,14 +461,23 @@ class TestScreen:
                      "--top-k", k, "--out", "picks.csv"]) == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
-    def test_schema_mismatch_is_data_error(self, workdir):
+    # a narrower or wider table, and a one-column one, which no schema takes:
+    # each names the file and writes no picks
+    def test_schema_mismatch_is_data_error(self, workdir, caplog):
         tmp_path, data, config = workdir
         out = run_train(tmp_path, data, config)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("A,B\n0.5,0.5\n", encoding="utf-8")
-        code = main(["screen", "--checkpoint", str(out), "--candidates", str(bad),
-                     "--top-k", "1", "--out", str(tmp_path / "ranked.csv")])
-        assert code == EXIT_DATA
+        bad, ranked = tmp_path / "bad.csv", tmp_path / "ranked.csv"
+        for text, message in [
+                ("A,B\n0.5,0.5\n", f"{bad} has 2 components but the checkpoint expects 3"),
+                ("A,B,C,D\n0.25,0.25,0.25,0.25\n", f"{bad} has 4 components"),
+                ("A\n1.0\n", f"{bad}: schema needs at least 2 components")]:
+            bad.write_text(text, encoding="utf-8")
+            caplog.clear()
+            code = main(["screen", "--checkpoint", str(out), "--candidates", str(bad),
+                         "--top-k", "1", "--out", str(ranked)])
+            assert code == EXIT_DATA
+            assert message in caplog.text
+            assert not ranked.exists()
 
     def test_non_finite_candidate_is_data_error(self, workdir, caplog):
         tmp_path, data, config = workdir
@@ -498,7 +549,7 @@ class TestEnumerate:
         code = main(["enumerate", "--components", '"A,B,C', "--step", "0.5",
                      "--out", str(out)])
         assert code == EXIT_OK
-        candidates, schema = load_candidates(out, 3)
+        candidates, schema = load_candidates(out)
         assert schema.names == ('"A', "B", "C")
         assert candidates.shape == (6, 3)
 
@@ -537,6 +588,17 @@ class TestEnumerate:
                      "--bound", "A", lo, "0.5", "--out", str(out)])
         assert code == EXIT_OK
         assert out.read_bytes() == b"A,B\n0.5,0.5\n0.0,1.0\n"
+
+    @pytest.mark.parametrize("bound, code, message", [
+        (["D", "0", "1"], EXIT_USAGE, "--bound names unknown component 'D'"),
+        (["A", "0.6", "0.4"], EXIT_DATA, "bound lo 0.6 exceeds hi 0.4")],
+        ids=["unknown-name", "lo-above-hi"])
+    def test_bad_bound_writes_nothing(self, tmp_path, caplog, bound, code, message):
+        out = tmp_path / "grid.csv"
+        assert main(["enumerate", "--components", "A,B,C", "--step", "0.5",
+                     "--bound", *bound, "--out", str(out)]) == code
+        assert message in caplog.text
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("lo, hi", [("nan", "1"), ("0", "nan"), ("nan", "nan")])
     def test_nan_bound_end_is_data_error(self, tmp_path, caplog, lo, hi):
@@ -701,6 +763,31 @@ class TestRunConfig:
         assert code == EXIT_USAGE
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("values, message", [
+        ({"train_fraction": 0.0}, "train_fraction must be in (0,1), got 0.0"),
+        ({"train_fraction": 1.0}, "train_fraction must be in (0,1), got 1.0"),
+        ({"k_neighbors": 0}, "k_neighbors must be >= 1"),
+        ({"band_low": 500.0}, "band_low and band_high must be given together"),
+        ({"band_low": 600.0, "band_high": 500.0}, "band_low must be < band_high")],
+        ids=["train-fraction-0", "train-fraction-1", "k-neighbors-0", "band-low-alone",
+             "band-reversed"])
+    def test_out_of_range_value_is_config_error(self, values, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig(**values)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{epochs: 2}", "not valid JSON"), ("[2]", "config must be a flat JSON object")],
+        ids=["not-json", "not-object"])
+    def test_config_file_that_is_no_object_is_usage_error(self, tmp_path, caplog, text,
+                                                         message):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "grid.csv"
+        assert main(["enumerate", "--components", "A,B", "--step", "0.5", "--out", str(out),
+                     "--config", str(config)]) == EXIT_USAGE
+        assert f"{config}: {message}" in caplog.text
+        assert not out.exists()
+
     def test_accepted_values_are_kept(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"epochs": 5}), encoding="utf-8")
@@ -710,6 +797,15 @@ class TestRunConfig:
         cfg = RunConfig.load(path)
         assert (cfg.min_sum, cfg.lr, cfg.band_low) == (1, 0.01, None)
         assert type(cfg.min_sum) is int
+
+
+def test_atomic_path_leaves_nothing_when_the_body_raises(tmp_path):
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="body failed"):
+        with atomic_path(target) as tmp:
+            Path(tmp).write_text("partial", encoding="utf-8")
+            raise RuntimeError("body failed")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestVerbose:

@@ -66,6 +66,18 @@ class TestSchema:
         with pytest.raises(DataFormatError, match="Tg"):
             load_dataset(p)
 
+    # a header ComponentSchema refuses is a data error that names the file
+    @pytest.mark.parametrize("load, tg", [(load_dataset, ",Tg"), (load_candidates, "")],
+                             ids=["dataset", "candidates"])
+    @pytest.mark.parametrize("names, message", [
+        ("A,A", "component names must be unique"),
+        ("A,", "component names must be non-empty"),
+        ("A", "schema needs at least 2 components")], ids=["duplicate", "empty", "one"])
+    def test_refused_header_names_the_file(self, tmp_path, load, tg, names, message):
+        p = write_csv(tmp_path / "t.csv", f"{names}{tg}\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: {message}$"):
+            load(p)
+
 
 class TestLoadDataset:
     def test_well_formed(self, tmp_path):
@@ -205,25 +217,25 @@ class TestLoadCandidates:
     def test_wrong_column_count_names_first_bad_row(self, tmp_path, text, row):
         p = write_csv(tmp_path / "c.csv", text)
         with pytest.raises(DataFormatError, match=f"row {row}: expected 3 columns"):
-            load_candidates(p, 3)
+            load_candidates(p)
 
     def test_non_numeric_cell_names_first_bad_row(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", "A,B,C\n0.5,0.3,0.2\n0.5,oops,0.2\nx,0.3,0.2\n")
         with pytest.raises(DataFormatError, match="row 2: non-numeric cell"):
-            load_candidates(p, 3)
+            load_candidates(p)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_cell_names_first_bad_row(self, tmp_path, cell):
         p = write_csv(tmp_path / "c.csv",
                       f"A,B,C\n0.5,0.3,0.2\n0.5,0.3,0.2\n0.5,{cell},0.2\n{cell},0.3,0.2\n")
         with pytest.raises(DataFormatError, match="row 3: non-finite cell"):
-            load_candidates(p, 3)
+            load_candidates(p)
 
     def test_header_only_gives_empty_table(self, tmp_path):
         for text in ("A,B,C\n", "A,B,C\r\n", "A,B,C"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # numpy's loadtxt warns on a table without data
-                got, schema = load_candidates(write_csv(tmp_path / "c.csv", text), 3)
+                got, schema = load_candidates(write_csv(tmp_path / "c.csv", text))
             assert got.shape == (0, 3)
             assert got.dtype == np.float64
             assert schema == SCHEMA3
@@ -235,22 +247,23 @@ class TestLoadCandidates:
         p = tmp_path / "c.csv"
         p.write_bytes(blob)
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: not UTF-8 text"):
-            load_candidates(p, 3)
+            load_candidates(p)
 
+    # the width a checkpoint expects is screen's check, in test_cli
     def test_header_mismatch_and_empty_file(self, tmp_path):
-        with pytest.raises(DataFormatError, match="3 components"):
-            load_candidates(write_csv(tmp_path / "c.csv", "A,B\n0.5,0.5\n"), 3)
+        got, schema = load_candidates(write_csv(tmp_path / "c.csv", "A,B\n0.5,0.5\n"))
+        assert got.tobytes() == np.array([[0.5, 0.5]]).tobytes() and schema.names == ("A", "B")
         with pytest.raises(DataFormatError, match="empty file"):
-            load_candidates(write_csv(tmp_path / "e.csv", ""), 3)
+            load_candidates(write_csv(tmp_path / "e.csv", ""))
 
     def test_quoted_cells_parse_as_numbers(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", 'A,B,C\n"0.5","0.25",0.25\n0.1," 0.2",0.7\n')
-        assert np.array_equal(load_candidates(p, 3)[0], [[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
+        assert np.array_equal(load_candidates(p)[0], [[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
 
     def test_result_is_c_contiguous_float64(self, tmp_path):
         rows = np.array([[0.5, 0.3, 0.2], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.0, 1.0]])
         p = write_csv(tmp_path / "c.csv", reference_candidate_text(SCHEMA3, rows))
-        got, schema = load_candidates(p, 3)
+        got, schema = load_candidates(p)
         assert schema == SCHEMA3
         assert got.flags["C_CONTIGUOUS"]
         assert got.dtype == np.float64
@@ -272,7 +285,7 @@ class TestLoadCandidates:
     def test_malformed_body_names_first_bad_row(self, tmp_path, body, message):
         p = write_csv(tmp_path / "c.csv", "A,B,C\n" + body)
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: {message}$"):
-            load_candidates(p, 3)
+            load_candidates(p)
 
     @pytest.mark.parametrize("body,rows", [
         ("1_0,0.5,0.25\n", [[10.0, 0.5, 0.25]]),  # float reads underscores; numpy does not
@@ -281,7 +294,7 @@ class TestLoadCandidates:
     ])
     def test_tables_the_fast_parse_leaves_to_the_row_parse(self, tmp_path, body, rows):
         p = write_csv(tmp_path / "c.csv", "A,B,C\n" + body)
-        assert load_candidates(p, 3)[0].tobytes() == np.array(rows).tobytes()
+        assert load_candidates(p)[0].tobytes() == np.array(rows).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -290,7 +303,7 @@ class TestLoadCandidates:
         with tempfile.TemporaryDirectory() as tmp:
             path = write_csv(Path(tmp) / "c.csv", text)
             expected = reference_candidates(path, n)
-            got, schema = load_candidates(path, n)
+            got, schema = load_candidates(path)
             with open(path, newline="", encoding="utf-8") as fh:
                 next(csv.reader(fh))
                 body = fh.read()
@@ -309,7 +322,7 @@ class TestLoadCandidates:
             expected = reference_candidates(path, n)
             assert isinstance(expected, str)
             with pytest.raises(DataFormatError) as excinfo:
-                load_candidates(path, n)
+                load_candidates(path)
         assert str(excinfo.value) == expected
 
 
@@ -444,7 +457,7 @@ class TestWriteCandidates:
         schema = ComponentSchema(tuple("ABCDE"[:rows.shape[1]]))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.csv"
-            write_candidates(path, schema, rows)
+            write_candidates(path, schema.names, rows)
             assert path.read_text(encoding="utf-8") == reference_candidate_text(schema, rows)
 
     def test_many_chunks_round_trip(self, tmp_path):
@@ -452,12 +465,12 @@ class TestWriteCandidates:
         grid_values = rng.integers(0, 21, size=(9_000, 3)) * 0.05
         rows = np.where(rng.random((9_000, 3)) < 0.1, rng.random((9_000, 3)), grid_values)
         path = tmp_path / "c.csv"
-        write_candidates(path, SCHEMA3, rows)
+        write_candidates(path, SCHEMA3.names, rows)
         assert path.read_text(encoding="utf-8") == reference_candidate_text(SCHEMA3, rows)
-        assert load_candidates(path, 3)[0].tobytes() == rows.tobytes()
+        assert load_candidates(path)[0].tobytes() == rows.tobytes()
 
     def test_empty_table_is_header_only(self, tmp_path):
-        write_candidates(tmp_path / "c.csv", SCHEMA3, np.zeros((0, 3)))
+        write_candidates(tmp_path / "c.csv", SCHEMA3.names, np.zeros((0, 3)))
         assert (tmp_path / "c.csv").read_text(encoding="utf-8") == "A,B,C\n"
 
 

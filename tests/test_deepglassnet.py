@@ -524,6 +524,17 @@ class TestCheckpoint:
             save_checkpoint(params, cfg, stats, band, path, center=center)
         assert not path.exists()
 
+    @pytest.mark.parametrize("section", ["vector", "running_var", "mean", "center"])
+    def test_non_finite_tensor_raises_before_writing(self, tmp_path, section):
+        params, stats, band = self.build()
+        center = np.zeros(TINY.feature_dim)
+        {"vector": params.vector, "running_var": params.bn.running_var,
+         "mean": stats.mean, "center": center}[section][0] = np.nan
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="refusing to save non-finite tensor values"):
+            save_checkpoint(params, TINY, stats, band, path, center=center)
+        assert not path.exists()
+
     def test_bad_magic_is_version_error(self, tmp_path):
         path, _ = self.saved_blob(tmp_path)
         blob = bytearray(path.read_bytes())
@@ -590,7 +601,7 @@ class TestCheckpoint:
         payload = CHECKPOINT_MAGIC + self.V1.read_bytes()[8:-32]
         path = tmp_path / "relabelled.ckpt"
         path.write_bytes(payload + hashlib.sha256(payload).digest())
-        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        with pytest.raises(CheckpointCorruptError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     def saved_blob(self, tmp_path):
@@ -660,13 +671,16 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     # the payload, checksummed anew, cut before the center flag byte, with
-    # flag 1 and no center, or with flag 0 and 8 more bytes: a flag other than
-    # 1 is refused whatever the length
+    # flag 1 and no center, with flag 0 and 8 more bytes, or with flag 2 and a
+    # center: a flag other than 1 is refused whatever the length, flag 0 as a
+    # center-less file and any other as a corrupt one
     @pytest.mark.parametrize("tail, error, message", [
         (b"", CheckpointCorruptError, "truncated checkpoint"),
         (b"\x01", CheckpointCorruptError, "truncated checkpoint"),
-        (b"\x00" + bytes(8), CheckpointVersionError, "carries no class center")],
-        ids=["no-flag", "flag-1-no-center", "flag-0-8-extra"])
+        (b"\x00" + bytes(8), CheckpointVersionError, "carries no class center"),
+        (b"\x02" + bytes(8 * TINY.feature_dim), CheckpointCorruptError,
+         "center flag 2, neither 0 nor 1")],
+        ids=["no-flag", "flag-1-no-center", "flag-0-8-extra", "flag-2"])
     def test_payload_length_decides(self, tmp_path, tail, error, message):
         path, blob = self.saved_blob(tmp_path)
         flag = len(blob) - 32 - 1 - 8 * TINY.feature_dim
