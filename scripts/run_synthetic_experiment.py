@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from glasscreen import baseline_knn, evaluation
-from glasscreen.data_pipeline import split
+from glasscreen.data_pipeline import split, write_candidates
 from glasscreen.deepglassnet import ArchConfig, save_checkpoint
 from glasscreen.synthetic import benchmark_dataset
 from glasscreen.training import TrainConfig, train
@@ -40,7 +40,7 @@ def main():
     print(f"trained {args.epochs} epochs in {time.monotonic() - started:.1f}s")
 
     center = evaluation.class_center(train_part[train_part.y == 1], params, stats)
-    dgn = evaluation.evaluate(val_part, params, stats, center, args.precision_k)
+    dgn = evaluation.evaluate(val_part, params, stats, center.vector, args.precision_k)
     knn = baseline_knn.knn_evaluate(train_part, val_part, stats,
                                     baseline_knn.KnnConfig(5), args.precision_k)
 
@@ -51,9 +51,9 @@ def main():
     out_dir.mkdir(parents=True, exist_ok=True)
     history.write_csv(out_dir / "history.csv")
     evaluation.write_scores_csv(dgn, out_dir / "scores.csv")
-    evaluation.write_roc_csv(dgn.roc, out_dir / "roc.csv")
+    write_candidates(out_dir / "roc.csv", ("fpr", "tpr"), dgn.roc)
     evaluation.write_scores_csv(knn, out_dir / "baseline_knn_scores.csv")
-    evaluation.write_roc_csv(knn.roc, out_dir / "baseline_knn_roc.csv")
+    write_candidates(out_dir / "baseline_knn_roc.csv", ("fpr", "tpr"), knn.roc)
     save_checkpoint(params, arch, stats, band, out_dir / "model.ckpt",
                     center=center.vector)
     print(f"history, reports and checkpoint in {out_dir}/")

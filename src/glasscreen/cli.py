@@ -24,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline_knn, evaluation
+# eval_features and normalize are not called here; perfbench/tracing.py wraps
+# them at this import site
 from .data_pipeline import (
-    CandidateCapError,
     ComponentSchema,
     DataFormatError,
-    EmptyClassError,
     GridConfig,
     TgBand,
     clean_with_counts,
@@ -44,12 +44,12 @@ from .data_pipeline import (
 )
 from .deepglassnet import (
     ArchConfig,
-    CheckpointError,
     eval_features,
     load_checkpoint,
     save_checkpoint,
 )
-from .training import NumericFailure, TrainConfig, train
+from .numeric_core import NumericFailure
+from .training import TrainConfig, train
 
 log = logging.getLogger("glasscreen")
 
@@ -168,8 +168,12 @@ def atomic_path(path):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     os.close(fd)
+    umask = os.umask(0)  # read by setting; restored at once
+    os.umask(umask)
     try:
         yield tmp_name
+        # mkstemp makes the file 0600; give it the mode open() would have
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -248,10 +252,10 @@ def cmd_train(args, run: RunConfig) -> int:
 
     center = evaluation.class_center(train_part[train_part.y == 1], params, stats)
 
-    with atomic_path(args.out) as tmp:
-        save_checkpoint(params, arch, stats, band, tmp, center=center.vector)
-    with atomic_path(history_path) as tmp:
-        history.write_csv(tmp)
+    # one with: a history path that cannot be written leaves no checkpoint
+    with atomic_path(args.out) as ckpt_tmp, atomic_path(history_path) as history_tmp:
+        save_checkpoint(params, arch, stats, band, ckpt_tmp, center=center.vector)
+        history.write_csv(history_tmp)
 
     best = max(r.val_auc for r in history.records)
     log.info("training done: %d epochs, best val AUC %.4f, checkpoint %s",
@@ -266,23 +270,21 @@ def cmd_eval(args, run: RunConfig) -> int:
     raw, schema = load_dataset(args.data)
     _check_columns(args.data, schema, ckpt)
     train_part, val_part = _label_split(raw, ckpt.band, run)
-    report = evaluation.make_report(_score(val_part.fractions, ckpt, args.checkpoint),
-                                    val_part, args.k)
+    reports = {"": evaluation.evaluate(val_part, ckpt.params, ckpt.stats, ckpt.center, args.k)}
+    if args.with_knn_baseline:  # before any file, so a failing baseline writes no report
+        reports["baseline_knn_"] = baseline_knn.knn_evaluate(
+            train_part, val_part, ckpt.stats, baseline_knn.KnnConfig(run.k_neighbors), args.k)
 
     report_dir = Path(args.report_dir)
-    fingerprint = run.fingerprint()
-    _write_report(report_dir, "", report, ckpt.band, fingerprint)
-    log.info("eval: auc=%.4f precision@%d=%.4f reports in %s",
-             report.auc, args.k, report.precision_at_k, report_dir)
-
-    if args.with_knn_baseline:
-        knn_report = baseline_knn.knn_evaluate(
-            train_part, val_part, ckpt.stats,
-            baseline_knn.KnnConfig(run.k_neighbors), args.k,
-        )
-        _write_report(report_dir, "baseline_knn_", knn_report, ckpt.band, fingerprint)
-        log.info("knn baseline: auc=%.4f precision@%d=%.4f",
-                 knn_report.auc, args.k, knn_report.precision_at_k)
+    for prefix, report in reports.items():
+        with atomic_path(report_dir / f"{prefix}scores.csv") as tmp:
+            evaluation.write_scores_csv(report, tmp)
+        with atomic_path(report_dir / f"{prefix}roc.csv") as tmp:
+            write_candidates(tmp, ("fpr", "tpr"), report.roc)
+        with atomic_path(report_dir / f"{prefix}summary.json") as tmp:
+            evaluation.write_summary_json(report, ckpt.band, run.fingerprint(), tmp)
+        log.info("%s: auc=%.4f precision@%d=%.4f", report_dir / f"{prefix}summary.json",
+                 report.auc, args.k, report.precision_at_k)
     return EXIT_OK
 
 
@@ -291,27 +293,6 @@ def _check_columns(path, schema: ComponentSchema, ckpt) -> None:
     if schema.n != ckpt.params.arch.n_components:
         raise DataFormatError(f"{path} has {schema.n} components but the checkpoint "
                               f"expects {ckpt.params.arch.n_components}")
-
-
-def _score(fractions: np.ndarray, ckpt, ckpt_path) -> np.ndarray:
-    """Each composition's inner product with the checkpoint's class center.
-    A model whose finite weights overflow scores nan or inf; no report or
-    ranking is written from such scores."""
-    scores = eval_features(normalize(fractions, ckpt.stats), ckpt.params) @ ckpt.center
-    bad = np.count_nonzero(~np.isfinite(scores))
-    if bad:
-        raise NumericFailure(f"{ckpt_path}: {bad} of {scores.size} scores are not finite")
-    return scores
-
-
-def _write_report(report_dir: Path, prefix: str, report, band: TgBand, fingerprint: str):
-    report_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_path(report_dir / f"{prefix}scores.csv") as tmp:
-        evaluation.write_scores_csv(report, tmp)
-    with atomic_path(report_dir / f"{prefix}roc.csv") as tmp:
-        evaluation.write_roc_csv(report.roc, tmp)
-    with atomic_path(report_dir / f"{prefix}summary.json") as tmp:
-        evaluation.write_summary_json(report, band, fingerprint, tmp)
 
 
 def cmd_screen(args, run: RunConfig) -> int:
@@ -334,7 +315,7 @@ def cmd_screen(args, run: RunConfig) -> int:
             f"top_k={args.top_k} out of range for {candidates.shape[0]} candidates"
         )
 
-    scores = _score(candidates, ckpt, args.checkpoint)
+    scores = evaluation.score(candidates, ckpt.params, ckpt.stats, ckpt.center)
     order = evaluation.top_k(scores, args.top_k)
     with atomic_path(args.out) as tmp:
         write_candidates(tmp, schema.names + ("score",),
@@ -353,7 +334,7 @@ def cmd_enumerate(args, run: RunConfig) -> int:
         index = {name: i for i, name in enumerate(schema.names)}
         for name, lo, hi in args.bound:
             if name not in index:
-                raise ConfigError(f"--bound names unknown component {name!r}")
+                raise ValueError(f"--bound names unknown component {name!r}")
             lo, hi = float(lo), float(hi)
             if math.isnan(lo) or math.isnan(hi):
                 raise ValueError(f"--bound {name} {lo} {hi}: an end is nan")
@@ -470,15 +451,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_USAGE
-    except (DataFormatError, EmptyClassError, CandidateCapError, CheckpointError,
-            OSError) as exc:
-        log.error("data error: %s", exc)
-        return EXIT_DATA
     except (NumericFailure, RuntimeWarning) as exc:  # numpy's, raised under -W error
         log.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        log.error("invalid input: %s", exc)
+    except (ValueError, OSError) as exc:
+        log.error("data error: %s", exc)
         return EXIT_DATA
 
 

@@ -33,7 +33,7 @@ class EmptyClassError(ValueError):
     """A label class needed for triplet sampling or evaluation is empty."""
 
 
-class CandidateCapError(RuntimeError):
+class CandidateCapError(ValueError):
     """Candidate enumeration would exceed the configured cap."""
 
 

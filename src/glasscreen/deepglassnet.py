@@ -39,8 +39,8 @@ _ARCH_HEADER = struct.Struct("<6q3d")  # ArchConfig's fields in order, after the
 log = logging.getLogger(__name__)
 
 
-class CheckpointError(RuntimeError):
-    pass
+class CheckpointError(ValueError):
+    """A file load_checkpoint refuses."""
 
 
 class CheckpointVersionError(CheckpointError):
@@ -374,30 +374,23 @@ def forward_batch(
     )
 
 
-# rows per eval_features forward: bounds the (n, chunk n) attention buffers
+# rows per eval_features chunk (up to twice that): bounds the (n, chunk n) attention buffers
 EVAL_CHUNK = 2048
 
 
 def eval_features(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Eval-mode features for a (B, n) batch, computed in EVAL_CHUNK-row chunks
-    that share one encoder_constants(params).
+    """Eval-mode features for a (B, n) batch, computed in chunks that share
+    one encoder_constants(params): B // EVAL_CHUNK near-equal chunks (one if
+    B < EVAL_CHUNK), each of EVAL_CHUNK to 2 EVAL_CHUNK - 1 rows.
 
-    A one-row remainder is folded into the chunk before it: numpy runs a
-    one-row matmul through another BLAS kernel, whose last bits differ, so
-    this keeps every row's bytes independent of the chunk size.
+    So no chunk of a larger batch has one row, which numpy multiplies through
+    another BLAS kernel whose last bits differ: every row's bytes are
+    independent of the chunk size.
     """
     x = np.asarray(x, dtype=np.float64)
-    rows = x.shape[0]
-    starts = list(range(0, rows, EVAL_CHUNK))
-    if not starts:
-        return np.zeros((0, params.w_out.shape[1]))
-    if len(starts) > 1 and rows - starts[-1] == 1:
-        starts.pop()
-    ends = starts[1:] + [rows]
     constants = encoder_constants(params)
-    outputs = [forward_batch(x[s:e], params, mode="eval", constants=constants)[0]
-               for s, e in zip(starts, ends)]
-    return np.concatenate(outputs, axis=0)
+    return np.concatenate([forward_batch(chunk, params, mode="eval", constants=constants)[0]
+                           for chunk in np.array_split(x, max(1, x.shape[0] // EVAL_CHUNK))])
 
 
 # ---------------------------------------------------------------------------

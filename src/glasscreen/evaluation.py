@@ -11,6 +11,7 @@ import numpy as np
 
 from .data_pipeline import EmptyClassError, NormalizationStats, Samples, TgBand, normalize
 from .deepglassnet import ModelParams, eval_features
+from .numeric_core import NumericFailure
 
 log = logging.getLogger(__name__)
 
@@ -62,15 +63,20 @@ def class_center(
 
 
 def score(
-    samples: Samples,
+    fractions: np.ndarray,
     params: ModelParams,
     stats: NormalizationStats,
-    center: ClassCenter,
+    center: np.ndarray,
 ) -> np.ndarray:
-    """Inner-product similarity of each sample's feature with the center, as
-    an (m,) array in input order, without augmentation."""
-    x = normalize(samples.fractions, stats)
-    return eval_features(x, params) @ center.vector
+    """Inner-product similarity of each (m, n) raw-fraction row's feature with
+    the center vector, as an (m,) array in input order, without augmentation.
+    A model whose finite weights overflow scores nan or inf; such scores are
+    refused, so no report or ranking is made from them."""
+    scores = eval_features(normalize(fractions, stats), params) @ center
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise NumericFailure(f"{bad} of {scores.size} scores are not finite")
+    return scores
 
 
 def _check_both_classes(labels: np.ndarray, what: str) -> np.ndarray:
@@ -146,13 +152,14 @@ def evaluate(
     val: Samples,
     params: ModelParams,
     stats: NormalizationStats,
-    center: ClassCenter,
+    center: np.ndarray,
     k: int,
 ) -> Report:
-    """Score the validation samples and assemble the full report."""
+    """Score the validation samples against the center vector and assemble
+    the full report."""
     if not val:
         raise ValueError("evaluate needs a non-empty validation set")
-    return make_report(score(val, params, stats, center), val, k)
+    return make_report(score(val.fractions, params, stats, center), val, k)
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +172,6 @@ def write_scores_csv(report: Report, path) -> None:
         for i, (s, y, tg) in enumerate(zip(report.scores.tolist(), report.labels.tolist(),
                                            report.tg.tolist())):
             fh.write(f"{i},{s!r},{y},{tg!r}\n")
-
-
-def write_roc_csv(points: list[tuple[float, float]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("fpr,tpr\n")
-        for fpr, tpr in points:
-            fh.write(f"{fpr!r},{tpr!r}\n")
 
 
 def write_summary_json(report: Report, band: TgBand, fingerprint: str, path) -> None:

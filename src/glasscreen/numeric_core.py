@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NumericFailure",
     "RandomSource",
     "softmax_leading",
     "BatchNormState",
@@ -20,6 +21,10 @@ __all__ = [
     "batchnorm_fold",
     "batchnorm_train_cached",
 ]
+
+
+class NumericFailure(RuntimeError):
+    """A non-finite loss, gradient or score."""
 
 
 class RandomSource:

@@ -35,11 +35,7 @@ from .deepglassnet import (
     init_params,
     tensor_views,
 )
-from .numeric_core import RandomSource, batchnorm_backward
-
-
-class NumericFailure(RuntimeError):
-    """Training hit a non-finite loss or gradient."""
+from .numeric_core import NumericFailure, RandomSource, batchnorm_backward
 
 
 def triplet_losses(features: np.ndarray) -> np.ndarray:
@@ -350,7 +346,8 @@ def train(
 
         if epoch == 1 or epoch == cfg.epochs or epoch % cfg.eval_every == 0:
             center = evaluation.class_center(targets, params, stats)
-            report = evaluation.evaluate(val_set, params, stats, center, cfg.precision_k)
+            report = evaluation.evaluate(val_set, params, stats, center.vector,
+                                         cfg.precision_k)
             last_auc = report.auc
             last_precision = report.precision_at_k
             if last_auc > best_auc:

@@ -133,7 +133,7 @@ def _a3_recipe(seed: int) -> dict:
 
     targets = train_part[train_part.y == 1]
     center = evaluation.class_center(targets, params, stats)
-    dgn = evaluation.evaluate(val_part, params, stats, center, 50)
+    dgn = evaluation.evaluate(val_part, params, stats, center.vector, 50)
     knn = baseline_knn.knn_evaluate(train_part, val_part, stats,
                                     baseline_knn.KnnConfig(5), 50)
     return {
@@ -178,7 +178,8 @@ def test_screen_ranks_known_target_first(synthetic_run, tmp_path):
                     ckpt_path, center=run["center"].vector)
 
     targets = run["train_part"][run["train_part"].y == 1]
-    scores = evaluation.score(targets, run["params"], run["stats"], run["center"])
+    scores = evaluation.score(targets.fractions, run["params"], run["stats"],
+                              run["center"].vector)
     strongest = targets.fractions[int(np.argmax(scores))]
 
     rng = RandomSource(505)

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import re
+import stat
 import tempfile
 from pathlib import Path
 
@@ -303,6 +305,16 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert not out.exists()
 
+    def test_unwritable_history_leaves_no_checkpoint(self, workdir, caplog):
+        tmp_path, data, config = workdir
+        before = set(tmp_path.iterdir())
+        code = main(["train", "--data", str(data), "--config", str(config), "--band",
+                     "500:600", "--out", str(tmp_path / "model.ckpt"),
+                     "--history", str(config / "h.csv")])
+        assert code == EXIT_DATA
+        assert "data error: " in caplog.text
+        assert set(tmp_path.iterdir()) == before
+
     def test_unknown_config_key_is_usage_error(self, workdir):
         tmp_path, data, _ = workdir
         bad = tmp_path / "bad.json"
@@ -396,6 +408,18 @@ class TestEval:
         assert (rd / "baseline_knn_summary.json").exists()
         assert (rd / "baseline_knn_scores.csv").exists()
         assert (rd / "baseline_knn_roc.csv").exists()
+
+    def test_failing_knn_baseline_writes_no_report(self, workdir, caplog):
+        tmp_path, data, config = workdir
+        out = run_train(tmp_path, data, config)
+        knn_config = write_config(tmp_path / "knn.json", k_neighbors=500)
+        rd = tmp_path / "rep"
+        code = main(["eval", "--checkpoint", str(out), "--data", str(data),
+                     "--config", str(knn_config), "--report-dir", str(rd), "--k", "5",
+                     "--with-knn-baseline"])
+        assert code == EXIT_DATA
+        assert re.search(r"k_neighbors=500 exceeds training size \d+", caplog.text)
+        assert not rd.exists()
 
 
 class TestScreen:
@@ -590,7 +614,7 @@ class TestEnumerate:
         assert out.read_bytes() == b"A,B\n0.5,0.5\n0.0,1.0\n"
 
     @pytest.mark.parametrize("bound, code, message", [
-        (["D", "0", "1"], EXIT_USAGE, "--bound names unknown component 'D'"),
+        (["D", "0", "1"], EXIT_DATA, "--bound names unknown component 'D'"),
         (["A", "0.6", "0.4"], EXIT_DATA, "bound lo 0.6 exceeds hi 0.4")],
         ids=["unknown-name", "lo-above-hi"])
     def test_bad_bound_writes_nothing(self, tmp_path, caplog, bound, code, message):
@@ -797,6 +821,25 @@ class TestRunConfig:
         cfg = RunConfig.load(path)
         assert (cfg.min_sum, cfg.lr, cfg.band_low) == (1, 0.01, None)
         assert type(cfg.min_sum) is int
+
+
+# outputs get the mode a plain open() would give them under the umask, also
+# when they replace a file of another mode
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_take_the_umask_mode(workdir, umask, mode):
+    tmp_path, data, config = workdir
+    grid = tmp_path / "grid.csv"
+    grid.write_text("old", encoding="utf-8")
+    grid.chmod(0o640)
+    previous = os.umask(umask)
+    try:
+        out = run_train(tmp_path, data, config)
+        assert main(["enumerate", "--components", "A,B", "--step", "0.5",
+                     "--out", str(grid)]) == EXIT_OK
+    finally:
+        os.umask(previous)
+    for path in (out, Path(f"{out}.history.csv"), grid):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
 
 def test_atomic_path_leaves_nothing_when_the_body_raises(tmp_path):

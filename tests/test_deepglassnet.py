@@ -376,8 +376,9 @@ class TestForward:
                               features_at_chunk(x, tiny_params, 100))
 
     def test_eval_features_one_row_remainder(self):
-        # at chunk 4,096, 4,097 rows leave a one-row remainder; a one-row
-        # matmul rounds differently from the same row inside a chunk
+        # at chunk 4,096, fixed-size chunks of 4,097 rows would leave a one-row
+        # remainder; a one-row matmul rounds differently from the same row
+        # inside a chunk
         params = init_params(ArchConfig(n_components=8), seed=0)
         x = RandomSource(15).normal(0, 1, size=(4097, 8))
         assert np.array_equal(features_at_chunk(x, params, 4096),
@@ -392,14 +393,22 @@ class TestForward:
         assert np.array_equal(features_at_chunk(x, params, chunk),
                               features_at_chunk(x, params, max(rows, 2)))
 
-    def test_eval_features_equals_forward_batch_per_chunk(self):
-        # two full chunks and a one-row remainder, folded into the second
+    def test_eval_features_equals_forward_batch_per_chunk(self, monkeypatch):
+        # 2 chunk + 1 rows split into two chunks, the first one row longer
         params = init_params(ArchConfig(n_components=8), seed=0)
         chunk = deepglassnet.EVAL_CHUNK
         x = RandomSource(16).normal(0, 1, size=(2 * chunk + 1, 8))
-        expected = np.concatenate([forward_batch(x[:chunk], params)[0],
-                                   forward_batch(x[chunk:], params)[0]])
+        expected = np.concatenate([forward_batch(x[:chunk + 1], params)[0],
+                                   forward_batch(x[chunk + 1:], params)[0]])
+        rows = []
+
+        def recording(batch, *args, **kwargs):
+            rows.append(batch.shape[0])
+            return forward_batch(batch, *args, **kwargs)
+
+        monkeypatch.setattr(deepglassnet, "forward_batch", recording)
         assert eval_features(x, params).tobytes() == expected.tobytes()
+        assert rows == [chunk + 1, chunk]
 
     def test_constants_from_other_params_are_refused(self, tiny_params):
         x = RandomSource(17).normal(0, 1, size=(3, 4))

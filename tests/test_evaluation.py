@@ -11,7 +11,6 @@ from glasscreen import evaluation
 from glasscreen.data_pipeline import EmptyClassError, fit_normalization
 from glasscreen.deepglassnet import ArchConfig, init_params
 from glasscreen.evaluation import (
-    ClassCenter,
     Report,
     auc,
     class_center,
@@ -21,7 +20,7 @@ from glasscreen.evaluation import (
     score,
     top_k,
 )
-from glasscreen.numeric_core import RandomSource
+from glasscreen.numeric_core import NumericFailure, RandomSource
 from sample_tables import table
 
 
@@ -192,7 +191,7 @@ class TestClassCenterAndScore:
     def test_single_target_center_is_its_feature(self):
         target = self.samples[self.samples.y == 1][:1]
         center = class_center(target, self.params, self.stats)
-        scores = score(target, self.params, self.stats, center)
+        scores = score(target.fractions, self.params, self.stats, center.vector)
         assert abs(scores[0] - 1.0) < 1e-12  # <f, f> = 1 for unit f
 
     def test_center_norm_at_most_one(self):
@@ -212,26 +211,27 @@ class TestClassCenterAndScore:
              "class center has near-zero norm; scores will be ~0")]
 
     def test_zero_center_scores_zero(self):
-        center = ClassCenter(vector=np.zeros(ARCH.feature_dim))
-        scores = score(self.samples, self.params, self.stats, center)
+        scores = score(self.samples.fractions, self.params, self.stats,
+                       np.zeros(ARCH.feature_dim))
         assert np.all(scores == 0.0)
 
     def test_scores_bounded_by_center_norm(self):
         targets = self.samples[self.samples.y == 1]
         center = class_center(targets, self.params, self.stats)
         bound = np.linalg.norm(center.vector) + 1e-12
-        scores = score(self.samples, self.params, self.stats, center)
+        scores = score(self.samples.fractions, self.params, self.stats, center.vector)
         assert np.all(np.abs(scores) <= bound)
 
     def test_order_preserved(self):
         targets = self.samples[self.samples.y == 1]
         center = class_center(targets, self.params, self.stats)
-        scores = score(self.samples, self.params, self.stats, center)
-        one_by_one = [score(self.samples[i:i + 1], self.params, self.stats, center)[0]
+        scores = score(self.samples.fractions, self.params, self.stats, center.vector)
+        one_by_one = [score(self.samples.fractions[i:i + 1], self.params, self.stats,
+                            center.vector)[0]
                       for i in range(len(self.samples))]
         assert scores.shape == (len(self.samples),)
         np.testing.assert_allclose(scores, one_by_one, rtol=0.0, atol=1e-12)
-        report = evaluate(self.samples, self.params, self.stats, center, k=5)
+        report = evaluate(self.samples, self.params, self.stats, center.vector, k=5)
         assert report.labels.tolist() == self.samples.y.tolist()
         assert report.tg.tolist() == self.samples.tg.tolist()
 
@@ -255,11 +255,11 @@ class TestEvaluate:
         self.params = init_params(ARCH, seed=2)
         self.params.b_out += 0.4
         self.center = class_center(self.samples[self.samples.y == 1],
-                                   self.params, self.stats)
+                                   self.params, self.stats).vector
 
     def test_matches_individual_operations(self):
         report = evaluate(self.samples, self.params, self.stats, self.center, k=5)
-        scores = score(self.samples, self.params, self.stats, self.center)
+        scores = score(self.samples.fractions, self.params, self.stats, self.center)
         labels = self.samples.y
         assert np.array_equal(report.scores, scores)
         assert report.auc == auc(scores, labels)
@@ -277,6 +277,14 @@ class TestEvaluate:
         r2 = evaluate(self.samples, self.params, self.stats, self.center, k=5)
         assert r1.auc == r2.auc
         assert r1.scores.tolist() == r2.scores.tolist()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow, scored as nan
+    def test_overflowing_weights_are_numeric_failure(self):
+        # finite weights whose attention scores overflow: every score is nan
+        self.params.embeddings[...] *= 1e200
+        m = len(self.samples)
+        with pytest.raises(NumericFailure, match=f"^{m} of {m} scores are not finite$"):
+            evaluate(self.samples, self.params, self.stats, self.center, k=5)
 
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
