@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""End-to-end benchmark run: train the encoder on the synthetic corpus, score
-the held-out split, compare against the KNN baseline, and dump history plus
-report files for external plotting.
+"""End-to-end benchmark run through the CLI: write the synthetic corpus, then
+``glasscreen train`` on it and ``glasscreen eval --with-knn-baseline`` on the
+held-out split, and leave the corpus, config, history, checkpoint and report
+files in ``--out-dir`` for external plotting.
 
 Mirrors the repository's end-to-end acceptance run (seed 42, default
 hyperparameters) when invoked without arguments.
 """
 
 import argparse
+import json
+import sys
 import time
 from pathlib import Path
 
-from glasscreen import baseline_knn, evaluation
-from glasscreen.data_pipeline import split, write_candidates
-from glasscreen.deepglassnet import ArchConfig, save_checkpoint
-from glasscreen.synthetic import benchmark_dataset
-from glasscreen.training import TrainConfig, train
+from glasscreen import cli
+from glasscreen.data_pipeline import write_dataset
+from glasscreen.synthetic import SCHEMA, benchmark_dataset
 
 
 def main():
@@ -31,33 +32,35 @@ def main():
     samples, band = benchmark_dataset(args.samples, seed=args.data_seed)
     print(f"dataset: {len(samples)} samples, band [{band.low:.1f}, {band.high:.1f}), "
           f"target fraction {samples.y.mean():.3f}")
-    train_part, val_part = split(samples, 0.8, seed=args.seed)
-
-    arch = ArchConfig(n_components=8)
-    cfg = TrainConfig(epochs=args.epochs, seed=args.seed, precision_k=args.precision_k)
-    started = time.monotonic()
-    params, stats, history = train(train_part, val_part, arch, cfg)
-    print(f"trained {args.epochs} epochs in {time.monotonic() - started:.1f}s")
-
-    center = evaluation.class_center(train_part[train_part.y == 1], params, stats)
-    dgn = evaluation.evaluate(val_part, params, stats, center.vector, args.precision_k)
-    knn = baseline_knn.knn_evaluate(train_part, val_part, stats,
-                                    baseline_knn.KnnConfig(5), args.precision_k)
-
-    print(f"encoder : AUC {dgn.auc:.4f}  P@{args.precision_k} {dgn.precision_at_k:.3f}")
-    print(f"knn(k=5): AUC {knn.auc:.4f}  P@{args.precision_k} {knn.precision_at_k:.3f}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    history.write_csv(out_dir / "history.csv")
-    evaluation.write_scores_csv(dgn, out_dir / "scores.csv")
-    write_candidates(out_dir / "roc.csv", ("fpr", "tpr"), dgn.roc)
-    evaluation.write_scores_csv(knn, out_dir / "baseline_knn_scores.csv")
-    write_candidates(out_dir / "baseline_knn_roc.csv", ("fpr", "tpr"), knn.roc)
-    save_checkpoint(params, arch, stats, band, out_dir / "model.ckpt",
-                    center=center.vector)
+    data, config = out_dir / "data.csv", out_dir / "config.json"
+    checkpoint = out_dir / "model.ckpt"
+    write_dataset(data, SCHEMA, samples)
+    config.write_text(json.dumps({"epochs": args.epochs, "precision_k": args.precision_k}) + "\n",
+                      encoding="utf-8")
+    common = ["--data", str(data), "--seed", str(args.seed), "--config", str(config)]
+
+    started = time.monotonic()
+    status = cli.main(["train", *common, f"--band={band.low!r}:{band.high!r}",
+                       "--out", str(checkpoint), "--history", str(out_dir / "history.csv")])
+    if status:
+        return status
+    print(f"trained {args.epochs} epochs in {time.monotonic() - started:.1f}s")
+
+    status = cli.main(["eval", *common, "--checkpoint", str(checkpoint),
+                       "--report-dir", str(out_dir), "--k", str(args.precision_k),
+                       "--with-knn-baseline"])
+    if status:
+        return status
+    for label, prefix in (("encoder ", ""), ("knn(k=5)", "baseline_knn_")):
+        summary = json.loads((out_dir / f"{prefix}summary.json").read_text(encoding="utf-8"))
+        print(f"{label}: AUC {summary['auc']:.4f}  "
+              f"P@{args.precision_k} {summary['precision_at_k']:.3f}")
     print(f"history, reports and checkpoint in {out_dir}/")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
@@ -39,8 +39,8 @@ from .data_pipeline import (
     normalize,
     split,
     transform_labels,
-    write_candidates,
     write_dataset,
+    write_table,
 )
 from .deepglassnet import (
     ArchConfig,
@@ -49,7 +49,7 @@ from .deepglassnet import (
     save_checkpoint,
 )
 from .numeric_core import NumericFailure
-from .training import TrainConfig, train
+from .training import EpochRecord, TrainConfig, train
 
 log = logging.getLogger("glasscreen")
 
@@ -163,8 +163,11 @@ RunConfig = make_dataclass(
 @contextmanager
 def atomic_path(path):
     """Yield a temp path in the target directory; rename over the target on
-    success, delete on failure. Failed runs leave no partial files."""
+    success, delete on failure; a directory target is refused on entry. Failed
+    runs leave no partial files."""
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"{path}: is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     os.close(fd)
@@ -255,7 +258,9 @@ def cmd_train(args, run: RunConfig) -> int:
     # one with: a history path that cannot be written leaves no checkpoint
     with atomic_path(args.out) as ckpt_tmp, atomic_path(history_path) as history_tmp:
         save_checkpoint(params, arch, stats, band, ckpt_tmp, center=center.vector)
-        history.write_csv(history_tmp)
+        write_table(history_tmp, [f.name for f in fields(EpochRecord)], [
+            np.array([getattr(r, f.name) for r in history.records], dtype=f"{f.type}64")
+            for f in fields(EpochRecord)])
 
     best = max(r.val_auc for r in history.records)
     log.info("training done: %d epochs, best val AUC %.4f, checkpoint %s",
@@ -276,13 +281,18 @@ def cmd_eval(args, run: RunConfig) -> int:
             train_part, val_part, ckpt.stats, baseline_knn.KnnConfig(run.k_neighbors), args.k)
 
     report_dir = Path(args.report_dir)
+    # every path is entered before any file is written: a refused one writes no report
+    with ExitStack() as stack:
+        tmp = {(prefix, name): stack.enter_context(atomic_path(report_dir / (prefix + name)))
+               for prefix in reports for name in ("scores.csv", "roc.csv", "summary.json")}
+        for prefix, report in reports.items():
+            write_table(tmp[prefix, "scores.csv"], ("index", "score", "label", "tg"),
+                        (np.arange(report.scores.size, dtype=np.int64), report.scores,
+                         report.labels, report.tg))
+            write_table(tmp[prefix, "roc.csv"], ("fpr", "tpr"), np.array(report.roc).T)
+            evaluation.write_summary_json(report, ckpt.band, run.fingerprint(),
+                                          tmp[prefix, "summary.json"])
     for prefix, report in reports.items():
-        with atomic_path(report_dir / f"{prefix}scores.csv") as tmp:
-            evaluation.write_scores_csv(report, tmp)
-        with atomic_path(report_dir / f"{prefix}roc.csv") as tmp:
-            write_candidates(tmp, ("fpr", "tpr"), report.roc)
-        with atomic_path(report_dir / f"{prefix}summary.json") as tmp:
-            evaluation.write_summary_json(report, ckpt.band, run.fingerprint(), tmp)
         log.info("%s: auc=%.4f precision@%d=%.4f", report_dir / f"{prefix}summary.json",
                  report.auc, args.k, report.precision_at_k)
     return EXIT_OK
@@ -318,8 +328,7 @@ def cmd_screen(args, run: RunConfig) -> int:
     scores = evaluation.score(candidates, ckpt.params, ckpt.stats, ckpt.center)
     order = evaluation.top_k(scores, args.top_k)
     with atomic_path(args.out) as tmp:
-        write_candidates(tmp, schema.names + ("score",),
-                         np.column_stack((candidates[order], scores[order])))
+        write_table(tmp, schema.names + ("score",), (*candidates[order].T, scores[order]))
     log.info("screen: scored %d candidates, wrote top %d to %s",
              candidates.shape[0], args.top_k, args.out)
     return EXIT_OK
@@ -343,7 +352,7 @@ def cmd_enumerate(args, run: RunConfig) -> int:
     grid = GridConfig(step=args.step, max_nonzero=max_nonzero, bounds=bounds, cap=args.cap)
     candidates = enumerate_candidates(schema, grid)
     with atomic_path(args.out) as tmp:
-        write_candidates(tmp, schema.names, candidates)
+        write_table(tmp, schema.names, candidates.T)
     log.info("enumerate: wrote %d candidates to %s", candidates.shape[0], args.out)
     return EXIT_OK
 

@@ -304,32 +304,36 @@ def _parse_table_fast(path, body: str, n_columns: int) -> np.ndarray | None:
     return candidates
 
 
-# rows joined per write in write_candidates, which bounds its temporary strings
+# rows joined per write in write_table, which bounds its temporary strings
 _WRITE_CHUNK_ROWS = 4096
 
 
-def write_candidates(path, names, rows: np.ndarray) -> None:
-    """Write a float table, such as a candidate lattice: a header of ``names``
-    in ``csv`` quoting, then each cell as ``repr(float(value))``, every line
-    ended by "\\n". Each distinct value (by bit pattern, so -0.0 and 0.0 stay
-    apart) is formatted once with its separator, "," or, in the last column,
-    "\\n"; each chunk of rows is then one join of those strings."""
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    bits = rows.view(np.int64)
-    # a sort and a mask: np.unique(bits) gives the same array about 8x slower on numpy 2.4
-    distinct = np.sort(bits, axis=None)
-    keep = np.ones(distinct.size, dtype=bool)
-    keep[1:] = distinct[1:] != distinct[:-1]
-    distinct = distinct[keep]
-    # column by column: a lattice column runs in order, which keeps the search short
-    code = np.searchsorted(distinct, bits.T).T
-    code[:, -1] += distinct.size
-    cells = [repr(v) for v in distinct.view(np.float64).tolist()]
-    table = np.array([c + "," for c in cells] + [c + "\n" for c in cells], dtype=object)
+def write_table(path, names, columns) -> None:
+    """Write any output table but the data table: a ``csv``-quoted header of
+    ``names``, then each cell as ``repr`` of its Python value and "\\n" line
+    ends, from one float64 or int64 array per column (other dtypes are a
+    ValueError). Each column's distinct values, by bit pattern (-0.0 and 0.0
+    apart), are formatted once with their separator; a chunk of rows is one join."""
+    # code[j, i] indexes the string of row i's cell in column j
+    code = np.empty((len(columns), len(columns[0])), dtype=np.int64)
+    cells = []
+    for j, column in enumerate(columns):
+        if column.dtype not in (np.float64, np.int64):
+            raise ValueError(f"write_table takes float64 or int64 columns, got {column.dtype}")
+        code[j] = column.view(np.int64)  # its bits first: a strided sort is about 2x slower
+        # a sort and a mask: np.unique gives the same array about 8x slower on numpy 2.4
+        distinct = np.sort(code[j])
+        keep = np.ones(distinct.size, dtype=bool)
+        keep[1:] = distinct[1:] != distinct[:-1]
+        distinct = distinct[keep]
+        code[j] = np.searchsorted(distinct, code[j]) + len(cells)
+        sep = "\n" if j == len(columns) - 1 else ","
+        cells += [repr(v) + sep for v in distinct.view(column.dtype).tolist()]
+    table = np.array(cells, dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(names)
-        for start in range(0, rows.shape[0], _WRITE_CHUNK_ROWS):
-            fh.write("".join(table[code[start:start + _WRITE_CHUNK_ROWS]].ravel().tolist()))
+        for start in range(0, code.shape[1], _WRITE_CHUNK_ROWS):
+            fh.write("".join(table[code[:, start:start + _WRITE_CHUNK_ROWS].T].ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

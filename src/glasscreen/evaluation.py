@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,23 +167,16 @@ def evaluate(
 # report files
 
 
-def write_scores_csv(report: Report, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,score,label,tg\n")
-        for i, (s, y, tg) in enumerate(zip(report.scores.tolist(), report.labels.tolist(),
-                                           report.tg.tolist())):
-            fh.write(f"{i},{s!r},{y},{tg!r}\n")
-
-
 def write_summary_json(report: Report, band: TgBand, fingerprint: str, path) -> None:
     payload = {
         "auc": report.auc,
         "precision_at_k": report.precision_at_k,
         "k": report.k,
-        "band_low": band.low,
-        "band_high": band.high,
+        # an infinite band end (an open band) is null: JSON has no Infinity
+        "band_low": band.low if math.isfinite(band.low) else None,
+        "band_high": band.high if math.isfinite(band.high) else None,
         "config_fingerprint": fingerprint,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -279,12 +279,6 @@ class EpochRecord:
 class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,mean_loss,val_auc,val_precision_at_k\n")
-            for r in self.records:
-                fh.write(f"{r.epoch},{r.mean_loss!r},{r.val_auc!r},{r.val_precision_at_k!r}\n")
-
 
 def train(
     train_set: Samples,

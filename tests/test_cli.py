@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glasscreen import cli
 from glasscreen.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -45,6 +46,7 @@ from glasscreen.deepglassnet import (
     save_checkpoint,
 )
 from glasscreen.numeric_core import RandomSource
+from glasscreen.training import train
 from oracles import scalar_normal
 from sample_tables import table
 
@@ -242,6 +244,32 @@ class TestTrain:
         assert lines[0] == "epoch,mean_loss,val_auc,val_precision_at_k"
         assert len(lines) == 1 + SMALL_CONFIG["epochs"]  # one row per epoch
 
+    def test_history_rows_are_the_returned_records(self, workdir, monkeypatch):
+        tmp_path, data, config = workdir
+        returned = []
+
+        def recording_train(*args):
+            returned.append(train(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        out = run_train(tmp_path, data, config)
+        lines = Path(f"{out}.history.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [f"{r.epoch},{r.mean_loss!r},{r.val_auc!r},{r.val_precision_at_k!r}"
+                             for r in returned[0][2].records]
+
+    def test_checkpoint_path_that_is_a_directory_writes_nothing(self, workdir, caplog):
+        tmp_path, data, config = workdir
+        out = tmp_path / "outdir"
+        out.mkdir()
+        before = set(tmp_path.iterdir())
+        code = main(["train", "--data", str(data), "--config", str(config), "--band",
+                     "500:600", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert set(tmp_path.iterdir()) == before
+        assert list(out.iterdir()) == []
+        assert f"data error: {out}: is a directory" in caplog.text
+
     def test_band_stored_in_checkpoint(self, workdir):
         tmp_path, data, config = workdir
         out = run_train(tmp_path, data, config)
@@ -337,6 +365,38 @@ class TestEval:
         assert summary["k"] == 5
         assert summary["band_low"] == 500.0 and summary["band_high"] == 600.0
         assert (report_dir / "scores.csv").exists() and (report_dir / "roc.csv").exists()
+
+    @pytest.mark.parametrize("band, ends", [("500:inf", [500.0, None]),
+                                            ("-inf:500", [None, 500.0])])
+    def test_open_band_summary_is_strict_json(self, workdir, band, ends):
+        tmp_path, data, config = workdir
+        out = tmp_path / "model.ckpt"
+        assert main(["train", "--data", str(data), "--config", str(config),
+                     f"--band={band}", "--out", str(out)]) == EXIT_OK
+        report_dir = tmp_path / "report"
+        assert main(["eval", "--checkpoint", str(out), "--data", str(data), "--config",
+                     str(config), "--report-dir", str(report_dir), "--k", "5"]) == EXIT_OK
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        text = (report_dir / "summary.json").read_text(encoding="utf-8")
+        summary = json.loads(text, parse_constant=refuse)
+        assert [summary["band_low"], summary["band_high"]] == ends
+
+    @pytest.mark.parametrize("directory", ["summary.json", "baseline_knn_summary.json"])
+    def test_report_path_that_is_a_directory_writes_no_report(self, workdir, caplog,
+                                                              directory):
+        tmp_path, data, config = workdir
+        out = run_train(tmp_path, data, config)
+        report_dir = tmp_path / "report"
+        (report_dir / directory).mkdir(parents=True)
+        code = main(["eval", "--checkpoint", str(out), "--data", str(data), "--config",
+                     str(config), "--report-dir", str(report_dir), "--k", "5",
+                     "--with-knn-baseline"])
+        assert code == EXIT_DATA
+        assert [p.name for p in report_dir.iterdir()] == [directory]
+        assert f"data error: {report_dir / directory}: is a directory" in caplog.text
 
     def test_rerun_is_bitwise_identical(self, workdir):
         tmp_path, data, config = workdir
@@ -849,6 +909,15 @@ def test_atomic_path_leaves_nothing_when_the_body_raises(tmp_path):
             Path(tmp).write_text("partial", encoding="utf-8")
             raise RuntimeError("body failed")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_path_refuses_a_directory_before_the_body(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError, match="is a directory"):
+        with atomic_path(target):
+            pytest.fail("the body ran")
+    assert list(tmp_path.iterdir()) == [target]
 
 
 class TestVerbose:

@@ -33,8 +33,8 @@ from glasscreen.data_pipeline import (
     normalize,
     split,
     transform_labels,
-    write_candidates,
     write_dataset,
+    write_table,
 )
 from glasscreen.numeric_core import RandomSource
 from glasscreen.synthetic import generate_raw_samples
@@ -442,7 +442,26 @@ WRITER_POOL = np.array([
 WRITER_POOL = np.concatenate([WRITER_POOL, [1 / 3, 2 / 3, 0.1 + 0.2, 0.05, 1.0, -1e300]])
 
 
-class TestWriteCandidates:
+def reference_table_text(names, columns):
+    """A table written as the deleted per-table writers wrote it: one f-string
+    ``repr`` per cell of each column's Python values."""
+    rows = zip(*(column.tolist() for column in columns))
+    return "".join([",".join(names) + "\n"] + [",".join(f"{v!r}" for v in row) + "\n"
+                                                for row in rows])
+
+
+def mixed_columns(m):
+    """1 to 5 columns of m rows each: int64 over its whole range, or float64
+    from WRITER_POOL or from any float."""
+    return st.lists(st.one_of(
+        arrays(np.int64, m, elements=st.integers(-2 ** 63, 2 ** 63 - 1)),
+        arrays(np.intp, m, elements=st.integers(0, WRITER_POOL.size - 1)).map(
+            WRITER_POOL.__getitem__),
+        arrays(np.float64, m, elements=st.floats()),
+    ), min_size=1, max_size=5)
+
+
+class TestWriteTable:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda n: arrays(
         np.intp, st.tuples(st.integers(0, 40), st.just(n)),
@@ -457,20 +476,39 @@ class TestWriteCandidates:
         schema = ComponentSchema(tuple("ABCDE"[:rows.shape[1]]))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.csv"
-            write_candidates(path, schema.names, rows)
+            write_table(path, schema.names, rows.T)
             assert path.read_text(encoding="utf-8") == reference_candidate_text(schema, rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 30).flatmap(mixed_columns))
+    @example([np.array([3, -1, 3], dtype=np.int64),
+              np.array([-0.0, 0.0, 5e-324]),
+              np.array([np.inf, -np.inf, np.nan])])
+    @example([np.zeros(0, dtype=np.int64), np.zeros(0)])
+    def test_mixed_int_and_float_columns_match_per_cell_f_strings(self, columns):
+        names = [f"c{j}" for j in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_table(path, names, columns)
+            assert path.read_text(encoding="utf-8") == reference_table_text(names, columns)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float32, np.uint64, bool, object, ">f8"])
+    def test_other_dtype_is_refused(self, tmp_path, dtype):
+        columns = (np.arange(3, dtype=np.int64), np.arange(3).astype(dtype))
+        with pytest.raises(ValueError, match="float64 or int64 columns"):
+            write_table(tmp_path / "t.csv", ("a", "b"), columns)
 
     def test_many_chunks_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         grid_values = rng.integers(0, 21, size=(9_000, 3)) * 0.05
         rows = np.where(rng.random((9_000, 3)) < 0.1, rng.random((9_000, 3)), grid_values)
         path = tmp_path / "c.csv"
-        write_candidates(path, SCHEMA3.names, rows)
+        write_table(path, SCHEMA3.names, rows.T)
         assert path.read_text(encoding="utf-8") == reference_candidate_text(SCHEMA3, rows)
         assert load_candidates(path)[0].tobytes() == rows.tobytes()
 
     def test_empty_table_is_header_only(self, tmp_path):
-        write_candidates(tmp_path / "c.csv", SCHEMA3.names, np.zeros((0, 3)))
+        write_table(tmp_path / "c.csv", SCHEMA3.names, np.zeros((0, 3)).T)
         assert (tmp_path / "c.csv").read_text(encoding="utf-8") == "A,B,C\n"
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from glasscreen import evaluation
-from glasscreen.data_pipeline import EmptyClassError, fit_normalization
+from glasscreen.data_pipeline import EmptyClassError, fit_normalization, write_table
 from glasscreen.deepglassnet import ArchConfig, init_params
 from glasscreen.evaluation import (
     Report,
@@ -293,7 +293,9 @@ class TestEvaluate:
     def test_scores_csv_rows(self, tmp_path):
         report = evaluate(self.samples, self.params, self.stats, self.center, k=5)
         path = tmp_path / "scores.csv"
-        evaluation.write_scores_csv(report, path)
+        write_table(path, ("index", "score", "label", "tg"),
+                    (np.arange(report.scores.size, dtype=np.int64), report.scores,
+                     report.labels, report.tg))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "index,score,label,tg"
         assert lines[1:] == [f"{i},{float(report.scores[i])!r},{y},{tg!r}" for i, (y, tg)

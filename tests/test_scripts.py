@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under scripts/ run end to end as subprocesses."""
 
+import json
 import os
 import subprocess
 import sys
@@ -48,4 +49,14 @@ def test_run_synthetic_experiment(tmp_path):
     for name, header in headers.items():
         assert first_line(out_dir / name) == header, name
     assert (out_dir / "model.ckpt").read_bytes().startswith(CHECKPOINT_MAGIC)
-    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*headers, "model.ckpt"])
+    summaries = {name: json.loads((out_dir / name).read_text(encoding="utf-8"))
+                 for name in ("summary.json", "baseline_knn_summary.json")}
+    for label, summary in (("encoder ", summaries["summary.json"]),
+                           ("knn(k=5)", summaries["baseline_knn_summary.json"])):
+        assert f"{label}: AUC {summary['auc']:.4f}  P@10 {summary['precision_at_k']:.3f}" \
+            in proc.stdout.splitlines()
+    assert json.loads((out_dir / "config.json").read_text(encoding="utf-8")) == \
+        {"epochs": 1, "precision_k": 10}
+    assert first_line(out_dir / "data.csv") == ",".join(SCHEMA.names) + ",Tg"
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        [*headers, *summaries, "model.ckpt", "data.csv", "config.json"])
