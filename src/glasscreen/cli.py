@@ -1,8 +1,9 @@
 """Command-line entry point wiring the pipeline end to end.
 
-Subcommands: clean, train, eval, screen, enumerate. Every command validates
-its inputs before any side effect and writes output files atomically
-(temp file + rename), so failed runs leave nothing partial behind.
+Subcommands: clean, train, eval, screen, enumerate. Every command checks its
+arguments and config, then takes its output paths, before any other work, and
+writes each output atomically (temp file + rename), so a failed run leaves no
+file or directory it made.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric failure.
 """
@@ -17,7 +18,7 @@ import math
 import os
 import sys
 import tempfile
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
@@ -163,11 +164,13 @@ RunConfig = make_dataclass(
 @contextmanager
 def atomic_path(path):
     """Yield a temp path in the target directory; rename over the target on
-    success, delete on failure; a directory target is refused on entry. Failed
-    runs leave no partial files."""
+    success; on failure delete it, and then each directory made for it,
+    deepest first, that nothing else has filled. A directory target is
+    refused on entry. Failed runs leave no partial files."""
     path = Path(path)
     if path.is_dir():
         raise IsADirectoryError(f"{path}: is a directory")
+    made = [directory for directory in path.parents if not directory.exists()]
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     os.close(fd)
@@ -181,6 +184,9 @@ def atomic_path(path):
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
+        for directory in made:
+            with suppress(OSError):  # another output's file keeps it
+                directory.rmdir()
         raise
 
 
@@ -205,9 +211,9 @@ def _parse_band(text: str) -> TgBand:
 
 
 def cmd_clean(args, run: RunConfig) -> int:
-    raw, schema = load_dataset(args.input)
-    kept, counts = clean_with_counts(raw, run.min_sum, run.max_sum)
     with atomic_path(args.output) as tmp:
+        raw, schema = load_dataset(args.input)
+        kept, counts = clean_with_counts(raw, run.min_sum, run.max_sum)
         write_dataset(tmp, schema, kept)
     log.info(
         "clean: read=%d kept=%d dropped_by_sum=%d dropped_missing_tg=%d dropped_negative=%d "
@@ -242,21 +248,20 @@ def cmd_train(args, run: RunConfig) -> int:
     if Path(history_path).resolve() == Path(args.out).resolve():
         raise ConfigError(f"--history {history_path} would overwrite the checkpoint --out")
 
-    raw, schema = load_dataset(args.data)
-    train_part, val_part = _label_split(raw, band, run)
-    arch = run.arch_config(n_components=schema.n)
-    if arch.adjacency_rank > arch.n_components:
-        log.warning("adjacency_rank %d exceeds n_components %d; the factorization is no "
-                    "longer low-rank", arch.adjacency_rank, arch.n_components)
-    params, stats, history = train(train_part, val_part, arch, run.train_config())
-    for r in history.records:
-        log.debug("epoch %d: mean loss %.6f, val AUC %.4f, val P@%d %.4f",
-                  r.epoch, r.mean_loss, r.val_auc, run.precision_k, r.val_precision_at_k)
-
-    center = evaluation.class_center(train_part[train_part.y == 1], params, stats)
-
-    # one with: a history path that cannot be written leaves no checkpoint
+    # both outputs are taken before the work: one that cannot be written fails
+    # the run at once, and a history that cannot leaves no checkpoint
     with atomic_path(args.out) as ckpt_tmp, atomic_path(history_path) as history_tmp:
+        raw, schema = load_dataset(args.data)
+        train_part, val_part = _label_split(raw, band, run)
+        arch = run.arch_config(n_components=schema.n)
+        if arch.adjacency_rank > arch.n_components:
+            log.warning("adjacency_rank %d exceeds n_components %d; the factorization is no "
+                        "longer low-rank", arch.adjacency_rank, arch.n_components)
+        params, stats, history = train(train_part, val_part, arch, run.train_config())
+        for r in history.records:
+            log.debug("epoch %d: mean loss %.6f, val AUC %.4f, val P@%d %.4f",
+                      r.epoch, r.mean_loss, r.val_auc, run.precision_k, r.val_precision_at_k)
+        center = evaluation.class_center(train_part[train_part.y == 1], params, stats)
         save_checkpoint(params, arch, stats, band, ckpt_tmp, center=center.vector)
         write_table(history_tmp, [f.name for f in fields(EpochRecord)], [
             np.array([getattr(r, f.name) for r in history.records], dtype=f"{f.type}64")
@@ -269,22 +274,22 @@ def cmd_train(args, run: RunConfig) -> int:
 
 
 def cmd_eval(args, run: RunConfig) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    log.info("checkpoint band [%g, %g)", ckpt.band.low, ckpt.band.high)
-
-    raw, schema = load_dataset(args.data)
-    _check_columns(args.data, schema, ckpt)
-    train_part, val_part = _label_split(raw, ckpt.band, run)
-    reports = {"": evaluation.evaluate(val_part, ckpt.params, ckpt.stats, ckpt.center, args.k)}
-    if args.with_knn_baseline:  # before any file, so a failing baseline writes no report
-        reports["baseline_knn_"] = baseline_knn.knn_evaluate(
-            train_part, val_part, ckpt.stats, baseline_knn.KnnConfig(run.k_neighbors), args.k)
-
     report_dir = Path(args.report_dir)
-    # every path is entered before any file is written: a refused one writes no report
+    prefixes = ("", "baseline_knn_") if args.with_knn_baseline else ("",)
     with ExitStack() as stack:
         tmp = {(prefix, name): stack.enter_context(atomic_path(report_dir / (prefix + name)))
-               for prefix in reports for name in ("scores.csv", "roc.csv", "summary.json")}
+               for prefix in prefixes for name in ("scores.csv", "roc.csv", "summary.json")}
+        ckpt = load_checkpoint(args.checkpoint)
+        log.info("checkpoint band [%g, %g)", ckpt.band.low, ckpt.band.high)
+        raw, schema = load_dataset(args.data)
+        _check_columns(args.data, schema, ckpt)
+        train_part, val_part = _label_split(raw, ckpt.band, run)
+        reports = {"": evaluation.evaluate(val_part, ckpt.params, ckpt.stats, ckpt.center,
+                                           args.k)}
+        if args.with_knn_baseline:
+            reports["baseline_knn_"] = baseline_knn.knn_evaluate(
+                train_part, val_part, ckpt.stats, baseline_knn.KnnConfig(run.k_neighbors),
+                args.k)
         for prefix, report in reports.items():
             write_table(tmp[prefix, "scores.csv"], ("index", "score", "label", "tg"),
                         (np.arange(report.scores.size, dtype=np.int64), report.scores,
@@ -306,28 +311,27 @@ def _check_columns(path, schema: ComponentSchema, ckpt) -> None:
 
 
 def cmd_screen(args, run: RunConfig) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    candidates, schema = load_candidates(args.candidates)
-    _check_columns(args.candidates, schema, ckpt)
-    # the composition rule clean applies to training rows
-    totals, negative, off_sum = composition_masks(candidates, run.min_sum, run.max_sum)
-    off_simplex = np.flatnonzero(negative | off_sum)
-    if off_simplex.size:
-        row = off_simplex[0]
-        raise DataFormatError(
-            f"{args.candidates}: row {row + 1}: fractions must be non-negative and sum "
-            f"to [{run.min_sum}, {run.max_sum}], got sum {float(totals[row])!r}"
-        )
-    log.debug("screen: %d candidates within the sum bounds [%g, %g]",
-              candidates.shape[0], run.min_sum, run.max_sum)
-    if args.top_k > candidates.shape[0]:
-        raise DataFormatError(
-            f"top_k={args.top_k} out of range for {candidates.shape[0]} candidates"
-        )
-
-    scores = evaluation.score(candidates, ckpt.params, ckpt.stats, ckpt.center)
-    order = evaluation.top_k(scores, args.top_k)
     with atomic_path(args.out) as tmp:
+        ckpt = load_checkpoint(args.checkpoint)
+        candidates, schema = load_candidates(args.candidates)
+        _check_columns(args.candidates, schema, ckpt)
+        # the composition rule clean applies to training rows
+        totals, negative, off_sum = composition_masks(candidates, run.min_sum, run.max_sum)
+        off_simplex = np.flatnonzero(negative | off_sum)
+        if off_simplex.size:
+            row = off_simplex[0]
+            raise DataFormatError(
+                f"{args.candidates}: row {row + 1}: fractions must be non-negative and sum "
+                f"to [{run.min_sum}, {run.max_sum}], got sum {float(totals[row])!r}"
+            )
+        log.debug("screen: %d candidates within the sum bounds [%g, %g]",
+                  candidates.shape[0], run.min_sum, run.max_sum)
+        if args.top_k > candidates.shape[0]:
+            raise DataFormatError(
+                f"top_k={args.top_k} out of range for {candidates.shape[0]} candidates"
+            )
+        scores = evaluation.score(candidates, ckpt.params, ckpt.stats, ckpt.center)
+        order = evaluation.top_k(scores, args.top_k)
         write_table(tmp, schema.names + ("score",), (*candidates[order].T, scores[order]))
     log.info("screen: scored %d candidates, wrote top %d to %s",
              candidates.shape[0], args.top_k, args.out)
@@ -335,23 +339,20 @@ def cmd_screen(args, run: RunConfig) -> int:
 
 
 def cmd_enumerate(args, run: RunConfig) -> int:
-    names = tuple(name.strip() for name in args.components.split(","))
-    schema = ComponentSchema(names)
-    bounds = None
-    if args.bound:
-        bounds = [(0.0, 1.0)] * schema.n
-        index = {name: i for i, name in enumerate(schema.names)}
-        for name, lo, hi in args.bound:
-            if name not in index:
-                raise ValueError(f"--bound names unknown component {name!r}")
-            lo, hi = float(lo), float(hi)
-            if math.isnan(lo) or math.isnan(hi):
-                raise ValueError(f"--bound {name} {lo} {hi}: an end is nan")
-            bounds[index[name]] = (lo, hi)
-    max_nonzero = schema.n if args.max_nonzero is None else args.max_nonzero
-    grid = GridConfig(step=args.step, max_nonzero=max_nonzero, bounds=bounds, cap=args.cap)
-    candidates = enumerate_candidates(schema, grid)
     with atomic_path(args.out) as tmp:
+        names = tuple(name.strip() for name in args.components.split(","))
+        schema = ComponentSchema(names)
+        bounds = None
+        if args.bound:
+            bounds = [(0.0, 1.0)] * schema.n
+            index = {name: i for i, name in enumerate(schema.names)}
+            for name, lo, hi in args.bound:
+                if name not in index:
+                    raise ValueError(f"--bound names unknown component {name!r}")
+                bounds[index[name]] = (float(lo), float(hi))
+        max_nonzero = schema.n if args.max_nonzero is None else args.max_nonzero
+        grid = GridConfig(step=args.step, max_nonzero=max_nonzero, bounds=bounds, cap=args.cap)
+        candidates = enumerate_candidates(schema, grid)
         write_table(tmp, schema.names, candidates.T)
     log.info("enumerate: wrote %d candidates to %s", candidates.shape[0], args.out)
     return EXIT_OK

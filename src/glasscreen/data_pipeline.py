@@ -13,6 +13,7 @@ and splitting are masks and index arrays over it.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from collections import namedtuple
@@ -167,25 +168,70 @@ class GridConfig:
 # table IO
 
 
-def _read_header(path, tg_column: bool) -> tuple[ComponentSchema, str]:
-    """The schema a table's header names, before a final Tg column with
-    ``tg_column``, and the text after the header. A header ComponentSchema
-    refuses is a DataFormatError naming the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+def _read_table(path, tg_column: bool) -> tuple[ComponentSchema, np.ndarray, np.ndarray]:
+    """The schema a table's header names (before a final Tg column with
+    ``tg_column``; a refused header is a DataFormatError naming the file), its
+    (m, columns) float64 data rows, and a mask of the rows whose last cell held
+    a value. The file is opened once, as UTF-8 with an optional byte-order mark.
+    numpy's C parser reads the rows by path, faster than from the body in
+    memory, wherever its result cannot differ from ``_parse_rows``: it skips
+    blank lines, so a result must have one row per line of the body; it strips
+    U+001C..U+001F around a number, which ``float`` rejects; it warns on a body
+    with no data line; and a non-finite result is dropped. Any other table goes
+    to ``_parse_rows`` on the body already read."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header, body = next(csv.reader(fh), None), fh.read()
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not header:
         raise DataFormatError(f"{path}: empty file, expected a header row")
-    if tg_column:
-        if header[-1] != TG_COLUMN:
-            raise DataFormatError(f"{path}: last header column must be {TG_COLUMN!r}")
-        header = header[:-1]
+    if tg_column and header[-1] != TG_COLUMN:
+        raise DataFormatError(f"{path}: last header column must be {TG_COLUMN!r}")
     try:
-        return ComponentSchema(tuple(header)), body
+        schema = ComponentSchema(tuple(header[:len(header) - tg_column]))
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    n_columns = schema.n + tg_column
+    if body.lstrip("\r\n") and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        # lines as universal newlines split them, at \n, \r and \r\n, as loadtxt reads
+        lines = body.count("\n") + body.count("\r") - body.count("\r\n")
+        lines += not body.endswith(("\n", "\r"))
+        try:
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                               quotechar='"', encoding="utf-8")
+        except ValueError:
+            table = None
+        if table is not None and table.shape == (lines, n_columns) and np.isfinite(table).all():
+            return schema, table, np.ones(lines, dtype=bool)
+    return (schema, *_parse_rows(path, body, n_columns, tg_column))
+
+
+def _parse_rows(path, body: str, n_columns: int, tg_column: bool):
+    """``_read_table``'s rows of ``body`` by ``csv`` and one ``float`` per cell,
+    naming the first bad row (1-based). With ``tg_column`` an empty (stripped)
+    last cell is a missing Tg (nan); without, it is bad, and then a nan/inf."""
+    cell, last_cell = ("fraction cell", "Tg cell") if tg_column else ("cell", "cell")
+    values, filled = array("d"), bytearray()
+    for row_index, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
+        if len(row) != n_columns:
+            raise DataFormatError(
+                f"{path}: row {row_index}: expected {n_columns} columns, got {len(row)}")
+        try:
+            values.extend(map(float, row[:-1]))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {row_index}: non-numeric {cell}") from exc
+        has_value = row[-1].strip() != ""
+        filled.append(has_value)
+        try:
+            values.append(float(row[-1]) if has_value or not tg_column else math.nan)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {row_index}: non-numeric {last_cell}") from exc
+    table = np.frombuffer(values, dtype=np.float64).reshape(-1, n_columns)
+    non_finite = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if non_finite.size and not tg_column:
+        raise DataFormatError(f"{path}: row {non_finite[0] + 1}: non-finite cell")
+    return table, np.frombuffer(filled, dtype=bool)
 
 
 def load_dataset(path) -> tuple[Samples, ComponentSchema]:
@@ -193,45 +239,22 @@ def load_dataset(path) -> tuple[Samples, ComponentSchema]:
     order, and the schema its header names (the last column must be Tg).
 
     Raises DataFormatError naming the offending data row (1-based) for wrong
-    column counts or non-numeric cells. A table whose cells are all finite
-    numbers is read as one array by numpy; any other table (an empty Tg cell,
-    a nan/inf cell, a bad row) by ``_parse_rowwise``, to the same values.
+    column counts or non-numeric cells; an empty Tg cell is a missing Tg.
     """
-    schema, body = _read_header(path, tg_column=True)
-    table = _parse_table_fast(path, body, schema.n + 1)
-    if table is None:
-        table, has_tg = _parse_rowwise(path, schema.n + 1, tg_column=True)
-    else:
-        has_tg = np.ones(table.shape[0], dtype=bool)
+    schema, table, has_tg = _read_table(path, tg_column=True)
     return Samples(table[:, :-1], table[:, -1], has_tg), schema
 
 
-def _parse_rowwise(path, n_columns: int, tg_column: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The data rows by ``csv`` and one ``float`` per cell, the reference parse
-    and the one that names a bad row: the (m, n_columns) float64 array and a
-    mask of the rows whose last cell held a value. With ``tg_column`` an empty
-    (stripped) last cell is a missing Tg, read as nan; without, a bad cell."""
-    cell, last_cell = ("fraction cell", "Tg cell") if tg_column else ("cell", "cell")
-    values, filled = array("d"), bytearray()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row_index, row in enumerate(reader, start=1):
-            if len(row) != n_columns:
-                raise DataFormatError(
-                    f"{path}: row {row_index}: expected {n_columns} columns, got {len(row)}")
-            try:
-                values.extend(map(float, row[:-1]))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: row {row_index}: non-numeric {cell}") from exc
-            has_value = row[-1].strip() != ""
-            filled.append(has_value)
-            try:
-                values.append(float(row[-1]) if has_value or not tg_column else math.nan)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: row {row_index}: non-numeric {last_cell}") from exc
-    return (np.frombuffer(values, dtype=np.float64).reshape(-1, n_columns),
-            np.frombuffer(filled, dtype=bool))
+def load_candidates(path) -> tuple[np.ndarray, ComponentSchema]:
+    """Parse a candidate table: a header of component names, then one row of
+    fractions per candidate (no Tg column).
+
+    Returns the C-contiguous (m, n) float64 array and the schema the header
+    names. A DataFormatError names an empty file, a refused header or the first
+    data row (1-based) with a wrong column count or a non-numeric or non-finite cell.
+    """
+    schema, candidates, _ = _read_table(path, tg_column=False)
+    return candidates, schema
 
 
 # rows joined per write in write_dataset: each joined string stays under
@@ -255,53 +278,6 @@ def write_dataset(path, schema: ComponentSchema, samples: Samples) -> None:
                                            samples.tg[chunk].tolist(),
                                            samples.has_tg[chunk].tolist())
             ]))
-
-
-def load_candidates(path) -> tuple[np.ndarray, ComponentSchema]:
-    """Parse a candidate table: a header of component names, then one row of
-    fractions per candidate (no Tg column).
-
-    Returns the C-contiguous (m, n) float64 array and the schema the header
-    names. Raises DataFormatError for an empty file or a header ComponentSchema
-    refuses, and names the first data row (1-based) with a column count other
-    than the header's or a non-numeric or non-finite cell. A table of finite
-    numbers is read as one array by numpy; any other by ``_parse_rowwise``.
-    """
-    schema, body = _read_header(path, tg_column=False)
-    candidates = _parse_table_fast(path, body, schema.n)
-    if candidates is None:
-        candidates = _parse_rowwise(path, schema.n, tg_column=False)[0]
-        non_finite = np.flatnonzero(~np.isfinite(candidates).all(axis=1))
-        if non_finite.size:
-            raise DataFormatError(f"{path}: row {non_finite[0] + 1}: non-finite cell")
-    return candidates, schema
-
-
-def _parse_table_fast(path, body: str, n_columns: int) -> np.ndarray | None:
-    """The data rows of a one-line-header table by numpy's C parser, or None
-    wherever its result could differ from the ``csv``/``float`` parse of
-    ``_parse_rowwise``.
-
-    ``body`` is the text after the header. numpy skips blank lines, which the
-    row-wise parse rejects, so a result must have one row per line of
-    ``body``; it strips the control characters U+001C..U+001F around a number,
-    which ``float`` rejects; a file with no data line is left to the row-wise
-    parse, where numpy would warn; and a result with an empty or non-finite
-    cell is dropped, so the row-wise parse reads or names it.
-    """
-    if not body.lstrip("\r\n") or any(c in body for c in "\x1c\x1d\x1e\x1f"):
-        return None
-    # lines as universal newlines split them, at \n, \r and \r\n, as loadtxt reads
-    lines = body.count("\n") + body.count("\r") - body.count("\r\n")
-    lines += not body.endswith(("\n", "\r"))
-    try:
-        candidates = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
-                                quotechar='"', encoding="utf-8")
-    except ValueError:
-        return None
-    if candidates.shape != (lines, n_columns) or not np.isfinite(candidates).all():
-        return None
-    return candidates
 
 
 # rows joined per write in write_table, which bounds its temporary strings
@@ -521,7 +497,9 @@ def enumerate_candidates(schema: ComponentSchema, grid: GridConfig) -> np.ndarra
         raise ValueError(f"bounds has {len(bounds)} entries, schema has {n}")
     lo_ticks = []
     hi_ticks = []
-    for lo, hi in bounds:
+    for name, (lo, hi) in zip(schema.names, bounds):
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError(f"bound {lo} {hi} of {name}: an end is nan")
         if lo > hi:
             raise ValueError(f"bound lo {lo} exceeds hi {hi}")
         # clamped to [-1, 2] for finite ticks, an end outside [0, 1] (inf too) stays outside

@@ -270,6 +270,29 @@ class TestTrain:
         assert list(out.iterdir()) == []
         assert f"data error: {out}: is a directory" in caplog.text
 
+    # the outputs are taken before the data is read, so such a run fails at once
+    @pytest.mark.parametrize("outputs", [
+        ["--out", "outdir"], ["--out", "m.ckpt", "--history", "outdir"]], ids=["out", "history"])
+    def test_output_that_is_a_directory_fails_before_training(self, workdir, monkeypatch,
+                                                               outputs):
+        tmp_path, data, config = workdir
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        before = set(tmp_path.iterdir())
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train ran"))
+        assert main(["train", "--data", str(data), "--config", str(config), "--band",
+                     "500:600", *outputs]) == EXIT_DATA
+        assert set(tmp_path.iterdir()) == before
+
+    def test_failed_run_leaves_no_directory_it_made(self, workdir, caplog):
+        tmp_path, data, config = workdir
+        before = set(tmp_path.iterdir())
+        code = main(["train", "--data", str(data), "--config", str(config), "--band", "0:1",
+                     "--out", str(tmp_path / "new" / "sub" / "m.ckpt")])
+        assert code == EXIT_DATA
+        assert "both label classes are required" in caplog.text
+        assert set(tmp_path.iterdir()) == before
+
     def test_band_stored_in_checkpoint(self, workdir):
         tmp_path, data, config = workdir
         out = run_train(tmp_path, data, config)
@@ -397,6 +420,15 @@ class TestEval:
         assert code == EXIT_DATA
         assert [p.name for p in report_dir.iterdir()] == [directory]
         assert f"data error: {report_dir / directory}: is a directory" in caplog.text
+
+    def test_report_path_that_is_a_directory_fails_before_any_read(self, tmp_path,
+                                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "report" / "roc.csv").mkdir(parents=True)
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: pytest.fail("read"))
+        assert main(["eval", "--checkpoint", "model.ckpt", "--data", "data.csv",
+                     "--report-dir", "report"]) == EXIT_DATA
+        assert [p.name for p in (tmp_path / "report").iterdir()] == ["roc.csv"]
 
     def test_rerun_is_bitwise_identical(self, workdir):
         tmp_path, data, config = workdir
@@ -690,7 +722,7 @@ class TestEnumerate:
         code = main(["enumerate", "--components", "A,B", "--step", "0.5",
                      "--bound", "B", lo, hi, "--out", str(out)])
         assert code == EXIT_DATA
-        assert f"--bound B {float(lo)} {float(hi)}: an end is nan" in caplog.text
+        assert f"bound {float(lo)} {float(hi)} of B: an end is nan" in caplog.text
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 

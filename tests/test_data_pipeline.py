@@ -7,6 +7,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ class TestSchema:
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: {message}$"):
             load(p)
 
+    # the numpy parse of the candidate table, the row parse of the dataset's
+    # empty Tg cell
+    @pytest.mark.parametrize("load, text", [
+        (load_dataset, "A,B,C,Tg\r\n0.5,0.3,0.2,400\r\n0.5,0.3,0.2,\r\n"),
+        (load_candidates, "A,B,C\n0.5,0.3,0.2\n0.1,0.1,0.8\n")], ids=["dataset", "candidates"])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, load, text):
+        plain, plain_schema = load(write_csv(tmp_path / "plain.csv", text))
+        marked, marked_schema = load(write_csv(tmp_path / "bom.csv", "\ufeff" + text))
+        assert marked_schema == plain_schema == SCHEMA3
+        if load is load_dataset:
+            assert_same_table(marked, plain)
+        else:
+            assert marked.tobytes() == plain.tobytes()
+
 
 class TestLoadDataset:
     def test_well_formed(self, tmp_path):
@@ -137,18 +152,26 @@ class TestLoadDataset:
         assert samples.has_tg.tolist() == [True, tg is not None]
         np.testing.assert_equal(samples.tg[1], math.nan if tg is None else tg)
 
+    # numpy opens the file by path itself; the package opens it once, on
+    # either parse
+    @pytest.mark.parametrize("tg", ["400", ""], ids=["numpy", "row-parse"])
+    def test_table_is_opened_once(self, tmp_path, tg):
+        p = write_csv(tmp_path / "d.csv", f"A,B,C,Tg\n0.5,0.3,0.2,400\n0.5,0.3,0.2,{tg}\n")
+        with mock.patch.object(data_pipeline, "open", create=True, wraps=open) as opened:
+            samples, _ = load_dataset(p)
+        assert opened.call_count == 1
+        assert samples.has_tg.tolist() == [True, tg != ""]
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_tables_match_row_parse(self, data):
         schema, text, plain = data.draw(dataset_tables(), label="table")
-        with tempfile.TemporaryDirectory() as tmp:
-            path = write_csv(Path(tmp) / "d.csv", text)
-            assert_loads_like_reference(path, schema)
-            with open(path, newline="", encoding="utf-8") as fh:
-                next(csv.reader(fh))
-                body = fh.read()
-            fast = data_pipeline._parse_table_fast(path, body, schema.n + 1)
-        assert (fast is not None) == plain
+        # Hypothesis refuses the function-scoped monkeypatch, so the row
+        # parse is watched by a patch inside the test
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+                data_pipeline, "_parse_rows", wraps=data_pipeline._parse_rows) as row_parse:
+            assert_loads_like_reference(write_csv(Path(tmp) / "d.csv", text), schema)
+        assert row_parse.called != plain
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -300,14 +323,12 @@ class TestLoadCandidates:
     @given(st.data())
     def test_well_formed_tables_match_row_parse(self, data):
         n, text = data.draw(candidate_tables(), label="table")
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+                data_pipeline, "_parse_rows", wraps=data_pipeline._parse_rows) as row_parse:
             path = write_csv(Path(tmp) / "c.csv", text)
             expected = reference_candidates(path, n)
             got, schema = load_candidates(path)
-            with open(path, newline="", encoding="utf-8") as fh:
-                next(csv.reader(fh))
-                body = fh.read()
-            assert data_pipeline._parse_table_fast(path, body, n) is not None
+        assert not row_parse.called
         assert got.tobytes() == expected.tobytes()
         assert got.shape == expected.shape and got.flags["C_CONTIGUOUS"]
 
@@ -1013,6 +1034,12 @@ class TestEnumerateCandidates:
         ])
         assert got.shape == (6, 3)
         assert np.max(np.abs(got - expected)) < 1e-12  # exact order required
+
+    @pytest.mark.parametrize("bound", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_bound_end_is_refused_naming_its_component(self, bound):
+        grid = GridConfig(step=0.5, max_nonzero=3, bounds=[(0.0, 1.0), bound, (0.0, 1.0)])
+        with pytest.raises(ValueError, match=f"^bound {bound[0]} {bound[1]} of B: an end is nan$"):
+            enumerate_candidates(SCHEMA3, grid)
 
     def test_int64_step_bound_counts_components(self):
         grid = GridConfig(step=2.0 ** -60, max_nonzero=2, cap=10)
