@@ -64,10 +64,9 @@ class ConfigError(ValueError):
     """Bad config file contents (unknown key, wrong type, invalid value)."""
 
 
-# ArchConfig fields that are not config keys: the component count comes from
-# the data and the batch-norm constants are fixed
-_ARCH_FIELDS = [f for f in fields(ArchConfig)
-                if f.name not in ("n_components", "bn_momentum", "bn_epsilon")]
+# every ArchConfig field but the component count, which comes from the data,
+# is a config key
+_ARCH_FIELDS = [f for f in fields(ArchConfig) if f.name != "n_components"]
 _TRAIN_FIELDS = list(fields(TrainConfig))
 
 # the values a RunConfig field of each type accepts: an int field takes an int

@@ -33,8 +33,12 @@ from .numeric_core import (
     softmax_leading,
 )
 
-CHECKPOINT_MAGIC = b"DGNCKPT2"
-_ARCH_HEADER = struct.Struct("<6q3d")  # ArchConfig's fields in order, after the magic
+CHECKPOINT_MAGIC = b"DGNCKPT3"
+_ARCH_HEADER = struct.Struct("<6q")  # ArchConfig's fields in order, after the magic
+
+# the hidden layer's batch norm: running-statistics momentum and variance epsilon
+BN_MOMENTUM = 0.1
+BN_EPSILON = 1e-5
 
 log = logging.getLogger(__name__)
 
@@ -44,8 +48,8 @@ class CheckpointError(ValueError):
 
 
 class CheckpointVersionError(CheckpointError):
-    """The file is not in the one format load_checkpoint reads: another magic
-    (DGNCKPT1 included), or a DGNCKPT2 file without a class center."""
+    """The file is not in the one format load_checkpoint reads: another magic,
+    DGNCKPT1 and DGNCKPT2 included."""
 
 
 class CheckpointCorruptError(CheckpointError):
@@ -63,9 +67,6 @@ class ArchConfig:
     attention_dim: int = 16
     hidden_dim: int = 64
     feature_dim: int = 8
-    dropout: float = 0.0
-    bn_momentum: float = 0.1
-    bn_epsilon: float = 1e-5
 
     def __post_init__(self):
         if self.n_components < 2:
@@ -75,12 +76,6 @@ class ArchConfig:
                      "hidden_dim", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not 0.0 < self.bn_momentum < 1.0:
-            raise ValueError(f"bn_momentum must be in (0, 1), got {self.bn_momentum}")
-        if not 0.0 < self.bn_epsilon < math.inf:
-            raise ValueError(f"bn_epsilon must be positive and finite, got {self.bn_epsilon}")
 
     @property
     def flat_dim(self) -> int:
@@ -147,13 +142,14 @@ def tensor_views(cfg: ArchConfig, vector: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def vector_length(cfg: ArchConfig) -> int:
-    """Length of the parameter vector: the number of trainable floats."""
-    return sum(math.prod(spec.shape(cfg)) for spec in TENSORS)
+    """Length of the parameter vector: where the last tensor's slice ends."""
+    return tensor_layout(cfg)[TENSORS[-1].name][0].stop
 
 
 def decay_mask(cfg: ArchConfig) -> np.ndarray:
     """Per entry of the parameter vector: does weight decay apply to it."""
-    return np.concatenate([np.full(math.prod(spec.shape(cfg)), spec.decay) for spec in TENSORS])
+    return np.repeat([spec.decay for spec in TENSORS],
+                     [part.stop - part.start for part, _ in tensor_layout(cfg).values()])
 
 
 class ModelParams:
@@ -232,7 +228,7 @@ class EncoderConstants:
         """(U * scale, shift): the eval head's first product with the batch
         norm's running statistics folded in (see batchnorm_fold). Built on
         first use, as train mode never reads it."""
-        scale, shift = batchnorm_fold(self.params.bn, self.params.arch.bn_epsilon)
+        scale, shift = batchnorm_fold(self.params.bn, BN_EPSILON)
         return self.U * scale, shift
 
 
@@ -295,14 +291,15 @@ def forward_batch(
     mode: str = "eval",
     rng: RandomSource | None = None,
     constants: EncoderConstants | None = None,
+    dropout: float = 0.0,
 ) -> tuple[np.ndarray, BatchTrace]:
     """Run the encoder over a (B, n) batch of normalized compositions.
 
     Train mode normalizes the projection head by batch statistics (B >= 2),
-    folds them into the running statistics and applies dropout at
-    ``params.arch.dropout``. Eval mode is a pure function of (x, params); its
-    batch norm, by the running statistics, is folded into the head's first
-    product. ``constants`` are encoder_constants(params), built here when
+    folds them into the running statistics and applies dropout at rate
+    ``dropout``, its mask drawn from ``rng``. Eval mode is a pure function of
+    (x, params); its batch norm, by the running statistics, is folded into the
+    head's first product. ``constants`` are encoder_constants(params), built here when
     not given; constants built from another ModelParams are refused.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -340,8 +337,7 @@ def forward_batch(
     # projection head: the hidden layer's batch norm, ReLU and dropout in place
     if mode == "train":
         hidden, centred, inv_std = batchnorm_train_cached(p, constants.U, params.bn,
-                                                          params.arch.bn_momentum,
-                                                          params.arch.bn_epsilon)
+                                                          BN_MOMENTUM, BN_EPSILON)
     else:
         folded_u, folded_shift = constants.folded
         hidden = p @ folded_u
@@ -350,7 +346,6 @@ def forward_batch(
 
     np.maximum(hidden, 0.0, out=hidden)
     mask = None
-    dropout = params.arch.dropout
     if mode == "train" and dropout > 0.0:
         if rng is None:
             raise ValueError("dropout > 0 in train mode requires an rng")
@@ -404,6 +399,15 @@ class Checkpoint:
     center: np.ndarray
 
 
+def checkpoint_sections(arch: ArchConfig) -> dict[str, int]:
+    """The float64 slab after the checkpoint's arch header: section -> length,
+    in file order, in Python ints, which no header overflows. The band comes
+    last: its two bounds are the only values that may be infinite."""
+    n, h = arch.n_components, arch.hidden_dim
+    return {"vector": vector_length(arch), "running_mean": h, "running_var": h,
+            "mean": n, "std": n, "center": arch.feature_dim, "band": 2}
+
+
 def save_checkpoint(
     params: ModelParams,
     cfg: ArchConfig,
@@ -414,39 +418,28 @@ def save_checkpoint(
 ) -> None:
     """Write the versioned binary checkpoint (bit-exact round trip).
 
-    Layout: magic, arch header, the parameter vector (the TENSORS in table
-    order) as little-endian float64, the batch-norm running mean and
-    variance, normalization stats, Tg band, the byte 1, the class center, then
-    a SHA-256 checksum of everything before it. The header is ``params.arch``,
-    which ``cfg`` must equal and whose lengths the stats and center must have.
+    Layout: magic, the arch header, one little-endian float64 slab of the
+    checkpoint_sections, then a SHA-256 checksum of everything before it.
+    The header is ``params.arch``, which ``cfg`` must equal and whose lengths
+    every section must have.
     """
     arch = params.arch
     if cfg != arch:
         raise ValueError(f"checkpoint config {cfg} does not match the parameters' {arch}")
-    if {stats.mean.shape, stats.std.shape} != {(arch.n_components,)}:
-        raise ValueError(f"normalization stats shape {stats.mean.shape} does not match "
-                         f"the model's {arch.n_components} components")
-    if np.shape(center) != (arch.feature_dim,):
-        raise ValueError(f"class center shape {np.shape(center)} does not match "
-                         f"the model's {arch.feature_dim} features")
-
-    def le_bytes(a: np.ndarray) -> bytes:
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("refusing to save non-finite tensor values")
-        return a.astype("<f8", copy=False).tobytes()
-
-    blob = bytearray(CHECKPOINT_MAGIC)
-    blob += _ARCH_HEADER.pack(*astuple(arch))
-    for vector in (params.vector, params.bn.running_mean, params.bn.running_var,
-                   stats.mean, stats.std):
-        blob += le_bytes(vector)
-    blob += struct.pack("<2d", band.low, band.high)
-    blob += struct.pack("<B", 1)  # the center flag, kept so the layout stays DGNCKPT2
-    blob += le_bytes(center)
-    blob += hashlib.sha256(bytes(blob)).digest()
+    values = {"vector": params.vector, "running_mean": params.bn.running_mean,
+              "running_var": params.bn.running_var, "mean": stats.mean, "std": stats.std,
+              "center": center, "band": (band.low, band.high)}
+    sections = checkpoint_sections(arch)
+    for name, length in sections.items():
+        if np.shape(values[name]) != (length,):
+            raise ValueError(f"{name} shape {np.shape(values[name])} does not match "
+                             f"the model's ({length},)")
+    slab = np.concatenate([values[name] for name in sections], dtype="<f8")
+    if not np.all(np.isfinite(slab[:-2])):
+        raise ValueError("refusing to save non-finite tensor values")
+    blob = CHECKPOINT_MAGIC + _ARCH_HEADER.pack(*astuple(arch)) + slab.tobytes()
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(blob + hashlib.sha256(blob).digest())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -456,7 +449,7 @@ def load_checkpoint(path) -> Checkpoint:
         blob = fh.read()
     magic = blob[: len(CHECKPOINT_MAGIC)]
     if magic != CHECKPOINT_MAGIC:
-        raise CheckpointVersionError(f"{path}: not a DGNCKPT2 checkpoint (magic {magic!r}); "
+        raise CheckpointVersionError(f"{path}: not a DGNCKPT3 checkpoint (magic {magic!r}); "
                                      "older formats are no longer read: retrain the model")
     if len(blob) < len(CHECKPOINT_MAGIC) + 32:
         raise CheckpointCorruptError(f"{path}: truncated checkpoint")
@@ -471,36 +464,24 @@ def load_checkpoint(path) -> Checkpoint:
     except ValueError as exc:
         raise CheckpointCorruptError(f"{path}: bad architecture header: {exc}") from None
 
-    # float64 counts in Python ints, which no header overflows: the vector,
-    # running mean and variance, stats mean and std, band; then the center
-    # flag, always 1, and the center
-    n, h, k = cfg.n_components, cfg.hidden_dim, cfg.feature_dim
-    sizes = [vector_length(cfg), h, h, n, n, 2]
+    sections = checkpoint_sections(cfg)
     start = len(CHECKPOINT_MAGIC) + _ARCH_HEADER.size
-    flag = start + 8 * sum(sizes)
-    if payload[flag:flag + 1] == b"\x00":
-        raise CheckpointVersionError(f"{path}: center flag 0, not 1: carries "
-                                     "no class center; retrain the model")
-    if payload[flag:flag + 1] not in (b"", b"\x01"):
-        raise CheckpointCorruptError(f"{path}: center flag {payload[flag]}, neither 0 nor 1")
-    expected = flag + 1 + 8 * k
+    expected = start + 8 * sum(sections.values())
     if len(payload) != expected:
         raise CheckpointCorruptError(
             f"{path}: truncated checkpoint" if len(payload) < expected
             else f"{path}: {len(payload) - expected} unexpected trailing bytes")
-    slab = np.frombuffer(payload, dtype="<f8", count=sum(sizes), offset=start)
-    center = np.frombuffer(payload, dtype="<f8", count=k, offset=flag + 1).astype(np.float64)
+    slab = np.frombuffer(payload, dtype="<f8", offset=start).astype(np.float64)
     # save_checkpoint writes finite values only, but for the band: an open end
     # (``--band 500:inf``) is an infinite bound, and TgBand refuses a nan one
-    if not (np.all(np.isfinite(slab[:-2])) and np.all(np.isfinite(center))):
+    if not np.all(np.isfinite(slab[:-2])):
         raise CheckpointCorruptError(f"{path}: non-finite value in the parameters, "
                                      "statistics or center")
-    vector, running_mean, running_var, mean, std, band = np.split(
-        slab.astype(np.float64), np.cumsum(sizes)[:-1])
-    low, high = band.tolist()
+    parts = dict(zip(sections, np.split(slab, np.cumsum(list(sections.values()))[:-1])))
     try:
-        return Checkpoint(params=ModelParams(cfg, vector, running_mean, running_var),
-                          stats=NormalizationStats(mean=mean, std=std),
-                          band=TgBand(low, high), center=center)
+        return Checkpoint(params=ModelParams(cfg, parts["vector"], parts["running_mean"],
+                                             parts["running_var"]),
+                          stats=NormalizationStats(mean=parts["mean"], std=parts["std"]),
+                          band=TgBand(*parts["band"].tolist()), center=parts["center"])
     except ValueError as exc:
         raise CheckpointCorruptError(f"{path}: {exc}") from None

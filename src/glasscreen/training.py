@@ -235,11 +235,13 @@ def adam_step(params: ModelParams, grad: np.ndarray, state: AdamState, cfg: Trai
 
 @dataclass
 class TrainConfig:
-    """Loop hyperparameters; batch_size counts triplets per mini-batch."""
+    """Loop hyperparameters; batch_size counts triplets per mini-batch, sigma
+    scales the augmentation noise and dropout is the projection head's rate."""
 
     epochs: int = 100
     batch_size: int = 256
     sigma: float = 0.01
+    dropout: float = 0.0
     seed: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -255,6 +257,7 @@ class TrainConfig:
                 ("epochs", self.epochs >= 1, ">= 1"),
                 ("batch_size", self.batch_size >= 2, ">= 2"),
                 ("sigma", self.sigma >= 0, ">= 0"),
+                ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
                 ("seed", self.seed >= 0, ">= 0"),
                 ("eval_every", self.eval_every >= 1, ">= 1"),
                 ("precision_k", self.precision_k >= 1, ">= 1"),
@@ -328,7 +331,8 @@ def train(
             stacked = np.concatenate([x_raw[anchor_idx], x_raw[pos_idx], x_raw[neg_idx]])
             perturbed = augment(stacked, cfg.sigma, rng)
             batch = normalize(perturbed, stats)
-            features, trace = forward_batch(batch, params, mode="train", rng=rng)
+            features, trace = forward_batch(batch, params, mode="train", rng=rng,
+                                            dropout=cfg.dropout)
             losses = triplet_losses(features)
             if not np.all(np.isfinite(losses)):
                 raise NumericFailure(

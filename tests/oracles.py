@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+from glasscreen.deepglassnet import BN_EPSILON
+
 
 def grad_check(f, params: dict, analytic_grads: dict, h: float = 1e-5) -> float:
     """Max relative error between analytic gradients and central differences.
@@ -126,8 +128,7 @@ def unfolded_forward(x, params, mode: str = "eval", mask=None) -> dict:
         mean, var = pre.mean(axis=0), pre.var(axis=0)
     else:
         mean, var = bn.running_mean, bn.running_var
-    epsilon = params.arch.bn_epsilon
-    hidden = np.maximum(bn.gamma * (pre - mean) / np.sqrt(var + epsilon) + bn.beta, 0.0)
+    hidden = np.maximum(bn.gamma * (pre - mean) / np.sqrt(var + BN_EPSILON) + bn.beta, 0.0)
     if mask is not None:
         hidden = hidden * mask
     head = hidden @ params.w_out + params.b_out

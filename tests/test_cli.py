@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import logging
 import os
@@ -51,7 +50,7 @@ from oracles import scalar_normal
 from sample_tables import table
 
 SCHEMA = ComponentSchema(("A", "B", "C"))
-V1_CHECKPOINT = Path(__file__).parent / "fixtures" / "v1_zero_bias.ckpt"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 SMALL_CONFIG = {
     "embed_dim": 4,
@@ -121,33 +120,19 @@ def small_checkpoint(path, embedding_scale=1.0):
     return path
 
 
-def centerless_checkpoint(path, feature_dim=4):
-    """A copy of the checkpoint at ``path`` as save_checkpoint wrote one
-    without a class center: center flag 0, no center, checksummed anew."""
-    payload = path.read_bytes()[:-32 - 1 - 8 * feature_dim] + b"\x00"
-    bare = path.with_name("bare.ckpt")
-    bare.write_bytes(payload + hashlib.sha256(payload).digest())
-    return bare
-
-
-# a DGNCKPT1 file, or a DGNCKPT2 file without a center: eval and screen exit
-# 3 naming the file, and write nothing
+# a DGNCKPT1 or DGNCKPT2 file: eval and screen exit 3 naming the file, and
+# write nothing
 @pytest.mark.parametrize("command", ["eval", "screen"])
-@pytest.mark.parametrize("kind, message", [
-    ("v1", "older formats are no longer read: retrain the model"),
-    ("centerless", "carries no class center; retrain the model")], ids=["v1", "centerless"])
-def test_unread_checkpoint_is_data_error(tmp_path, monkeypatch, caplog, command, kind, message):
+@pytest.mark.parametrize("fixture", ["v1_zero_bias.ckpt", "v2_tiny.ckpt"], ids=["v1", "v2"])
+def test_unread_checkpoint_is_data_error(tmp_path, monkeypatch, caplog, command, fixture):
     monkeypatch.chdir(tmp_path)
-    if kind == "v1":
-        ckpt = tmp_path / "model.ckpt"
-        ckpt.write_bytes(V1_CHECKPOINT.read_bytes())
-    else:
-        ckpt = centerless_checkpoint(small_checkpoint(tmp_path / "model.ckpt"))
-        (tmp_path / "model.ckpt").unlink()
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes((FIXTURES / fixture).read_bytes())
     argv = (["eval", "--data", "data.csv", "--report-dir", "report"] if command == "eval"
             else ["screen", "--candidates", "c.csv", "--out", "picks.csv"])
     assert main(argv + ["--checkpoint", ckpt.name]) == EXIT_DATA
-    assert f"{ckpt.name}: " in caplog.text and message in caplog.text
+    assert f"{ckpt.name}: " in caplog.text
+    assert "older formats are no longer read: retrain the model" in caplog.text
     assert list(tmp_path.iterdir()) == [ckpt]
 
 
@@ -632,19 +617,6 @@ class TestScreen:
                      "--candidates", str(self.make_candidates(tmp_path)),
                      "--top-k", "2", "--out", str(ranked)])
         assert code == EXIT_NUMERIC
-        assert not ranked.exists()
-
-    # the same checkpoint screens once its center flag is 0 and its center gone
-    def test_checkpoint_without_center_is_data_error(self, tmp_path, caplog):
-        ckpt = small_checkpoint(tmp_path / "model.ckpt")
-        candidates = self.make_candidates(tmp_path)
-        ranked = tmp_path / "ranked.csv"
-        argv = ["screen", "--candidates", str(candidates), "--top-k", "2", "--out", str(ranked)]
-        assert main(argv + ["--checkpoint", str(ckpt)]) == EXIT_OK
-        ranked.unlink()
-        bare = centerless_checkpoint(ckpt)
-        assert main(argv + ["--checkpoint", str(bare)]) == EXIT_DATA
-        assert f"{bare}: center flag 0, not 1: carries no class center" in caplog.text
         assert not ranked.exists()
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from glasscreen import deepglassnet
 from glasscreen.data_pipeline import NormalizationStats, TgBand
 from glasscreen.deepglassnet import (
+    BN_EPSILON,
     CHECKPOINT_MAGIC,
     ArchConfig,
     CheckpointCorruptError,
@@ -39,11 +40,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture
 def tiny_params():
     return init_params(TINY, seed=3)
-
-
-def dropout_params(rate):
-    """tiny_params' tensors under an arch with the given dropout rate."""
-    return init_params(replace(TINY, dropout=rate), seed=3)
 
 
 def features_at_chunk(x, params, chunk):
@@ -305,16 +301,16 @@ class TestProject:
 
     def test_layer_collapse_with_neutral_stats(self):
         cfg = ArchConfig(n_components=3, embed_dim=2, adjacency_rank=2,
-                         attention_dim=2, hidden_dim=4, feature_dim=4,
-                         bn_epsilon=1e-300)
+                         attention_dim=2, hidden_dim=4, feature_dim=4)
         params = init_params(cfg, seed=1)
         params.w_out[...] = np.eye(4)
         params.b_out[...] = np.zeros(4)
         params.bn_beta[...] = np.full(4, 0.1)
         x = np.random.default_rng(10).normal(size=(1, 3))
         features, _ = forward_batch(x, params)
+        # running mean 0 and variance 1: the batch norm divides by sqrt(1 + epsilon)
         hidden = np.maximum(unfolded_forward(x, params)["flat"][0] @ params.w_hidden
-                            + params.bn_beta, 0.0)
+                            / np.sqrt(1.0 + BN_EPSILON) + params.bn_beta, 0.0)
         expected = hidden / np.linalg.norm(hidden)
         assert np.max(np.abs(features[0] - expected)) < 1e-9
 
@@ -448,18 +444,18 @@ class TestForward:
 
 
 class TestDropout:
-    def test_train_mode_needs_rng(self):
+    def test_train_mode_needs_rng(self, tiny_params):
         x = RandomSource(15).normal(0, 1, size=(6, 4))
         with pytest.raises(ValueError, match="rng"):
-            forward_batch(x, dropout_params(0.5), mode="train")
+            forward_batch(x, tiny_params, mode="train", dropout=0.5)
 
-    def test_deterministic_per_seed(self):
-        params = dropout_params(0.5)
-        params.b_out += 0.2
+    def test_deterministic_per_seed(self, tiny_params):
+        tiny_params.b_out += 0.2
         x = RandomSource(16).normal(0, 1, size=(6, 4))
         runs = []
         for _ in range(2):
-            f, trace = forward_batch(x, params.copy(), mode="train", rng=RandomSource(21))
+            f, trace = forward_batch(x, tiny_params.copy(), mode="train", rng=RandomSource(21),
+                                     dropout=0.5)
             runs.append((f, trace.dropout_mask))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
@@ -471,9 +467,7 @@ class TestDropout:
         tiny_params.b_out += 0.2
         x = RandomSource(17).normal(0, 1, size=(6, 4))
         plain, _ = forward_batch(x, tiny_params, mode="eval")
-        knob = dropout_params(0.9)
-        knob.b_out += 0.2
-        with_knob, trace = forward_batch(x, knob, mode="eval")
+        with_knob, trace = forward_batch(x, tiny_params, mode="eval", dropout=0.9)
         assert np.array_equal(plain, with_knob)
         assert trace.dropout_mask is None
 
@@ -502,20 +496,10 @@ class TestCheckpoint:
         assert np.array_equal(ckpt.center, center)
         assert ckpt.params.arch == TINY
 
-    # a file without a class center, as save_checkpoint wrote one before the
-    # center was required: center flag 0, no center, checksummed anew
-    def test_round_trip_without_center(self, tmp_path):
-        path, blob = self.saved_blob(tmp_path)
-        payload = blob[:-32 - 1 - 8 * TINY.feature_dim] + b"\x00"
-        path.write_bytes(payload + hashlib.sha256(payload).digest())
-        message = f"{re.escape(str(path))}: center flag 0, not 1: carries no class center"
-        with pytest.raises(CheckpointVersionError, match=message):
-            load_checkpoint(path)
-
     # a config field, or a center or stats length unlike the parameters' arch
     # (which load_checkpoint would refuse, or read with another shape)
     @pytest.mark.parametrize("field, value", [
-        ("embed_dim", 4), ("dropout", 0.5), ("bn_epsilon", 1e-3),
+        ("embed_dim", 4), ("hidden_dim", 6), ("feature_dim", 3),
         pytest.param("center", np.zeros(3), id="center-3"),
         pytest.param("center", np.zeros((1, 2)), id="center-1x2"),
         pytest.param("stats", 5, id="stats-5")])
@@ -549,7 +533,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[:8] = b"DGNCKPT9"
         path.write_bytes(bytes(blob))
-        message = f"{re.escape(str(path))}: not a DGNCKPT2 checkpoint"
+        message = f"{re.escape(str(path))}: not a DGNCKPT3 checkpoint"
         with pytest.raises(CheckpointVersionError, match=message):
             load_checkpoint(path)
 
@@ -579,16 +563,14 @@ class TestCheckpoint:
 
         expected = bytearray(CHECKPOINT_MAGIC)
         expected += struct.pack("<6q", 4, 3, 2, 3, 5, 2)
-        expected += struct.pack("<3d", 0.0, 0.1, 1e-5)
         for name in ("embeddings", "interaction_factors", "w_query", "w_key", "w_value",
                      "w_hidden", "w_out", "b_out"):
             expected += f8(getattr(params, name))
         for vector in (params.bn.gamma, params.bn.beta,
                        params.bn.running_mean, params.bn.running_var):
             expected += f8(vector)
-        expected += f8(stats.mean) + f8(stats.std)
+        expected += f8(stats.mean) + f8(stats.std) + f8(center)
         expected += struct.pack("<2d", 500.0, 600.0)
-        expected += struct.pack("<B", 1) + f8(center)
         expected += hashlib.sha256(bytes(expected)).digest()
         assert path.read_bytes() == bytes(expected)
 
@@ -599,12 +581,24 @@ class TestCheckpoint:
     V1 = FIXTURES / "v1_zero_bias.ckpt"
 
     def test_reads_v1_with_zero_hidden_bias_to_the_same_bytes(self):
-        message = (f"{re.escape(str(self.V1))}: not a DGNCKPT2 checkpoint .*DGNCKPT1.* "
+        message = (f"{re.escape(str(self.V1))}: not a DGNCKPT3 checkpoint .*DGNCKPT1.* "
                    "no longer read: retrain the model")
         with pytest.raises(CheckpointVersionError, match=message):
             load_checkpoint(self.V1)
 
-    # under the DGNCKPT2 magic and checksummed anew, the hidden bias shifts
+    # v2_tiny.ckpt is the DGNCKPT2 file save_checkpoint wrote for build()'s
+    # params, stats and band with the center [0.125, -0.5]: an 80-byte header
+    # that also held dropout and the batch-norm constants, and a center flag
+    # byte of 1 before the center. That format is no longer read either.
+    V2 = FIXTURES / "v2_tiny.ckpt"
+
+    def test_v2_is_version_error(self):
+        message = (f"{re.escape(str(self.V2))}: not a DGNCKPT3 checkpoint .*DGNCKPT2.* "
+                   "no longer read: retrain the model")
+        with pytest.raises(CheckpointVersionError, match=message):
+            load_checkpoint(self.V2)
+
+    # under the DGNCKPT3 magic and checksummed anew, the hidden bias shifts
     # every later section: the file is still refused, not read misaligned
     def test_reads_v1_hidden_bias_into_running_mean(self, tmp_path):
         payload = CHECKPOINT_MAGIC + self.V1.read_bytes()[8:-32]
@@ -625,20 +619,13 @@ class TestCheckpoint:
         struct.pack_into(fmt, payload, offset, value)
         return bytes(payload) + hashlib.sha256(payload).digest()
 
-    # the <6q arch header starts at byte 8 and the <3d constants at byte 56
+    # the <6q arch header starts at byte 8
     @pytest.mark.parametrize("offset, fmt, value", [
         (8, "<q", 1),            # n_components
         (8, "<q", 2**62),        # n_components: overflows a numpy size product
         (8 + 8, "<q", -3),       # embed_dim
         (8 + 32, "<q", 2**63 - 1),  # hidden_dim
         (8 + 40, "<q", 0),       # feature_dim
-        (56, "<d", 1.0),         # dropout
-        (56, "<d", math.nan),    # dropout
-        (64, "<d", 0.0),         # bn_momentum
-        (64, "<d", 1.5),         # bn_momentum
-        (72, "<d", 0.0),         # bn_epsilon
-        (72, "<d", -1e-5),       # bn_epsilon
-        (72, "<d", math.nan),    # bn_epsilon
     ])
     def test_bad_header_with_valid_checksum_is_corruption_error(self, tmp_path, offset, fmt,
                                                                value):
@@ -652,18 +639,19 @@ class TestCheckpoint:
     def test_bad_value_with_valid_checksum_is_corruption_error(self, tmp_path, field, value):
         path, blob = self.saved_blob(tmp_path)
         length, h, n = vector_length(TINY), TINY.hidden_dim, TINY.n_components
-        # after the 80-byte header: vector, running mean and var, stats mean
-        # and std, band low and high
-        offset = 80 + 8 * {"running_var": length + h, "std": length + 2 * h + n,
-                           "band_low": length + 2 * h + 2 * n,
-                           "band_high": length + 2 * h + 2 * n + 1}[field]
+        k = TINY.feature_dim
+        # after the 56-byte magic and header: vector, running mean and var,
+        # stats mean and std, center, band low and high
+        offset = 56 + 8 * {"running_var": length + h, "std": length + 2 * h + n,
+                           "band_low": length + 2 * h + 2 * n + k,
+                           "band_high": length + 2 * h + 2 * n + k + 1}[field]
         path.write_bytes(self.rechecksummed(blob, offset, "<d", value))
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path)
 
-    # one non-finite entry per section, after the 80-byte header: the vector
-    # (embeddings[0, 1] is its second entry), running mean and var, stats
-    # mean and std, then past the band and the flag byte, center[0]
+    # one non-finite entry per section, after the 56-byte magic and header:
+    # the vector (embeddings[0, 1] is its second entry), running mean and
+    # var, stats mean and std, center[0]
     @pytest.mark.parametrize("field, value", [
         ("embeddings", math.nan), ("running_mean", math.nan), ("running_var", math.inf),
         ("mean", math.nan), ("std", math.inf), ("center", math.nan)])
@@ -671,39 +659,32 @@ class TestCheckpoint:
                                                                       value):
         path, blob = self.saved_blob(tmp_path)
         length, h, n = vector_length(TINY), TINY.hidden_dim, TINY.n_components
-        offset = 80 + 8 * {"embeddings": 1, "running_mean": length, "running_var": length + h,
+        offset = 56 + 8 * {"embeddings": 1, "running_mean": length, "running_var": length + h,
                            "mean": length + 2 * h, "std": length + 2 * h + n,
-                           "center": length + 2 * h + 2 * n + 2}[field]
-        offset += field == "center"
+                           "center": length + 2 * h + 2 * n}[field]
         path.write_bytes(self.rechecksummed(blob, offset, "<d", value))
         with pytest.raises(CheckpointCorruptError, match="non-finite"):
             load_checkpoint(path)
 
-    # the payload, checksummed anew, cut before the center flag byte, with
-    # flag 1 and no center, with flag 0 and 8 more bytes, or with flag 2 and a
-    # center: a flag other than 1 is refused whatever the length, flag 0 as a
-    # center-less file and any other as a corrupt one
-    @pytest.mark.parametrize("tail, error, message", [
-        (b"", CheckpointCorruptError, "truncated checkpoint"),
-        (b"\x01", CheckpointCorruptError, "truncated checkpoint"),
-        (b"\x00" + bytes(8), CheckpointVersionError, "carries no class center"),
-        (b"\x02" + bytes(8 * TINY.feature_dim), CheckpointCorruptError,
-         "center flag 2, neither 0 nor 1")],
-        ids=["no-flag", "flag-1-no-center", "flag-0-8-extra", "flag-2"])
-    def test_payload_length_decides(self, tmp_path, tail, error, message):
+    # the payload, checksummed anew, cut before the band, one byte short, or
+    # with 8 more bytes: the one length check names the shortfall or the excess
+    @pytest.mark.parametrize("cut, tail, message", [
+        (16, b"", "truncated checkpoint"),
+        (1, b"", "truncated checkpoint"),
+        (0, bytes(8), "8 unexpected trailing bytes")],
+        ids=["no-band", "one-byte-short", "8-extra"])
+    def test_payload_length_decides(self, tmp_path, cut, tail, message):
         path, blob = self.saved_blob(tmp_path)
-        flag = len(blob) - 32 - 1 - 8 * TINY.feature_dim
-        assert blob[flag] == 1
-        payload = blob[:flag] + tail
+        payload = blob[:len(blob) - 32 - cut] + tail
         path.write_bytes(payload + hashlib.sha256(payload).digest())
-        with pytest.raises(error, match=message):
+        with pytest.raises(CheckpointCorruptError, match=message):
             load_checkpoint(path)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_damaged_file_always_raises_checkpoint_error(self, tmp_path_factory, data):
         path, blob = self.saved_blob(tmp_path_factory.mktemp("ckpt"))
-        damage = data.draw(st.sampled_from(["flip", "truncate", "append", "int", "float"]))
+        damage = data.draw(st.sampled_from(["flip", "truncate", "append", "int"]))
         if damage == "flip":
             at = data.draw(st.integers(0, len(blob) - 1))
             bad = bytearray(blob)
@@ -712,19 +693,12 @@ class TestCheckpoint:
             bad = blob[:data.draw(st.integers(0, len(blob) - 1))]
         elif damage == "append":
             bad = blob + data.draw(st.binary(min_size=1, max_size=64))
-        elif damage == "int":
+        else:
             # one arch field changes the length of every later section
             field = data.draw(st.integers(0, 5))
             (old,) = struct.unpack_from("<q", blob, 8 + 8 * field)
             value = data.draw(st.integers(-2**63, 2**63 - 1).filter(lambda v: v != old))
             bad = self.rechecksummed(blob, 8 + 8 * field, "<q", value)
-        else:
-            field, valid = data.draw(st.sampled_from([
-                (0, lambda v: 0.0 <= v < 1.0),             # dropout
-                (1, lambda v: 0.0 < v < 1.0),              # bn_momentum
-                (2, lambda v: 0.0 < v < math.inf)]))       # bn_epsilon
-            value = data.draw(st.floats().filter(lambda v: not valid(v)))
-            bad = self.rechecksummed(blob, 56 + 8 * field, "<d", value)
         path.write_bytes(bytes(bad))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)

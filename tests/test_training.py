@@ -224,12 +224,13 @@ class TestBackward:
                 assert size == self.values.shape
                 return self.values
 
-        params = _healthy_tiny_params(seed=5, arch=replace(TINY, dropout=0.4))
+        params = _healthy_tiny_params(seed=5)
         batch = RandomSource(12).normal(0.0, 1.0, size=(6, 4))
         mask_source = RandomSource(13).uniform(size=(6, 5))
 
         def run():
-            return forward_batch(batch, params, mode="train", rng=FixedUniform(mask_source))
+            return forward_batch(batch, params, mode="train", rng=FixedUniform(mask_source),
+                                 dropout=0.4)
 
         _, trace = run()
         grads = named_gradients(trace, params)
@@ -246,9 +247,10 @@ class TestBackward:
         # backward reads forward's arrays (G_b M diag(x_b), P, the centred
         # batch-norm input, the ReLU output) instead of its own copies, so it
         # must never write into them
-        params = _healthy_tiny_params(arch=replace(TINY, dropout=dropout))
+        params = _healthy_tiny_params()
         batch = RandomSource(14).normal(0.0, 1.0, size=(9, 4))
-        _, trace = forward_batch(batch, params, mode="train", rng=RandomSource(15))
+        _, trace = forward_batch(batch, params, mode="train", rng=RandomSource(15),
+                                 dropout=dropout)
         arrays = trace_arrays(trace)
         assert {"trace.GMX", "trace.P", "trace.bn_centred", "trace.bn_inv_std",
                 "trace.post_relu", "trace.guarded", "constants.A", "constants.K",
@@ -317,11 +319,14 @@ def max_relative_gap(got, expected):
 
 class TestFoldedAttention:
     """The folded n x n attention against the unfolded encoder, across the
-    component counts where the fold is cheaper (2, 8) and where it is not (24)."""
+    component counts where the fold is cheaper (2, 8) and where it is not (24),
+    with dropout in train mode."""
+
+    DROPOUT = 0.3
 
     @staticmethod
     def arch(n, **dims):
-        return ArchConfig(n_components=n, adjacency_rank=min(5, n), dropout=0.3, **dims)
+        return ArchConfig(n_components=n, adjacency_rank=min(5, n), **dims)
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
     @pytest.mark.parametrize("n", [2, 8, 24])
@@ -330,7 +335,8 @@ class TestFoldedAttention:
         params.bn.running_mean += 0.1  # non-neutral eval statistics
         params.bn.running_var *= 1.5
         batch = RandomSource(200 + n).normal(0.0, 1.0, size=(96, n))
-        features, trace = forward_batch(batch, params, mode=mode, rng=RandomSource(n))
+        features, trace = forward_batch(batch, params, mode=mode, rng=RandomSource(n),
+                                        dropout=self.DROPOUT)
         assert (trace.dropout_mask is not None) == (mode == "train")
         # train mode normalizes by the batch's statistics, not the running ones it moved
         expected = unfolded_forward(batch, params, mode=mode, mask=trace.dropout_mask)
@@ -343,7 +349,8 @@ class TestFoldedAttention:
     def test_gradients_match_unfolded(self, n):
         params = _healthy_tiny_params(seed=n, arch=self.arch(n))
         batch = RandomSource(300 + n).normal(0.0, 1.0, size=(96, n))
-        _, trace = forward_batch(batch, params, mode="train", rng=RandomSource(n))
+        _, trace = forward_batch(batch, params, mode="train", rng=RandomSource(n),
+                                 dropout=self.DROPOUT)
         grads = named_gradients(trace, params)
         reference = einsum_backward(trace, params)
         assert grads.keys() == reference.keys()
@@ -358,7 +365,8 @@ class TestFoldedAttention:
 
         def run():
             # a fresh stream per call draws the same dropout mask every time
-            return forward_batch(batch, params, mode="train", rng=RandomSource(500 + n))
+            return forward_batch(batch, params, mode="train", rng=RandomSource(500 + n),
+                                 dropout=self.DROPOUT)
 
         _, trace = run()
         grads = named_gradients(trace, params)
@@ -386,10 +394,10 @@ class TestBatchNormBackward:
 
     @staticmethod
     def run(dropout, seed):
-        params = init_params(ArchConfig(n_components=8, dropout=dropout), seed=seed)
+        params = init_params(ArchConfig(n_components=8), seed=seed)
         batch = RandomSource(600 + seed).normal(0.0, 1.0, size=(96, 8))
         return params, lambda: forward_batch(batch, params, mode="train",
-                                             rng=RandomSource(700 + seed))[1]
+                                             rng=RandomSource(700 + seed), dropout=dropout)[1]
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     @pytest.mark.parametrize("seed", range(4))
@@ -538,6 +546,7 @@ class TestTrainLoop:
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 2.0), ("beta2", math.nan),
         ("adam_eps", 0.0), ("adam_eps", math.inf),
         ("weight_decay", -5.0), ("weight_decay", math.inf), ("sigma", math.nan),
+        ("dropout", 1.0), ("dropout", -0.1), ("dropout", math.nan),
     ])
     def test_out_of_range_setting_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -616,8 +625,8 @@ class TestTrainLoop:
     def test_train_with_dropout_smoke(self):
         data = tiny_dataset()
         arch = ArchConfig(n_components=3, embed_dim=4, adjacency_rank=2,
-                          attention_dim=4, hidden_dim=8, feature_dim=4, dropout=0.3)
-        cfg = TrainConfig(epochs=2, batch_size=16, seed=4, precision_k=5)
+                          attention_dim=4, hidden_dim=8, feature_dim=4)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=4, precision_k=5, dropout=0.3)
         _, _, history = train(data[:40], data[40:], arch, cfg)
         assert all(np.isfinite(r.mean_loss) for r in history.records)
 
