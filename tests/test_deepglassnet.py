@@ -499,7 +499,8 @@ class TestCheckpoint:
     # a config field, or a center or stats length unlike the parameters' arch
     # (which load_checkpoint would refuse, or read with another shape)
     @pytest.mark.parametrize("field, value", [
-        ("embed_dim", 4), ("hidden_dim", 6), ("feature_dim", 3),
+        ("embed_dim", 4), ("adjacency_rank", 3), ("attention_dim", 4), ("hidden_dim", 6),
+        ("feature_dim", 3),
         pytest.param("center", np.zeros(3), id="center-3"),
         pytest.param("center", np.zeros((1, 2)), id="center-1x2"),
         pytest.param("stats", 5, id="stats-5")])
@@ -624,6 +625,8 @@ class TestCheckpoint:
         (8, "<q", 1),            # n_components
         (8, "<q", 2**62),        # n_components: overflows a numpy size product
         (8 + 8, "<q", -3),       # embed_dim
+        (8 + 16, "<q", 0),       # adjacency_rank
+        (8 + 24, "<q", -1),      # attention_dim
         (8 + 32, "<q", 2**63 - 1),  # hidden_dim
         (8 + 40, "<q", 0),       # feature_dim
     ])
