@@ -177,9 +177,8 @@ def _read_table(path, tg_column: bool) -> tuple[ComponentSchema, np.ndarray, np.
     memory, wherever its result cannot differ from ``_parse_rows``: it skips
     blank lines, so a result must have one row per line of the body; it strips
     U+001C..U+001F around a number, which ``float`` rejects; it warns on a body
-    with no data line; and a non-finite result is dropped. A missing Tg (an
-    empty last cell), which numpy refuses only after parsing every row before
-    it, and any other table go to ``_parse_rows`` on the body already read."""
+    with no data line; and a non-finite result is dropped. Any other table goes
+    to ``_parse_rows`` on the body already read."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header, body = next(csv.reader(fh), None), fh.read()
@@ -194,10 +193,7 @@ def _read_table(path, tg_column: bool) -> tuple[ComponentSchema, np.ndarray, np.
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     n_columns = schema.n + tg_column
-    # one scan, at the body's own line end: a table of mixed line ends that
-    # hides a missing Tg from it only costs numpy's failed try
-    missing_tg = tg_column and (body.endswith(",") or (",\r" if "\r" in body else ",\n") in body)
-    if body.lstrip("\r\n") and not missing_tg and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
+    if body.lstrip("\r\n") and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
         # lines as universal newlines split them, at \n, \r and \r\n, as loadtxt reads
         lines = body.count("\n") + body.count("\r") - body.count("\r\n")
         lines += not body.endswith(("\n", "\r"))

@@ -314,6 +314,8 @@ def forward_batch(
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "train" and b < 2:
         raise ValueError("train-mode forward needs a batch of >= 2 samples")
+    if mode == "train" and not 0.0 <= dropout < 1.0:  # written so that NaN fails it
+        raise ValueError(f"dropout must be in [0, 1), got {dropout}")
     if constants is None:
         constants = encoder_constants(params)
     elif constants.params is not params:

@@ -162,20 +162,6 @@ class TestLoadDataset:
         assert opened.call_count == 1
         assert samples.has_tg.tolist() == [True, tg != ""]
 
-    # numpy refuses an empty last cell only after parsing every row before it;
-    # the body already read shows one, so the row parse reads that table alone
-    @pytest.mark.parametrize("newline, end", [
-        ("\n", "\n"), ("\r\n", "\r\n"), ("\r", "\r"), ("\n", "")],
-        ids=["lf", "crlf", "cr", "no-final-newline"])
-    def test_empty_last_tg_cell_skips_numpy(self, tmp_path, newline, end):
-        lines = ["A,B,C,Tg", "0.5,0.3,0.2,400", "0.25,0.25,0.5,410.5", "0.1,0.1,0.8,"]
-        p = write_csv(tmp_path / "d.csv", newline.join(lines) + end)
-        with mock.patch.object(data_pipeline.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-            samples, _ = load_dataset(p)
-        assert loadtxt.call_count == 0
-        assert_same_table(samples, table([[0.5, 0.3, 0.2], [0.25, 0.25, 0.5], [0.1, 0.1, 0.8]],
-                                         [400.0, 410.5, None]))
-
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_tables_match_row_parse(self, data):

@@ -449,6 +449,12 @@ class TestDropout:
         with pytest.raises(ValueError, match="rng"):
             forward_batch(x, tiny_params, mode="train", dropout=0.5)
 
+    @pytest.mark.parametrize("rate", [1.0, -0.1, math.nan])
+    def test_out_of_range_rate_rejected(self, tiny_params, rate):
+        x = RandomSource(15).normal(0, 1, size=(6, 4))
+        with pytest.raises(ValueError, match="dropout"):
+            forward_batch(x, tiny_params, mode="train", rng=RandomSource(21), dropout=rate)
+
     def test_deterministic_per_seed(self, tiny_params):
         tiny_params.b_out += 0.2
         x = RandomSource(16).normal(0, 1, size=(6, 4))
