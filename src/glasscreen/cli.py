@@ -71,7 +71,7 @@ _TRAIN_FIELDS = list(fields(TrainConfig))
 
 # the values a RunConfig field of each type accepts: an int field takes an int
 # (not a bool, which Python counts as one), a float field an int or a float
-_VALUE_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
+_VALUE_TYPES = {"int": (int,), "float": (int, float)}
 
 
 @dataclass
@@ -82,8 +82,6 @@ class _RunOptions:
     train_fraction: float = 0.8
     min_sum: float = 0.95
     max_sum: float = 1.05
-    band_low: float | None = None
-    band_high: float | None = None
     # baseline
     k_neighbors: int = 5
 
@@ -129,10 +127,6 @@ class _RunOptions:
             raise ConfigError("min_sum exceeds max_sum")
         if self.k_neighbors < 1:
             raise ConfigError("k_neighbors must be >= 1")
-        if (self.band_low is None) != (self.band_high is None):
-            raise ConfigError("band_low and band_high must be given together")
-        if self.band_low is not None and not self.band_low < self.band_high:
-            raise ConfigError("band_low must be < band_high")
 
     def arch_config(self, n_components: int) -> ArchConfig:
         return ArchConfig(n_components=n_components,
@@ -237,12 +231,7 @@ def _label_split(raw, band: TgBand, run: RunConfig):
 
 
 def cmd_train(args, run: RunConfig) -> int:
-    if args.band is not None:
-        band = _parse_band(args.band)
-    elif run.band_low is not None:
-        band = TgBand(run.band_low, run.band_high)
-    else:
-        raise ConfigError("no Tg band given (use --band LOW:HIGH or band_low/band_high)")
+    band = _parse_band(args.band)
     history_path = args.history or (str(args.out) + ".history.csv")
     if Path(history_path).resolve() == Path(args.out).resolve():
         raise ConfigError(f"--history {history_path} would overwrite the checkpoint --out")
@@ -293,7 +282,7 @@ def cmd_eval(args, run: RunConfig) -> int:
             write_table(tmp[prefix, "scores.csv"], ("index", "score", "label", "tg"),
                         (np.arange(report.scores.size, dtype=np.int64), report.scores,
                          report.labels, report.tg))
-            write_table(tmp[prefix, "roc.csv"], ("fpr", "tpr"), np.array(report.roc).T)
+            write_table(tmp[prefix, "roc.csv"], ("fpr", "tpr"), report.roc)
             evaluation.write_summary_json(report, ckpt.band, run.fingerprint(),
                                           tmp[prefix, "summary.json"])
     for prefix, report in reports.items():
@@ -391,20 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
                        help="debug logging")
 
-    p = sub.add_parser("clean", help="sum-filter a raw composition table")
+    p = sub.add_parser("clean", help="sum-filter a raw composition table by the config's "
+                       "min_sum and max_sum")
     add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--min-sum", type=float, default=None, dest="min_sum",
-                   help="default 0.95 (or the config file's min_sum)")
-    p.add_argument("--max-sum", type=float, default=None, dest="max_sum",
-                   help="default 1.05 (or the config file's max_sum)")
     p.set_defaults(func=cmd_clean)
 
     p = sub.add_parser("train", help="train the encoder and write a checkpoint")
     add_common(p)
     p.add_argument("--data", required=True, help="composition/Tg table")
-    p.add_argument("--band", default=None, help="target Tg band as LOW:HIGH")
+    p.add_argument("--band", required=True, help="target Tg band as LOW:HIGH")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--history", default=None, help="history CSV (default <out>.history.csv)")
     p.set_defaults(func=cmd_train)
@@ -453,9 +439,7 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     try:
-        # --seed, and clean's --min-sum and --max-sum, override the config file
-        run = RunConfig.load(args.config, {key: getattr(args, key, None)
-                                           for key in ("seed", "min_sum", "max_sum")})
+        run = RunConfig.load(args.config, {"seed": args.seed})  # --seed overrides the file
         return args.func(args, run)
     except ConfigError as exc:
         log.error("config error: %s", exc)

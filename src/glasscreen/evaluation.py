@@ -30,7 +30,7 @@ class Report:
     from, all in validation-sample order."""
 
     auc: float
-    roc: list[tuple[float, float]]
+    roc: tuple[np.ndarray, np.ndarray]  # (fpr, tpr)
     precision_at_k: float
     k: int
     scores: np.ndarray
@@ -98,8 +98,9 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return wins / (int(is_target.sum()) * others.size)
 
 
-def roc_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, float]]:
-    """ROC staircase swept over distinct scores descending, from (0,0) to (1,1)."""
+def roc_points(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ROC staircase swept over distinct scores descending, from (0,0) to (1,1),
+    as its float64 false- and true-positive rate arrays (fpr, tpr)."""
     is_target = _check_both_classes(labels, "ROC")
     m1 = int(is_target.sum())
     m0 = scores.size - m1
@@ -109,7 +110,7 @@ def roc_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, floa
     ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
     tp = np.cumsum(is_target[order])[ends]
     fp = ends + 1 - tp
-    return [(0.0, 0.0)] + [(f / m0, t / m1) for f, t in zip(fp.tolist(), tp.tolist())]
+    return np.append(0.0, fp / m0), np.append(0.0, tp / m1)
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:

@@ -248,7 +248,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     weight_decay: float = 0.0
-    eval_every: int = 1
     precision_k: int = 50
 
     def __post_init__(self):
@@ -259,7 +258,6 @@ class TrainConfig:
                 ("sigma", self.sigma >= 0, ">= 0"),
                 ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
                 ("seed", self.seed >= 0, ">= 0"),
-                ("eval_every", self.eval_every >= 1, ">= 1"),
                 ("precision_k", self.precision_k >= 1, ">= 1"),
                 ("lr", 0.0 < self.lr < math.inf, "positive and finite"),
                 ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
@@ -293,10 +291,9 @@ def train(
 
     Per epoch: shuffle anchors, resample a fresh triplet per anchor, augment
     the raw fractions, normalize, run train-mode forward in mini-batches of
-    triplets, backpropagate the batch-mean loss and take an Adam step.
-    Validation metrics (no augmentation) are computed at epoch 1, every
-    ``eval_every`` epochs and at the final epoch; records for the epochs in
-    between carry the latest computed values forward.
+    triplets, backpropagate the batch-mean loss and take an Adam step; then
+    score the validation set (no augmentation) against the training targets'
+    class center, so each epoch's record holds that epoch's own metrics.
     """
     if not val_set:
         raise ValueError("validation set must be non-empty")
@@ -318,8 +315,6 @@ def train(
     history = TrainHistory()
     best_auc = -math.inf
     best_params = params.copy()
-    last_auc = float("nan")
-    last_precision = float("nan")
     n_anchors = len(train_set)
 
     for epoch in range(1, cfg.epochs + 1):
@@ -340,20 +335,15 @@ def train(
                 )
             loss_total += float(losses.sum())
             adam_step(params, backward(trace, params), adam, cfg)
-        mean_loss = loss_total / n_anchors
 
-        if epoch == 1 or epoch == cfg.epochs or epoch % cfg.eval_every == 0:
-            center = evaluation.class_center(targets, params, stats)
-            report = evaluation.evaluate(val_set, params, stats, center.vector,
-                                         cfg.precision_k)
-            last_auc = report.auc
-            last_precision = report.precision_at_k
-            if last_auc > best_auc:
-                best_auc = last_auc
-                best_params = params.copy()
+        center = evaluation.class_center(targets, params, stats)
+        report = evaluation.evaluate(val_set, params, stats, center.vector, cfg.precision_k)
+        if report.auc > best_auc:
+            best_auc = report.auc
+            best_params = params.copy()
         history.records.append(EpochRecord(
-            epoch=epoch, mean_loss=mean_loss, val_auc=last_auc,
-            val_precision_at_k=last_precision,
+            epoch=epoch, mean_loss=loss_total / n_anchors, val_auc=report.auc,
+            val_precision_at_k=report.precision_at_k,
         ))
 
     return best_params, stats, history

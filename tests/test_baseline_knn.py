@@ -79,7 +79,8 @@ class TestKnnEvaluate:
         report = knn_evaluate(train, val, stats, KnnConfig(5), k_rank=5)
         assert isinstance(report, Report)
         assert 0.0 <= report.auc <= 1.0
-        assert report.roc[0] == (0.0, 0.0) and report.roc[-1] == (1.0, 1.0)
+        fpr, tpr = report.roc
+        assert (fpr[0], tpr[0]) == (0.0, 0.0) and (fpr[-1], tpr[-1]) == (1.0, 1.0)
         assert report.scores.shape == (len(val),)
         assert report.k == 5
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import math
 import os
 import re
 import stat
@@ -190,21 +191,30 @@ class TestClean:
                      "--output", str(tmp_path / "out.csv")])
         assert code == EXIT_DATA
 
-    def test_inverted_sum_flags_are_usage_error(self, tmp_path):
+    # the sum band has one source, the config: clean has no flag for it
+    @pytest.mark.parametrize("flag", ["--min-sum", "--max-sum"])
+    def test_sum_flag_is_unrecognized(self, tmp_path, capsys, flag):
         src = make_table(tmp_path / "raw.csv")
         out = tmp_path / "out.csv"
-        code = main(["clean", "--input", str(src), "--output", str(out),
-                     "--min-sum", "1.1", "--max-sum", "1.0"])
+        code = main(["clean", "--input", str(src), "--output", str(out), flag, "0.9"])
         assert code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 0.9" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,value", [("--min-sum", "nan"), ("--max-sum", "nan"),
-                                            ("--max-sum", "inf")])
-    def test_non_finite_sum_flag_is_usage_error(self, tmp_path, flag, value):
+    @pytest.mark.parametrize("values, message", [
+        ({"min_sum": 1.1, "max_sum": 1.0}, "min_sum exceeds max_sum"),
+        ({"max_sum": math.inf}, "min_sum and max_sum must be finite, got 0.95 and inf"),
+        ({"min_sum": -math.inf}, "min_sum and max_sum must be finite, got -inf and 1.05")],
+        ids=["inverted", "infinite", "negative-infinite"])
+    def test_bad_sum_band_in_config_is_usage_error(self, tmp_path, caplog, values, message):
         src = make_table(tmp_path / "raw.csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values), encoding="utf-8")  # json writes inf as Infinity
         out = tmp_path / "out.csv"
-        code = main(["clean", "--input", str(src), "--output", str(out), flag, value])
+        code = main(["clean", "--input", str(src), "--output", str(out),
+                     "--config", str(config)])
         assert code == EXIT_USAGE
+        assert f"config error: {message}" in caplog.text
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["min_sum", "max_sum"])
@@ -318,19 +328,41 @@ class TestTrain:
         assert f"got {band!r} ({reason})" in caplog.text
         assert not out.exists()
 
-    def test_band_from_config(self, workdir):
+    def test_train_re_cleans_by_the_sum_band_clean_used(self, tmp_path, caplog):
+        # one config is the one source of the sum band: a band wider than the
+        # default keeps, in train, every row clean wrote
+        src = make_table(tmp_path / "raw.csv")
+        raw, _ = load_dataset(src)
+        scale = np.where(np.arange(len(raw)) % 2, 1.08, 1.0)  # half the rows sum to 1.08
+        write_dataset(src, SCHEMA, table(raw.fractions * scale[:, None], raw.tg))
+        config = write_config(tmp_path / "wide.json", min_sum=0.9, max_sum=1.1)
+        data = tmp_path / "data.csv"
+        assert main(["clean", "--input", str(src), "--output", str(data),
+                     "--config", str(config)]) == EXIT_OK
+        assert main(["train", "--data", str(data), "--config", str(config), "--band",
+                     "500:600", "--out", str(tmp_path / "model.ckpt")]) == EXIT_OK
+        assert "loaded 150 rows, 150 kept after cleaning" in caplog.text
+        # the default band would drop the scaled half
+        assert clean_with_counts(load_dataset(data)[0], 0.95, 1.05)[1].kept == 75
+
+    # the Tg band has one source, --band: the config has no key for it
+    def test_band_in_config_is_unknown_key(self, workdir, caplog):
         tmp_path, data, _ = workdir
         config = write_config(tmp_path / "band.json", band_low=500.0, band_high=600.0)
         out = tmp_path / "model.ckpt"
-        assert main(["train", "--data", str(data), "--config", str(config),
-                     "--out", str(out)]) == EXIT_OK
-        assert load_checkpoint(out).band == TgBand(500.0, 600.0)
-
-    def test_missing_band_is_usage_error(self, workdir):
-        tmp_path, data, config = workdir
         code = main(["train", "--data", str(data), "--config", str(config),
-                     "--out", str(tmp_path / "x.ckpt")])
+                     "--band", "500:600", "--out", str(out)])
         assert code == EXIT_USAGE
+        assert f"{config}: unknown config keys: band_high, band_low" in caplog.text
+        assert not out.exists()
+
+    def test_missing_band_is_usage_error(self, workdir, capsys):
+        tmp_path, data, config = workdir
+        out = tmp_path / "x.ckpt"
+        code = main(["train", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "the following arguments are required: --band" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("history", ["model.ckpt", "sub/../model.ckpt"])
     def test_history_at_checkpoint_path_is_usage_error(self, workdir, history):
@@ -782,8 +814,8 @@ def test_default_config_on_three_components_runs_under_warnings_as_errors(tmp_pa
 
 class TestRunConfig:
     def test_fingerprint_is_stable(self):
-        assert RunConfig().fingerprint() == "4955dee71514a9b8"
-        assert RunConfig(epochs=10, seed=42).fingerprint() == "f4e46a4d851da927"
+        assert RunConfig().fingerprint() == "f00e932ad90d96ea"
+        assert RunConfig(epochs=10, seed=42).fingerprint() == "391884f85509f1a2"
 
     @pytest.mark.parametrize("key", ["n_components", "bn_momentum", "bn_epsilon"])
     def test_fixed_arch_fields_are_not_keys(self, tmp_path, key):
@@ -798,7 +830,7 @@ class TestRunConfig:
         ("train", "epochs", 5.5),     # float for an int key
         ("train", "epochs", True),    # bool for an int key
         ("train", "lr", True),        # bool for a float key
-        ("train", "seed", None),      # null outside band_low/band_high
+        ("train", "seed", None),      # null: no key takes it
     ])
     def test_wrongly_typed_value_is_usage_error(self, workdir, command, key, value):
         tmp_path, data, _ = workdir
@@ -815,8 +847,7 @@ class TestRunConfig:
         ("lr", True),           # bool for a float field
         ("min_sum", "0.9"),     # str for a float field
         ("k_neighbors", "5"),   # str for an int field
-        ("seed", None),         # None outside band_low/band_high
-        ("band_low", "500"),    # str for an optional float field
+        ("seed", None),         # None: no field takes it
     ])
     def test_direct_construction_checks_types(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be of type"):
@@ -854,11 +885,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("values, message", [
         ({"train_fraction": 0.0}, "train_fraction must be in (0,1), got 0.0"),
         ({"train_fraction": 1.0}, "train_fraction must be in (0,1), got 1.0"),
-        ({"k_neighbors": 0}, "k_neighbors must be >= 1"),
-        ({"band_low": 500.0}, "band_low and band_high must be given together"),
-        ({"band_low": 600.0, "band_high": 500.0}, "band_low must be < band_high")],
-        ids=["train-fraction-0", "train-fraction-1", "k-neighbors-0", "band-low-alone",
-             "band-reversed"])
+        ({"k_neighbors": 0}, "k_neighbors must be >= 1")],
+        ids=["train-fraction-0", "train-fraction-1", "k-neighbors-0"])
     def test_out_of_range_value_is_config_error(self, values, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             RunConfig(**values)
@@ -880,10 +908,9 @@ class TestRunConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"epochs": 5}), encoding="utf-8")
         assert RunConfig.load(path).fingerprint() == RunConfig(epochs=5).fingerprint()
-        path.write_text(json.dumps({"min_sum": 1, "lr": 0.01, "band_low": None,
-                                    "band_high": None}), encoding="utf-8")
+        path.write_text(json.dumps({"min_sum": 1, "lr": 0.01}), encoding="utf-8")
         cfg = RunConfig.load(path)
-        assert (cfg.min_sum, cfg.lr, cfg.band_low) == (1, 0.01, None)
+        assert (cfg.min_sum, cfg.lr) == (1, 0.01)
         assert type(cfg.min_sum) is int
 
 

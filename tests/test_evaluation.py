@@ -39,7 +39,8 @@ def auc_bruteforce(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
-def trapezoid_area(points):
+def trapezoid_area(roc):
+    points = list(zip(*roc))
     area = 0.0
     for (x1, y1), (x2, y2) in zip(points, points[1:]):
         area += (x2 - x1) * (y1 + y2) / 2.0
@@ -85,21 +86,35 @@ class TestAuc:
 
 class TestRocPoints:
     def test_endpoints(self):
-        points = roc_points(*records_from([0.9, 0.4], [0.5, 0.1]))
-        assert points[0] == (0.0, 0.0)
-        assert points[-1] == (1.0, 1.0)
+        fpr, tpr = roc_points(*records_from([0.9, 0.4], [0.5, 0.1]))
+        assert fpr.dtype == tpr.dtype == np.float64 and fpr.shape == tpr.shape
+        assert (fpr[0], tpr[0]) == (0.0, 0.0)
+        assert (fpr[-1], tpr[-1]) == (1.0, 1.0)
 
     def test_perfect_separation_passes_ideal_corner(self):
-        points = roc_points(*records_from([0.9, 0.8], [0.2, 0.1]))
-        assert (0.0, 1.0) in points
+        fpr, tpr = roc_points(*records_from([0.9, 0.8], [0.2, 0.1]))
+        assert (0.0, 1.0) in zip(fpr.tolist(), tpr.tolist())
 
     def test_monotone_staircase(self):
         rng = np.random.default_rng(2)
-        points = roc_points(*records_from(rng.normal(size=50), rng.normal(size=70)))
-        fprs = [p[0] for p in points]
-        tprs = [p[1] for p in points]
-        assert fprs == sorted(fprs)
-        assert tprs == sorted(tprs)
+        fpr, tpr = roc_points(*records_from(rng.normal(size=50), rng.normal(size=70)))
+        assert fpr.tolist() == sorted(fpr.tolist())
+        assert tpr.tolist() == sorted(tpr.tolist())
+
+    def test_rates_are_the_count_quotients(self):
+        # each rate is the double Python's int division gives, at the last
+        # row of each run of tied scores in descending order
+        rng = np.random.default_rng(5)
+        scores, labels = records_from(np.round(rng.normal(size=37), 1),
+                                      np.round(rng.normal(size=53), 1))
+        order = sorted(range(scores.size), key=lambda i: -scores[i])  # stable
+        expected, tp, fp = [(0.0, 0.0)], 0, 0
+        for pos, i in enumerate(order):
+            tp, fp = tp + int(labels[i] == 1), fp + int(labels[i] != 1)
+            if pos == len(order) - 1 or scores[order[pos + 1]] != scores[i]:
+                expected.append((fp / 53, tp / 37))
+        fpr, tpr = roc_points(scores, labels)
+        assert list(zip(fpr.tolist(), tpr.tolist())) == expected
 
     def test_random_labels_give_half_area(self):
         rng = np.random.default_rng(3)
@@ -263,14 +278,15 @@ class TestEvaluate:
         labels = self.samples.y
         assert np.array_equal(report.scores, scores)
         assert report.auc == auc(scores, labels)
-        assert report.roc == roc_points(scores, labels)
+        assert np.array_equal(np.array(report.roc), np.array(roc_points(scores, labels)))
         assert report.precision_at_k == precision_at_k(scores, labels, 5)
         assert report.k == 5
 
     def test_roc_endpoints(self):
         report = evaluate(self.samples, self.params, self.stats, self.center, k=5)
-        assert report.roc[0] == (0.0, 0.0)
-        assert report.roc[-1] == (1.0, 1.0)
+        fpr, tpr = report.roc
+        assert (fpr[0], tpr[0]) == (0.0, 0.0)
+        assert (fpr[-1], tpr[-1]) == (1.0, 1.0)
 
     def test_deterministic(self):
         r1 = evaluate(self.samples, self.params, self.stats, self.center, k=5)

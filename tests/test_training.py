@@ -561,10 +561,19 @@ class TestTrainLoop:
 
     def test_one_record_per_epoch(self):
         data = tiny_dataset()
-        cfg = TrainConfig(epochs=4, batch_size=16, seed=1, precision_k=5, eval_every=2)
+        cfg = TrainConfig(epochs=4, batch_size=16, seed=1, precision_k=5)
         _, _, history = train(data[:40], data[40:], SMALL_ARCH, cfg)
         assert [r.epoch for r in history.records] == [1, 2, 3, 4]
         assert all(np.isfinite(r.mean_loss) for r in history.records)
+
+    def test_records_do_not_depend_on_the_epoch_count(self):
+        # every epoch is validated, so each record is its own epoch's
+        # measurement and a run's first records are a shorter run's
+        data = tiny_dataset()
+        runs = [train(data[:40], data[40:], SMALL_ARCH,
+                      TrainConfig(epochs=epochs, batch_size=16, seed=1, precision_k=5))[2]
+                for epochs in (2, 3)]
+        assert runs[1].records[:2] == runs[0].records
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         # the default arch at the default 768-row batch: its (n, n) x (n, B n)
