@@ -9,9 +9,7 @@ import numpy as np
 
 from .data_pipeline import NormalizationStats, Samples, normalize
 from .evaluation import Report, make_report
-
-# query rows per distance matrix, bounding memory at chunk x training size
-_CHUNK = 256
+from .numeric_core import row_blocks
 
 
 @dataclass(frozen=True)
@@ -48,8 +46,10 @@ def knn_scores(
     k = cfg.k_neighbors
     train_sq = np.sum(x ** 2, axis=1)
     scores = np.empty(q_all.shape[0])
-    for start in range(0, q_all.shape[0], _CHUNK):
-        q = q_all[start:start + _CHUNK]
+    # one row_blocks split of the queries and of their scores: each block's
+    # distances are 8 bytes per training row per query
+    row_bytes = 8 * x.shape[0]
+    for q, out in zip(row_blocks(q_all, row_bytes), row_blocks(scores, row_bytes)):
         # |q|^2 + |x|^2 - 2 q.x, in that order, with the temporaries reused
         cross = q @ x.T
         cross *= 2.0
@@ -64,7 +64,7 @@ def knn_scores(
             take[row] = False
             take[row, np.argsort(d2[row], kind="stable")[:k]] = True
         # the k labels' sum is exact, so this is their mean bit for bit
-        scores[start:start + q.shape[0]] = (take @ labels) / k
+        out[:] = (take @ labels) / k
     return scores
 
 

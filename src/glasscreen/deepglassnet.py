@@ -30,6 +30,7 @@ from .numeric_core import (
     RandomSource,
     batchnorm_fold,
     batchnorm_train_cached,
+    row_blocks,
     softmax_leading,
 )
 
@@ -371,23 +372,14 @@ def forward_batch(
     )
 
 
-# rows per eval_features chunk (up to twice that): bounds the (n, chunk n) attention buffers
-EVAL_CHUNK = 2048
-
-
 def eval_features(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Eval-mode features for a (B, n) batch, computed in chunks that share
-    one encoder_constants(params): B // EVAL_CHUNK near-equal chunks (one if
-    B < EVAL_CHUNK), each of EVAL_CHUNK to 2 EVAL_CHUNK - 1 rows.
-
-    So no chunk of a larger batch has one row, which numpy multiplies through
-    another BLAS kernel whose last bits differ: every row's bytes are
-    independent of the chunk size.
-    """
+    """Eval-mode features for a (B, n) batch, computed in the row_blocks of
+    8 n^2 bytes a row (2,048 to 4,095 rows at n = 8) that share one
+    encoder_constants(params)."""
     x = np.asarray(x, dtype=np.float64)
     constants = encoder_constants(params)
-    return np.concatenate([forward_batch(chunk, params, mode="eval", constants=constants)[0]
-                           for chunk in np.array_split(x, max(1, x.shape[0] // EVAL_CHUNK))])
+    return np.concatenate([forward_batch(block, params, mode="eval", constants=constants)[0]
+                           for block in row_blocks(x, 8 * x.shape[1] ** 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BLOCK_BYTES",
     "NumericFailure",
     "RandomSource",
     "softmax_leading",
@@ -20,7 +21,12 @@ __all__ = [
     "batchnorm_backward",
     "batchnorm_fold",
     "batchnorm_train_cached",
+    "row_blocks",
 ]
+
+# bytes of one block of a batch product: eval_features' (n, rows n)
+# attention buffers, knn_scores' (rows, training size) distances
+BLOCK_BYTES = 1 << 20
 
 
 class NumericFailure(RuntimeError):
@@ -80,6 +86,19 @@ class RandomSource:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
+
+
+def row_blocks(x: np.ndarray, bytes_per_row: int) -> list[np.ndarray]:
+    """``x`` split on its first axis into blocks of about BLOCK_BYTES: with
+    rows = max(2, BLOCK_BYTES // bytes_per_row), B // rows near-equal blocks
+    (one if B < rows), each of rows to 2 rows - 1 rows.
+
+    So no block of a larger batch has one row, which numpy multiplies through
+    another BLAS kernel whose last bits differ: every row's bytes are
+    independent of the block size.
+    """
+    rows = max(2, BLOCK_BYTES // bytes_per_row)
+    return np.array_split(x, max(1, x.shape[0] // rows))
 
 
 def softmax_leading(scores: np.ndarray) -> np.ndarray:

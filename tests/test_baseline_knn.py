@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glasscreen import baseline_knn
+from glasscreen import numeric_core
 from glasscreen.baseline_knn import KnnConfig, knn_evaluate, knn_scores
-from glasscreen.data_pipeline import fit_normalization, normalize
+from glasscreen.data_pipeline import Samples, fit_normalization, normalize
 from glasscreen.evaluation import Report
-from glasscreen.numeric_core import RandomSource
+from glasscreen.numeric_core import RandomSource, row_blocks
 from sample_tables import concat, labeled
 
 
@@ -115,26 +117,31 @@ class TestKnnEvaluate:
 
 
 def sorted_knn_scores(train, stats, queries, k):
-    """Reference scorer: a full stable argsort of each chunk's distances, the
+    """Reference scorer: a full stable argsort of each block's distances, the
     first k columns as the neighbours and the mean of their labels."""
     x = normalize(train.fractions, stats)
     labels = train.y.astype(np.float64)
     q_all = normalize(queries, stats)
     train_sq = np.sum(x ** 2, axis=1)
-    scores = np.empty(q_all.shape[0])
-    for start in range(0, q_all.shape[0], baseline_knn._CHUNK):
-        q = q_all[start:start + baseline_knn._CHUNK]
+    scores = []
+    for q in row_blocks(q_all, 8 * len(train)):
         d2 = np.sum(q ** 2, axis=1)[:, None] + train_sq[None, :] - 2.0 * (q @ x.T)
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        scores[start:start + q.shape[0]] = labels[nearest].mean(axis=1)
-    return scores
+        scores.append(labels[nearest].mean(axis=1))
+    return np.concatenate(scores)
+
+
+def block_budget(rows, train):
+    """The BLOCK_BYTES that gives knn_scores blocks of ``rows`` query rows."""
+    return rows * 8 * len(train)
 
 
 @st.composite
 def tied_knn_problems(draw):
-    """(train, stats, queries, k): training rows on a coarse grid with exact
-    duplicates, so distances tie; queries that repeat training rows or lie
-    on the grid, tiled past a chunk boundary; k from 1 to the training size."""
+    """(train, stats, queries, k, rows): training rows on a coarse grid with
+    exact duplicates, so distances tie; queries that repeat training rows or
+    lie on the grid, tiled past a block boundary of ``rows`` query rows; k
+    from 1 to the training size."""
     n = draw(st.integers(2, 4))
     grid = st.lists(st.integers(0, 4), min_size=n, max_size=n)
     distinct = draw(st.lists(grid, min_size=1, max_size=8))
@@ -146,19 +153,21 @@ def tied_knn_problems(draw):
     rows = draw(st.lists(st.one_of(st.integers(0, len(train) - 1).map(
         lambda i: train.fractions[i]), grid.map(lambda g: np.array(g, dtype=np.float64) / 4)),
         min_size=1, max_size=6))
-    size = draw(st.sampled_from([1, baseline_knn._CHUNK, baseline_knn._CHUNK + 1,
-                                 2 * baseline_knn._CHUNK + 3]))
+    block = draw(st.integers(2, 4))
+    size = draw(st.sampled_from([1, block, block + 1, 2 * block + 3]))
     queries = np.resize(np.array(rows), (size, n))
-    return train, fit_normalization(train), queries, k
+    return train, fit_normalization(train), queries, k, block
 
 
 class TestKnnSelection:
     @settings(max_examples=150, deadline=None)
     @given(tied_knn_problems())
     def test_matches_full_stable_sort(self, problem):
-        train, stats, queries, k = problem
-        expected = sorted_knn_scores(train, stats, queries, k)
-        got = knn_scores(train, stats, queries, KnnConfig(k))
+        train, stats, queries, k, rows = problem
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numeric_core, "BLOCK_BYTES", block_budget(rows, train))
+            expected = sorted_knn_scores(train, stats, queries, k)
+            got = knn_scores(train, stats, queries, KnnConfig(k))
         assert got.tobytes() == expected.tobytes()
 
     def test_nan_query_matches_full_stable_sort(self):
@@ -170,3 +179,46 @@ class TestKnnSelection:
                 expected = sorted_knn_scores(train, stats, queries, k)
                 got = knn_scores(train, stats, queries, KnnConfig(k))
             assert got.tobytes() == expected.tobytes()
+
+
+class TestKnnBlocks:
+    @staticmethod
+    def block_rows(train, queries, monkeypatch):
+        """The query rows of each distance block knn_scores selects from."""
+        rows = []
+        partition = np.partition
+
+        def recording(d2, *args, **kwargs):
+            rows.append(d2.shape[0])
+            return partition(d2, *args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", recording)
+        knn_scores(train, fit_normalization(train), queries, KnnConfig(3))
+        return rows
+
+    def test_no_one_row_block(self, monkeypatch):
+        # a one-row block's distances come from numpy's vector-matrix product,
+        # whose last bits differ from the same row's inside a block
+        train, val = make_sets(n_train=40, n_val=257)
+        assert self.block_rows(train, val.fractions, monkeypatch) == [257]
+        monkeypatch.setattr(numeric_core, "BLOCK_BYTES", block_budget(3, train))
+        assert self.block_rows(train, val.fractions[:7], monkeypatch) == [4, 3]
+
+    def test_memory_does_not_grow_with_the_training_table(self):
+        # 500 queries against 20,000 training rows: a 256-row block of
+        # distances alone would be 41 MB
+        rng = RandomSource(5)
+        n_train = 20_000
+        train = Samples(rng.uniform((n_train, 8)), np.full(n_train, 500.0),
+                        np.ones(n_train, dtype=bool), (rng.uniform(n_train) > 0.5).astype(np.int64))
+        stats = fit_normalization(train)
+        queries = rng.uniform((500, 8))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            knn_scores(train, stats, queries, KnnConfig(5))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6

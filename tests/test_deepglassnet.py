@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glasscreen import deepglassnet
+from glasscreen import deepglassnet, numeric_core
 from glasscreen.data_pipeline import NormalizationStats, TgBand
 from glasscreen.deepglassnet import (
     BN_EPSILON,
@@ -43,9 +43,10 @@ def tiny_params():
 
 
 def features_at_chunk(x, params, chunk):
-    """eval_features with EVAL_CHUNK set to ``chunk`` for the call."""
+    """eval_features with BLOCK_BYTES set to give blocks of ``chunk`` rows
+    (8 n^2 bytes a row) for the call."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(deepglassnet, "EVAL_CHUNK", chunk)
+        patch.setattr(numeric_core, "BLOCK_BYTES", chunk * 8 * x.shape[1] ** 2)
         return eval_features(x, params)
 
 
@@ -390,9 +391,10 @@ class TestForward:
                               features_at_chunk(x, params, max(rows, 2)))
 
     def test_eval_features_equals_forward_batch_per_chunk(self, monkeypatch):
-        # 2 chunk + 1 rows split into two chunks, the first one row longer
+        # 2 chunk + 1 rows split into two chunks, the first one row longer;
+        # BLOCK_BYTES gives 2,048-row chunks at 8 components
         params = init_params(ArchConfig(n_components=8), seed=0)
-        chunk = deepglassnet.EVAL_CHUNK
+        chunk = 2048
         x = RandomSource(16).normal(0, 1, size=(2 * chunk + 1, 8))
         expected = np.concatenate([forward_batch(x[:chunk + 1], params)[0],
                                    forward_batch(x[chunk + 1:], params)[0]])

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from glasscreen import numeric_core
 from glasscreen.deepglassnet import ArchConfig, forward_batch, init_params
 from glasscreen.numeric_core import (
     BatchNormState,
     RandomSource,
     batchnorm_fold,
     batchnorm_train_cached,
+    row_blocks,
     softmax_leading,
 )
 from glasscreen.training import triplet_losses
@@ -306,6 +308,34 @@ class TestGaussian:
         draws = RandomSource(123).normal(0.0, 1.0, size=1_000_000)
         assert abs(draws.mean()) < 0.005
         assert abs(draws.std() - 1.0) < 0.005
+
+
+class TestRowBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(b=st.integers(0, 60), rows=st.integers(2, 10), row_bytes=st.integers(1, 100))
+    def test_blocks_cover_the_batch_in_order(self, b, rows, row_bytes):
+        x = np.arange(3 * b, dtype=np.float64).reshape(b, 3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numeric_core, "BLOCK_BYTES", rows * row_bytes)
+            blocks = row_blocks(x, row_bytes)
+        assert np.concatenate(blocks).tobytes() == x.tobytes()
+        sizes = [block.shape[0] for block in blocks]
+        if b < rows:
+            assert sizes == [b]
+        else:
+            assert len(sizes) == b // rows
+            assert all(rows <= size <= 2 * rows - 1 for size in sizes)
+
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_empty_and_one_row_batches_are_one_block(self, b):
+        blocks = row_blocks(np.ones((b, 4)), 8)
+        assert [block.shape for block in blocks] == [(b, 4)]
+
+    def test_a_row_over_the_budget_still_pairs_rows(self):
+        # rows = max(2, ...) even when one row alone is over BLOCK_BYTES
+        sizes = [block.shape[0] for block in
+                 row_blocks(np.ones((5, 2)), 2 * numeric_core.BLOCK_BYTES)]
+        assert sizes == [3, 2]
 
 
 class TestGradCheck:
